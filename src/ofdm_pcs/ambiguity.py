@@ -78,6 +78,24 @@ def default_nu_grid(cfg: OfdmConfig, points: int = 257) -> np.ndarray:
     return np.linspace(-half, half, points)
 
 
+def _closed_form_point(cfg: OfdmConfig, symbols, tau: float, evaluate):
+    """Shared front end of the point-wise closed forms.
+
+    Checks the symbol length, returns zeros (shaped like the batch) when the
+    delay leaves no overlap, and otherwise ``evaluate(symbols, geom)``; a
+    single symbol vector gives a Python complex.
+    """
+    symbols = np.asarray(symbols, dtype=np.complex128)
+    if symbols.shape[-1] != cfg.num_subcarriers:
+        raise ValueError(f"expected {cfg.num_subcarriers} symbols, got shape {symbols.shape}")
+    geom = DelayGeometry.for_delay(tau, cfg.symbol_duration)
+    if geom.overlaps:
+        out = evaluate(symbols, geom)
+    else:
+        out = np.zeros(symbols.shape[:-1], dtype=np.complex128)
+    return complex(out) if np.ndim(out) == 0 else out
+
+
 def af_closed_form(cfg: OfdmConfig, symbols, tau: float, nu: float):
     """Closed-form ambiguity function of one symbol vector at one point.
 
@@ -85,39 +103,30 @@ def af_closed_form(cfg: OfdmConfig, symbols, tau: float, nu: float):
     components.  ``symbols`` may carry leading batch dimensions, in which
     case a matching array of values is returned.
     """
-    symbols = np.asarray(symbols, dtype=np.complex128)
-    if symbols.shape[-1] != cfg.num_subcarriers:
-        raise ValueError(f"expected {cfg.num_subcarriers} symbols, got shape {symbols.shape}")
-    geom = DelayGeometry.for_delay(tau, cfg.symbol_duration)
-    if not geom.overlaps:
-        zero = np.zeros(symbols.shape[:-1], dtype=np.complex128)
-        return complex(0.0) if zero.ndim == 0 else zero
-    df = cfg.subcarrier_spacing
-    l = np.arange(cfg.num_subcarriers)
-    f = (l[:, None] - l[None, :]) * df - nu
-    kernel = (
-        geom.t_diff
-        * np.sinc(f * geom.t_diff)
-        * np.exp(2j * np.pi * (f * geom.t_avg + l[None, :] * df * tau))
-    )
-    out = np.einsum("...i,ij,...j->...", symbols, kernel, symbols.conj())
-    return complex(out) if out.ndim == 0 else out
+
+    def evaluate(symbols, geom):
+        df = cfg.subcarrier_spacing
+        l = np.arange(cfg.num_subcarriers)
+        f = (l[:, None] - l[None, :]) * df - nu
+        kernel = (
+            geom.t_diff
+            * np.sinc(f * geom.t_diff)
+            * np.exp(2j * np.pi * (f * geom.t_avg + l[None, :] * df * tau))
+        )
+        return np.einsum("...i,ij,...j->...", symbols, kernel, symbols.conj())
+
+    return _closed_form_point(cfg, symbols, tau, evaluate)
 
 
 def af_self_closed_form(cfg: OfdmConfig, symbols, tau: float, nu: float):
     """Self part only: the L equal-index components of the closed form."""
-    symbols = np.asarray(symbols, dtype=np.complex128)
-    if symbols.shape[-1] != cfg.num_subcarriers:
-        raise ValueError(f"expected {cfg.num_subcarriers} symbols, got shape {symbols.shape}")
-    geom = DelayGeometry.for_delay(tau, cfg.symbol_duration)
-    if not geom.overlaps:
-        zero = np.zeros(symbols.shape[:-1], dtype=np.complex128)
-        return complex(0.0) if zero.ndim == 0 else zero
-    df = cfg.subcarrier_spacing
-    l = np.arange(cfg.num_subcarriers)
-    phase = np.exp(2j * np.pi * (-nu * geom.t_avg + l * df * tau))
-    out = (np.abs(symbols) ** 2) @ phase * geom.t_diff * np.sinc(-nu * geom.t_diff)
-    return complex(out) if np.ndim(out) == 0 else out
+
+    def evaluate(symbols, geom):
+        l = np.arange(cfg.num_subcarriers)
+        phase = np.exp(2j * np.pi * (-nu * geom.t_avg + l * cfg.subcarrier_spacing * tau))
+        return (np.abs(symbols) ** 2) @ phase * geom.t_diff * np.sinc(-nu * geom.t_diff)
+
+    return _closed_form_point(cfg, symbols, tau, evaluate)
 
 
 @lru_cache(maxsize=8)
@@ -166,35 +175,51 @@ def af_numeric(
     return complex(np.sum(wt * s_t * s_lag.conj() * np.exp(-2j * np.pi * nu * t)))
 
 
-def _af_at_delay(cfg: OfdmConfig, symbols: np.ndarray, tau: float, nu_grid: np.ndarray):
+def _delay_terms(cfg: OfdmConfig, tau: float, nu_grid: np.ndarray):
+    """Per-delay factors of the grid closed form, or None outside the window.
+
+    Returns the lag phase ``exp(j 2 pi l df tau)`` (length L) and the
+    (2L-1) x n_nu Doppler kernel ``T_diff sinc(f T_diff) exp(j 2 pi f t_avg)``
+    with ``f = m df - nu``.  The kernel phase is built as the outer product
+    ``exp(j 2 pi m df t_avg) exp(-j 2 pi nu t_avg)``, so a delay costs
+    2L-1+n_nu complex exponentials instead of (2L-1) n_nu.
+    """
+    geom = DelayGeometry.for_delay(tau, cfg.symbol_duration)
+    if not geom.overlaps:
+        return None
+    num = cfg.num_subcarriers
+    df = cfg.subcarrier_spacing
+    l = np.arange(num)
+    lag_phase = np.exp(2j * np.pi * l * df * tau)
+    m = np.arange(-(num - 1), num)
+    f = m[:, None] * df - nu_grid[None, :]
+    phase = np.outer(
+        np.exp(2j * np.pi * (m * df) * geom.t_avg),
+        np.exp(-2j * np.pi * nu_grid * geom.t_avg),
+    )
+    return lag_phase, geom.t_diff * np.sinc(f * geom.t_diff) * phase
+
+
+def _af_at_delay(
+    symbols: np.ndarray, spectrum: np.ndarray, lag_phase: np.ndarray, kernel: np.ndarray
+):
     """AF values for a batch of symbol vectors at one delay, all Dopplers.
 
     Groups the closed-form double sum by subcarrier offset m = l1 - l2: the
     lag products ``B_m = sum_l c_{l+m} conj(c_l) exp(j 2 pi l df tau)`` come
-    from one FFT convolution per draw, then a (2L-1) x n_nu kernel matrix
-    finishes the job.  Identical to :func:`af_closed_form` up to rounding.
+    from one FFT convolution per draw, then the delay's Doppler kernel from
+    :func:`_delay_terms` finishes the job.  ``spectrum`` is the length-2L FFT
+    of ``symbols``, which does not depend on the delay.  Identical to
+    :func:`af_closed_form` up to rounding.
     """
-    num = cfg.num_subcarriers
-    trials = symbols.shape[0]
-    geom = DelayGeometry.for_delay(tau, cfg.symbol_duration)
-    if not geom.overlaps:
-        return np.zeros((trials, nu_grid.size), dtype=np.complex128)
-    df = cfg.subcarrier_spacing
-    l = np.arange(num)
-    lagged = symbols.conj() * np.exp(2j * np.pi * l * df * tau)
-    size = 2 * num
-    conv = np.fft.ifft(
-        np.fft.fft(symbols, n=size, axis=1) * np.fft.fft(lagged[:, ::-1], n=size, axis=1),
-        axis=1,
-    )[:, : 2 * num - 1]
-    m = np.arange(-(num - 1), num)
-    f = m[:, None] * df - nu_grid[None, :]
-    kernel = (
-        geom.t_diff
-        * np.sinc(f * geom.t_diff)
-        * np.exp(2j * np.pi * f * geom.t_avg)
-    )
-    return conv @ kernel
+    num = symbols.shape[1]
+    lagged = symbols.conj() * lag_phase
+    # One (chunk, 2L) buffer, reused in place: the spectra held for every draw
+    # already raise the peak memory, so a call adds no further temporaries.
+    conv = np.fft.fft(lagged[:, ::-1], n=2 * num, axis=1)
+    np.multiply(spectrum, conv, out=conv)
+    np.fft.ifft(conv, axis=1, out=conv)
+    return conv[:, : 2 * num - 1] @ kernel
 
 
 def af_closed_form_grid(cfg: OfdmConfig, symbols, tau_grid, nu_grid) -> np.ndarray:
@@ -205,17 +230,13 @@ def af_closed_form_grid(cfg: OfdmConfig, symbols, tau_grid, nu_grid) -> np.ndarr
     symbols = np.atleast_2d(np.asarray(symbols, dtype=np.complex128))
     tau_grid = np.asarray(tau_grid, dtype=float)
     nu_grid = np.asarray(nu_grid, dtype=float)
-    out = np.empty((symbols.shape[0], tau_grid.size, nu_grid.size), dtype=np.complex128)
+    spectrum = np.fft.fft(symbols, n=2 * cfg.num_subcarriers, axis=1)
+    out = np.zeros((symbols.shape[0], tau_grid.size, nu_grid.size), dtype=np.complex128)
     for ti, tau in enumerate(tau_grid):
-        out[:, ti, :] = _af_at_delay(cfg, symbols, tau, nu_grid)
+        terms = _delay_terms(cfg, tau, nu_grid)
+        if terms is not None:
+            out[:, ti, :] = _af_at_delay(symbols, spectrum, *terms)
     return out
-
-
-def _abs_sum_grid(cfg, symbols, tau_grid, nu_grid) -> np.ndarray:
-    acc = np.zeros((tau_grid.size, nu_grid.size))
-    for ti, tau in enumerate(tau_grid):
-        acc[ti] = np.abs(_af_at_delay(cfg, symbols, tau, nu_grid)).sum(axis=0)
-    return acc
 
 
 def mc_average_af(
@@ -231,24 +252,45 @@ def mc_average_af(
 ) -> AmbiguitySurface:
     """Average |AF| over random symbol draws, then peak-normalize.
 
-    All symbols are drawn up front from the seeded generator and partial sums
-    are accumulated in chunk order, so the result does not depend on the
-    number of worker threads.
+    All symbols are drawn up front from the seeded generator and split into
+    chunks of ``chunk_size`` draws, whose FFT spectra are taken once.  Each
+    delay row builds its Doppler kernel once, applies it to every chunk and
+    adds the chunk partial sums in chunk order, so ``chunk_size`` fixes the
+    order of the sums.  Worker threads split the delay rows between them and
+    never change a row's arithmetic, so the result does not depend on
+    ``threads``.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")
     tau_grid = np.asarray(tau_grid, dtype=float)
     nu_grid = np.asarray(nu_grid, dtype=float)
+    if tau_grid.size == 0:
+        raise ValueError("tau_grid is empty: need at least one delay point")
+    if nu_grid.size == 0:
+        raise ValueError("nu_grid is empty: need at least one Doppler point")
     num = cfg.num_subcarriers
     symbols = constellation.sample_symbols(trials * num, seed).reshape(trials, num)
-    starts = range(0, trials, chunk_size)
-    chunks = [symbols[s : s + chunk_size] for s in starts]
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(lambda s: _abs_sum_grid(cfg, s, tau_grid, nu_grid), chunks))
+    chunks = [symbols[s : s + chunk_size] for s in range(0, trials, chunk_size)]
+    spectra = [np.fft.fft(chunk, n=2 * num, axis=1) for chunk in chunks]
+    total = np.zeros((tau_grid.size, nu_grid.size))
+
+    def fill(rows):
+        for ti in rows:
+            terms = _delay_terms(cfg, tau_grid[ti], nu_grid)
+            if terms is not None:
+                for chunk, spectrum in zip(chunks, spectra):
+                    total[ti] += np.abs(_af_at_delay(chunk, spectrum, *terms)).sum(axis=0)
+
+    # One contiguous block of rows per worker; a row is written by one thread only.
+    blocks = np.array_split(np.arange(tau_grid.size), min(max(threads, 1), tau_grid.size))
+    if len(blocks) > 1:
+        with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
+            list(pool.map(fill, blocks))
     else:
-        partials = [_abs_sum_grid(cfg, s, tau_grid, nu_grid) for s in chunks]
-    total = np.sum(np.stack(partials), axis=0) / trials
+        fill(blocks[0])
+    total /= trials
     peak = total.max()
     if peak > 0:
         total = total / peak

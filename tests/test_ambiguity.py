@@ -152,6 +152,45 @@ def test_mc_average_thread_invariance():
     assert np.array_equal(a.values, b.values)
 
 
+@pytest.mark.parametrize(("chunk_size", "threads"), [(16, 1), (7, 3)])
+def test_mc_average_matches_brute_force_oracle(chunk_size, threads):
+    # Off-lattice grids that reach the window edges (tau = +-T_p) and pass
+    # them, and a trial count that chunk_size does not divide.
+    t_p = CFG16.symbol_duration
+    taus = np.array([-1.3, -1.0, -0.917, -0.31, 0.0, 0.0731, 0.5557, 0.999, 1.0, 1.2]) * t_p
+    nus = np.array([-7.3, -2.19, 0.0, 0.61, 3.333, 8.05])
+    trials, seed = 45, 13
+    c = make_qam(16)
+    draws = c.sample_symbols(trials * 16, seed).reshape(trials, 16)
+    direct = np.array([[af_closed_form(CFG16, draws, tau, nu) for nu in nus] for tau in taus])
+    grid = af_closed_form_grid(CFG16, draws, taus, nus)
+    assert np.max(np.abs(grid - direct.transpose(2, 0, 1))) <= 1e-12 * np.abs(direct).max()
+    brute = np.abs(direct).mean(axis=2)
+    surface = mc_average_af(CFG16, c, taus, nus, trials, seed, threads=threads, chunk_size=chunk_size)
+    assert np.max(np.abs(surface.values - brute / brute.max())) <= 1e-12
+
+
+@pytest.mark.parametrize("taus", [np.array([-0.4, 0.1, 0.7]), np.array([0.25])])
+def test_mc_average_thread_invariance_beyond_row_count(taus):
+    nus = np.array([-1.5, 0.0, 2.25])
+    a = mc_average_af(CFG16, make_qam(16), taus, nus, 70, 4, threads=1, chunk_size=32)
+    b = mc_average_af(CFG16, make_qam(16), taus, nus, 70, 4, threads=8, chunk_size=32)
+    assert np.array_equal(a.values, b.values)
+
+
+@pytest.mark.parametrize(
+    ("taus", "nus", "chunk_size", "name"),
+    [
+        (np.array([]), np.array([0.0]), 64, "tau_grid"),
+        (np.array([0.0]), np.array([]), 64, "nu_grid"),
+        (np.array([0.0]), np.array([0.0]), 0, "chunk_size"),
+    ],
+)
+def test_mc_average_rejects_bad_input(taus, nus, chunk_size, name):
+    with pytest.raises(ValueError, match=name):
+        mc_average_af(CFG16, make_qam(16), taus, nus, 10, 0, chunk_size=chunk_size)
+
+
 def test_variance_self_psk_zero():
     for tau in (0.0, 0.3, -0.6):
         for nu in (0.0, 1.3):

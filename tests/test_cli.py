@@ -222,6 +222,22 @@ def test_error_exit_names_stage(tmp_path, capsys):
     assert "af slice" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    ("args", "name"),
+    [
+        (["af", "surface", "--tau-points", "0"], "tau_grid"),
+        (["af", "surface", "--nu-points", "0"], "nu_grid"),
+        (["af", "slice", "--points", "0"], "tau_grid"),
+    ],
+)
+def test_af_empty_grid_names_parameter(tmp_path, capsys, args, name):
+    rc = main(args + ["--trials", "2", "--subcarriers", "8", "--bandwidth", "8",
+                      "--out", str(tmp_path / "x.csv")])
+    assert rc == 1
+    assert name in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_unreadable_config_fails(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
