@@ -14,7 +14,7 @@ from .ambiguity import (
     variance_cross_closed,
     variance_self_closed,
 )
-from .constellation import Constellation, ConstellationPoint, group_rings, make_psk, make_qam
+from .constellation import Constellation, group_rings, make_psk, make_qam
 from .detect import (
     CfarConfig,
     DetectionScenario,
@@ -40,7 +40,6 @@ __all__ = [
     "AmbiguitySurface",
     "CfarConfig",
     "Constellation",
-    "ConstellationPoint",
     "DelayGeometry",
     "DetectionScenario",
     "InfeasibleSupportError",

@@ -90,7 +90,6 @@ def air_vs_c0(
     c0_grid,
     cfg: AirConfig,
     *,
-    tie_break: str = "max-entropy",
     threads: int = 1,
 ) -> list[dict]:
     """Shape the base constellation for each target, then estimate its rate.
@@ -103,7 +102,7 @@ def air_vs_c0(
     seeds = np.random.SeedSequence(cfg.seed).spawn(grid.size)
 
     def run(i: int) -> dict:
-        sol = solve_pcs(PcsProblem(base.amplitudes, grid[i]), tie_break)
+        sol = solve_pcs(PcsProblem(base.amplitudes, grid[i]))
         shaped = base.with_probs(sol.probs)
         est = air_mc(shaped, AirConfig(cfg.noise_variance, cfg.mc_trials, seeds[i]))
         return {

@@ -345,6 +345,8 @@ def mean_af_components(cfg: OfdmConfig, tau_grid):
     ``sqrt(var_cross)`` as the comparable summary.
     """
     tau_grid = np.asarray(tau_grid, dtype=float)
+    if tau_grid.size == 0:
+        raise ValueError("tau_grid is empty: need at least one delay point")
     l = np.arange(cfg.num_subcarriers)
     self_slice = np.empty(tau_grid.size)
     cross_slice = np.empty(tau_grid.size)

@@ -17,6 +17,7 @@ import argparse
 import json
 import re
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -143,47 +144,6 @@ def _ofdm_config(opts: dict) -> OfdmConfig:
     )
 
 
-def _add(parser: argparse.ArgumentParser, name: str, **kwargs):
-    parser.add_argument(name, default=None, **kwargs)
-
-
-_OFDM_DEFAULTS = {"subcarriers": 64, "bandwidth": 100e6, "oversampling": 4}
-_CFAR_DEFAULTS = {"window": 16, "guard": 2}
-
-_DEFAULTS: dict[str, dict] = {
-    "constellation dump": {"modulation": "qam16", "seed": 0},
-    "pcs solve": {"modulation": "qam16", "c0": 1.0, "tie_break": "max-entropy", "seed": 0},
-    "pcs sweep": {"modulation": "qam16", "c0": "1.0:0.02:1.7", "tie_break": "max-entropy", "seed": 0},
-    "af slice": {
-        "modulation": "qam16", "doppler": 0.0, "delay": None, "trials": 500,
-        "points": 257, "seed": 0, **_OFDM_DEFAULTS,
-    },
-    "af surface": {
-        "modulation": "qam16", "trials": 100, "tau_points": 257, "nu_points": 257,
-        "seed": 0, **_OFDM_DEFAULTS,
-    },
-    "af variance": {
-        "modulation": "qam16", "doppler": 0.0, "points": 257, "seed": 0, **_OFDM_DEFAULTS,
-    },
-    "air sweep-c0": {
-        "modulation": "qam16", "sigma2": 0.01, "c0": "1.0:0.04:1.68",
-        "mc": 200_000, "seed": 0,
-    },
-    "air sweep-snr": {
-        "modulations": "qam16,psk16", "snr": "0:2:30", "mc": 200_000, "seed": 0,
-    },
-    "detect pd-sweep": {
-        "modulation": "qam16", "c0": "1.0,1.32,1.64", "snr": "-5:1:20",
-        "trials": 5000, "pfa": 1e-3, "si_db": 10.0, "offset": 8,
-        "calib_trials": 1000, "seed": 0, **_OFDM_DEFAULTS, **_CFAR_DEFAULTS,
-    },
-    "detect calibrate": {
-        "modulation": "qam16", "pfa": 1e-3, "calib_trials": 1000, "seed": 0,
-        **_OFDM_DEFAULTS, **_CFAR_DEFAULTS,
-    },
-}
-
-
 def _add_common(parser: argparse.ArgumentParser, leaf: bool = False):
     # On leaves SUPPRESS keeps a given flag from clobbering the top-level
     # value when absent, so both positions work.
@@ -196,110 +156,32 @@ def _add_common(parser: argparse.ArgumentParser, leaf: bool = False):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One leaf parser per ``_COMMANDS`` entry and one flag per default, typed
+    like its default (float where it is None); unset flags stay None."""
     parser = argparse.ArgumentParser(
         prog="ofdm-pcs",
         description="Constellation shaping, ambiguity statistics, rate and detection experiments for OFDM sensing-and-communication waveforms",
     )
     _add_common(parser)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("constellation").add_subparsers(dest="action", required=True)
-    d = p.add_parser("dump", help="write a constellation as JSON")
-    _add(d, "--modulation")
-    _add(d, "--seed", type=int)
-    d.add_argument("--out", required=True)
-    _add_common(d, leaf=True)
-
-    p = sub.add_parser("pcs").add_subparsers(dest="action", required=True)
-    s = p.add_parser("solve", help="shape probabilities for one fourth-moment target")
-    _add(s, "--modulation")
-    _add(s, "--c0", type=float)
-    _add(s, "--tie-break", dest="tie_break", choices=["max-entropy", "none"])
-    _add(s, "--seed", type=int)
-    s.add_argument("--out", required=True)
-    _add_common(s, leaf=True)
-    s = p.add_parser("sweep", help="shape over a grid of targets")
-    _add(s, "--modulation")
-    _add(s, "--c0")
-    _add(s, "--tie-break", dest="tie_break", choices=["max-entropy", "none"])
-    _add(s, "--seed", type=int)
-    s.add_argument("--out", required=True)
-    _add_common(s, leaf=True)
-
-    p = sub.add_parser("af").add_subparsers(dest="action", required=True)
-    for action, extra in (
-        ("slice", ["doppler", "delay", "trials", "points"]),
-        ("surface", ["trials", "tau_points", "nu_points"]),
-        ("variance", ["doppler", "points"]),
-    ):
-        s = p.add_parser(action)
-        _add(s, "--modulation")
-        for name in extra:
-            flag = "--" + name.replace("_", "-")
-            if name in ("trials", "points", "tau_points", "nu_points"):
-                _add(s, flag, dest=name, type=int)
-            else:
-                _add(s, flag, dest=name, type=float)
-        _add(s, "--subcarriers", type=int)
-        _add(s, "--bandwidth", type=float)
-        _add(s, "--oversampling", type=int)
-        _add(s, "--seed", type=int)
-        s.add_argument("--out", required=True)
-        _add_common(s, leaf=True)
-
-    p = sub.add_parser("air").add_subparsers(dest="action", required=True)
-    s = p.add_parser("sweep-c0", help="rate vs fourth-moment target")
-    _add(s, "--modulation")
-    _add(s, "--sigma2", type=float)
-    _add(s, "--c0")
-    _add(s, "--mc", type=int)
-    _add(s, "--seed", type=int)
-    s.add_argument("--out", required=True)
-    _add_common(s, leaf=True)
-    s = p.add_parser("sweep-snr", help="rate vs SNR for several constellations")
-    _add(s, "--modulations")
-    _add(s, "--snr")
-    _add(s, "--mc", type=int)
-    _add(s, "--seed", type=int)
-    s.add_argument("--out", required=True)
-    _add_common(s, leaf=True)
-
-    p = sub.add_parser("detect").add_subparsers(dest="action", required=True)
-    s = p.add_parser("pd-sweep", help="detection probability vs sensing SNR")
-    _add(s, "--modulation")
-    _add(s, "--c0")
-    _add(s, "--snr")
-    _add(s, "--trials", type=int)
-    _add(s, "--pfa", type=float)
-    _add(s, "--si-db", dest="si_db", type=float)
-    _add(s, "--offset", type=int)
-    _add(s, "--window", type=int)
-    _add(s, "--guard", type=int)
-    _add(s, "--calib-trials", dest="calib_trials", type=int)
-    _add(s, "--subcarriers", type=int)
-    _add(s, "--bandwidth", type=float)
-    _add(s, "--oversampling", type=int)
-    _add(s, "--seed", type=int)
-    s.add_argument("--out", required=True)
-    _add_common(s, leaf=True)
-    s = p.add_parser("calibrate", help="calibrate the CFAR threshold multiplier")
-    _add(s, "--modulation")
-    _add(s, "--pfa", type=float)
-    _add(s, "--window", type=int)
-    _add(s, "--guard", type=int)
-    _add(s, "--calib-trials", dest="calib_trials", type=int)
-    _add(s, "--subcarriers", type=int)
-    _add(s, "--bandwidth", type=float)
-    _add(s, "--oversampling", type=int)
-    _add(s, "--seed", type=int)
-    s.add_argument("--out", default=None)
-    _add_common(s, leaf=True)
-
+    groups = {}
+    for command, (_, help_text, defaults) in _COMMANDS.items():
+        group, action = command.split()
+        if group not in groups:
+            groups[group] = sub.add_parser(group).add_subparsers(dest="action", required=True)
+        leaf = groups[group].add_parser(action, help=help_text)
+        for key, default in defaults.items():
+            leaf.add_argument(
+                "--" + key.replace("_", "-"), default=None,
+                type=float if default is None else type(default),
+            )
+        leaf.add_argument("--out", required=command != "detect calibrate")
+        _add_common(leaf, leaf=True)
     return parser
 
 
 def _resolve(args: argparse.Namespace, command: str) -> dict:
-    defaults = _DEFAULTS[command]
+    defaults = _COMMANDS[command][2]
     from_file = {}
     if args.config:
         try:
@@ -310,11 +192,11 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
             raise ValueError(f"config {args.config!r} must hold a JSON object")
     resolved = {}
     for key, default in defaults.items():
-        value = getattr(args, key, None)
+        value = getattr(args, key)
         if value is None:
             value = from_file.get(key, default)
         resolved[key] = value
-    resolved["out"] = getattr(args, "out", None)
+    resolved["out"] = args.out
     resolved["threads"] = args.threads
     return resolved
 
@@ -337,14 +219,14 @@ def _solution_payload(base: Constellation, sol) -> dict:
 
 def _run_pcs_solve(opts: dict) -> None:
     _, base = resolve_modulation(opts["modulation"])
-    sol = solve_pcs(PcsProblem(base.amplitudes, float(opts["c0"])), opts["tie_break"])
+    sol = solve_pcs(PcsProblem(base.amplitudes, float(opts["c0"])))
     write_json(opts["out"], "pcs solve", opts, _solution_payload(base, sol))
 
 
 def _run_pcs_sweep(opts: dict) -> None:
     _, base = resolve_modulation(opts["modulation"])
     grid = parse_grid(opts["c0"])
-    sols = sweep_c0(base.amplitudes, grid, opts["tie_break"])
+    sols = sweep_c0(base.amplitudes, grid)
     header = ["c0", "achieved_m4", "gap", "entropy_bits"] + [
         f"p{q}" for q in range(base.order)
     ]
@@ -479,28 +361,50 @@ def _run_detect_calibrate(opts: dict) -> None:
         f"over {result.cells} cells)"
     )
     if opts.get("out"):
-        write_json(
-            opts["out"], "detect calibrate", opts,
-            {
-                "alpha": result.alpha,
-                "empirical_pfa": result.empirical_pfa,
-                "cells": result.cells,
-                "iterations": result.iterations,
-            },
-        )
+        write_json(opts["out"], "detect calibrate", opts, asdict(result))
 
 
-_RUNNERS = {
-    "constellation dump": _run_constellation_dump,
-    "pcs solve": _run_pcs_solve,
-    "pcs sweep": _run_pcs_sweep,
-    "af slice": _run_af_slice,
-    "af surface": _run_af_surface,
-    "af variance": _run_af_variance,
-    "air sweep-c0": _run_air_sweep_c0,
-    "air sweep-snr": _run_air_sweep_snr,
-    "detect pd-sweep": _run_detect_pd_sweep,
-    "detect calibrate": _run_detect_calibrate,
+_OFDM_DEFAULTS = {"subcarriers": 64, "bandwidth": 100e6, "oversampling": 4}
+_CFAR_DEFAULTS = {"window": 16, "guard": 2}
+
+# command -> (runner, help, option defaults); the defaults also define the
+# command's flags (see build_parser).
+_COMMANDS = {
+    "constellation dump": (_run_constellation_dump, "write a constellation as JSON", {
+        "modulation": "qam16", "seed": 0,
+    }),
+    "pcs solve": (_run_pcs_solve, "shape probabilities for one fourth-moment target", {
+        "modulation": "qam16", "c0": 1.0, "seed": 0,
+    }),
+    "pcs sweep": (_run_pcs_sweep, "shape over a grid of targets", {
+        "modulation": "qam16", "c0": "1.0:0.02:1.7", "seed": 0,
+    }),
+    "af slice": (_run_af_slice, "mean |AF| over delay, or over Doppler with --delay", {
+        "modulation": "qam16", "doppler": 0.0, "delay": None, "trials": 500,
+        "points": 257, "seed": 0, **_OFDM_DEFAULTS,
+    }),
+    "af surface": (_run_af_surface, "mean |AF| over a delay-Doppler grid", {
+        "modulation": "qam16", "trials": 100, "tau_points": 257, "nu_points": 257,
+        "seed": 0, **_OFDM_DEFAULTS,
+    }),
+    "af variance": (_run_af_variance, "closed-form AF variances and mean self part", {
+        "modulation": "qam16", "doppler": 0.0, "points": 257, "seed": 0, **_OFDM_DEFAULTS,
+    }),
+    "air sweep-c0": (_run_air_sweep_c0, "rate vs fourth-moment target", {
+        "modulation": "qam16", "sigma2": 0.01, "c0": "1.0:0.04:1.68", "mc": 200_000, "seed": 0,
+    }),
+    "air sweep-snr": (_run_air_sweep_snr, "rate vs SNR for several constellations", {
+        "modulations": "qam16,psk16", "snr": "0:2:30", "mc": 200_000, "seed": 0,
+    }),
+    "detect pd-sweep": (_run_detect_pd_sweep, "detection probability vs sensing SNR", {
+        "modulation": "qam16", "c0": "1.0,1.32,1.64", "snr": "-5:1:20",
+        "trials": 5000, "pfa": 1e-3, "si_db": 10.0, "offset": 8,
+        "calib_trials": 1000, "seed": 0, **_OFDM_DEFAULTS, **_CFAR_DEFAULTS,
+    }),
+    "detect calibrate": (_run_detect_calibrate, "calibrate the CFAR threshold multiplier", {
+        "modulation": "qam16", "pfa": 1e-3, "calib_trials": 1000, "seed": 0,
+        **_OFDM_DEFAULTS, **_CFAR_DEFAULTS,
+    }),
 }
 
 
@@ -511,7 +415,7 @@ def main(argv=None) -> int:
     command = f"{args.command} {args.action}"
     try:
         opts = _resolve(args, command)
-        _RUNNERS[command](opts)
+        _COMMANDS[command][0](opts)
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {command}: {exc}", file=sys.stderr)
         return 1

@@ -23,26 +23,6 @@ _TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
-class ConstellationPoint:
-    """A single point, stored as amplitude and phase in [0, 2*pi)."""
-
-    amplitude: float
-    phase: float
-
-    def __post_init__(self):
-        if self.amplitude < 0:
-            raise ValueError(f"amplitude must be nonnegative, got {self.amplitude}")
-        object.__setattr__(self, "phase", float(self.phase) % _TWO_PI)
-
-    @classmethod
-    def from_complex(cls, value: complex) -> "ConstellationPoint":
-        return cls(abs(value), math.atan2(value.imag, value.real))
-
-    def as_complex(self) -> complex:
-        return self.amplitude * complex(math.cos(self.phase), math.sin(self.phase))
-
-
-@dataclass(frozen=True)
 class Constellation:
     """Ordered complex points plus a probability vector on the simplex.
 
@@ -96,9 +76,6 @@ class Constellation:
     def energies(self) -> np.ndarray:
         """Squared amplitudes |x_q|^2."""
         return np.abs(self.points) ** 2
-
-    def point(self, q: int) -> ConstellationPoint:
-        return ConstellationPoint.from_complex(complex(self.points[q]))
 
     def moment(self, k: int) -> float:
         """Amplitude moment ``sum_q p_q A_q**k`` for even ``k``."""

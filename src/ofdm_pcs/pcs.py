@@ -2,10 +2,10 @@
 
 Given the amplitudes of a constellation's points, choose point probabilities
 minimizing ``|sum_q p_q A_q^4 - c0|`` subject to unit average power and the
-probability simplex.  The absolute value is handled by an epigraph
-reformulation solved with the dense simplex solver; an optional second stage
-picks the maximum-entropy distribution on the optimal face so solutions are
-unique and reproducible.
+probability simplex.  Two range LPs (dense simplex solver) give the feasible
+fourth-moment interval; the target is clipped onto it, and the solution is the
+maximum-entropy distribution with that fourth moment, which makes it unique
+and reproducible.
 """
 
 from __future__ import annotations
@@ -87,25 +87,24 @@ def fourth_moment_range(support) -> tuple[float, float]:
 
 
 def _range_lp(ring_e: np.ndarray, maximize: bool):
-    """LP over ring masses; returns (ring mass vector, extreme m4 value)."""
+    """LP over ring masses; returns (ring mass vector, extreme m4 value, pivots)."""
     a_eq = np.vstack([np.ones_like(ring_e), ring_e])
     b_eq = np.array([1.0, 1.0])
     c = -(ring_e**2) if maximize else ring_e**2
     res = solve_lp(c, a_eq, b_eq)
     value = float(ring_e**2 @ res.x)
-    return res.x, value
+    return res.x, value, res.iterations
 
 
 def solve_pcs(problem: PcsProblem, tie_break: str = "max-entropy") -> PcsSolution:
     """Solve the shaping problem for one target ``c0``.
 
-    The epigraph LP ``min t s.t. -t <= sum p A^4 - c0 <= t`` runs on the raw
-    points.  With ``tie_break="max-entropy"`` a second stage replaces the LP
-    vertex by the entropy-maximizing distribution with the same fourth moment,
-    which spreads mass uniformly within each energy ring.  With
-    ``tie_break="none"`` the simplex vertex is returned as-is.
+    The target is clipped onto the feasible fourth-moment range, and the
+    result is the entropy-maximizing distribution with that fourth moment,
+    which spreads mass uniformly within each energy ring.  ``tie_break``
+    accepts only ``"max-entropy"``.
     """
-    if tie_break not in ("max-entropy", "none"):
+    if tie_break != "max-entropy":
         raise ValueError(f"unknown tie_break {tie_break!r}")
     amps = problem.support
     energies = amps**2
@@ -116,32 +115,16 @@ def solve_pcs(problem: PcsProblem, tie_break: str = "max-entropy") -> PcsSolutio
     ring_e = np.array([e for e, _ in rings])
     ring_n = np.array([len(idx) for _, idx in rings], dtype=float)
 
-    w_min, m4_min = _range_lp(ring_e, maximize=False)
-    w_max, m4_max = _range_lp(ring_e, maximize=True)
+    w_min, m4_min, lp_min = _range_lp(ring_e, maximize=False)
+    w_max, m4_max, lp_max = _range_lp(ring_e, maximize=True)
 
-    q = amps.size
-    a_eq = np.zeros((4, q + 3))
-    a_eq[0, :q], a_eq[0, q], a_eq[0, q + 1] = quads, -1.0, 1.0
-    a_eq[1, :q], a_eq[1, q], a_eq[1, q + 2] = quads, 1.0, -1.0
-    a_eq[2, :q] = energies
-    a_eq[3, :q] = 1.0
-    b_eq = np.array([problem.c0, problem.c0, 1.0, 1.0])
-    cost = np.zeros(q + 3)
-    cost[q] = 1.0
-    lp = solve_lp(cost, a_eq, b_eq)
-    diagnostics = {"lp_iterations": lp.iterations, "tie_break": tie_break}
-
-    if tie_break == "none":
-        probs = lp.x[:q]
-    else:
-        m4_target = float(np.clip(problem.c0, m4_min, m4_max))
-        ring_w, newton_iters = _max_entropy_ring_masses(
-            ring_e, ring_n, m4_target, m4_min, m4_max, w_min, w_max
-        )
-        diagnostics["newton_iterations"] = newton_iters
-        probs = np.zeros(q)
-        for (energy, idx), w in zip(rings, ring_w):
-            probs[idx] = w / idx.size
+    m4_target = float(np.clip(problem.c0, m4_min, m4_max))
+    ring_w, newton_iters = _max_entropy_ring_masses(
+        ring_e, ring_n, m4_target, m4_min, m4_max, w_min, w_max
+    )
+    probs = np.zeros(amps.size)
+    for (energy, idx), w in zip(rings, ring_w):
+        probs[idx] = w / idx.size
 
     achieved = float(probs @ quads)
     pos = probs[probs > 0]
@@ -151,7 +134,7 @@ def solve_pcs(problem: PcsProblem, tie_break: str = "max-entropy") -> PcsSolutio
         gap=abs(achieved - problem.c0),
         feasible_range=(m4_min, m4_max),
         tie_break_entropy=float(-(pos @ np.log2(pos))) if pos.size else 0.0,
-        diagnostics=diagnostics,
+        diagnostics={"lp_iterations": lp_min + lp_max, "newton_iterations": newton_iters},
     )
 
 
@@ -222,9 +205,9 @@ def _max_entropy_ring_masses(ring_e, ring_n, m4_target, m4_min, m4_max, w_min, w
     )
 
 
-def sweep_c0(support, c0_grid, tie_break: str = "max-entropy") -> list[PcsSolution]:
+def sweep_c0(support, c0_grid) -> list[PcsSolution]:
     """Independent :func:`solve_pcs` calls over a grid of targets."""
     grid = np.asarray(c0_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("c0_grid must be a non-empty 1-D list")
-    return [solve_pcs(PcsProblem(support, c0), tie_break) for c0 in grid]
+    return [solve_pcs(PcsProblem(support, c0)) for c0 in grid]

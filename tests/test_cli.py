@@ -5,7 +5,15 @@ import sys
 import numpy as np
 import pytest
 
-from ofdm_pcs.cli import main, parse_grid, resolve_modulation, _merge_negative_values
+from ofdm_pcs.cli import (
+    _COMMANDS,
+    _merge_negative_values,
+    _resolve,
+    build_parser,
+    main,
+    parse_grid,
+    resolve_modulation,
+)
 from ofdm_pcs.constellation import Constellation
 
 
@@ -216,6 +224,24 @@ def test_config_file_precedence(tmp_path):
     assert meta_b["trials"] == "2"
 
 
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_generated_flags_parse_to_table_defaults(command):
+    _, _, defaults = _COMMANDS[command]
+    argv = command.split() + ["--out", "x"]
+    for key, default in defaults.items():
+        if default is not None:
+            argv += ["--" + key.replace("_", "-"), str(default)]
+    opts = _resolve(build_parser().parse_args(_merge_negative_values(argv)), command)
+    for key, default in defaults.items():
+        assert (opts[key], type(opts[key])) == (default, type(default)), key
+
+
+def test_af_slice_delay_parses_as_float():
+    args = build_parser().parse_args(["af", "slice", "--delay", "1e-7", "--out", "x"])
+    delay = _resolve(args, "af slice")["delay"]
+    assert delay == 1e-7 and type(delay) is float
+
+
 def test_error_exit_names_stage(tmp_path, capsys):
     rc = main(["af", "slice", "--modulation", "nosuch", "--out", str(tmp_path / "x.csv")])
     assert rc == 1
@@ -225,13 +251,14 @@ def test_error_exit_names_stage(tmp_path, capsys):
 @pytest.mark.parametrize(
     ("args", "name"),
     [
-        (["af", "surface", "--tau-points", "0"], "tau_grid"),
-        (["af", "surface", "--nu-points", "0"], "nu_grid"),
-        (["af", "slice", "--points", "0"], "tau_grid"),
+        (["af", "surface", "--tau-points", "0", "--trials", "2"], "tau_grid"),
+        (["af", "surface", "--nu-points", "0", "--trials", "2"], "nu_grid"),
+        (["af", "slice", "--points", "0", "--trials", "2"], "tau_grid"),
+        (["af", "variance", "--points", "0"], "tau_grid"),
     ],
 )
 def test_af_empty_grid_names_parameter(tmp_path, capsys, args, name):
-    rc = main(args + ["--trials", "2", "--subcarriers", "8", "--bandwidth", "8",
+    rc = main(args + ["--subcarriers", "8", "--bandwidth", "8",
                       "--out", str(tmp_path / "x.csv")])
     assert rc == 1
     assert name in capsys.readouterr().err

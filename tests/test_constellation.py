@@ -6,7 +6,6 @@ import pytest
 
 from ofdm_pcs.constellation import (
     Constellation,
-    ConstellationPoint,
     group_rings,
     make_psk,
     make_qam,
@@ -206,23 +205,3 @@ def test_from_json_ignores_extra_keys():
 def test_from_json_malformed():
     with pytest.raises(ValueError):
         Constellation.from_json('{"points": [{"re": 1}], "probs": [1.0]}')
-
-
-def test_constellation_point_wraps_phase():
-    p = ConstellationPoint(1.0, -np.pi / 2)
-    assert 0 <= p.phase < 2 * np.pi
-    assert p.as_complex() == pytest.approx(-1j, abs=1e-12)
-    back = ConstellationPoint.from_complex(0.5 + 0.5j)
-    assert back.amplitude == pytest.approx(math.sqrt(0.5))
-
-
-def test_constellation_point_rejects_negative_amplitude():
-    with pytest.raises(ValueError):
-        ConstellationPoint(-0.1, 0.0)
-
-
-def test_point_accessor():
-    c = make_psk(4)
-    p = c.point(1)
-    assert p.amplitude == pytest.approx(1.0)
-    assert p.phase == pytest.approx(np.pi / 2)

@@ -154,16 +154,6 @@ def test_out_of_range_targets_clamp():
     assert high.gap == pytest.approx(2.5 - 1.64, abs=1e-8)
 
 
-def test_tie_break_none_returns_feasible_vertex():
-    c = make_qam(16)
-    sol = solve_pcs(PcsProblem(c.amplitudes, 1.0), tie_break="none")
-    assert sol.gap <= 1e-8
-    assert abs(sol.probs.sum() - 1) <= 1e-8
-    assert abs(sol.probs @ c.energies - 1) <= 1e-8
-    # A simplex vertex touches at most as many points as there are rows.
-    assert np.count_nonzero(sol.probs > 1e-9) <= 4
-
-
 def test_unknown_tie_break():
     with pytest.raises(ValueError):
         solve_pcs(PcsProblem(make_qam(16).amplitudes, 1.0), tie_break="other")
