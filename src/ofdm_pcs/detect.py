@@ -71,22 +71,29 @@ def matched_filter(rx: SampledSignal, reference: SampledSignal) -> np.ndarray:
         raise ValueError(
             f"rx and reference lengths differ: {rx.samples.shape} vs {reference.samples.shape}"
         )
-    return _matched_filter_batch(rx.samples[None, :], reference.samples[None, :])[0]
+    return np.abs(_matched_filter_batch(rx.samples[None, :], reference.samples[None, :])[0]) ** 2
 
 
-def _matched_filter_batch(rx: np.ndarray, ref: np.ndarray) -> np.ndarray:
+def _matched_filter_batch(rx: np.ndarray, ref: np.ndarray, lags: int | None = None) -> np.ndarray:
+    """Complex linear cross-correlation ``sum_n rx[n+k] conj(ref[n])`` over the
+    last axis at lags ``k = 0..lags-1`` (default all N).
+
+    ``ref`` broadcasts against ``rx``, so one reference spectrum serves every
+    received row stacked beside it.
+    """
     n = rx.shape[-1]
     size = 2 * n
     spec = np.fft.fft(rx, n=size, axis=-1) * np.conj(np.fft.fft(ref, n=size, axis=-1))
-    corr = np.fft.ifft(spec, axis=-1)[..., :n]
-    return np.abs(corr) ** 2
+    return np.fft.ifft(spec, axis=-1)[..., : n if lags is None else lags]
 
 
 def reference_means(profiles: np.ndarray, cfar: CfarConfig):
     """Leading/lagging reference-window means for every cell.
 
-    Windows are truncated at the profile edges; a side with no cells at all
-    yields NaN there.  Accepts a single profile or a (trials, cells) batch.
+    Windows are truncated at the profile edges; a side left with fewer than
+    ``cfar.window_floor()`` cells (or none at all) yields NaN there, so the
+    other side decides alone.  Accepts a single profile or a batch whose
+    last axis is the cells.
     """
     profiles = np.asarray(profiles, dtype=float)
     n = profiles.shape[-1]
@@ -103,12 +110,13 @@ def reference_means(profiles: np.ndarray, cfar: CfarConfig):
     lead_hi = np.clip(i - cfar.guard_cells, 0, n)
     lag_lo = np.clip(i + cfar.guard_cells + 1, 0, n)
     lag_hi = np.clip(i + cfar.guard_cells + 1 + cfar.window_cells, 0, n)
+    floor = cfar.window_floor()
     with np.errstate(invalid="ignore"):
         lead = (cs[..., lead_hi] - cs[..., lead_lo]) / np.where(
-            lead_hi > lead_lo, lead_hi - lead_lo, np.nan
+            lead_hi - lead_lo >= floor, lead_hi - lead_lo, np.nan
         )
         lag = (cs[..., lag_hi] - cs[..., lag_lo]) / np.where(
-            lag_hi > lag_lo, lag_hi - lag_lo, np.nan
+            lag_hi - lag_lo >= floor, lag_hi - lag_lo, np.nan
         )
     return lead, lag
 
@@ -226,7 +234,7 @@ def noise_profile_sampler(cfg: OfdmConfig, constellation: Constellation, cells: 
         symbols = constellation.sample_symbols(count * cfg.num_subcarriers, rng)
         tx = symbol_signal_batch(cfg, symbols.reshape(count, cfg.num_subcarriers))
         noise = _complex_noise(rng, tx.shape, 1.0)
-        return _matched_filter_batch(noise, tx)[:, :cells]
+        return np.abs(_matched_filter_batch(noise, tx, cells)) ** 2
 
     return sampler
 
@@ -280,12 +288,17 @@ def pd_experiment(scn: DetectionScenario, *, threads: int = 1, chunk_size: int =
     """Detection probability at the target cell over the sensing-SNR grid.
 
     Calibrates alpha against the scenario's false-alarm target if the CFAR
-    config does not already carry one.  Every SNR point runs on its own child
-    seed; results are deterministic and independent of the thread count.
+    config does not already carry one (child seed 0 of ``scn.seed``).  Every
+    SNR point shares the same draws of symbols and noise (child seed 1):
+    the matched filter is linear, so the received correlation is
+    ``C_clutter + g_s * C_echo`` with both parts computed once per chunk of
+    trials, and only at the lags the target cell's CFAR windows reach.
+    Threads split the chunks; hits are integer counts, so the result is
+    deterministic and independent of the thread count and ``chunk_size``.
     Returns rows ``{"snr_db", "pd", "trials"}``.
     """
     grid = scn.snr_grid_db
-    seeds = np.random.SeedSequence(scn.seed).spawn(grid.size + 1)
+    calib_seed, draw_seed = np.random.SeedSequence(scn.seed).spawn(2)
     cfar = scn.cfar
     if cfar.alpha is None:
         calib = calibrate_alpha(
@@ -293,37 +306,50 @@ def pd_experiment(scn: DetectionScenario, *, threads: int = 1, chunk_size: int =
             noise_profile_sampler(scn.cfg, scn.constellation, scn.instrumented_cells),
             scn.pfa_target,
             scn.calib_trials,
-            seeds[0],
+            calib_seed,
         )
         cfar = replace(cfar, alpha=calib.alpha)
 
     num = scn.cfg.num_subcarriers
     n_samples = scn.cfg.num_samples
     offset = scn.target_cell_offset
+    # The target cell's lagging window ends at offset+guard+window; cutting the
+    # profile there (but not below the CFAR minimum) leaves its decision as on
+    # the full instrumented profile.
+    cells = min(
+        scn.instrumented_cells,
+        max(offset + cfar.guard_cells + cfar.window_cells + 1, cfar.min_profile_len()),
+    )
     # Amplitudes scale so received power over the L-subcarrier waveform hits
     # the requested ratios against unit-variance noise.
     gain_si = math.sqrt(10.0 ** (scn.si_to_noise_db / 10.0) / num)
+    gain_target = np.sqrt(10.0 ** (grid / 10.0) / num)[:, None, None]
 
-    def run_point(i: int) -> dict:
-        rng = np.random.default_rng(seeds[i + 1])
-        gain_target = math.sqrt(10.0 ** (grid[i] / 10.0) / num)
-        # Draw everything up front; chunking below only bounds memory and can
-        # never alter the per-trial decisions.
-        symbols = scn.constellation.sample_symbols(scn.trials * num, rng).reshape(scn.trials, num)
-        noise = _complex_noise(rng, (scn.trials, n_samples), 1.0)
-        hits = 0
-        for start in range(0, scn.trials, chunk_size):
-            tx = symbol_signal_batch(scn.cfg, symbols[start : start + chunk_size])
-            delayed = np.zeros_like(tx)
-            delayed[:, offset:] = tx[:, : n_samples - offset]
-            rx = gain_si * tx + gain_target * delayed + noise[start : start + tx.shape[0]]
-            profiles = _matched_filter_batch(rx, tx)[:, : scn.instrumented_cells]
-            lead, lag = reference_means(profiles, cfar)
-            threshold = cfar.alpha * np.fmin(lead, lag)
-            hits += int(np.count_nonzero(profiles[:, offset] > threshold[:, offset]))
-        return {"snr_db": float(grid[i]), "pd": hits / scn.trials, "trials": scn.trials}
+    # Draw everything up front; chunking below only bounds the working set
+    # and can never alter the per-trial decisions.
+    rng = np.random.default_rng(draw_seed)
+    symbols = scn.constellation.sample_symbols(scn.trials * num, rng).reshape(scn.trials, num)
+    noise = _complex_noise(rng, (scn.trials, n_samples), 1.0)
 
-    if threads > 1 and grid.size > 1:
+    def chunk_hits(start: int) -> np.ndarray:
+        tx = symbol_signal_batch(scn.cfg, symbols[start : start + chunk_size])
+        # Row 0: self-interference plus noise; row 1: the unit-gain echo.
+        rx = np.zeros((tx.shape[0], 2, n_samples), dtype=complex)
+        rx[:, 0] = gain_si * tx + noise[start : start + tx.shape[0]]
+        rx[:, 1, offset:] = tx[:, : n_samples - offset]
+        corr = _matched_filter_batch(rx, tx[:, None, :], cells)
+        profiles = np.abs(corr[:, 0] + gain_target * corr[:, 1]) ** 2  # (snr, trial, cell)
+        lead, lag = reference_means(profiles, cfar)
+        threshold = cfar.alpha * np.fmin(lead[..., offset], lag[..., offset])
+        return np.count_nonzero(profiles[..., offset] > threshold, axis=1)
+
+    starts = range(0, scn.trials, chunk_size)
+    if threads > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run_point, range(grid.size)))
-    return [run_point(i) for i in range(grid.size)]
+            hits = sum(pool.map(chunk_hits, starts))
+    else:
+        hits = sum(chunk_hits(start) for start in starts)
+    return [
+        {"snr_db": float(snr), "pd": int(h) / scn.trials, "trials": scn.trials}
+        for snr, h in zip(grid, hits)
+    ]

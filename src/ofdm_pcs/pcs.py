@@ -119,9 +119,14 @@ def solve_pcs(problem: PcsProblem, tie_break: str = "max-entropy") -> PcsSolutio
     w_max, m4_max, lp_max = _range_lp(ring_e, maximize=True)
 
     m4_target = float(np.clip(problem.c0, m4_min, m4_max))
-    ring_w, newton_iters = _max_entropy_ring_masses(
-        ring_e, ring_n, m4_target, m4_min, m4_max, w_min, w_max
-    )
+    try:
+        ring_w, newton_iters = _max_entropy_ring_masses(
+            ring_e, ring_n, m4_target, m4_min, m4_max, w_min, w_max
+        )
+    except SolverNotConvergedError as exc:
+        raise SolverNotConvergedError(
+            f"c0 {problem.c0!r} (clipped target {m4_target!r}, {ring_e.size} rings): {exc}"
+        ) from exc
     probs = np.zeros(amps.size)
     for (energy, idx), w in zip(rings, ring_w):
         probs[idx] = w / idx.size

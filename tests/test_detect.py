@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,8 @@ from ofdm_pcs.detect import (
     CalibrationError,
     CfarConfig,
     DetectionScenario,
+    _complex_noise,
+    _matched_filter_batch,
     calibrate_alpha,
     matched_filter,
     noise_profile_sampler,
@@ -13,16 +17,23 @@ from ofdm_pcs.detect import (
     reference_means,
     so_cfar,
 )
-from ofdm_pcs.ofdm import OfdmConfig, random_signal, symbol_signal
+from ofdm_pcs.ofdm import OfdmConfig, random_signal, symbol_signal, symbol_signal_batch
 
 CFG = OfdmConfig(num_subcarriers=64, subcarrier_spacing=1.5625e6, oversampling=4)
 
 
-def exponential_profiles(mean: float = 1.0):
+def exponential_profiles(mean: float = 1.0, cells: int = 128):
     def sampler(rng, count):
-        return rng.exponential(mean, size=(count, 128))
+        return rng.exponential(mean, size=(count, cells))
 
     return sampler
+
+
+def so_cfar_pfa(alpha: float, n: int) -> float:
+    """Closed-form SO-CFAR false-alarm rate for i.i.d. unit-exponential cells
+    with ``n`` reference cells per side (Weiss 1982; Gandhi & Kassam 1988)."""
+    x = 2.0 + alpha / n
+    return 2.0 * x**-n * sum(math.comb(n - 1 + k, k) * x**-k for k in range(n))
 
 
 def test_matched_filter_peak_at_zero_lag():
@@ -47,15 +58,25 @@ def test_matched_filter_noise_floor_tracks_overlap():
     n = CFG.num_samples
     trials = 2000
     symbols = make_qam(16).sample_symbols(trials * 64, rng).reshape(trials, 64)
-    from ofdm_pcs.detect import _matched_filter_batch
-    from ofdm_pcs.ofdm import symbol_signal_batch
 
     tx = symbol_signal_batch(CFG, symbols)
     noise = (rng.standard_normal(tx.shape) + 1j * rng.standard_normal(tx.shape)) / np.sqrt(2)
-    profiles = _matched_filter_batch(noise, tx)
+    profiles = np.abs(_matched_filter_batch(noise, tx)) ** 2
     for cell in (0, 64, 192):
         expected = (n - cell) * 64
         assert profiles[:, cell].mean() == pytest.approx(expected, rel=0.1)
+
+
+def test_matched_filter_batch_lags_match_direct_sum():
+    rng = np.random.default_rng(14)
+    rx = rng.standard_normal((3, 2, 40)) + 1j * rng.standard_normal((3, 2, 40))
+    ref = rng.standard_normal((3, 1, 40)) + 1j * rng.standard_normal((3, 1, 40))
+    got = _matched_filter_batch(rx, ref, 7)
+    direct = np.stack(
+        [np.sum(rx[..., k:] * np.conj(ref[..., : 40 - k]), axis=-1) for k in range(7)], axis=-1
+    )
+    assert got.shape == (3, 2, 7)
+    assert np.max(np.abs(got - direct)) <= 1e-9 * np.max(np.abs(direct))
 
 
 def test_matched_filter_length_mismatch():
@@ -114,6 +135,35 @@ def test_reference_means_window_contents():
     i = 60
     assert lead[i] == pytest.approx(np.mean(profile[i - 5 : i - 1]))
     assert lag[i] == pytest.approx(np.mean(profile[i + 2 : i + 6]))
+
+
+def test_windows_below_floor_are_nan():
+    profile = np.arange(1.0, 129.0)
+    cfar = CfarConfig(window_cells=8, guard_cells=2, min_reference_cells=4)
+    lead, lag = reference_means(profile, cfar)
+    # cell i has a lead window of i - 2 cells: below the floor up to cell 5
+    assert np.isnan(lead[:6]).all() and np.isfinite(lead[6:]).all()
+    assert lead[6] == pytest.approx(np.mean(profile[0:4]))
+    assert np.isnan(lag[-6:]).all() and np.isfinite(lag[:-6]).all()
+
+
+def test_so_cfar_interior_pfa_matches_closed_form():
+    cfar = CfarConfig(window_cells=16, guard_cells=2, alpha=6.0)
+    profiles = np.random.default_rng(12).exponential(1.0, size=(4000, 128))
+    # interior cells: both reference windows complete
+    decisions = so_cfar(profiles, cfar)[:, 18:110]
+    expected = so_cfar_pfa(cfar.alpha, 16)
+    band = 4.0 * math.sqrt(expected * (1.0 - expected) / decisions.size)
+    assert abs(decisions.mean() - expected) < band
+
+
+def test_calibrated_alpha_meets_closed_form_pfa():
+    # Edge cells with short windows have heavier tails; with the window floor
+    # applied they no longer pull the calibrated alpha off the i.i.d. value.
+    cfar = CfarConfig()
+    result = calibrate_alpha(cfar, exponential_profiles(cells=500), 1e-2, 800, seed=3)
+    assert result.cells == 400_000
+    assert so_cfar_pfa(result.alpha, cfar.window_cells) == pytest.approx(1e-2, rel=0.06)
 
 
 def test_decisions_scale_invariant():
@@ -242,3 +292,44 @@ def test_pd_uses_supplied_alpha_without_calibration():
     )
     rows = pd_experiment(scn)
     assert 0.0 <= rows[0]["pd"] <= 1.0
+
+
+def test_pd_fast_path_matches_brute_force():
+    # Same draws as pd_experiment (child seed 1); every SNR point builds its
+    # received signal in full, correlates it lag by lag and runs SO-CFAR on
+    # the whole instrumented profile.
+    cfg = OfdmConfig(num_subcarriers=16, subcarrier_spacing=1.0, oversampling=4)
+    scn = DetectionScenario(
+        cfg=cfg, constellation=make_qam(16), snr_grid_db=np.array([-5.0, 0.0, 5.0, 10.0]),
+        target_cell_offset=12, trials=150, cfar=CfarConfig(window_cells=8, alpha=6.0), seed=13,
+    )
+    fast = [round(row["pd"] * scn.trials) for row in pd_experiment(scn, chunk_size=64)]
+
+    n = cfg.num_samples
+    rng = np.random.default_rng(np.random.SeedSequence(13).spawn(2)[1])
+    symbols = scn.constellation.sample_symbols(scn.trials * 16, rng).reshape(scn.trials, 16)
+    noise = _complex_noise(rng, (scn.trials, n), 1.0)
+    tx = symbol_signal_batch(cfg, symbols)
+    delayed = np.zeros_like(tx)
+    delayed[:, 12:] = tx[:, : n - 12]
+    gain_si = math.sqrt(10.0 ** (scn.si_to_noise_db / 10.0) / 16)
+    brute = []
+    for snr in scn.snr_grid_db:
+        rx = gain_si * tx + math.sqrt(10.0 ** (snr / 10.0) / 16) * delayed + noise
+        hits = 0
+        for r, t in zip(rx, tx):
+            profile = np.abs(np.correlate(r, t, "full")[n - 1 :]) ** 2
+            hits += bool(so_cfar(profile[: scn.instrumented_cells], scn.cfar)[12])
+        brute.append(hits)
+    assert fast == brute
+    assert any(0 < h < scn.trials for h in brute)
+
+
+def test_pd_point_does_not_depend_on_rest_of_grid():
+    def scenario(grid):
+        return DetectionScenario(
+            cfg=CFG, constellation=make_qam(16), snr_grid_db=np.array(grid),
+            pfa_target=1e-2, trials=300, calib_trials=200, seed=8,
+        )
+
+    assert pd_experiment(scenario([5.0, 12.0]))[1] == pd_experiment(scenario([12.0]))[0]

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from ofdm_pcs import pcs
 from ofdm_pcs.constellation import group_rings, make_psk, make_qam
 from ofdm_pcs.pcs import (
     InfeasibleSupportError,
     PcsProblem,
+    SolverNotConvergedError,
     fourth_moment_range,
     solve_pcs,
     sweep_c0,
@@ -157,6 +159,17 @@ def test_out_of_range_targets_clamp():
 def test_unknown_tie_break():
     with pytest.raises(ValueError):
         solve_pcs(PcsProblem(make_qam(16).amplitudes, 1.0), tie_break="other")
+
+
+def test_newton_cap_error_names_target_and_rings(monkeypatch):
+    # A zero tolerance makes every interior Newton fit run into the cap.
+    monkeypatch.setattr(pcs, "NEWTON_TOL", 0.0)
+    c = make_qam(64)
+    with pytest.raises(SolverNotConvergedError) as info:
+        solve_pcs(PcsProblem(c.amplitudes, 1.3))
+    message = str(info.value)
+    assert message.startswith(f"c0 1.3 (clipped target 1.3, {len(group_rings(c))} rings): ")
+    assert "Newton iteration cap reached" in message
 
 
 def test_max_entropy_invariant_under_permutation():
