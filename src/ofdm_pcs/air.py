@@ -13,15 +13,17 @@ dimension.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constellation import Constellation
+from .mc import map_chunks, map_ordered
 from .pcs import PcsProblem, solve_pcs
 
 _LOG2E = math.log2(math.e)
+# Draws per Monte-Carlo chunk: bounds the (chunk, |Q|) log-likelihood matrix.
+AIR_CHUNK = 50_000
 
 
 @dataclass(frozen=True)
@@ -43,38 +45,43 @@ class AirEstimate:
     std_error: float
 
 
-def air_mc(constellation: Constellation, cfg: AirConfig, *, chunk_size: int = 50_000) -> AirEstimate:
+def air_mc(constellation: Constellation, cfg: AirConfig) -> AirEstimate:
     """Monte-Carlo mutual information estimate in bits per symbol.
 
     Per observation ``y = x + n`` the integrand is
     ``-log2 sum_q p_q exp(-|y - x_q|^2 / sigma^2) / (pi sigma^2)`` minus
     ``log2(pi e sigma^2)``; the mixture log-density is evaluated with a
     max-shifted log-sum-exp so arbitrarily small noise variances stay finite.
-    The estimate is an exact function of (seed, mc_trials, inputs).
+    Chunks of ``AIR_CHUNK`` observations draw their own indices and noise
+    from per-chunk child seeds of ``cfg.seed`` (see :func:`mc.map_chunks`)
+    and return ``(sum, sum of squares)`` partials, added in chunk order, so
+    memory stays O(``AIR_CHUNK``) and the estimate is an exact function of
+    (seed, mc_trials, inputs).
     """
-    rng = np.random.default_rng(cfg.seed)
     sigma2 = cfg.noise_variance
     mask = constellation.probs > 0
     points = constellation.points[mask]
     prior = constellation.probs[mask]
     log_prior = np.log(prior)
-    # All randomness is drawn up front so the chunked density evaluation
-    # below cannot change the result.
-    idx = rng.choice(points.size, size=cfg.mc_trials, p=prior / prior.sum())
-    noise = rng.standard_normal(cfg.mc_trials) + 1j * rng.standard_normal(cfg.mc_trials)
-    y_all = points[idx] + noise * math.sqrt(sigma2 / 2.0)
-    total = 0.0
-    total_sq = 0.0
-    for start in range(0, cfg.mc_trials, chunk_size):
-        y = y_all[start : start + chunk_size]
+    p = prior / prior.sum()
+
+    def partials(rng: np.random.Generator, count: int) -> tuple[float, float]:
+        idx = rng.choice(points.size, size=count, p=p)
+        noise = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+        y = points[idx] + noise * math.sqrt(sigma2 / 2.0)
         ll = log_prior[None, :] - np.abs(y[:, None] - points[None, :]) ** 2 / sigma2
         peak = ll.max(axis=1)
         lse = peak + np.log(np.exp(ll - peak[:, None]).sum(axis=1))
         # rate sample: -log2 p(y) - log2(pi e sigma^2) with the pi sigma^2
         # normalizations cancelling down to a single log2(e).
         r = -lse * _LOG2E - _LOG2E
-        total += float(r.sum())
-        total_sq += float((r * r).sum())
+        return float(r.sum()), float((r * r).sum())
+
+    total = 0.0
+    total_sq = 0.0
+    for s, sq in map_chunks(partials, cfg.seed, cfg.mc_trials, AIR_CHUNK, 1):
+        total += s
+        total_sq += sq
     mean = total / cfg.mc_trials
     var = max(total_sq / cfg.mc_trials - mean * mean, 0.0)
     return AirEstimate(rate=mean, std_error=math.sqrt(var / cfg.mc_trials))
@@ -99,6 +106,8 @@ def air_vs_c0(
     rows do not depend on evaluation order.
     """
     grid = np.asarray(c0_grid, dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError("c0_grid must be a non-empty 1-D list")
     seeds = np.random.SeedSequence(cfg.seed).spawn(grid.size)
 
     def run(i: int) -> dict:
@@ -113,7 +122,7 @@ def air_vs_c0(
             "entropy_bits": sol.tie_break_entropy,
         }
 
-    return _map_indexed(run, grid.size, threads)
+    return map_ordered(run, range(grid.size), threads)
 
 
 def air_vs_snr(
@@ -125,6 +134,10 @@ def air_vs_snr(
 ) -> list[dict]:
     """Rate series over an SNR grid, one column per named constellation."""
     grid = np.asarray(snr_grid_db, dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError("snr_grid_db must be a non-empty 1-D list")
+    if not constellations:
+        raise ValueError("constellations is empty: need at least one named constellation")
     seeds = np.random.SeedSequence(cfg.seed).spawn(grid.size * len(constellations))
 
     def run(k: int) -> tuple:
@@ -135,15 +148,9 @@ def air_vs_snr(
         )
         return i, constellations[j][0], est
 
-    results = _map_indexed(run, grid.size * len(constellations), threads)
+    results = map_ordered(run, range(grid.size * len(constellations)), threads)
     rows = [{"snr_db": float(s)} for s in grid]
     for i, name, est in results:
         rows[i][name] = est.rate
     return rows
 
-
-def _map_indexed(fn, count: int, threads: int) -> list:
-    if threads > 1 and count > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, range(count)))
-    return [fn(i) for i in range(count)]

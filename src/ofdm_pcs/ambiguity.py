@@ -15,14 +15,18 @@ numeric oracle pins that convention down empirically.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .constellation import Constellation
+from .mc import map_ordered
 from .ofdm import OfdmConfig, SampledSignal
+
+# Draws per chunk of the Monte-Carlo AF: each delay row sums its chunk
+# partials in chunk order, so this fixes the order of the sums.
+AF_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -248,22 +252,21 @@ def mc_average_af(
     seed,
     *,
     threads: int = 1,
-    chunk_size: int = 64,
 ) -> AmbiguitySurface:
     """Average |AF| over random symbol draws, then peak-normalize.
 
-    All symbols are drawn up front from the seeded generator and split into
-    chunks of ``chunk_size`` draws, whose FFT spectra are taken once.  Each
-    delay row builds its Doppler kernel once, applies it to every chunk and
-    adds the chunk partial sums in chunk order, so ``chunk_size`` fixes the
-    order of the sums.  Worker threads split the delay rows between them and
-    never change a row's arithmetic, so the result does not depend on
-    ``threads``.
+    Unlike the pd and AIR loops, all symbols are drawn up front from the
+    seeded generator, so memory is O(trials): every delay row reuses its
+    Doppler kernel across all draws, and drawing per chunk would mean
+    rebuilding each row's kernel once per chunk.  The draws are split into
+    chunks of ``AF_CHUNK``, whose FFT spectra are taken once; each delay row
+    builds its kernel once, applies it to every chunk and adds the chunk
+    partial sums in chunk order.  Worker threads split the delay rows
+    between them and never change a row's arithmetic, so the result does
+    not depend on ``threads``.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")
     tau_grid = np.asarray(tau_grid, dtype=float)
     nu_grid = np.asarray(nu_grid, dtype=float)
     if tau_grid.size == 0:
@@ -272,7 +275,7 @@ def mc_average_af(
         raise ValueError("nu_grid is empty: need at least one Doppler point")
     num = cfg.num_subcarriers
     symbols = constellation.sample_symbols(trials * num, seed).reshape(trials, num)
-    chunks = [symbols[s : s + chunk_size] for s in range(0, trials, chunk_size)]
+    chunks = [symbols[s : s + AF_CHUNK] for s in range(0, trials, AF_CHUNK)]
     spectra = [np.fft.fft(chunk, n=2 * num, axis=1) for chunk in chunks]
     total = np.zeros((tau_grid.size, nu_grid.size))
 
@@ -285,11 +288,7 @@ def mc_average_af(
 
     # One contiguous block of rows per worker; a row is written by one thread only.
     blocks = np.array_split(np.arange(tau_grid.size), min(max(threads, 1), tau_grid.size))
-    if len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
-            list(pool.map(fill, blocks))
-    else:
-        fill(blocks[0])
+    map_ordered(fill, blocks, threads)
     total /= trials
     peak = total.max()
     if peak > 0:

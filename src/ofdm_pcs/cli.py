@@ -324,6 +324,8 @@ def _run_detect_pd_sweep(opts: dict) -> None:
     cfg = _ofdm_config(opts)
     cfar = CfarConfig(window_cells=int(opts["window"]), guard_cells=int(opts["guard"]))
     c0_list = parse_grid(opts["c0"])
+    if c0_list.size == 0:
+        raise ValueError("c0 is empty: need at least one shaping target")
     snr_grid = parse_grid(opts["snr"])
     rows = []
     for c0 in c0_list:

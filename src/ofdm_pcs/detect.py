@@ -11,14 +11,17 @@ bisection against the empirical false-alarm rate on noise-only profiles.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import math
 import numpy as np
 
 from .constellation import Constellation
+from .mc import map_chunks
 from .ofdm import OfdmConfig, SampledSignal, symbol_signal_batch
+
+# Trials per Monte-Carlo chunk of the pd loop: bounds the (chunk, 2, N) buffers.
+PD_CHUNK = 512
 
 
 class CalibrationError(RuntimeError):
@@ -160,6 +163,8 @@ def calibrate_alpha(
     """
     if not (0.0 < pfa_target < 1.0):
         raise ValueError(f"pfa_target must be in (0, 1), got {pfa_target}")
+    if calib_trials < 1:
+        raise ValueError(f"calib_trials must be >= 1, got {calib_trials}")
     profiles = profile_fn(np.random.default_rng(seed), calib_trials)
     lead, lag = reference_means(profiles, cfar)
     background = np.fmin(lead, lag)
@@ -266,6 +271,8 @@ class DetectionScenario:
 
     def __post_init__(self):
         self.snr_grid_db = np.asarray(self.snr_grid_db, dtype=float)
+        if self.snr_grid_db.ndim != 1 or self.snr_grid_db.size == 0:
+            raise ValueError("snr_grid_db must be a non-empty 1-D list")
         if not (0.0 < self.pfa_target < 1.0):
             raise ValueError(f"pfa_target must be in (0, 1), got {self.pfa_target}")
         if self.trials < 1:
@@ -284,18 +291,20 @@ class DetectionScenario:
             )
 
 
-def pd_experiment(scn: DetectionScenario, *, threads: int = 1, chunk_size: int = 512) -> list[dict]:
+def pd_experiment(scn: DetectionScenario, *, threads: int = 1) -> list[dict]:
     """Detection probability at the target cell over the sensing-SNR grid.
 
     Calibrates alpha against the scenario's false-alarm target if the CFAR
-    config does not already carry one (child seed 0 of ``scn.seed``).  Every
-    SNR point shares the same draws of symbols and noise (child seed 1):
-    the matched filter is linear, so the received correlation is
-    ``C_clutter + g_s * C_echo`` with both parts computed once per chunk of
-    trials, and only at the lags the target cell's CFAR windows reach.
-    Threads split the chunks; hits are integer counts, so the result is
-    deterministic and independent of the thread count and ``chunk_size``.
-    Returns rows ``{"snr_db", "pd", "trials"}``.
+    config does not already carry one (child seed 0 of ``scn.seed``).  The
+    trials run in chunks of ``PD_CHUNK``; chunk k draws its own symbols and
+    noise from child k of child seed 1 (see :func:`mc.map_chunks`), so memory
+    stays O(``PD_CHUNK``) whatever ``scn.trials`` is.  Every SNR point shares
+    a chunk's draws: the matched filter is linear, so the received
+    correlation is ``C_clutter + g_s * C_echo`` with both parts computed once
+    per chunk, and only at the lags the target cell's CFAR windows reach.
+    Threads split the chunks and the integer hit counts are summed, so the
+    result does not depend on the thread count.  Returns rows
+    ``{"snr_db", "pd", "trials"}``.
     """
     grid = scn.snr_grid_db
     calib_seed, draw_seed = np.random.SeedSequence(scn.seed).spawn(2)
@@ -325,17 +334,13 @@ def pd_experiment(scn: DetectionScenario, *, threads: int = 1, chunk_size: int =
     gain_si = math.sqrt(10.0 ** (scn.si_to_noise_db / 10.0) / num)
     gain_target = np.sqrt(10.0 ** (grid / 10.0) / num)[:, None, None]
 
-    # Draw everything up front; chunking below only bounds the working set
-    # and can never alter the per-trial decisions.
-    rng = np.random.default_rng(draw_seed)
-    symbols = scn.constellation.sample_symbols(scn.trials * num, rng).reshape(scn.trials, num)
-    noise = _complex_noise(rng, (scn.trials, n_samples), 1.0)
-
-    def chunk_hits(start: int) -> np.ndarray:
-        tx = symbol_signal_batch(scn.cfg, symbols[start : start + chunk_size])
+    def chunk_hits(rng: np.random.Generator, count: int) -> np.ndarray:
+        symbols = scn.constellation.sample_symbols(count * num, rng).reshape(count, num)
+        noise = _complex_noise(rng, (count, n_samples), 1.0)
+        tx = symbol_signal_batch(scn.cfg, symbols)
         # Row 0: self-interference plus noise; row 1: the unit-gain echo.
-        rx = np.zeros((tx.shape[0], 2, n_samples), dtype=complex)
-        rx[:, 0] = gain_si * tx + noise[start : start + tx.shape[0]]
+        rx = np.zeros((count, 2, n_samples), dtype=complex)
+        rx[:, 0] = gain_si * tx + noise
         rx[:, 1, offset:] = tx[:, : n_samples - offset]
         corr = _matched_filter_batch(rx, tx[:, None, :], cells)
         profiles = np.abs(corr[:, 0] + gain_target * corr[:, 1]) ** 2  # (snr, trial, cell)
@@ -343,12 +348,7 @@ def pd_experiment(scn: DetectionScenario, *, threads: int = 1, chunk_size: int =
         threshold = cfar.alpha * np.fmin(lead[..., offset], lag[..., offset])
         return np.count_nonzero(profiles[..., offset] > threshold, axis=1)
 
-    starts = range(0, scn.trials, chunk_size)
-    if threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            hits = sum(pool.map(chunk_hits, starts))
-    else:
-        hits = sum(chunk_hits(start) for start in starts)
+    hits = sum(map_chunks(chunk_hits, draw_seed, scn.trials, PD_CHUNK, threads))
     return [
         {"snr_db": float(snr), "pd": int(h) / scn.trials, "trials": scn.trials}
         for snr, h in zip(grid, hits)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ofdm_pcs.ambiguity import (
+    AF_CHUNK,
     DelayGeometry,
     af_closed_form,
     af_closed_form_grid,
@@ -147,48 +148,47 @@ def test_mc_average_peak_normalized():
 def test_mc_average_thread_invariance():
     taus = default_tau_grid(CFG16, 17)
     nus = np.array([0.0, 1.0])
-    a = mc_average_af(CFG16, make_qam(16), taus, nus, 150, 9, threads=1, chunk_size=32)
-    b = mc_average_af(CFG16, make_qam(16), taus, nus, 150, 9, threads=4, chunk_size=32)
+    a = mc_average_af(CFG16, make_qam(16), taus, nus, 150, 9, threads=1)
+    b = mc_average_af(CFG16, make_qam(16), taus, nus, 150, 9, threads=4)
     assert np.array_equal(a.values, b.values)
 
 
-@pytest.mark.parametrize(("chunk_size", "threads"), [(16, 1), (7, 3)])
-def test_mc_average_matches_brute_force_oracle(chunk_size, threads):
+@pytest.mark.parametrize(("last_chunk", "threads"), [(16, 1), (7, 3)])
+def test_mc_average_matches_brute_force_oracle(last_chunk, threads):
     # Off-lattice grids that reach the window edges (tau = +-T_p) and pass
-    # them, and a trial count that chunk_size does not divide.
+    # them, and a trial count that leaves an uneven last chunk.
     t_p = CFG16.symbol_duration
     taus = np.array([-1.3, -1.0, -0.917, -0.31, 0.0, 0.0731, 0.5557, 0.999, 1.0, 1.2]) * t_p
     nus = np.array([-7.3, -2.19, 0.0, 0.61, 3.333, 8.05])
-    trials, seed = 45, 13
+    trials, seed = 2 * AF_CHUNK + last_chunk, 13
     c = make_qam(16)
     draws = c.sample_symbols(trials * 16, seed).reshape(trials, 16)
     direct = np.array([[af_closed_form(CFG16, draws, tau, nu) for nu in nus] for tau in taus])
     grid = af_closed_form_grid(CFG16, draws, taus, nus)
     assert np.max(np.abs(grid - direct.transpose(2, 0, 1))) <= 1e-12 * np.abs(direct).max()
     brute = np.abs(direct).mean(axis=2)
-    surface = mc_average_af(CFG16, c, taus, nus, trials, seed, threads=threads, chunk_size=chunk_size)
+    surface = mc_average_af(CFG16, c, taus, nus, trials, seed, threads=threads)
     assert np.max(np.abs(surface.values - brute / brute.max())) <= 1e-12
 
 
 @pytest.mark.parametrize("taus", [np.array([-0.4, 0.1, 0.7]), np.array([0.25])])
 def test_mc_average_thread_invariance_beyond_row_count(taus):
     nus = np.array([-1.5, 0.0, 2.25])
-    a = mc_average_af(CFG16, make_qam(16), taus, nus, 70, 4, threads=1, chunk_size=32)
-    b = mc_average_af(CFG16, make_qam(16), taus, nus, 70, 4, threads=8, chunk_size=32)
+    a = mc_average_af(CFG16, make_qam(16), taus, nus, 70, 4, threads=1)
+    b = mc_average_af(CFG16, make_qam(16), taus, nus, 70, 4, threads=8)
     assert np.array_equal(a.values, b.values)
 
 
 @pytest.mark.parametrize(
-    ("taus", "nus", "chunk_size", "name"),
+    ("taus", "nus", "name"),
     [
-        (np.array([]), np.array([0.0]), 64, "tau_grid"),
-        (np.array([0.0]), np.array([]), 64, "nu_grid"),
-        (np.array([0.0]), np.array([0.0]), 0, "chunk_size"),
+        (np.array([]), np.array([0.0]), "tau_grid"),
+        (np.array([0.0]), np.array([]), "nu_grid"),
     ],
 )
-def test_mc_average_rejects_bad_input(taus, nus, chunk_size, name):
+def test_mc_average_rejects_bad_input(taus, nus, name):
     with pytest.raises(ValueError, match=name):
-        mc_average_af(CFG16, make_qam(16), taus, nus, 10, 0, chunk_size=chunk_size)
+        mc_average_af(CFG16, make_qam(16), taus, nus, 10, 0)
 
 
 def test_variance_self_psk_zero():

@@ -248,20 +248,43 @@ def test_error_exit_names_stage(tmp_path, capsys):
     assert "af slice" in capsys.readouterr().err
 
 
+_SMALL_OFDM = ["--subcarriers", "8", "--bandwidth", "8"]
+
+
 @pytest.mark.parametrize(
     ("args", "name"),
     [
-        (["af", "surface", "--tau-points", "0", "--trials", "2"], "tau_grid"),
-        (["af", "surface", "--nu-points", "0", "--trials", "2"], "nu_grid"),
-        (["af", "slice", "--points", "0", "--trials", "2"], "tau_grid"),
-        (["af", "variance", "--points", "0"], "tau_grid"),
+        (["af", "surface", "--tau-points", "0", "--trials", "2", *_SMALL_OFDM], "tau_grid"),
+        (["af", "surface", "--nu-points", "0", "--trials", "2", *_SMALL_OFDM], "nu_grid"),
+        (["af", "slice", "--points", "0", "--trials", "2", *_SMALL_OFDM], "tau_grid"),
+        (["af", "variance", "--points", "0", *_SMALL_OFDM], "tau_grid"),
+        (["detect", "pd-sweep", "--snr", "", "--trials", "2"], "snr_grid_db"),
+        (["detect", "pd-sweep", "--c0", "", "--trials", "2"], "c0"),
+        (["detect", "calibrate", "--calib-trials", "0"], "calib_trials"),
+        (["air", "sweep-c0", "--c0", "", "--mc", "10"], "c0_grid"),
+        (["air", "sweep-snr", "--snr", "", "--mc", "10"], "snr_grid_db"),
+        (["air", "sweep-snr", "--modulations", "", "--mc", "10"], "constellations"),
     ],
 )
 def test_af_empty_grid_names_parameter(tmp_path, capsys, args, name):
-    rc = main(args + ["--subcarriers", "8", "--bandwidth", "8",
-                      "--out", str(tmp_path / "x.csv")])
+    rc = main(args + ["--out", str(tmp_path / "x.csv")])
     assert rc == 1
     assert name in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["detect", "pd-sweep", "--c0", "1.0", "--snr", "0", "--trials", "2"],
+        ["air", "sweep-c0", "--c0", "1.0", "--mc", "10"],
+    ],
+)
+def test_threads_below_one_exits_nonzero(tmp_path, capsys, args, threads):
+    rc = main(args + ["--threads", threads, "--out", str(tmp_path / "x.csv")])
+    assert rc == 1
+    assert "threads" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from ofdm_pcs.constellation import make_psk, make_qam
 from ofdm_pcs.detect import (
+    PD_CHUNK,
     CalibrationError,
     CfarConfig,
     DetectionScenario,
@@ -17,6 +18,7 @@ from ofdm_pcs.detect import (
     reference_means,
     so_cfar,
 )
+from ofdm_pcs.mc import map_chunks
 from ofdm_pcs.ofdm import OfdmConfig, random_signal, symbol_signal, symbol_signal_batch
 
 CFG = OfdmConfig(num_subcarriers=64, subcarrier_spacing=1.5625e6, oversampling=4)
@@ -280,8 +282,7 @@ def test_pd_deterministic_and_thread_invariant():
     )
     a = pd_experiment(scn, threads=1)
     b = pd_experiment(scn, threads=2)
-    c = pd_experiment(scn, threads=1, chunk_size=128)
-    assert a == b == c
+    assert a == b
 
 
 def test_pd_uses_supplied_alpha_without_calibration():
@@ -295,20 +296,26 @@ def test_pd_uses_supplied_alpha_without_calibration():
 
 
 def test_pd_fast_path_matches_brute_force():
-    # Same draws as pd_experiment (child seed 1); every SNR point builds its
-    # received signal in full, correlates it lag by lag and runs SO-CFAR on
-    # the whole instrumented profile.
+    # Same draws as pd_experiment (per-chunk children of child seed 1, symbols
+    # before noise); every SNR point builds its received signal in full,
+    # correlates it lag by lag and runs SO-CFAR on the whole instrumented
+    # profile.
     cfg = OfdmConfig(num_subcarriers=16, subcarrier_spacing=1.0, oversampling=4)
     scn = DetectionScenario(
         cfg=cfg, constellation=make_qam(16), snr_grid_db=np.array([-5.0, 0.0, 5.0, 10.0]),
         target_cell_offset=12, trials=150, cfar=CfarConfig(window_cells=8, alpha=6.0), seed=13,
     )
-    fast = [round(row["pd"] * scn.trials) for row in pd_experiment(scn, chunk_size=64)]
+    fast = [round(row["pd"] * scn.trials) for row in pd_experiment(scn)]
 
     n = cfg.num_samples
-    rng = np.random.default_rng(np.random.SeedSequence(13).spawn(2)[1])
-    symbols = scn.constellation.sample_symbols(scn.trials * 16, rng).reshape(scn.trials, 16)
-    noise = _complex_noise(rng, (scn.trials, n), 1.0)
+
+    def draw(rng, count):
+        symbols = scn.constellation.sample_symbols(count * 16, rng).reshape(count, 16)
+        return symbols, _complex_noise(rng, (count, n), 1.0)
+
+    parts = map_chunks(draw, np.random.SeedSequence(13).spawn(2)[1], scn.trials, PD_CHUNK, 1)
+    symbols = np.concatenate([p[0] for p in parts])
+    noise = np.concatenate([p[1] for p in parts])
     tx = symbol_signal_batch(cfg, symbols)
     delayed = np.zeros_like(tx)
     delayed[:, 12:] = tx[:, : n - 12]
