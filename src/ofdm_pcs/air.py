@@ -8,6 +8,11 @@ per (sub-channel) symbol.  An L-subcarrier OFDM symbol carries L independent
 such channels, so its aggregate rate is L times these values.  ``sigma^2`` is
 the total variance of the circularly-symmetric complex noise, half per real
 dimension.
+
+The log-sum-exp runs in real float64 arithmetic on one (points x draws)
+buffer, so its max and sum reduce over the short leading axis, and every
+exponent is floored at -700 so ``np.exp`` never takes its slow subnormal or
+underflow path (see :func:`air_mc`).
 """
 
 from __future__ import annotations
@@ -22,8 +27,10 @@ from .mc import map_chunks, map_ordered
 from .pcs import PcsProblem, solve_pcs
 
 _LOG2E = math.log2(math.e)
-# Draws per Monte-Carlo chunk: bounds the (chunk, |Q|) log-likelihood matrix.
+# Draws per Monte-Carlo chunk: bounds the (|Q|, chunk) log-likelihood buffer.
 AIR_CHUNK = 50_000
+# Floor of the peak-shifted exponents: exp(-700) is still a normal double.
+_EXP_FLOOR = -700.0
 
 
 @dataclass(frozen=True)
@@ -55,23 +62,44 @@ def air_mc(constellation: Constellation, cfg: AirConfig) -> AirEstimate:
     Chunks of ``AIR_CHUNK`` observations draw their own indices and noise
     from per-chunk child seeds of ``cfg.seed`` (see :func:`mc.map_chunks`)
     and return ``(sum, sum of squares)`` partials, added in chunk order, so
-    memory stays O(``AIR_CHUNK``) and the estimate is an exact function of
-    (seed, mc_trials, inputs).
+    memory stays O(``AIR_CHUNK`` x points) and the estimate is an exact
+    function of (seed, mc_trials, inputs).
+
+    Each chunk draws, in this order, the symbol indices
+    (``rng.choice(points, count, p=p)``), the real noise parts and the
+    imaginary noise parts (``rng.standard_normal(count)`` each).  The
+    log-likelihoods ``log p_q - ((x_q,re - y_re)^2 + (x_q,im - y_im)^2) /
+    sigma^2`` then fill one (points, count) float64 buffer, a row per point
+    written in place, so the max and the sum over the points reduce over
+    axis 0.  The peak-shifted exponents are floored at -700 before
+    ``np.exp``.  The floor is exact: the peak term is exactly 1 and a floored
+    term is at most ``exp(-700) < 1e-304``, far below half an ulp of a sum
+    >= 1, while an exponent whose result would be subnormal or underflow
+    costs ``np.exp`` tens of times a normal one and raises under
+    ``np.errstate(under="raise")``.
     """
     sigma2 = cfg.noise_variance
     mask = constellation.probs > 0
     points = constellation.points[mask]
     prior = constellation.probs[mask]
-    log_prior = np.log(prior)
+    log_prior = np.log(prior)[:, None]
     p = prior / prior.sum()
+    scale = math.sqrt(sigma2 / 2.0)
 
     def partials(rng: np.random.Generator, count: int) -> tuple[float, float]:
         idx = rng.choice(points.size, size=count, p=p)
-        noise = rng.standard_normal(count) + 1j * rng.standard_normal(count)
-        y = points[idx] + noise * math.sqrt(sigma2 / 2.0)
-        ll = log_prior[None, :] - np.abs(y[:, None] - points[None, :]) ** 2 / sigma2
-        peak = ll.max(axis=1)
-        lse = peak + np.log(np.exp(ll - peak[:, None]).sum(axis=1))
+        y_re = points.real[idx] + rng.standard_normal(count) * scale
+        y_im = points.imag[idx] + rng.standard_normal(count) * scale
+        ll = np.empty((points.size, count))
+        for row, x in zip(ll, points):
+            np.add((x.real - y_re) ** 2, (x.imag - y_im) ** 2, out=row)
+        ll *= -1.0 / sigma2
+        ll += log_prior
+        peak = ll.max(axis=0)
+        ll -= peak
+        np.maximum(ll, _EXP_FLOOR, out=ll)
+        np.exp(ll, out=ll)
+        lse = peak + np.log(ll.sum(axis=0))
         # rate sample: -log2 p(y) - log2(pi e sigma^2) with the pi sigma^2
         # normalizations cancelling down to a single log2(e).
         r = -lse * _LOG2E - _LOG2E

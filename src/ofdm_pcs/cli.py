@@ -103,11 +103,12 @@ def resolve_modulation(spec: str) -> tuple[str, Constellation]:
     )
 
 
+_FLOAT = "{:.12g}".format
+
+
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    if isinstance(value, (np.floating,)):
-        return f"{float(value):.12g}"
+    if isinstance(value, (float, np.floating)):
+        return _FLOAT(float(value))
     return str(value)
 
 
@@ -121,10 +122,14 @@ def _meta_lines(command: str, resolved: dict) -> list[str]:
 
 
 def write_csv(path: str, command: str, resolved: dict, header: list[str], rows) -> None:
+    """Rows are sequences or 1-D arrays.  A float cell prints as ``_fmt``
+    would, in one bound ``_FLOAT`` call; pass large float tables as arrays,
+    whose ``tolist`` yields Python floats, the fastest input of that call."""
     lines = _meta_lines(command, resolved)
     lines.append(",".join(header))
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+        cells = row.tolist() if isinstance(row, np.ndarray) else row
+        lines.append(",".join([_FLOAT(v) if isinstance(v, float) else _fmt(v) for v in cells]))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -181,6 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve(args: argparse.Namespace, command: str) -> dict:
+    if args.threads < 1:
+        raise ValueError(f"threads must be >= 1, got {args.threads}")
     defaults = _COMMANDS[command][2]
     from_file = {}
     if args.config:
@@ -255,7 +262,7 @@ def _run_af_slice(opts: dict) -> None:
     )
     mags = surface.values[0] if axis == "nu" else surface.values[:, 0]
     grid = nu_grid if axis == "nu" else tau_grid
-    rows = list(zip(grid, magnitude_db(mags)))
+    rows = np.column_stack([grid, magnitude_db(mags)])
     write_csv(opts["out"], "af slice", opts, [axis, "magnitude_db"], rows)
 
 
@@ -269,7 +276,7 @@ def _run_af_surface(opts: dict) -> None:
         threads=int(opts["threads"]),
     )
     header = ["tau"] + [_fmt(nu) for nu in nu_grid]
-    rows = [[tau, *surface.values[i]] for i, tau in enumerate(tau_grid)]
+    rows = np.column_stack([tau_grid, surface.values])
     write_csv(opts["out"], "af surface", opts, header, rows)
 
 

@@ -1,8 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
-from ofdm_pcs.air import AirConfig, air_mc, air_vs_c0, air_vs_snr, sigma2_from_snr_db
+from ofdm_pcs.air import (
+    AIR_CHUNK,
+    AirConfig,
+    air_mc,
+    air_vs_c0,
+    air_vs_snr,
+    sigma2_from_snr_db,
+)
 from ofdm_pcs.constellation import Constellation, make_psk, make_qam
+from ofdm_pcs.mc import map_chunks
 
 
 def grid_mi_oracle(points, probs, sigma2, half_width=6.0, step=0.01):
@@ -21,6 +31,75 @@ def grid_mi_oracle(points, probs, sigma2, half_width=6.0, step=0.01):
     keep = mass > 0
     h_y = -np.sum(mass[keep] * np.log2(density[keep]))
     return h_y - np.log2(np.pi * np.e * sigma2)
+
+
+def same_draw_oracle(constellation, cfg):
+    """``air_mc`` recomputed on its own draws with the plain complex formula.
+
+    Draws the indices, then the real and the imaginary noise, per chunk
+    through ``map_chunks`` as ``air_mc`` does, and evaluates
+    ``-log2 sum_q p_q exp(-|y - x_q|^2 / sigma^2)`` with complex ``|y - x|^2``
+    and ``np.logaddexp.reduce`` over the points, without any exponent floor.
+    """
+    sigma2 = cfg.noise_variance
+    mask = constellation.probs > 0
+    points = constellation.points[mask]
+    prior = constellation.probs[mask]
+
+    def partials(rng, count):
+        idx = rng.choice(points.size, size=count, p=prior / prior.sum())
+        noise = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+        y = points[idx] + noise * math.sqrt(sigma2 / 2.0)
+        ll = np.log(prior)[None, :] - np.abs(y[:, None] - points[None, :]) ** 2 / sigma2
+        r = -np.logaddexp.reduce(ll, axis=1) / np.log(2.0) - 1.0 / np.log(2.0)
+        return r.sum(), (r * r).sum()
+
+    parts = map_chunks(partials, cfg.seed, cfg.mc_trials, AIR_CHUNK, 1)
+    mean = sum(s for s, _ in parts) / cfg.mc_trials
+    var = max(sum(sq for _, sq in parts) / cfg.mc_trials - mean * mean, 0.0)
+    return mean, math.sqrt(var / cfg.mc_trials)
+
+
+def _with_rare_points():
+    # ring8 plus one inner and one outer point at prior 1e-12: still unit power
+    base = make_qam(16)
+    ring = np.isclose(base.energies, 1.0)
+    probs = np.where(ring, (1.0 - 2e-12) / 8, 0.0)
+    probs[np.argmin(base.energies)] = 1e-12
+    probs[np.argmax(base.energies)] = 1e-12
+    return base.with_probs(probs)
+
+
+@pytest.mark.parametrize("snr_db", [-10.0, 0.0, 30.0, 60.0])
+@pytest.mark.parametrize(
+    "constellation, trials",
+    [
+        (make_qam(16), 3_000),
+        (make_psk(16), 3_000),
+        (make_qam(256), 2_000),
+        (_with_rare_points(), 3_000),
+        (make_qam(16), 2 * AIR_CHUNK + 123),
+    ],
+    ids=["qam16", "psk16", "qam256", "qam16-rare-points", "qam16-chunked"],
+)
+def test_air_mc_matches_same_draw_oracle(constellation, trials, snr_db):
+    cfg = AirConfig(sigma2_from_snr_db(snr_db), trials, 17)
+    rate, std_error = same_draw_oracle(constellation, cfg)
+    est = air_mc(constellation, cfg)
+    assert est.rate == pytest.approx(rate, rel=1e-12)
+    assert est.std_error == pytest.approx(std_error, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "constellation, snr_db",
+    [(make_qam(16), 30.0), (make_qam(16), 60.0), (make_qam(256), 40.0)],
+    ids=["qam16-30dB", "qam16-60dB", "qam256-40dB"],
+)
+def test_air_mc_raises_no_floating_point_error(constellation, snr_db):
+    # exp of a far point's exponent would underflow without the floor
+    with np.errstate(all="raise"):
+        est = air_mc(constellation, AirConfig(sigma2_from_snr_db(snr_db), 5_000, 4))
+    assert np.isfinite(est.rate) and np.isfinite(est.std_error)
 
 
 def test_degenerate_constellation_rate_zero():

@@ -11,6 +11,7 @@ from ofdm_pcs.cli import (
     _resolve,
     build_parser,
     main,
+    write_csv,
     parse_grid,
     resolve_modulation,
 )
@@ -209,6 +210,18 @@ def test_csv_header_records_tool_and_seed(tmp_path):
     assert "out" not in meta and "threads" not in meta
 
 
+def test_csv_cells_print_alike_from_arrays_and_lists(tmp_path):
+    values = np.array([0.1, 1 / 3, -2.5e12, 1e-300, 123456789.123456789, np.inf, np.nan])
+    expected = ",".join(f"{v:.12g}" for v in values)
+    rows = {"array": [values], "list": [list(values)], "floats": [values.tolist()]}
+    for name, rs in rows.items():
+        write_csv(str(tmp_path / f"{name}.csv"), "t", {}, ["h"], rs)
+        assert (tmp_path / f"{name}.csv").read_text().splitlines()[-1] == expected
+    # a non-float cell (the pd trials column) prints through str
+    write_csv(str(tmp_path / "mixed.csv"), "t", {}, ["h"], [[0.5, 5000, np.int64(7)]])
+    assert (tmp_path / "mixed.csv").read_text().splitlines()[-1] == "0.5,5000,7"
+
+
 def test_config_file_precedence(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"trials": 3, "points": 9, "subcarriers": 8, "bandwidth": 8.0}))
@@ -279,6 +292,8 @@ def test_af_empty_grid_names_parameter(tmp_path, capsys, args, name):
     [
         ["detect", "pd-sweep", "--c0", "1.0", "--snr", "0", "--trials", "2"],
         ["air", "sweep-c0", "--c0", "1.0", "--mc", "10"],
+        # every command at its defaults: the check runs before any work
+        *(command.split() for command in _COMMANDS),
     ],
 )
 def test_threads_below_one_exits_nonzero(tmp_path, capsys, args, threads):
