@@ -7,7 +7,6 @@ from .ambiguity import (
     AmbiguitySurface,
     DelayGeometry,
     af_closed_form,
-    af_numeric,
     af_self_closed_form,
     mc_average_af,
     mean_af_components,
@@ -19,11 +18,10 @@ from .detect import (
     CfarConfig,
     DetectionScenario,
     calibrate_alpha,
-    matched_filter,
     pd_experiment,
     so_cfar,
 )
-from .ofdm import OfdmConfig, SampledSignal, random_signal, symbol_signal
+from .ofdm import OfdmConfig
 from .pcs import (
     InfeasibleSupportError,
     PcsProblem,
@@ -46,10 +44,8 @@ __all__ = [
     "OfdmConfig",
     "PcsProblem",
     "PcsSolution",
-    "SampledSignal",
     "SolverNotConvergedError",
     "af_closed_form",
-    "af_numeric",
     "af_self_closed_form",
     "air_mc",
     "air_vs_c0",
@@ -59,15 +55,12 @@ __all__ = [
     "group_rings",
     "make_psk",
     "make_qam",
-    "matched_filter",
     "mc_average_af",
     "mean_af_components",
     "pd_experiment",
-    "random_signal",
     "so_cfar",
     "solve_pcs",
     "sweep_c0",
-    "symbol_signal",
     "variance_cross_closed",
     "variance_self_closed",
 ]

@@ -1,28 +1,25 @@
-"""Ambiguity function of a data-modulated OFDM symbol, three ways.
+"""Ambiguity function of a data-modulated OFDM symbol.
 
-* closed form: the self + cross sinc decomposition of the delay-Doppler
-  correlation, with ``sinc(x) = sin(pi x)/(pi x)`` (numpy's convention);
-* numeric: high-order Gauss-Legendre quadrature of the defining correlation
-  integral, used as an independent oracle for the closed form;
-* Monte-Carlo: magnitude of the closed form averaged over random symbol
-  draws on a delay-Doppler grid, peak-normalized.
-
-Closed-form variance formulas for the self and cross parts are provided
-alongside.  The sinc arguments carry no extra 2*pi factor anywhere; the
-numeric oracle pins that convention down empirically.
+One closed form, the self + cross sinc decomposition of the delay-Doppler
+correlation with ``sinc(x) = sin(pi x)/(pi x)`` (numpy's convention), and one
+evaluation of it: per delay, every draw's lag products from one FFT
+convolution, then the delay's Doppler kernel.  :func:`af_closed_form` is its
+one-point case; :func:`mc_average_af` averages its magnitude over random
+symbol draws on a delay-Doppler grid, peak-normalized.  Closed-form variances
+of the self and cross parts are provided alongside.  The sinc arguments carry
+no extra 2*pi factor anywhere; the tests pin that down by quadrature.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .constellation import Constellation
 from .mc import map_ordered
-from .ofdm import OfdmConfig, SampledSignal
+from .ofdm import OfdmConfig
 
 # Draws per chunk of the Monte-Carlo AF: each delay row sums its chunk
 # partials in chunk order, so this fixes the order of the sums.
@@ -82,105 +79,8 @@ def default_nu_grid(cfg: OfdmConfig, points: int = 257) -> np.ndarray:
     return np.linspace(-half, half, points)
 
 
-def _closed_form_point(cfg: OfdmConfig, symbols, tau: float, evaluate):
-    """Shared front end of the point-wise closed forms.
-
-    Checks the symbol length, returns zeros (shaped like the batch) when the
-    delay leaves no overlap, and otherwise ``evaluate(symbols, geom)``; a
-    single symbol vector gives a Python complex.
-    """
-    symbols = np.asarray(symbols, dtype=np.complex128)
-    if symbols.shape[-1] != cfg.num_subcarriers:
-        raise ValueError(f"expected {cfg.num_subcarriers} symbols, got shape {symbols.shape}")
-    geom = DelayGeometry.for_delay(tau, cfg.symbol_duration)
-    if geom.overlaps:
-        out = evaluate(symbols, geom)
-    else:
-        out = np.zeros(symbols.shape[:-1], dtype=np.complex128)
-    return complex(out) if np.ndim(out) == 0 else out
-
-
-def af_closed_form(cfg: OfdmConfig, symbols, tau: float, nu: float):
-    """Closed-form ambiguity function of one symbol vector at one point.
-
-    Sums the L self components (equal subcarrier indices) and L(L-1) cross
-    components.  ``symbols`` may carry leading batch dimensions, in which
-    case a matching array of values is returned.
-    """
-
-    def evaluate(symbols, geom):
-        df = cfg.subcarrier_spacing
-        l = np.arange(cfg.num_subcarriers)
-        f = (l[:, None] - l[None, :]) * df - nu
-        kernel = (
-            geom.t_diff
-            * np.sinc(f * geom.t_diff)
-            * np.exp(2j * np.pi * (f * geom.t_avg + l[None, :] * df * tau))
-        )
-        return np.einsum("...i,ij,...j->...", symbols, kernel, symbols.conj())
-
-    return _closed_form_point(cfg, symbols, tau, evaluate)
-
-
-def af_self_closed_form(cfg: OfdmConfig, symbols, tau: float, nu: float):
-    """Self part only: the L equal-index components of the closed form."""
-
-    def evaluate(symbols, geom):
-        l = np.arange(cfg.num_subcarriers)
-        phase = np.exp(2j * np.pi * (-nu * geom.t_avg + l * cfg.subcarrier_spacing * tau))
-        return (np.abs(symbols) ** 2) @ phase * geom.t_diff * np.sinc(-nu * geom.t_diff)
-
-    return _closed_form_point(cfg, symbols, tau, evaluate)
-
-
-@lru_cache(maxsize=8)
-def _leggauss(nodes: int):
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    return x, w
-
-
-def af_numeric(
-    signal: SampledSignal,
-    tau: float,
-    nu: float,
-    *,
-    nodes_per_panel: int = 16,
-    cycles_per_panel: float = 2.0,
-):
-    """Numerical evaluation of the defining correlation integral.
-
-    Reconstructs the continuous signal from its samples (exact: the symbol is
-    a finite Fourier series with L harmonics, and N >= L samples determine
-    the coefficients via the DFT), then integrates
-    ``s(t) s*(t - tau) exp(-j 2 pi nu t)`` over the overlap window with
-    composite Gauss-Legendre panels sized to the integrand's bandwidth.
-    Independent of the sinc decomposition, so it serves as its oracle.
-    Any ``tau`` is accepted, not only sample multiples.
-    """
-    cfg = signal.config
-    t_p = cfg.symbol_duration
-    df = cfg.subcarrier_spacing
-    num = cfg.num_subcarriers
-    geom = DelayGeometry.for_delay(tau, t_p)
-    if not geom.overlaps:
-        return complex(0.0)
-    coeffs = np.fft.fft(signal.samples)[:num] / signal.samples.size
-    f_max = (num - 1) * df + abs(nu)
-    panels = max(1, math.ceil(f_max * geom.t_diff / cycles_per_panel))
-    x, w = _leggauss(nodes_per_panel)
-    edges = np.linspace(geom.t_min, geom.t_max, panels + 1)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * np.diff(edges)
-    t = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    wt = (half[:, None] * w[None, :]).ravel()
-    l = np.arange(num)
-    s_t = np.exp(2j * np.pi * df * np.outer(t, l)) @ coeffs
-    s_lag = np.exp(2j * np.pi * df * np.outer(t - tau, l)) @ coeffs
-    return complex(np.sum(wt * s_t * s_lag.conj() * np.exp(-2j * np.pi * nu * t)))
-
-
 def _delay_terms(cfg: OfdmConfig, tau: float, nu_grid: np.ndarray):
-    """Per-delay factors of the grid closed form, or None outside the window.
+    """Per-delay factors of the closed form, or None outside the window.
 
     Returns the lag phase ``exp(j 2 pi l df tau)`` (length L) and the
     (2L-1) x n_nu Doppler kernel ``T_diff sinc(f T_diff) exp(j 2 pi f t_avg)``
@@ -213,8 +113,8 @@ def _af_at_delay(
     lag products ``B_m = sum_l c_{l+m} conj(c_l) exp(j 2 pi l df tau)`` come
     from one FFT convolution per draw, then the delay's Doppler kernel from
     :func:`_delay_terms` finishes the job.  ``spectrum`` is the length-2L FFT
-    of ``symbols``, which does not depend on the delay.  Identical to
-    :func:`af_closed_form` up to rounding.
+    of ``symbols``, which does not depend on the delay.  With a one-column
+    kernel this is :func:`af_closed_form`.
     """
     num = symbols.shape[1]
     lagged = symbols.conj() * lag_phase
@@ -226,21 +126,42 @@ def _af_at_delay(
     return conv[:, : 2 * num - 1] @ kernel
 
 
-def af_closed_form_grid(cfg: OfdmConfig, symbols, tau_grid, nu_grid) -> np.ndarray:
-    """Closed-form AF of a batch of symbol vectors on a full grid.
+def _at_point(cfg: OfdmConfig, symbols, tau: float, nu: float, evaluate):
+    """Front end of the point forms: checks the symbol length and applies
+    ``evaluate(rows, lag_phase, kernel)`` to the rows at the one Doppler
+    ``nu`` (zeros outside the window); one symbol vector gives a complex."""
+    symbols = np.asarray(symbols, dtype=np.complex128)
+    num = cfg.num_subcarriers
+    if symbols.shape[-1] != num:
+        raise ValueError(f"expected {num} symbols, got shape {symbols.shape}")
+    rows = symbols.reshape(-1, num)
+    terms = _delay_terms(cfg, tau, np.array([float(nu)]))
+    out = np.zeros(rows.shape[0], complex) if terms is None else evaluate(rows, *terms)
+    out = out.reshape(symbols.shape[:-1])
+    return complex(out) if out.ndim == 0 else out
 
-    Returns complex values with shape (trials, n_tau, n_nu).
-    """
-    symbols = np.atleast_2d(np.asarray(symbols, dtype=np.complex128))
-    tau_grid = np.asarray(tau_grid, dtype=float)
-    nu_grid = np.asarray(nu_grid, dtype=float)
-    spectrum = np.fft.fft(symbols, n=2 * cfg.num_subcarriers, axis=1)
-    out = np.zeros((symbols.shape[0], tau_grid.size, nu_grid.size), dtype=np.complex128)
-    for ti, tau in enumerate(tau_grid):
-        terms = _delay_terms(cfg, tau, nu_grid)
-        if terms is not None:
-            out[:, ti, :] = _af_at_delay(symbols, spectrum, *terms)
-    return out
+
+def af_closed_form(cfg: OfdmConfig, symbols, tau: float, nu: float):
+    """Closed-form ambiguity function at one point: the one-Doppler case of
+    :func:`_af_at_delay`.  ``symbols`` may carry leading batch dimensions, in
+    which case a matching array of values is returned."""
+
+    def evaluate(rows, lag_phase, kernel):
+        spectrum = np.fft.fft(rows, n=2 * cfg.num_subcarriers, axis=1)
+        return _af_at_delay(rows, spectrum, lag_phase, kernel)[:, 0]
+
+    return _at_point(cfg, symbols, tau, nu, evaluate)
+
+
+def af_self_closed_form(cfg: OfdmConfig, symbols, tau: float, nu: float):
+    """Self part only: the L equal-index components of the closed form,
+    ``sum_l |c_l|^2 exp(j 2 pi l df tau)`` times the m = 0 row of the
+    delay's Doppler kernel."""
+
+    def evaluate(rows, lag_phase, kernel):
+        return (np.abs(rows) ** 2 @ lag_phase) * kernel[cfg.num_subcarriers - 1, 0]
+
+    return _at_point(cfg, symbols, tau, nu, evaluate)
 
 
 def mc_average_af(

@@ -380,13 +380,13 @@ _CFAR_DEFAULTS = {"window": 16, "guard": 2}
 # command's flags (see build_parser).
 _COMMANDS = {
     "constellation dump": (_run_constellation_dump, "write a constellation as JSON", {
-        "modulation": "qam16", "seed": 0,
+        "modulation": "qam16",
     }),
     "pcs solve": (_run_pcs_solve, "shape probabilities for one fourth-moment target", {
-        "modulation": "qam16", "c0": 1.0, "seed": 0,
+        "modulation": "qam16", "c0": 1.0,
     }),
     "pcs sweep": (_run_pcs_sweep, "shape over a grid of targets", {
-        "modulation": "qam16", "c0": "1.0:0.02:1.7", "seed": 0,
+        "modulation": "qam16", "c0": "1.0:0.02:1.7",
     }),
     "af slice": (_run_af_slice, "mean |AF| over delay, or over Doppler with --delay", {
         "modulation": "qam16", "doppler": 0.0, "delay": None, "trials": 500,
@@ -397,7 +397,7 @@ _COMMANDS = {
         "seed": 0, **_OFDM_DEFAULTS,
     }),
     "af variance": (_run_af_variance, "closed-form AF variances and mean self part", {
-        "modulation": "qam16", "doppler": 0.0, "points": 257, "seed": 0, **_OFDM_DEFAULTS,
+        "modulation": "qam16", "doppler": 0.0, "points": 257, **_OFDM_DEFAULTS,
     }),
     "air sweep-c0": (_run_air_sweep_c0, "rate vs fourth-moment target", {
         "modulation": "qam16", "sigma2": 0.01, "c0": "1.0:0.04:1.68", "mc": 200_000, "seed": 0,

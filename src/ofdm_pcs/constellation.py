@@ -94,8 +94,10 @@ class Constellation:
     def sample_symbols(self, n: int, seed) -> np.ndarray:
         """Draw ``n`` i.i.d. symbols from the point distribution.
 
-        Deterministic for a given seed; every call builds a fresh generator so
-        there is no hidden RNG state.
+        An integer or ``SeedSequence`` seed gives the same draw on every call.
+        A ``Generator`` is used as is (``np.random.default_rng(g) is g``), so
+        the draw advances it and moves what the caller draws from it next
+        (``detect``'s noise draws, for one).
         """
         if n < 1:
             raise ValueError(f"need at least one draw, got n={n}")

@@ -18,7 +18,7 @@ import numpy as np
 
 from .constellation import Constellation
 from .mc import map_chunks
-from .ofdm import OfdmConfig, SampledSignal, symbol_signal_batch
+from .ofdm import OfdmConfig, symbol_signal_batch
 
 # Trials per Monte-Carlo chunk of the pd loop: bounds the (chunk, 2, N) buffers.
 PD_CHUNK = 512
@@ -66,15 +66,6 @@ class CfarConfig:
 
     def window_floor(self) -> int:
         return min(self.min_reference_cells, self.window_cells)
-
-
-def matched_filter(rx: SampledSignal, reference: SampledSignal) -> np.ndarray:
-    """|cross-correlation|^2 of rx against the known replica, lags 0..N-1."""
-    if rx.samples.shape != reference.samples.shape:
-        raise ValueError(
-            f"rx and reference lengths differ: {rx.samples.shape} vs {reference.samples.shape}"
-        )
-    return np.abs(_matched_filter_batch(rx.samples[None, :], reference.samples[None, :])[0]) ** 2
 
 
 def _matched_filter_batch(rx: np.ndarray, ref: np.ndarray, lags: int | None = None) -> np.ndarray:

@@ -1,6 +1,6 @@
-"""Single-symbol OFDM baseband synthesis.
+"""OFDM baseband synthesis for a batch of symbols.
 
-The signal is ``s(t) = sum_l c_l exp(j 2 pi l df t)`` over one rectangular
+Each row is ``s(t) = sum_l c_l exp(j 2 pi l df t)`` over one rectangular
 symbol window ``[0, T_p)`` with ``T_p = 1/df``.  Sampling at ``N = os * L``
 points makes the sum an oversampled inverse DFT, which is how it is computed.
 Symbols carry unit average power, so the mean sample power is the subcarrier
@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .constellation import Constellation
 
 
 @dataclass(frozen=True)
@@ -56,48 +54,11 @@ class OfdmConfig:
         return self.symbol_duration / self.num_samples
 
 
-@dataclass(frozen=True)
-class SampledSignal:
-    """Complex samples of one OFDM symbol plus the generating config."""
-
-    samples: np.ndarray
-    sample_period: float
-    config: OfdmConfig
-
-    def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.complex128).copy()
-        samples.setflags(write=False)
-        object.__setattr__(self, "samples", samples)
-
-
-def symbol_signal(cfg: OfdmConfig, symbols) -> SampledSignal:
-    """Synthesize ``s[n] = sum_l symbols[l] exp(j 2 pi l n / N)``.
-
-    Computed as a zero-padded inverse DFT scaled by N, which equals the sum
-    exactly; bit-reproducible for fixed inputs.
-    """
-    symbols = np.asarray(symbols, dtype=np.complex128)
-    if symbols.shape != (cfg.num_subcarriers,):
-        raise ValueError(
-            f"expected {cfg.num_subcarriers} symbols, got shape {symbols.shape}"
-        )
-    samples = np.fft.ifft(symbols, n=cfg.num_samples) * cfg.num_samples
-    return SampledSignal(samples=samples, sample_period=cfg.sample_period, config=cfg)
-
-
 def symbol_signal_batch(cfg: OfdmConfig, symbols: np.ndarray) -> np.ndarray:
-    """Sample matrix for a batch of symbol vectors, shape (trials, N)."""
+    """Samples ``s[i, n] = sum_l symbols[i, l] exp(j 2 pi l n / N)``, shape
+    (trials, N): a zero-padded inverse DFT scaled by N, which equals the sum
+    exactly; bit-reproducible for fixed inputs."""
     symbols = np.asarray(symbols, dtype=np.complex128)
     if symbols.ndim != 2 or symbols.shape[1] != cfg.num_subcarriers:
         raise ValueError(f"expected (trials, {cfg.num_subcarriers}) symbols, got {symbols.shape}")
     return np.fft.ifft(symbols, n=cfg.num_samples, axis=1) * cfg.num_samples
-
-
-def random_signal(cfg: OfdmConfig, constellation: Constellation, seed):
-    """Draw L symbols from the constellation and synthesize the waveform.
-
-    Returns ``(signal, symbols)`` so sensing code can reuse the known
-    transmitted data as the matched-filter reference.
-    """
-    symbols = constellation.sample_symbols(cfg.num_subcarriers, seed)
-    return symbol_signal(cfg, symbols), symbols

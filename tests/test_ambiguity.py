@@ -5,8 +5,6 @@ from ofdm_pcs.ambiguity import (
     AF_CHUNK,
     DelayGeometry,
     af_closed_form,
-    af_closed_form_grid,
-    af_numeric,
     af_self_closed_form,
     default_nu_grid,
     default_tau_grid,
@@ -17,7 +15,9 @@ from ofdm_pcs.ambiguity import (
     variance_self_closed,
 )
 from ofdm_pcs.constellation import make_psk, make_qam
-from ofdm_pcs.ofdm import OfdmConfig, random_signal, symbol_signal
+from ofdm_pcs.ofdm import OfdmConfig, symbol_signal_batch
+
+from af_oracles import af_double_sum, af_quadrature
 
 CFG16 = OfdmConfig(num_subcarriers=16, subcarrier_spacing=1.0, oversampling=8)
 
@@ -48,8 +48,8 @@ def test_delay_geometry():
 def test_af_zero_outside_window():
     sym = make_qam(16).sample_symbols(16, 0)
     assert af_closed_form(CFG16, sym, 1.5 * CFG16.symbol_duration, 0.3) == 0
-    sig = symbol_signal(CFG16, sym)
-    assert af_numeric(sig, -1.01 * CFG16.symbol_duration, 0.0) == 0
+    samples = symbol_signal_batch(CFG16, sym[None])[0]
+    assert af_quadrature(CFG16, samples, -1.01 * CFG16.symbol_duration, 0.0) == 0
 
 
 def test_af_origin_value():
@@ -65,49 +65,43 @@ def test_af_origin_psk_exact():
 
 
 def test_numeric_origin_equals_sample_sum():
-    sig, _ = random_signal(CFG16, make_qam(16), 3)
-    sample_sum = np.sum(np.abs(sig.samples) ** 2) * sig.sample_period
-    assert af_numeric(sig, 0.0, 0.0) == pytest.approx(sample_sum, rel=1e-12)
+    samples = symbol_signal_batch(CFG16, make_qam(16).sample_symbols(16, 3)[None])[0]
+    sample_sum = np.sum(np.abs(samples) ** 2) * CFG16.sample_period
+    assert af_quadrature(CFG16, samples, 0.0, 0.0) == pytest.approx(sample_sum, rel=1e-12)
 
 
 def test_closed_form_matches_numeric_oracle():
     rng = np.random.default_rng(4)
     for _ in range(25):
-        sig, sym = random_signal(CFG16, make_qam(16), rng.integers(1 << 31))
+        sym = make_qam(16).sample_symbols(16, rng.integers(1 << 31))
+        samples = symbol_signal_batch(CFG16, sym[None])[0]
         tau = rng.uniform(-1, 1) * CFG16.symbol_duration
         nu = rng.uniform(-0.5, 0.5) * CFG16.bandwidth
         cf = af_closed_form(CFG16, sym, tau, nu)
-        num = af_numeric(sig, tau, nu)
+        num = af_quadrature(CFG16, samples, tau, nu)
         assert abs(cf - num) <= 1e-6 * max(abs(cf), abs(num))
 
 
 def test_numeric_accepts_off_sample_delays():
-    sig, sym = random_signal(CFG16, make_qam(16), 8)
+    sym = make_qam(16).sample_symbols(16, 8)
+    samples = symbol_signal_batch(CFG16, sym[None])[0]
     tau = 0.3271 * CFG16.symbol_duration  # not a sample multiple
     cf = af_closed_form(CFG16, sym, tau, 1.234)
-    num = af_numeric(sig, tau, 1.234)
+    num = af_quadrature(CFG16, samples, tau, 1.234)
     assert abs(cf - num) <= 1e-9 * abs(cf)
 
 
 def test_af_symmetry():
-    sig, sym = random_signal(CFG16, make_qam(16), 5)
+    sym = make_qam(16).sample_symbols(16, 5)
+    samples = symbol_signal_batch(CFG16, sym[None])[0]
     tau, nu = 0.3, 2.7
-    for fn in (lambda t, v: af_closed_form(CFG16, sym, t, v), lambda t, v: af_numeric(sig, t, v)):
+    for fn in (
+        lambda t, v: af_closed_form(CFG16, sym, t, v),
+        lambda t, v: af_quadrature(CFG16, samples, t, v),
+    ):
         lhs = fn(-tau, -nu)
         rhs = np.conj(fn(tau, nu)) * np.exp(-2j * np.pi * nu * tau)
         assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs))
-
-
-def test_grid_evaluator_matches_pointwise():
-    sym = make_qam(16).sample_symbols(3 * 16, 7).reshape(3, 16)
-    taus = np.linspace(-0.9, 0.9, 5)
-    nus = np.linspace(-3, 3, 4)
-    grid = af_closed_form_grid(CFG16, sym, taus, nus)
-    for i in range(3):
-        for ti, tau in enumerate(taus):
-            for ni, nu in enumerate(nus):
-                direct = af_closed_form(CFG16, sym[i], tau, nu)
-                assert abs(grid[i, ti, ni] - direct) <= 1e-10 * max(1.0, abs(direct))
 
 
 def test_self_plus_cross_is_total():
@@ -153,21 +147,40 @@ def test_mc_average_thread_invariance():
     assert np.array_equal(a.values, b.values)
 
 
-@pytest.mark.parametrize(("last_chunk", "threads"), [(16, 1), (7, 3)])
-def test_mc_average_matches_brute_force_oracle(last_chunk, threads):
-    # Off-lattice grids that reach the window edges (tau = +-T_p) and pass
-    # them, and a trial count that leaves an uneven last chunk.
-    t_p = CFG16.symbol_duration
-    taus = np.array([-1.3, -1.0, -0.917, -0.31, 0.0, 0.0731, 0.5557, 0.999, 1.0, 1.2]) * t_p
-    nus = np.array([-7.3, -2.19, 0.0, 0.61, 3.333, 8.05])
+_PROD = OfdmConfig()
+# Off-lattice grids that reach the window edges (tau = +-T_p = +-1) and pass them.
+_OFF_LATTICE = (
+    np.array([-1.3, -1.0, -0.917, -0.31, 0.0, 0.0731, 0.5557, 0.999, 1.0, 1.2]),
+    np.array([-7.3, -2.19, 0.0, 0.61, 3.333, 8.05]),
+)
+
+
+@pytest.mark.parametrize(
+    ("cfg", "taus", "nus", "last_chunk", "threads"),
+    [
+        # Trial counts that leave an uneven last chunk.
+        pytest.param(CFG16, *_OFF_LATTICE, 16, 1, id="16-1"),
+        pytest.param(CFG16, *_OFF_LATTICE, 7, 3, id="7-3"),
+        # Production geometry: the default 64-subcarrier config on the
+        # default lattices, including the delay window edges +-T_p.
+        pytest.param(
+            _PROD,
+            default_tau_grid(_PROD)[[0, 1, 37, 100, 128, 129, 203, 255, 256]],
+            default_nu_grid(_PROD)[[0, 61, 128, 131, 256]],
+            16, 2, id="default-config",
+        ),
+    ],
+)
+def test_mc_average_matches_brute_force_oracle(cfg, taus, nus, last_chunk, threads):
+    num = cfg.num_subcarriers
     trials, seed = 2 * AF_CHUNK + last_chunk, 13
     c = make_qam(16)
-    draws = c.sample_symbols(trials * 16, seed).reshape(trials, 16)
-    direct = np.array([[af_closed_form(CFG16, draws, tau, nu) for nu in nus] for tau in taus])
-    grid = af_closed_form_grid(CFG16, draws, taus, nus)
-    assert np.max(np.abs(grid - direct.transpose(2, 0, 1))) <= 1e-12 * np.abs(direct).max()
+    draws = c.sample_symbols(trials * num, seed).reshape(trials, num)
+    direct = np.array([[af_double_sum(cfg, draws, tau, nu) for nu in nus] for tau in taus])
+    fast = np.array([[af_closed_form(cfg, draws, tau, nu) for nu in nus] for tau in taus])
+    assert np.max(np.abs(fast - direct)) <= 1e-12 * np.abs(direct).max()
     brute = np.abs(direct).mean(axis=2)
-    surface = mc_average_af(CFG16, c, taus, nus, trials, seed, threads=threads)
+    surface = mc_average_af(cfg, c, taus, nus, trials, seed, threads=threads)
     assert np.max(np.abs(surface.values - brute / brute.max())) <= 1e-12
 
 

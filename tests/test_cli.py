@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from ofdm_pcs.cli import (
     parse_grid,
     resolve_modulation,
 )
+import ofdm_pcs
 from ofdm_pcs.constellation import Constellation
 
 
@@ -199,15 +202,29 @@ def test_threads_flag_accepted_in_both_positions(tmp_path):
 
 def test_csv_header_records_tool_and_seed(tmp_path):
     out = tmp_path / "hdr.csv"
-    assert main(["pcs", "sweep", "--modulation", "qam16", "--c0", "1.0",
-                 "--seed", "5", "--out", str(out)]) == 0
+    assert main(["af", "slice", "--modulation", "psk8", "--trials", "5", "--points", "9",
+                 "--subcarriers", "8", "--bandwidth", "8", "--seed", "5",
+                 "--out", str(out)]) == 0
     meta, _, _ = read_csv(out)
     assert meta["tool"].startswith("ofdm-pcs ")
-    assert meta["command"] == "pcs sweep"
+    assert meta["command"] == "af slice"
     assert meta["seed"] == "5"
     # the output path and thread count must not appear (they may differ
     # between byte-identical runs)
     assert "out" not in meta and "threads" not in meta
+
+
+@pytest.mark.parametrize(
+    "command", ["constellation dump", "pcs solve", "pcs sweep", "af variance"]
+)
+def test_unseeded_commands_reject_seed(tmp_path, capsys, command):
+    # These commands draw nothing, so a seed could only decorate the artifact.
+    out = tmp_path / "x.out"
+    with pytest.raises(SystemExit) as exc:
+        main(command.split() + ["--seed", "1", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_csv_cells_print_alike_from_arrays_and_lists(tmp_path):
@@ -319,10 +336,13 @@ def test_unknown_flag_exits_nonzero(tmp_path):
 
 def test_console_entry_point(tmp_path):
     out = tmp_path / "c.json"
+    # The child imports the package this suite imported, set on the path or not.
+    src = str(Path(ofdm_pcs.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "ofdm_pcs.cli", "constellation", "dump",
          "--modulation", "psk4", "--out", str(out)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(out.read_text())["meta"]["modulation"] == "psk4"

@@ -12,14 +12,13 @@ from ofdm_pcs.detect import (
     _complex_noise,
     _matched_filter_batch,
     calibrate_alpha,
-    matched_filter,
     noise_profile_sampler,
     pd_experiment,
     reference_means,
     so_cfar,
 )
 from ofdm_pcs.mc import map_chunks
-from ofdm_pcs.ofdm import OfdmConfig, random_signal, symbol_signal, symbol_signal_batch
+from ofdm_pcs.ofdm import OfdmConfig, symbol_signal_batch
 
 CFG = OfdmConfig(num_subcarriers=64, subcarrier_spacing=1.5625e6, oversampling=4)
 
@@ -38,20 +37,26 @@ def so_cfar_pfa(alpha: float, n: int) -> float:
     return 2.0 * x**-n * sum(math.comb(n - 1 + k, k) * x**-k for k in range(n))
 
 
+def random_tx(seed):
+    symbols = make_qam(16).sample_symbols(CFG.num_subcarriers, seed)
+    return symbol_signal_batch(CFG, symbols[None])[0]
+
+
 def test_matched_filter_peak_at_zero_lag():
-    sig, _ = random_signal(CFG, make_qam(16), 0)
-    profile = matched_filter(sig, sig)
+    tx = random_tx(0)
+    profile = np.abs(_matched_filter_batch(tx, tx)) ** 2
+    assert profile.shape == (CFG.num_samples,)
     assert profile.argmax() == 0
 
 
 def test_matched_filter_shift_property():
-    sig, _ = random_signal(CFG, make_qam(16), 1)
-    for lag in (3, 17, 100):
-        shifted = np.zeros_like(sig.samples)
-        shifted[lag:] = sig.samples[: sig.samples.size - lag]
-        rx = type(sig)(samples=shifted, sample_period=sig.sample_period, config=sig.config)
-        profile = matched_filter(rx, sig)
-        assert profile.argmax() == lag
+    tx = random_tx(1)
+    lags = (3, 17, 100)
+    rx = np.zeros((len(lags), tx.size), dtype=complex)
+    for row, lag in zip(rx, lags):
+        row[lag:] = tx[: tx.size - lag]
+    profiles = np.abs(_matched_filter_batch(rx, tx)) ** 2
+    assert list(profiles.argmax(axis=1)) == list(lags)
 
 
 def test_matched_filter_noise_floor_tracks_overlap():
@@ -79,14 +84,6 @@ def test_matched_filter_batch_lags_match_direct_sum():
     )
     assert got.shape == (3, 2, 7)
     assert np.max(np.abs(got - direct)) <= 1e-9 * np.max(np.abs(direct))
-
-
-def test_matched_filter_length_mismatch():
-    sig, _ = random_signal(CFG, make_qam(16), 3)
-    small_cfg = OfdmConfig(num_subcarriers=32, subcarrier_spacing=1.0, oversampling=4)
-    other, _ = random_signal(small_cfg, make_qam(16), 3)
-    with pytest.raises(ValueError):
-        matched_filter(sig, other)
 
 
 def test_flat_profile_no_detections():

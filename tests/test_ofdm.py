@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ofdm_pcs.constellation import make_psk, make_qam
-from ofdm_pcs.ofdm import OfdmConfig, random_signal, symbol_signal, symbol_signal_batch
+from ofdm_pcs.ofdm import OfdmConfig, symbol_signal_batch
 
 
 def test_config_defaults():
@@ -24,33 +24,35 @@ def test_config_validation():
 
 def test_single_dc_subcarrier_is_constant():
     cfg = OfdmConfig(num_subcarriers=1, subcarrier_spacing=1.0, oversampling=8)
-    sig = symbol_signal(cfg, np.array([1.0 + 0j]))
-    assert np.allclose(sig.samples, 1.0, atol=1e-12)
+    samples = symbol_signal_batch(cfg, np.array([[1.0 + 0j]]))
+    assert samples.shape == (1, 8)
+    assert np.allclose(samples, 1.0, atol=1e-12)
 
 
 def test_coherent_sum_at_origin():
     cfg = OfdmConfig(num_subcarriers=64, subcarrier_spacing=1.0, oversampling=4)
-    sig = symbol_signal(cfg, np.ones(64, dtype=complex))
-    assert sig.samples[0] == pytest.approx(64.0, abs=1e-9)
+    samples = symbol_signal_batch(cfg, np.ones((1, 64), dtype=complex))
+    assert samples[0, 0] == pytest.approx(64.0, abs=1e-9)
 
 
 def test_direct_sum_equivalence():
     cfg = OfdmConfig(num_subcarriers=8, subcarrier_spacing=2.0, oversampling=4)
     rng = np.random.default_rng(0)
     symbols = rng.normal(size=8) + 1j * rng.normal(size=8)
-    sig = symbol_signal(cfg, symbols)
+    samples = symbol_signal_batch(cfg, symbols[None])[0]
     n = np.arange(cfg.num_samples)
     t = n * cfg.sample_period
     direct = sum(
         symbols[l] * np.exp(2j * np.pi * l * cfg.subcarrier_spacing * t) for l in range(8)
     )
-    assert np.allclose(sig.samples, direct, atol=1e-12)
+    assert np.allclose(samples, direct, atol=1e-12)
 
 
 def test_parseval():
     cfg = OfdmConfig(num_subcarriers=64, subcarrier_spacing=1.5625e6, oversampling=4)
-    sig, symbols = random_signal(cfg, make_qam(16), 5)
-    sample_energy = np.sum(np.abs(sig.samples) ** 2) * sig.sample_period
+    symbols = make_qam(16).sample_symbols(cfg.num_subcarriers, 5)
+    samples = symbol_signal_batch(cfg, symbols[None])[0]
+    sample_energy = np.sum(np.abs(samples) ** 2) * cfg.sample_period
     symbol_energy = cfg.symbol_duration * np.sum(np.abs(symbols) ** 2)
     assert sample_energy == pytest.approx(symbol_energy, rel=1e-9)
 
@@ -60,9 +62,8 @@ def test_linearity():
     rng = np.random.default_rng(1)
     x = rng.normal(size=16) + 1j * rng.normal(size=16)
     y = rng.normal(size=16) + 1j * rng.normal(size=16)
-    lhs = symbol_signal(cfg, 2.0 * x - 1j * y).samples
-    rhs = 2.0 * symbol_signal(cfg, x).samples - 1j * symbol_signal(cfg, y).samples
-    assert np.allclose(lhs, rhs, atol=1e-12)
+    combined, sx, sy = symbol_signal_batch(cfg, np.stack([2.0 * x - 1j * y, x, y]))
+    assert np.allclose(combined, 2.0 * sx - 1j * sy, atol=1e-12)
 
 
 def test_subcarrier_orthogonality():
@@ -83,44 +84,26 @@ def test_subcarrier_orthogonality():
 def test_length_mismatch():
     cfg = OfdmConfig(num_subcarriers=8, subcarrier_spacing=1.0, oversampling=2)
     with pytest.raises(ValueError):
-        symbol_signal(cfg, np.ones(7, dtype=complex))
+        symbol_signal_batch(cfg, np.ones(8, dtype=complex))  # one vector, not a batch
     with pytest.raises(ValueError):
         symbol_signal_batch(cfg, np.ones((3, 7), dtype=complex))
 
 
 def test_random_signal_deterministic():
     cfg = OfdmConfig(num_subcarriers=32, subcarrier_spacing=1.0, oversampling=2)
-    sig_a, sym_a = random_signal(cfg, make_qam(16), 123)
-    sig_b, sym_b = random_signal(cfg, make_qam(16), 123)
-    assert np.array_equal(sig_a.samples, sig_b.samples)
+    sym_a, sym_b = (make_qam(16).sample_symbols(3 * 32, 123).reshape(3, 32) for _ in range(2))
     assert np.array_equal(sym_a, sym_b)
+    assert np.array_equal(symbol_signal_batch(cfg, sym_a), symbol_signal_batch(cfg, sym_b))
 
 
 def test_random_signal_psk_constant_modulus():
     cfg = OfdmConfig(num_subcarriers=32, subcarrier_spacing=1.0, oversampling=2)
-    _, symbols = random_signal(cfg, make_psk(8), 7)
+    symbols = make_psk(8).sample_symbols(cfg.num_subcarriers, 7)
     assert np.allclose(np.abs(symbols), 1.0, atol=1e-12)
 
 
 def test_mean_sample_power_tracks_subcarrier_count():
     cfg = OfdmConfig(num_subcarriers=32, subcarrier_spacing=1.0, oversampling=2)
-    powers = []
-    for seed in range(1000):
-        sig, _ = random_signal(cfg, make_qam(16), seed)
-        powers.append(np.mean(np.abs(sig.samples) ** 2) / cfg.num_subcarriers)
+    symbols = np.stack([make_qam(16).sample_symbols(32, seed) for seed in range(1000)])
+    powers = np.mean(np.abs(symbol_signal_batch(cfg, symbols)) ** 2, axis=1) / cfg.num_subcarriers
     assert np.mean(powers) == pytest.approx(1.0, abs=0.1)
-
-
-def test_batch_matches_single():
-    cfg = OfdmConfig(num_subcarriers=16, subcarrier_spacing=1.0, oversampling=4)
-    sym = make_qam(16).sample_symbols(3 * 16, 9).reshape(3, 16)
-    batch = symbol_signal_batch(cfg, sym)
-    for i in range(3):
-        assert np.array_equal(batch[i], symbol_signal(cfg, sym[i]).samples)
-
-
-def test_samples_immutable():
-    cfg = OfdmConfig(num_subcarriers=8, subcarrier_spacing=1.0, oversampling=2)
-    sig = symbol_signal(cfg, np.ones(8, dtype=complex))
-    with pytest.raises(ValueError):
-        sig.samples[0] = 0
