@@ -40,8 +40,8 @@ class AirConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (self.noise_variance > 0):
-            raise ValueError(f"noise variance must be positive, got {self.noise_variance}")
+        if not (0 < self.noise_variance < np.inf):
+            raise ValueError(f"noise variance must be positive and finite, got {self.noise_variance}")
         if self.mc_trials < 1:
             raise ValueError(f"mc_trials must be >= 1, got {self.mc_trials}")
 

@@ -35,14 +35,12 @@ class DelayGeometry:
     T_p + tau)``; outside that range the ambiguity function is zero.
     """
 
-    tau: float
     t_min: float
     t_max: float
 
     @classmethod
     def for_delay(cls, tau: float, symbol_duration: float) -> "DelayGeometry":
         return cls(
-            tau=float(tau),
             t_min=max(0.0, float(tau)),
             t_max=min(symbol_duration, symbol_duration + float(tau)),
         )

@@ -142,9 +142,12 @@ def write_json(path: str, command: str, resolved: dict, payload: dict) -> None:
 
 
 def _ofdm_config(opts: dict) -> OfdmConfig:
+    subcarriers = int(opts["subcarriers"])
+    if subcarriers < 1:
+        raise ValueError(f"subcarriers must be >= 1, got {subcarriers}")
     return OfdmConfig(
-        num_subcarriers=int(opts["subcarriers"]),
-        subcarrier_spacing=float(opts["bandwidth"]) / int(opts["subcarriers"]),
+        num_subcarriers=subcarriers,
+        subcarrier_spacing=float(opts["bandwidth"]) / subcarriers,
         oversampling=int(opts["oversampling"]),
     )
 
@@ -202,7 +205,11 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
         value = getattr(args, key)
         if value is None:
             value = from_file.get(key, default)
+        if isinstance(value, float) and not np.isfinite(value):
+            raise ValueError(f"{key} must be finite, got {value}")
         resolved[key] = value
+    if resolved.get("seed", 0) < 0:
+        raise ValueError(f"seed must be >= 0, got {resolved['seed']}")
     resolved["out"] = args.out
     resolved["threads"] = args.threads
     return resolved

@@ -3,9 +3,10 @@
 Given the amplitudes of a constellation's points, choose point probabilities
 minimizing ``|sum_q p_q A_q^4 - c0|`` subject to unit average power and the
 probability simplex.  Two range LPs (dense simplex solver) give the feasible
-fourth-moment interval; the target is clipped onto it, and the solution is the
-maximum-entropy distribution with that fourth moment, which makes it unique
-and reproducible.
+fourth-moment interval and the target is clipped onto it.  The solution is the
+maximum-entropy distribution with that fourth moment: a Maxwell-Boltzmann
+(Gibbs) law in E and E^2, fitted as two nested monotone 1-D roots, so it is
+unique, reproducible and found for every target.
 """
 
 from __future__ import annotations
@@ -146,68 +147,67 @@ def solve_pcs(problem: PcsProblem, tie_break: str = "max-entropy") -> PcsSolutio
 def _max_entropy_ring_masses(ring_e, ring_n, m4_target, m4_min, m4_max, w_min, w_max):
     """Entropy-maximizing ring masses subject to the two moment equalities.
 
-    Interior targets use the Gibbs family p ~ n_r * exp(l1*E_r + l2*E_r^2)
-    fitted by damped Newton on the convex dual.  Boundary targets have a
-    unique mass vector (the range LP vertex: the objective ``E^2`` is strictly
-    convex in ``E``, so the extreme is a one- or two-ring chord); three or
-    fewer rings pin the masses by the equality constraints alone.
+    Boundary targets have a unique mass vector (the range LP vertex: the
+    objective ``E^2`` is strictly convex in ``E``, so the extreme is a one- or
+    two-ring chord).  Interior targets take the Gibbs masses
+    w ~ n_r * exp(l1*E_r + l2*E_r^2) from two nested monotone roots: for a
+    fixed l2, E_w[E] = 1 in l1 (slope Var E), and along that curve
+    E_w[E^2] = target in l2 (slope Var E^2 - Cov(E, E^2)^2 / Var E).  Each
+    inner root starts from the curve's tangent at the previous one.
     """
-    r = ring_e.size
     if m4_target <= m4_min + BOUNDARY_TOL:
         return w_min, 0
     if m4_target >= m4_max - BOUNDARY_TOL:
         return w_max, 0
-    if r <= 3:
-        a = np.vstack([np.ones(r), ring_e, ring_e**2])
-        b = np.array([1.0, 1.0, m4_target])
-        w, *_ = np.linalg.lstsq(a, b, rcond=None)
-        if np.any(w < -1e-10) or np.max(np.abs(a @ w - b)) > 1e-9:
-            raise SolverNotConvergedError(
-                f"ring masses for target {m4_target!r} are not realizable: w={w!r}"
-            )
-        return np.clip(w, 0.0, None), 0
-
     feats = np.vstack([ring_e, ring_e**2])
-    target = np.array([1.0, m4_target])
     log_n = np.log(ring_n)
-    lam = np.zeros(2)
+    # The last inner root (l1, l2), dl1/dl2 there, its masses and step count.
+    fit = {"lam": (0.0, 0.0), "tangent": 0.0, "steps": 0}
 
-    def dual_and_moments(lam):
-        logits = log_n + lam @ feats
-        shift = logits.max()
-        z = np.exp(logits - shift)
-        total = z.sum()
-        w = z / total
-        dual = shift + np.log(total) - lam @ target
-        return dual, w, feats @ w
+    def mean_gap(lam1, base):
+        logits = base + lam1 * ring_e
+        z = np.exp(logits - logits.max())
+        fit["w"] = w = z / z.sum()
+        mean = w @ ring_e
+        return mean - 1.0, w @ (ring_e - mean) ** 2
 
-    dual, w, mom = dual_and_moments(lam)
-    for it in range(1, 301):
-        grad = mom - target
-        if np.max(np.abs(grad)) < NEWTON_TOL:
-            return w, it
+    def m4_gap(lam2):
+        lam1, prev = fit["lam"]
+        base = log_n + lam2 * feats[1]
+        lam1, steps = _monotone_root(lambda x: mean_gap(x, base), lam1 + fit["tangent"] * (lam2 - prev))
+        mom = feats @ fit["w"]
         centered = feats - mom[:, None]
-        hess = (centered * w) @ centered.T
-        ridge = 1e-14 * max(1.0, np.trace(hess))
-        try:
-            step = np.linalg.solve(hess + ridge * np.eye(2), -grad)
-        except np.linalg.LinAlgError:
-            step = -grad
-        scale = 1.0
-        for _ in range(60):
-            cand = lam + scale * step
-            cand_dual, cand_w, cand_mom = dual_and_moments(cand)
-            if cand_dual <= dual + 1e-4 * scale * (grad @ step):
-                lam, dual, w, mom = cand, cand_dual, cand_w, cand_mom
-                break
-            scale *= 0.5
+        cov = (centered * fit["w"]) @ centered.T
+        fit.update(lam=(lam1, lam2), tangent=-cov[0, 1] / cov[0, 0], steps=fit["steps"] + steps)
+        return mom[1] - m4_target, cov[1, 1] + cov[0, 1] * fit["tangent"]
+
+    _, steps = _monotone_root(m4_gap, 0.0)
+    return fit["w"], fit["steps"] + steps
+
+
+def _monotone_root(f, x):
+    """Root of an increasing ``f``, which returns its value and slope at ``x``.
+
+    A Newton step is taken when it lands inside the bracket of the points
+    evaluated so far; otherwise, or at zero slope, the bracket is bisected.
+    While one end is unknown, a step goes at most ``span`` past the known
+    end, and ``span`` doubles.  Returns the root and the evaluation count.
+    """
+    lo, hi, span = -np.inf, np.inf, 1.0
+    for it in range(1, 101):
+        value, slope = map(float, f(x))
+        if abs(value) < NEWTON_TOL:
+            return x, it
+        lo, hi = (x, hi) if value < 0 else (lo, x)
+        newton = x - value / max(slope, 1e-300)
+        if hi == np.inf:
+            x = min(newton, lo + span)
+        elif lo == -np.inf:
+            x = max(newton, hi - span)
         else:
-            raise SolverNotConvergedError(
-                f"line search stalled at iteration {it}, residual {grad!r}"
-            )
-    raise SolverNotConvergedError(
-        f"Newton iteration cap reached, residual {np.max(np.abs(mom - target)):.3e}"
-    )
+            x = newton if lo < newton < hi else 0.5 * (lo + hi)
+        span *= 2
+    raise SolverNotConvergedError(f"Newton iteration cap reached, residual {abs(value):.3e}")
 
 
 def sweep_c0(support, c0_grid) -> list[PcsSolution]:

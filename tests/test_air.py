@@ -212,5 +212,7 @@ def test_air_vs_snr_rows():
 def test_config_validation():
     with pytest.raises(ValueError):
         AirConfig(0.0, 100, 0)
+    with pytest.raises(ValueError, match="finite"):
+        AirConfig(np.inf, 100, 0)
     with pytest.raises(ValueError):
         AirConfig(1.0, 0, 0)

@@ -294,6 +294,11 @@ _SMALL_OFDM = ["--subcarriers", "8", "--bandwidth", "8"]
         (["air", "sweep-c0", "--c0", "", "--mc", "10"], "c0_grid"),
         (["air", "sweep-snr", "--snr", "", "--mc", "10"], "snr_grid_db"),
         (["air", "sweep-snr", "--modulations", "", "--mc", "10"], "constellations"),
+        (["air", "sweep-c0", "--c0", "1.0", "--mc", "10", "--sigma2", "inf"], "sigma2"),
+        (["af", "slice", "--doppler", "inf", "--trials", "2", *_SMALL_OFDM], "doppler"),
+        (["af", "slice", "--doppler", "nan", "--trials", "2", *_SMALL_OFDM], "doppler"),
+        (["af", "surface", "--subcarriers", "0", "--trials", "2"], "subcarriers"),
+        (["af", "slice", "--seed", "-1", "--trials", "2", *_SMALL_OFDM], "seed"),
     ],
 )
 def test_af_empty_grid_names_parameter(tmp_path, capsys, args, name):

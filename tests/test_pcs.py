@@ -147,6 +147,35 @@ def test_constraints_hold_across_targets():
         assert sol.gap == pytest.approx(abs(sol.achieved_m4 - c0), abs=1e-12)
 
 
+def assert_targets_converge(amps, rng, count):
+    """Solve ``count`` targets drawn over the feasible range widened by 5 % at
+    each end.  The solver stops below 1e-12 in its own ring-ordered sums; the
+    moments summed here over points, in another order, may differ from those
+    by a few rounding errors of the largest term, so that much is allowed."""
+    energies = amps**2
+    lo, hi = fourth_moment_range(amps)
+    pad = 0.05 * (hi - lo)
+    tol = 1e-12 + 8 * np.finfo(float).eps * energies.max() ** 2
+    for c0 in np.maximum(rng.uniform(lo - pad, hi + pad, count), 0.0):
+        sol = solve_pcs(PcsProblem(amps, float(c0)))
+        assert np.all(sol.probs >= 0) and abs(sol.probs.sum() - 1) <= tol
+        assert abs(sol.probs @ energies - 1) <= tol
+        assert abs(sol.probs @ energies**2 - np.clip(c0, lo, hi)) <= tol
+
+
+@pytest.mark.parametrize("order", [16, 64, 256])
+def test_every_qam_target_converges(order):
+    assert_targets_converge(make_qam(order).amplitudes, np.random.default_rng(order), 400)
+
+
+def test_every_random_support_target_converges():
+    rng = np.random.default_rng(8)
+    for _ in range(40):
+        amps = rng.uniform(0.05, 2.5, rng.integers(3, 40))
+        if (amps**2).min() < 1.0 < (amps**2).max():
+            assert_targets_converge(amps, rng, 10)
+
+
 def test_out_of_range_targets_clamp():
     c = make_qam(16)
     low = solve_pcs(PcsProblem(c.amplitudes, 0.3))
