@@ -3,8 +3,9 @@
 One closed form, the self + cross sinc decomposition of the delay-Doppler
 correlation with ``sinc(x) = sin(pi x)/(pi x)`` (numpy's convention), and one
 evaluation of it: per delay, every draw's lag products from one FFT
-convolution, then the delay's Doppler kernel.  :func:`af_closed_form` is its
-one-point case; :func:`mc_average_af` averages its magnitude over random
+convolution, then the delay's Doppler kernel, whose sinc envelope is taken
+once per distinct kernel frequency ``m df - nu``.  :func:`af_closed_form` is
+its one-point case; :func:`mc_average_af` averages its magnitude over random
 symbol draws on a delay-Doppler grid, peak-normalized.  Closed-form variances
 of the self and cross parts are provided alongside.  The sinc arguments carry
 no extra 2*pi factor anywhere; the tests pin that down by quadrature.
@@ -77,29 +78,48 @@ def default_nu_grid(cfg: OfdmConfig, points: int = 257) -> np.ndarray:
     return np.linspace(-half, half, points)
 
 
-def _delay_terms(cfg: OfdmConfig, tau: float, nu_grid: np.ndarray):
+def _doppler_offsets(cfg: OfdmConfig, nu_grid: np.ndarray):
+    """Carrier offsets ``m df`` of the Doppler kernel's rows, and the kernel
+    frequencies ``f = m df - nu`` as their distinct values ``u`` with each
+    (2L-1) x n_nu cell's index into ``u``.
+
+    None of them depends on the delay.  On the default grids ``m df`` and
+    ``nu`` are integers in Hz, so ``f`` holds far fewer distinct values than
+    cells (761 of 32,639 at 64 subcarriers and 257 Dopplers); off such a
+    lattice every cell may be its own value.
+    """
+    num = cfg.num_subcarriers
+    carrier = np.arange(-(num - 1), num) * cfg.subcarrier_spacing
+    u, inv = np.unique(carrier[:, None] - nu_grid[None, :], return_inverse=True)
+    return carrier, u, inv.reshape(carrier.size, nu_grid.size)
+
+
+def _delay_terms(cfg: OfdmConfig, tau: float, nu_grid: np.ndarray, offsets, out=None):
     """Per-delay factors of the closed form, or None outside the window.
 
     Returns the lag phase ``exp(j 2 pi l df tau)`` (length L) and the
     (2L-1) x n_nu Doppler kernel ``T_diff sinc(f T_diff) exp(j 2 pi f t_avg)``
-    with ``f = m df - nu``.  The kernel phase is built as the outer product
-    ``exp(j 2 pi m df t_avg) exp(-j 2 pi nu t_avg)``, so a delay costs
-    2L-1+n_nu complex exponentials instead of (2L-1) n_nu.
+    with ``f = m df - nu``, from ``offsets = _doppler_offsets(cfg, nu_grid)``.
+    The phase is the outer product ``exp(j 2 pi m df t_avg) exp(-j 2 pi nu
+    t_avg)`` of two short vectors, written into ``out`` when given; the sinc
+    envelope is evaluated once per distinct ``f`` and gathered onto the cells.
+    A delay thus costs 2L-1+n_nu complex exponentials and one sinc per
+    distinct frequency, plus two multiplies per cell.
     """
     geom = DelayGeometry.for_delay(tau, cfg.symbol_duration)
     if not geom.overlaps:
         return None
-    num = cfg.num_subcarriers
-    df = cfg.subcarrier_spacing
-    l = np.arange(num)
-    lag_phase = np.exp(2j * np.pi * l * df * tau)
-    m = np.arange(-(num - 1), num)
-    f = m[:, None] * df - nu_grid[None, :]
-    phase = np.outer(
-        np.exp(2j * np.pi * (m * df) * geom.t_avg),
+    carrier, u, inv = offsets
+    l = np.arange(cfg.num_subcarriers)
+    lag_phase = np.exp(2j * np.pi * l * cfg.subcarrier_spacing * tau)
+    kernel = np.multiply.outer(
+        np.exp(2j * np.pi * carrier * geom.t_avg),
         np.exp(-2j * np.pi * nu_grid * geom.t_avg),
+        out=out,
     )
-    return lag_phase, geom.t_diff * np.sinc(f * geom.t_diff) * phase
+    envelope = geom.t_diff * np.sinc(u * geom.t_diff)
+    np.multiply(kernel, envelope[inv], out=kernel)
+    return lag_phase, kernel
 
 
 def _af_at_delay(
@@ -133,7 +153,8 @@ def _at_point(cfg: OfdmConfig, symbols, tau: float, nu: float, evaluate):
     if symbols.shape[-1] != num:
         raise ValueError(f"expected {num} symbols, got shape {symbols.shape}")
     rows = symbols.reshape(-1, num)
-    terms = _delay_terms(cfg, tau, np.array([float(nu)]))
+    nu_grid = np.array([float(nu)])
+    terms = _delay_terms(cfg, tau, nu_grid, _doppler_offsets(cfg, nu_grid))
     out = np.zeros(rows.shape[0], complex) if terms is None else evaluate(rows, *terms)
     out = out.reshape(symbols.shape[:-1])
     return complex(out) if out.ndim == 0 else out
@@ -178,11 +199,12 @@ def mc_average_af(
     seeded generator, so memory is O(trials): every delay row reuses its
     Doppler kernel across all draws, and drawing per chunk would mean
     rebuilding each row's kernel once per chunk.  The draws are split into
-    chunks of ``AF_CHUNK``, whose FFT spectra are taken once; each delay row
-    builds its kernel once, applies it to every chunk and adds the chunk
-    partial sums in chunk order.  Worker threads split the delay rows
-    between them and never change a row's arithmetic, so the result does
-    not depend on ``threads``.
+    chunks of ``AF_CHUNK``, whose FFT spectra are taken once, and the
+    distinct kernel frequencies are found once (:func:`_doppler_offsets`).
+    Each delay row builds its kernel once, into one buffer per worker,
+    applies it to every chunk and adds the chunk partial sums in chunk
+    order.  Worker threads split the delay rows between them and never
+    change a row's arithmetic, so the result does not depend on ``threads``.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -197,10 +219,12 @@ def mc_average_af(
     chunks = [symbols[s : s + AF_CHUNK] for s in range(0, trials, AF_CHUNK)]
     spectra = [np.fft.fft(chunk, n=2 * num, axis=1) for chunk in chunks]
     total = np.zeros((tau_grid.size, nu_grid.size))
+    offsets = _doppler_offsets(cfg, nu_grid)
 
     def fill(rows):
+        kernel = np.empty((2 * num - 1, nu_grid.size), complex)
         for ti in rows:
-            terms = _delay_terms(cfg, tau_grid[ti], nu_grid)
+            terms = _delay_terms(cfg, tau_grid[ti], nu_grid, offsets, kernel)
             if terms is not None:
                 for chunk, spectrum in zip(chunks, spectra):
                     total[ti] += np.abs(_af_at_delay(chunk, spectrum, *terms)).sum(axis=0)

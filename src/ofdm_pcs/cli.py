@@ -70,21 +70,28 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
-def parse_grid(value) -> np.ndarray:
-    """Parse ``start:step:stop`` (inclusive), comma lists, or a single number."""
+def parse_grid(value, name: str = "grid") -> np.ndarray:
+    """Parse ``start:step:stop`` (inclusive), comma lists, or a single number,
+    given as option ``name``, which every error names; entries must be finite."""
     if isinstance(value, (list, tuple, np.ndarray)):
-        return np.asarray(value, dtype=float)
-    text = str(value).strip()
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"grid {text!r} must be start:step:stop")
-        start, step, stop = (float(p) for p in parts)
-        if step == 0 or (stop - start) * step < 0:
-            raise ValueError(f"grid {text!r} has inconsistent direction")
-        count = int(np.floor((stop - start) / step + 1e-9)) + 1
-        return start + step * np.arange(count)
-    return np.array([float(p) for p in text.split(",") if p.strip() != ""])
+        grid = np.asarray(value, dtype=float)
+    else:
+        text = str(value).strip()
+        if ":" in text:
+            parts = text.split(":")
+            if len(parts) != 3:
+                raise ValueError(f"{name} {text!r} must be start:step:stop")
+            start, step, stop = (float(p) for p in parts)
+            if not np.isfinite([start, step, stop]).all():
+                raise ValueError(f"{name} {text!r} must have finite bounds and step")
+            if step == 0 or (stop - start) * step < 0:
+                raise ValueError(f"{name} {text!r} has inconsistent direction")
+            count = int(np.floor((stop - start) / step + 1e-9)) + 1
+            return start + step * np.arange(count)
+        grid = np.array([float(p) for p in text.split(",") if p.strip() != ""])
+    if not np.isfinite(grid).all():
+        raise ValueError(f"{name} entries must be finite, got {grid.tolist()}")
+    return grid
 
 
 def resolve_modulation(spec: str) -> tuple[str, Constellation]:
@@ -124,13 +131,18 @@ def _meta_lines(command: str, resolved: dict) -> list[str]:
 def write_csv(path: str, command: str, resolved: dict, header: list[str], rows) -> None:
     """Rows are sequences or 1-D arrays.  A float cell prints as ``_fmt``
     would, in one bound ``_FLOAT`` call; pass large float tables as arrays,
-    whose ``tolist`` yields Python floats, the fastest input of that call."""
-    lines = _meta_lines(command, resolved)
-    lines.append(",".join(header))
-    for row in rows:
+    whose ``tolist`` yields Python floats, the fastest input of that call.
+    Each line goes to the file as it is formatted, so the text is never held
+    whole."""
+
+    def format_row(row):
         cells = row.tolist() if isinstance(row, np.ndarray) else row
-        lines.append(",".join([_FLOAT(v) if isinstance(v, float) else _fmt(v) for v in cells]))
-    Path(path).write_text("\n".join(lines) + "\n")
+        return ",".join([_FLOAT(v) if isinstance(v, float) else _fmt(v) for v in cells]) + "\n"
+
+    with open(path, "w") as fh:
+        fh.writelines(line + "\n" for line in _meta_lines(command, resolved))
+        fh.write(",".join(header) + "\n")
+        fh.writelines(map(format_row, rows))
 
 
 def write_json(path: str, command: str, resolved: dict, payload: dict) -> None:
@@ -145,9 +157,12 @@ def _ofdm_config(opts: dict) -> OfdmConfig:
     subcarriers = int(opts["subcarriers"])
     if subcarriers < 1:
         raise ValueError(f"subcarriers must be >= 1, got {subcarriers}")
+    bandwidth = float(opts["bandwidth"])
+    if bandwidth <= 0:
+        raise ValueError(f"bandwidth must be positive, got {bandwidth}")
     return OfdmConfig(
         num_subcarriers=subcarriers,
-        subcarrier_spacing=float(opts["bandwidth"]) / subcarriers,
+        subcarrier_spacing=bandwidth / subcarriers,
         oversampling=int(opts["oversampling"]),
     )
 
@@ -239,7 +254,7 @@ def _run_pcs_solve(opts: dict) -> None:
 
 def _run_pcs_sweep(opts: dict) -> None:
     _, base = resolve_modulation(opts["modulation"])
-    grid = parse_grid(opts["c0"])
+    grid = parse_grid(opts["c0"], "c0")
     sols = sweep_c0(base.amplitudes, grid)
     header = ["c0", "achieved_m4", "gap", "entropy_bits"] + [
         f"p{q}" for q in range(base.order)
@@ -310,7 +325,7 @@ def _run_af_variance(opts: dict) -> None:
 
 def _run_air_sweep_c0(opts: dict) -> None:
     _, base = resolve_modulation(opts["modulation"])
-    grid = parse_grid(opts["c0"])
+    grid = parse_grid(opts["c0"], "c0")
     cfg = AirConfig(float(opts["sigma2"]), int(opts["mc"]), int(opts["seed"]))
     rows = air_vs_c0(base, grid, cfg, threads=int(opts["threads"]))
     write_csv(
@@ -323,7 +338,7 @@ def _run_air_sweep_c0(opts: dict) -> None:
 def _run_air_sweep_snr(opts: dict) -> None:
     names = [s.strip() for s in str(opts["modulations"]).split(",") if s.strip()]
     constellations = [resolve_modulation(n) for n in names]
-    grid = parse_grid(opts["snr"])
+    grid = parse_grid(opts["snr"], "snr")
     cfg = AirConfig(1.0, int(opts["mc"]), int(opts["seed"]))
     rows = air_vs_snr(constellations, grid, cfg, threads=int(opts["threads"]))
     header = ["snr_db"] + [f"rate_{name}" for name, _ in constellations]
@@ -337,10 +352,10 @@ def _run_detect_pd_sweep(opts: dict) -> None:
     _, base = resolve_modulation(opts["modulation"])
     cfg = _ofdm_config(opts)
     cfar = CfarConfig(window_cells=int(opts["window"]), guard_cells=int(opts["guard"]))
-    c0_list = parse_grid(opts["c0"])
+    c0_list = parse_grid(opts["c0"], "c0")
     if c0_list.size == 0:
         raise ValueError("c0 is empty: need at least one shaping target")
-    snr_grid = parse_grid(opts["snr"])
+    snr_grid = parse_grid(opts["snr"], "snr")
     rows = []
     for c0 in c0_list:
         sol = solve_pcs(PcsProblem(base.amplitudes, float(c0)), "max-entropy")

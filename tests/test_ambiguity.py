@@ -169,6 +169,14 @@ _OFF_LATTICE = (
             default_nu_grid(_PROD)[[0, 61, 128, 131, 256]],
             16, 2, id="default-config",
         ),
+        # Every default Doppler column, whose frequencies m df - nu repeat on
+        # the integer-Hz lattice, at -T_p, the first delay inside it, 0 and +T_p.
+        pytest.param(
+            _PROD, default_tau_grid(_PROD)[[0, 1, 128, 256]], default_nu_grid(_PROD),
+            1, 2, id="default-config-all-doppler",
+        ),
+        # A Doppler step of df/4: the frequencies repeat off the integer lattice.
+        pytest.param(CFG16, _OFF_LATTICE[0], np.arange(-36, 37) / 4, 9, 3, id="quarter-df"),
     ],
 )
 def test_mc_average_matches_brute_force_oracle(cfg, taus, nus, last_chunk, threads):

@@ -46,6 +46,12 @@ def test_parse_grid_forms():
         parse_grid("5:1:2")
 
 
+@pytest.mark.parametrize("value", ["nan", "1,inf", "-inf:1:0", "0:nan:1", [1.0, float("nan")]])
+def test_parse_grid_rejects_non_finite_entries(value):
+    with pytest.raises(ValueError, match="snr"):
+        parse_grid(value, "snr")
+
+
 def test_merge_negative_values():
     argv = ["detect", "pd-sweep", "--snr", "-5:1:20", "--out", "x.csv"]
     merged = _merge_negative_values(argv)
@@ -299,6 +305,12 @@ _SMALL_OFDM = ["--subcarriers", "8", "--bandwidth", "8"]
         (["af", "slice", "--doppler", "nan", "--trials", "2", *_SMALL_OFDM], "doppler"),
         (["af", "surface", "--subcarriers", "0", "--trials", "2"], "subcarriers"),
         (["af", "slice", "--seed", "-1", "--trials", "2", *_SMALL_OFDM], "seed"),
+        (["af", "slice", "--bandwidth", "-1", "--trials", "2"], "bandwidth must be positive"),
+        (["detect", "pd-sweep", "--snr", "nan", "--c0", "1.0", "--trials", "2"], "snr entries"),
+        (["detect", "pd-sweep", "--c0", "1.0,inf", "--trials", "2"], "c0 entries"),
+        (["air", "sweep-snr", "--snr", "inf", "--mc", "10"], "snr entries"),
+        (["air", "sweep-c0", "--c0", "1:0.1:inf", "--mc", "10"], "c0 '1:0.1:inf'"),
+        (["pcs", "sweep", "--c0", "1.0,nan"], "c0 entries"),
     ],
 )
 def test_af_empty_grid_names_parameter(tmp_path, capsys, args, name):
