@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .air import AirConfig, AirEstimate, air_mc, air_vs_c0, air_vs_snr
 from .ambiguity import (
-    AmbiguitySurface,
     DelayGeometry,
     af_closed_form,
     af_self_closed_form,
@@ -35,7 +34,6 @@ from .pcs import (
 __all__ = [
     "AirConfig",
     "AirEstimate",
-    "AmbiguitySurface",
     "CfarConfig",
     "Constellation",
     "DelayGeometry",

@@ -156,23 +156,25 @@ def air_vs_c0(
 def air_vs_snr(
     constellations: list[tuple[str, Constellation]],
     snr_grid_db,
-    cfg: AirConfig,
+    mc_trials: int,
+    seed,
     *,
     threads: int = 1,
 ) -> list[dict]:
-    """Rate series over an SNR grid, one column per named constellation."""
+    """Rate series over an SNR grid, one column per named constellation;
+    each cell is an :func:`air_mc` estimate from its own child seed."""
     grid = np.asarray(snr_grid_db, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("snr_grid_db must be a non-empty 1-D list")
     if not constellations:
         raise ValueError("constellations is empty: need at least one named constellation")
-    seeds = np.random.SeedSequence(cfg.seed).spawn(grid.size * len(constellations))
+    seeds = np.random.SeedSequence(seed).spawn(grid.size * len(constellations))
 
     def run(k: int) -> tuple:
         i, j = divmod(k, len(constellations))
         est = air_mc(
             constellations[j][1],
-            AirConfig(sigma2_from_snr_db(grid[i]), cfg.mc_trials, seeds[k]),
+            AirConfig(sigma2_from_snr_db(grid[i]), mc_trials, seeds[k]),
         )
         return i, constellations[j][0], est
 

@@ -13,7 +13,6 @@ no extra 2*pi factor anywhere; the tests pin that down by quadrature.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,16 +56,6 @@ class DelayGeometry:
     @property
     def overlaps(self) -> bool:
         return self.t_diff > 0.0
-
-
-@dataclass
-class AmbiguitySurface:
-    """Values on a (tau, nu) grid with normalization metadata."""
-
-    tau_grid: np.ndarray
-    nu_grid: np.ndarray
-    values: np.ndarray
-    normalization: str = "none"
 
 
 def default_tau_grid(cfg: OfdmConfig, points: int = 257) -> np.ndarray:
@@ -192,8 +181,9 @@ def mc_average_af(
     seed,
     *,
     threads: int = 1,
-) -> AmbiguitySurface:
-    """Average |AF| over random symbol draws, then peak-normalize.
+) -> np.ndarray:
+    """Average |AF| over random symbol draws as a peak-normalized (tau, nu)
+    array; some delay must lie in ``|tau| < T_p``, outside which the AF is 0.
 
     Unlike the pd and AIR loops, all symbols are drawn up front from the
     seeded generator, so memory is O(trials): every delay row reuses its
@@ -214,6 +204,8 @@ def mc_average_af(
         raise ValueError("tau_grid is empty: need at least one delay point")
     if nu_grid.size == 0:
         raise ValueError("nu_grid is empty: need at least one Doppler point")
+    if not any(DelayGeometry.for_delay(tau, cfg.symbol_duration).overlaps for tau in tau_grid):
+        raise ValueError("tau_grid has no delay inside |tau| < T_p, where the AF is nonzero")
     num = cfg.num_subcarriers
     symbols = constellation.sample_symbols(trials * num, seed).reshape(trials, num)
     chunks = [symbols[s : s + AF_CHUNK] for s in range(0, trials, AF_CHUNK)]
@@ -236,9 +228,7 @@ def mc_average_af(
     peak = total.max()
     if peak > 0:
         total = total / peak
-    return AmbiguitySurface(
-        tau_grid=tau_grid, nu_grid=nu_grid, values=total, normalization="peak"
-    )
+    return total
 
 
 def variance_self_closed(cfg: OfdmConfig, constellation: Constellation, tau: float, nu: float) -> float:
@@ -279,33 +269,25 @@ def variance_cross_closed(cfg: OfdmConfig, tau: float, nu: float) -> float:
 
 
 def mean_af_components(cfg: OfdmConfig, tau_grid):
-    """Analytic zero-Doppler slices of the two AF parts.
+    """Analytic zero-Doppler slice of the expected self part's magnitude.
 
-    Returns ``(self_slice, cross_slice)``: the magnitude of the expected self
-    part (a Dirichlet kernel envelope, independent of the constellation since
-    E[A^2] = 1) and, because the cross part has zero mean, its RMS level
-    ``sqrt(var_cross)`` as the comparable summary.
+    A Dirichlet kernel envelope, independent of the constellation since
+    E[A^2] = 1.  The cross part has zero mean; its RMS level is
+    ``sqrt(variance_cross_closed(cfg, tau, 0))``.
     """
     tau_grid = np.asarray(tau_grid, dtype=float)
     if tau_grid.size == 0:
         raise ValueError("tau_grid is empty: need at least one delay point")
     l = np.arange(cfg.num_subcarriers)
-    self_slice = np.empty(tau_grid.size)
-    cross_slice = np.empty(tau_grid.size)
+    self_slice = np.zeros(tau_grid.size)
     for i, tau in enumerate(tau_grid):
         geom = DelayGeometry.for_delay(tau, cfg.symbol_duration)
-        if not geom.overlaps:
-            self_slice[i] = 0.0
-            cross_slice[i] = 0.0
-            continue
-        dirichlet = np.exp(2j * np.pi * l * cfg.subcarrier_spacing * tau).sum()
-        self_slice[i] = geom.t_diff * abs(dirichlet)
-        cross_slice[i] = math.sqrt(variance_cross_closed(cfg, tau, 0.0))
-    return self_slice, cross_slice
+        if geom.overlaps:
+            dirichlet = np.exp(2j * np.pi * l * cfg.subcarrier_spacing * tau).sum()
+            self_slice[i] = geom.t_diff * abs(dirichlet)
+    return self_slice
 
 
-def magnitude_db(values, floor_db: float = -80.0) -> np.ndarray:
-    """20 log10 of a normalized magnitude, floored for plotting/CSV output."""
-    values = np.asarray(values, dtype=float)
-    floor = 10.0 ** (floor_db / 20.0)
-    return 20.0 * np.log10(np.maximum(values, floor))
+def magnitude_db(values) -> np.ndarray:
+    """20 log10 of a normalized magnitude, floored at -80 dB for CSV output."""
+    return 20.0 * np.log10(np.maximum(np.asarray(values, dtype=float), 1e-4))

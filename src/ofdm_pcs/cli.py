@@ -73,22 +73,29 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
 def parse_grid(value, name: str = "grid") -> np.ndarray:
     """Parse ``start:step:stop`` (inclusive), comma lists, or a single number,
     given as option ``name``, which every error names; entries must be finite."""
+
+    def number(entry) -> float:
+        try:
+            return float(entry)
+        except (TypeError, ValueError):
+            raise ValueError(f"{name} entry {entry!r} is not a number") from None
+
     if isinstance(value, (list, tuple, np.ndarray)):
-        grid = np.asarray(value, dtype=float)
+        grid = np.array([number(v) for v in value], dtype=float)
     else:
         text = str(value).strip()
         if ":" in text:
             parts = text.split(":")
             if len(parts) != 3:
                 raise ValueError(f"{name} {text!r} must be start:step:stop")
-            start, step, stop = (float(p) for p in parts)
+            start, step, stop = (number(p) for p in parts)
             if not np.isfinite([start, step, stop]).all():
                 raise ValueError(f"{name} {text!r} must have finite bounds and step")
             if step == 0 or (stop - start) * step < 0:
                 raise ValueError(f"{name} {text!r} has inconsistent direction")
             count = int(np.floor((stop - start) / step + 1e-9)) + 1
             return start + step * np.arange(count)
-        grid = np.array([float(p) for p in text.split(",") if p.strip() != ""])
+        grid = np.array([number(p) for p in text.split(",") if p.strip() != ""])
     if not np.isfinite(grid).all():
         raise ValueError(f"{name} entries must be finite, got {grid.tolist()}")
     return grid
@@ -282,7 +289,7 @@ def _run_af_slice(opts: dict) -> None:
         cfg, c, tau_grid, nu_grid, int(opts["trials"]), int(opts["seed"]),
         threads=int(opts["threads"]),
     )
-    mags = surface.values[0] if axis == "nu" else surface.values[:, 0]
+    mags = surface[0] if axis == "nu" else surface[:, 0]
     grid = nu_grid if axis == "nu" else tau_grid
     rows = np.column_stack([grid, magnitude_db(mags)])
     write_csv(opts["out"], "af slice", opts, [axis, "magnitude_db"], rows)
@@ -298,7 +305,7 @@ def _run_af_surface(opts: dict) -> None:
         threads=int(opts["threads"]),
     )
     header = ["tau"] + [_fmt(nu) for nu in nu_grid]
-    rows = np.column_stack([tau_grid, surface.values])
+    rows = np.column_stack([tau_grid, surface])
     write_csv(opts["out"], "af surface", opts, header, rows)
 
 
@@ -307,7 +314,7 @@ def _run_af_variance(opts: dict) -> None:
     cfg = _ofdm_config(opts)
     tau_grid = default_tau_grid(cfg, int(opts["points"]))
     nu = float(opts["doppler"])
-    mean_self, _ = mean_af_components(cfg, tau_grid)
+    mean_self = mean_af_components(cfg, tau_grid)
     rows = [
         [
             tau,
@@ -339,8 +346,9 @@ def _run_air_sweep_snr(opts: dict) -> None:
     names = [s.strip() for s in str(opts["modulations"]).split(",") if s.strip()]
     constellations = [resolve_modulation(n) for n in names]
     grid = parse_grid(opts["snr"], "snr")
-    cfg = AirConfig(1.0, int(opts["mc"]), int(opts["seed"]))
-    rows = air_vs_snr(constellations, grid, cfg, threads=int(opts["threads"]))
+    rows = air_vs_snr(
+        constellations, grid, int(opts["mc"]), int(opts["seed"]), threads=int(opts["threads"])
+    )
     header = ["snr_db"] + [f"rate_{name}" for name, _ in constellations]
     out_rows = [
         [r["snr_db"], *(r[name] for name, _ in constellations)] for r in rows
@@ -358,7 +366,7 @@ def _run_detect_pd_sweep(opts: dict) -> None:
     snr_grid = parse_grid(opts["snr"], "snr")
     rows = []
     for c0 in c0_list:
-        sol = solve_pcs(PcsProblem(base.amplitudes, float(c0)), "max-entropy")
+        sol = solve_pcs(PcsProblem(base.amplitudes, float(c0)))
         scenario = DetectionScenario(
             cfg=cfg,
             constellation=base.with_probs(sol.probs),

@@ -168,22 +168,22 @@ def make_qam(order: int) -> Constellation:
     return Constellation(points, np.full(order, 1.0 / order))
 
 
-def group_rings(constellation: Constellation, tol: float = RING_TOL):
+def group_rings(constellation: Constellation):
     """Bucket point indices by squared amplitude.
 
     Returns a list of ``(energy, indices)`` pairs sorted by energy.  Points
-    whose energies differ by at most ``tol`` land in the same ring.
+    whose energies differ by at most ``RING_TOL`` land in the same ring.
     """
-    return group_by_energy(constellation.energies, tol)
+    return group_by_energy(constellation.energies)
 
 
-def group_by_energy(energies, tol: float = RING_TOL):
+def group_by_energy(energies):
     energies = np.asarray(energies, dtype=float)
     order = np.argsort(energies, kind="stable")
     rings = []
     current = [order[0]]
     for idx in order[1:]:
-        if energies[idx] - energies[current[0]] <= tol:
+        if energies[idx] - energies[current[0]] <= RING_TOL:
             current.append(idx)
         else:
             rings.append(current)

@@ -22,6 +22,8 @@ from .ofdm import OfdmConfig, symbol_signal_batch
 
 # Trials per Monte-Carlo chunk of the pd loop: bounds the (chunk, 2, N) buffers.
 PD_CHUNK = 512
+# Fewest cells a truncated reference window keeps and still counts (see CfarConfig).
+MIN_REFERENCE_CELLS = 4
 
 
 class CalibrationError(RuntimeError):
@@ -37,17 +39,16 @@ class CfarConfig:
     cells away lands inside one window, which is exactly the case the
     smallest-of rule is for.
 
-    A truncated window with fewer than ``min_reference_cells`` remaining is
-    not a usable background estimate (a one-cell mean under the smallest-of
-    rule has a 1/(1+alpha) exceedance tail that would swallow the whole
-    false-alarm budget), so such sides are treated like the fully missing
-    edge case and the other window decides alone.
+    A window cut to fewer than ``min(MIN_REFERENCE_CELLS, window_cells)``
+    cells is no usable background estimate (a one-cell mean under the
+    smallest-of rule has a 1/(1+alpha) exceedance tail that would swallow the
+    whole false-alarm budget), so such sides are treated like the fully
+    missing edge case and the other window decides alone.
     """
 
     window_cells: int = 16
     guard_cells: int = 2
     alpha: float | None = None
-    min_reference_cells: int = 4
 
     def __post_init__(self):
         if self.window_cells < 1:
@@ -56,16 +57,9 @@ class CfarConfig:
             raise ValueError(f"guard_cells must be >= 0, got {self.guard_cells}")
         if self.alpha is not None and not (self.alpha > 0):
             raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if self.min_reference_cells < 1:
-            raise ValueError(
-                f"min_reference_cells must be >= 1, got {self.min_reference_cells}"
-            )
 
     def min_profile_len(self) -> int:
         return 2 * (self.window_cells + self.guard_cells) + 2
-
-    def window_floor(self) -> int:
-        return min(self.min_reference_cells, self.window_cells)
 
 
 def _matched_filter_batch(rx: np.ndarray, ref: np.ndarray, lags: int | None = None) -> np.ndarray:
@@ -85,9 +79,9 @@ def reference_means(profiles: np.ndarray, cfar: CfarConfig):
     """Leading/lagging reference-window means for every cell.
 
     Windows are truncated at the profile edges; a side left with fewer than
-    ``cfar.window_floor()`` cells (or none at all) yields NaN there, so the
-    other side decides alone.  Accepts a single profile or a batch whose
-    last axis is the cells.
+    ``min(MIN_REFERENCE_CELLS, cfar.window_cells)`` cells (or none at all)
+    yields NaN there, so the other side decides alone.  Accepts a single
+    profile or a batch whose last axis is the cells.
     """
     profiles = np.asarray(profiles, dtype=float)
     n = profiles.shape[-1]
@@ -104,7 +98,7 @@ def reference_means(profiles: np.ndarray, cfar: CfarConfig):
     lead_hi = np.clip(i - cfar.guard_cells, 0, n)
     lag_lo = np.clip(i + cfar.guard_cells + 1, 0, n)
     lag_hi = np.clip(i + cfar.guard_cells + 1 + cfar.window_cells, 0, n)
-    floor = cfar.window_floor()
+    floor = min(MIN_REFERENCE_CELLS, cfar.window_cells)
     with np.errstate(invalid="ignore"):
         lead = (cs[..., lead_hi] - cs[..., lead_lo]) / np.where(
             lead_hi - lead_lo >= floor, lead_hi - lead_lo, np.nan
@@ -143,7 +137,6 @@ def calibrate_alpha(
     pfa_target: float,
     calib_trials: int,
     seed,
-    max_iter: int = 200,
 ) -> CalibrationResult:
     """Bisect the threshold multiplier to the target false-alarm rate.
 
@@ -184,7 +177,7 @@ def calibrate_alpha(
             raise CalibrationError(
                 f"no alpha below {hi} reaches pfa {pfa_target}; ratio max is {ratios.max():.3g}"
             )
-    for _ in range(max_iter):
+    for _ in range(200):
         if hi - lo <= 1e-12 * max(1.0, hi):
             break
         mid = 0.5 * (lo + hi)
@@ -217,14 +210,13 @@ def instrumented_range(cfg: OfdmConfig) -> int:
     return cfg.num_samples // 2
 
 
-def noise_profile_sampler(cfg: OfdmConfig, constellation: Constellation, cells: int | None = None):
+def noise_profile_sampler(cfg: OfdmConfig, constellation: Constellation):
     """Noise-only matched-filter profiles under random known transmit data.
 
-    Profiles are truncated to the instrumented range (``cells``, default
-    :func:`instrumented_range`), matching the population the detector
-    thresholds in operation.
+    Profiles are truncated to :func:`instrumented_range`, matching the
+    population the detector thresholds in operation.
     """
-    cells = instrumented_range(cfg) if cells is None else int(cells)
+    cells = instrumented_range(cfg)
 
     def sampler(rng: np.random.Generator, count: int) -> np.ndarray:
         symbols = constellation.sample_symbols(count * cfg.num_subcarriers, rng)
@@ -244,8 +236,8 @@ def _complex_noise(rng: np.random.Generator, shape, variance: float) -> np.ndarr
 class DetectionScenario:
     """Full experiment description for one constellation.
 
-    ``instrumented_cells`` bounds the profile region the CFAR monitors (and
-    the calibration population); ``None`` picks :func:`instrumented_range`.
+    The CFAR monitors, and calibrates on, the first
+    :func:`instrumented_range` cells of each profile.
     """
 
     cfg: OfdmConfig
@@ -257,7 +249,6 @@ class DetectionScenario:
     trials: int = 5000
     cfar: CfarConfig = field(default_factory=CfarConfig)
     calib_trials: int = 1000
-    instrumented_cells: int | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -268,11 +259,7 @@ class DetectionScenario:
             raise ValueError(f"pfa_target must be in (0, 1), got {self.pfa_target}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.instrumented_cells is None:
-            self.instrumented_cells = instrumented_range(self.cfg)
-        n = int(self.instrumented_cells)
-        if not (0 < n <= self.cfg.num_samples):
-            raise ValueError(f"instrumented_cells must lie in (0, {self.cfg.num_samples}]")
+        n = instrumented_range(self.cfg)
         if n < self.cfar.min_profile_len():
             raise ValueError("instrumented profile is too short for the CFAR geometry")
         if not (self.cfar.guard_cells < self.target_cell_offset < n):
@@ -303,7 +290,7 @@ def pd_experiment(scn: DetectionScenario, *, threads: int = 1) -> list[dict]:
     if cfar.alpha is None:
         calib = calibrate_alpha(
             cfar,
-            noise_profile_sampler(scn.cfg, scn.constellation, scn.instrumented_cells),
+            noise_profile_sampler(scn.cfg, scn.constellation),
             scn.pfa_target,
             scn.calib_trials,
             calib_seed,
@@ -317,7 +304,7 @@ def pd_experiment(scn: DetectionScenario, *, threads: int = 1) -> list[dict]:
     # profile there (but not below the CFAR minimum) leaves its decision as on
     # the full instrumented profile.
     cells = min(
-        scn.instrumented_cells,
+        instrumented_range(scn.cfg),
         max(offset + cfar.guard_cells + cfar.window_cells + 1, cfar.min_profile_len()),
     )
     # Amplitudes scale so received power over the L-subcarrier waveform hits

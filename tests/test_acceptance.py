@@ -214,10 +214,10 @@ def test_09_sidelobe_gap():
     tau = default_tau_grid(cfg, 257)
     zero_doppler = np.array([0.0])
     qam_db = magnitude_db(
-        mc_average_af(cfg, make_qam(16), tau, zero_doppler, 500, 7).values[:, 0]
+        mc_average_af(cfg, make_qam(16), tau, zero_doppler, 500, 7)[:, 0]
     )
     psk_db = magnitude_db(
-        mc_average_af(cfg, make_psk(16), tau, zero_doppler, 500, 7).values[:, 0]
+        mc_average_af(cfg, make_psk(16), tau, zero_doppler, 500, 7)[:, 0]
     )
 
     def lobe_peaks(db):
@@ -236,8 +236,8 @@ def test_09_sidelobe_gap():
 
     nu = default_nu_grid(cfg, 257)
     zero_delay = np.array([0.0])
-    qam_zd = magnitude_db(mc_average_af(cfg, make_qam(16), zero_delay, nu, 2000, 7).values[0])
-    psk_zd = magnitude_db(mc_average_af(cfg, make_psk(16), zero_delay, nu, 2000, 7).values[0])
+    qam_zd = magnitude_db(mc_average_af(cfg, make_qam(16), zero_delay, nu, 2000, 7)[0])
+    psk_zd = magnitude_db(mc_average_af(cfg, make_psk(16), zero_delay, nu, 2000, 7)[0])
     zd_dev = np.abs(qam_zd - psk_zd).max()
     check(
         "sidelobe gap between 16-QAM and 16-PSK",

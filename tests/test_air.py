@@ -201,7 +201,8 @@ def test_air_vs_snr_rows():
     rows = air_vs_snr(
         [("qam16", make_qam(16)), ("psk16", make_psk(16))],
         [5.0, 15.0],
-        AirConfig(1.0, 20_000, 2),
+        20_000,
+        2,
     )
     assert list(rows[0]) == ["snr_db", "qam16", "psk16"]
     # rate nondecreasing in SNR for both inputs

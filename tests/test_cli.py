@@ -311,6 +311,10 @@ _SMALL_OFDM = ["--subcarriers", "8", "--bandwidth", "8"]
         (["air", "sweep-snr", "--snr", "inf", "--mc", "10"], "snr entries"),
         (["air", "sweep-c0", "--c0", "1:0.1:inf", "--mc", "10"], "c0 '1:0.1:inf'"),
         (["pcs", "sweep", "--c0", "1.0,nan"], "c0 entries"),
+        (["air", "sweep-snr", "--snr", "abc", "--mc", "10"], "snr entry 'abc'"),
+        (["pcs", "sweep", "--c0", "1:x:2"], "c0 entry 'x'"),
+        # Both delays sit on the window edges +-T_p, where the AF is zero.
+        (["af", "slice", "--points", "2", "--trials", "4", *_SMALL_OFDM], "tau_grid"),
     ],
 )
 def test_af_empty_grid_names_parameter(tmp_path, capsys, args, name):

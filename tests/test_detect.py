@@ -12,6 +12,7 @@ from ofdm_pcs.detect import (
     _complex_noise,
     _matched_filter_batch,
     calibrate_alpha,
+    instrumented_range,
     noise_profile_sampler,
     pd_experiment,
     reference_means,
@@ -138,12 +139,18 @@ def test_reference_means_window_contents():
 
 def test_windows_below_floor_are_nan():
     profile = np.arange(1.0, 129.0)
-    cfar = CfarConfig(window_cells=8, guard_cells=2, min_reference_cells=4)
+    cfar = CfarConfig(window_cells=8, guard_cells=2)
     lead, lag = reference_means(profile, cfar)
     # cell i has a lead window of i - 2 cells: below the floor up to cell 5
     assert np.isnan(lead[:6]).all() and np.isfinite(lead[6:]).all()
     assert lead[6] == pytest.approx(np.mean(profile[0:4]))
     assert np.isnan(lag[-6:]).all() and np.isfinite(lag[:-6]).all()
+    # A window narrower than the floor counts when whole: two cells here,
+    # with cell i's lead window i - 1 cells long until it fills.
+    lead, lag = reference_means(profile, CfarConfig(window_cells=2, guard_cells=1))
+    assert np.isnan(lead[:3]).all() and np.isfinite(lead[3:]).all()
+    assert lead[3] == pytest.approx(np.mean(profile[0:2]))
+    assert np.isnan(lag[-3:]).all() and np.isfinite(lag[:-3]).all()
 
 
 def test_so_cfar_interior_pfa_matches_closed_form():
@@ -323,7 +330,7 @@ def test_pd_fast_path_matches_brute_force():
         hits = 0
         for r, t in zip(rx, tx):
             profile = np.abs(np.correlate(r, t, "full")[n - 1 :]) ** 2
-            hits += bool(so_cfar(profile[: scn.instrumented_cells], scn.cfar)[12])
+            hits += bool(so_cfar(profile[: instrumented_range(scn.cfg)], scn.cfar)[12])
         brute.append(hits)
     assert fast == brute
     assert any(0 < h < scn.trials for h in brute)
