@@ -7,8 +7,12 @@ Subcommands: ``constellation dump``, ``pcs solve|sweep``,
 Option precedence is defaults < JSON config file (``--config``) < flags.
 Every output file starts with comment lines recording the tool version and
 the fully resolved parameters, so identical invocations produce byte-identical
-artifacts.  Seeds are explicit flags (default 0), never environment state, and
-``--threads`` only adds workers; it never changes any output byte.
+artifacts.  Seeds are explicit flags (default 0), never environment state.
+``--threads`` is offered only by the commands that run a worker pool (``af
+slice|surface``, ``air sweep-c0|sweep-snr`` and ``detect pd-sweep``); it only
+adds workers and never changes any output byte.  Each option is declared once,
+in ``_COMMANDS``: its default gives the flag's type, and a config-file value
+must have that type too.
 """
 
 from __future__ import annotations
@@ -45,7 +49,12 @@ from .ofdm import OfdmConfig
 from .pcs import PcsProblem, solve_pcs, sweep_c0
 
 # Options that must not influence output bytes (or are the output itself).
-_META_EXCLUDE = {"out", "config", "threads"}
+_META_EXCLUDE = {"out", "threads"}
+
+# Options read by ``parse_grid``, which also takes a config file's JSON list.
+_GRID_KEYS = {"c0", "snr"}
+
+_HELP = {"threads": "worker thread cap (never changes results)"}
 
 _NUMBERISH = re.compile(r"^-(\d|\.\d)[\d.,:eE+-]*$")
 
@@ -126,13 +135,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _meta_lines(command: str, resolved: dict) -> list[str]:
-    lines = [f"# tool = ofdm-pcs {__version__}", f"# command = {command}"]
-    for key in sorted(resolved):
-        if key in _META_EXCLUDE or resolved[key] is None:
-            continue
-        lines.append(f"# {key} = {_fmt(resolved[key])}")
-    return lines
+def _meta(command: str, resolved: dict) -> dict:
+    """Provenance of an artifact: tool, command and every resolved option that
+    can influence its bytes, in key order; unset options are left out."""
+    kept = (k for k in sorted(resolved) if k not in _META_EXCLUDE and resolved[k] is not None)
+    return {"tool": f"ofdm-pcs {__version__}", "command": command, **{k: resolved[k] for k in kept}}
 
 
 def write_csv(path: str, command: str, resolved: dict, header: list[str], rows) -> None:
@@ -146,32 +153,33 @@ def write_csv(path: str, command: str, resolved: dict, header: list[str], rows) 
         cells = row.tolist() if isinstance(row, np.ndarray) else row
         return ",".join([_FLOAT(v) if isinstance(v, float) else _fmt(v) for v in cells]) + "\n"
 
+    meta = _meta(command, resolved)
     with open(path, "w") as fh:
-        fh.writelines(line + "\n" for line in _meta_lines(command, resolved))
+        fh.writelines(f"# {key} = {_fmt(value)}\n" for key, value in meta.items())
         fh.write(",".join(header) + "\n")
         fh.writelines(map(format_row, rows))
 
 
 def write_json(path: str, command: str, resolved: dict, payload: dict) -> None:
-    meta = {"tool": f"ofdm-pcs {__version__}", "command": command}
-    meta.update(
-        {k: resolved[k] for k in sorted(resolved) if k not in _META_EXCLUDE and resolved[k] is not None}
-    )
-    Path(path).write_text(json.dumps({"meta": meta, **payload}, indent=2) + "\n")
+    doc = {"meta": _meta(command, resolved), **payload}
+    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
 def _ofdm_config(opts: dict) -> OfdmConfig:
-    subcarriers = int(opts["subcarriers"])
+    subcarriers, bandwidth = opts["subcarriers"], opts["bandwidth"]
     if subcarriers < 1:
         raise ValueError(f"subcarriers must be >= 1, got {subcarriers}")
-    bandwidth = float(opts["bandwidth"])
     if bandwidth <= 0:
         raise ValueError(f"bandwidth must be positive, got {bandwidth}")
     return OfdmConfig(
         num_subcarriers=subcarriers,
         subcarrier_spacing=bandwidth / subcarriers,
-        oversampling=int(opts["oversampling"]),
+        oversampling=opts["oversampling"],
     )
+
+
+def _cfar_config(opts: dict) -> CfarConfig:
+    return CfarConfig(window_cells=opts["window"], guard_cells=opts["guard"])
 
 
 def _add_common(parser: argparse.ArgumentParser, leaf: bool = False):
@@ -179,10 +187,6 @@ def _add_common(parser: argparse.ArgumentParser, leaf: bool = False):
     # value when absent, so both positions work.
     default: object = argparse.SUPPRESS if leaf else None
     parser.add_argument("--config", default=default, help="JSON file with option defaults")
-    parser.add_argument(
-        "--threads", type=int, default=argparse.SUPPRESS if leaf else 1,
-        help="worker thread cap (never changes results)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -203,16 +207,33 @@ def build_parser() -> argparse.ArgumentParser:
         for key, default in defaults.items():
             leaf.add_argument(
                 "--" + key.replace("_", "-"), default=None,
-                type=float if default is None else type(default),
+                type=float if default is None else type(default), help=_HELP.get(key),
             )
         leaf.add_argument("--out", required=command != "detect calibrate")
         _add_common(leaf, leaf=True)
     return parser
 
 
+def _config_value(key: str, value, default):
+    """A config-file value, which must have the type of the flag ``key``:
+    an integer for an int default (a bool is not one), a number for a float
+    or None default (an integer widens to float), a string for a str default
+    or, for a grid option, a list."""
+    if isinstance(default, int):
+        kind, ok = "an integer", type(value) is int
+    elif isinstance(default, str):
+        kind, ok = "a string", isinstance(value, str)
+        if key in _GRID_KEYS:
+            kind, ok = "a string or a list", ok or isinstance(value, list)
+    else:
+        kind, ok = "a number", type(value) in (int, float)
+        value = float(value) if ok else value
+    if not ok:
+        raise ValueError(f"config {key} must be {kind}, got {json.dumps(value)}")
+    return value
+
+
 def _resolve(args: argparse.Namespace, command: str) -> dict:
-    if args.threads < 1:
-        raise ValueError(f"threads must be >= 1, got {args.threads}")
     defaults = _COMMANDS[command][2]
     from_file = {}
     if args.config:
@@ -226,14 +247,15 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
     for key, default in defaults.items():
         value = getattr(args, key)
         if value is None:
-            value = from_file.get(key, default)
+            value = _config_value(key, from_file[key], default) if key in from_file else default
         if isinstance(value, float) and not np.isfinite(value):
             raise ValueError(f"{key} must be finite, got {value}")
         resolved[key] = value
     if resolved.get("seed", 0) < 0:
         raise ValueError(f"seed must be >= 0, got {resolved['seed']}")
+    if resolved.get("threads", 1) < 1:
+        raise ValueError(f"threads must be >= 1, got {resolved['threads']}")
     resolved["out"] = args.out
-    resolved["threads"] = args.threads
     return resolved
 
 
@@ -255,7 +277,7 @@ def _solution_payload(base: Constellation, sol) -> dict:
 
 def _run_pcs_solve(opts: dict) -> None:
     _, base = resolve_modulation(opts["modulation"])
-    sol = solve_pcs(PcsProblem(base.amplitudes, float(opts["c0"])))
+    sol = solve_pcs(PcsProblem(base.amplitudes, opts["c0"]))
     write_json(opts["out"], "pcs solve", opts, _solution_payload(base, sol))
 
 
@@ -276,18 +298,16 @@ def _run_pcs_sweep(opts: dict) -> None:
 def _run_af_slice(opts: dict) -> None:
     _, c = resolve_modulation(opts["modulation"])
     cfg = _ofdm_config(opts)
-    points = int(opts["points"])
     if opts["delay"] is not None:
-        tau_grid = np.array([float(opts["delay"])])
-        nu_grid = default_nu_grid(cfg, points)
+        tau_grid = np.array([opts["delay"]])
+        nu_grid = default_nu_grid(cfg, opts["points"])
         axis = "nu"
     else:
-        tau_grid = default_tau_grid(cfg, points)
-        nu_grid = np.array([float(opts["doppler"])])
+        tau_grid = default_tau_grid(cfg, opts["points"])
+        nu_grid = np.array([opts["doppler"]])
         axis = "tau"
     surface = mc_average_af(
-        cfg, c, tau_grid, nu_grid, int(opts["trials"]), int(opts["seed"]),
-        threads=int(opts["threads"]),
+        cfg, c, tau_grid, nu_grid, opts["trials"], opts["seed"], threads=opts["threads"]
     )
     mags = surface[0] if axis == "nu" else surface[:, 0]
     grid = nu_grid if axis == "nu" else tau_grid
@@ -298,11 +318,10 @@ def _run_af_slice(opts: dict) -> None:
 def _run_af_surface(opts: dict) -> None:
     _, c = resolve_modulation(opts["modulation"])
     cfg = _ofdm_config(opts)
-    tau_grid = default_tau_grid(cfg, int(opts["tau_points"]))
-    nu_grid = default_nu_grid(cfg, int(opts["nu_points"]))
+    tau_grid = default_tau_grid(cfg, opts["tau_points"])
+    nu_grid = default_nu_grid(cfg, opts["nu_points"])
     surface = mc_average_af(
-        cfg, c, tau_grid, nu_grid, int(opts["trials"]), int(opts["seed"]),
-        threads=int(opts["threads"]),
+        cfg, c, tau_grid, nu_grid, opts["trials"], opts["seed"], threads=opts["threads"]
     )
     header = ["tau"] + [_fmt(nu) for nu in nu_grid]
     rows = np.column_stack([tau_grid, surface])
@@ -312,8 +331,8 @@ def _run_af_surface(opts: dict) -> None:
 def _run_af_variance(opts: dict) -> None:
     _, c = resolve_modulation(opts["modulation"])
     cfg = _ofdm_config(opts)
-    tau_grid = default_tau_grid(cfg, int(opts["points"]))
-    nu = float(opts["doppler"])
+    tau_grid = default_tau_grid(cfg, opts["points"])
+    nu = opts["doppler"]
     mean_self = mean_af_components(cfg, tau_grid)
     rows = [
         [
@@ -333,8 +352,8 @@ def _run_af_variance(opts: dict) -> None:
 def _run_air_sweep_c0(opts: dict) -> None:
     _, base = resolve_modulation(opts["modulation"])
     grid = parse_grid(opts["c0"], "c0")
-    cfg = AirConfig(float(opts["sigma2"]), int(opts["mc"]), int(opts["seed"]))
-    rows = air_vs_c0(base, grid, cfg, threads=int(opts["threads"]))
+    cfg = AirConfig(opts["sigma2"], opts["mc"], opts["seed"])
+    rows = air_vs_c0(base, grid, cfg, threads=opts["threads"])
     write_csv(
         opts["out"], "air sweep-c0", opts,
         ["c0", "rate_bits", "std_error", "gap", "entropy_bits"],
@@ -343,12 +362,14 @@ def _run_air_sweep_c0(opts: dict) -> None:
 
 
 def _run_air_sweep_snr(opts: dict) -> None:
-    names = [s.strip() for s in str(opts["modulations"]).split(",") if s.strip()]
-    constellations = [resolve_modulation(n) for n in names]
+    specs = [s.strip() for s in opts["modulations"].split(",") if s.strip()]
+    constellations = [resolve_modulation(spec) for spec in specs]
+    names = [name for name, _ in constellations]
+    for name in names:
+        if names.count(name) > 1:
+            raise ValueError(f"modulations names {name!r} more than once; each name is one column")
     grid = parse_grid(opts["snr"], "snr")
-    rows = air_vs_snr(
-        constellations, grid, int(opts["mc"]), int(opts["seed"]), threads=int(opts["threads"])
-    )
+    rows = air_vs_snr(constellations, grid, opts["mc"], opts["seed"], threads=opts["threads"])
     header = ["snr_db"] + [f"rate_{name}" for name, _ in constellations]
     out_rows = [
         [r["snr_db"], *(r[name] for name, _ in constellations)] for r in rows
@@ -359,7 +380,7 @@ def _run_air_sweep_snr(opts: dict) -> None:
 def _run_detect_pd_sweep(opts: dict) -> None:
     _, base = resolve_modulation(opts["modulation"])
     cfg = _ofdm_config(opts)
-    cfar = CfarConfig(window_cells=int(opts["window"]), guard_cells=int(opts["guard"]))
+    cfar = _cfar_config(opts)
     c0_list = parse_grid(opts["c0"], "c0")
     if c0_list.size == 0:
         raise ValueError("c0 is empty: need at least one shaping target")
@@ -371,15 +392,15 @@ def _run_detect_pd_sweep(opts: dict) -> None:
             cfg=cfg,
             constellation=base.with_probs(sol.probs),
             snr_grid_db=snr_grid,
-            si_to_noise_db=float(opts["si_db"]),
-            target_cell_offset=int(opts["offset"]),
-            pfa_target=float(opts["pfa"]),
-            trials=int(opts["trials"]),
+            si_to_noise_db=opts["si_db"],
+            target_cell_offset=opts["offset"],
+            pfa_target=opts["pfa"],
+            trials=opts["trials"],
             cfar=cfar,
-            calib_trials=int(opts["calib_trials"]),
-            seed=int(opts["seed"]),
+            calib_trials=opts["calib_trials"],
+            seed=opts["seed"],
         )
-        for r in pd_experiment(scenario, threads=int(opts["threads"])):
+        for r in pd_experiment(scenario, threads=opts["threads"]):
             rows.append([float(c0), r["snr_db"], r["pd"], r["trials"]])
     write_csv(opts["out"], "detect pd-sweep", opts, ["c0", "snr_db", "pd", "trials"], rows)
 
@@ -387,13 +408,12 @@ def _run_detect_pd_sweep(opts: dict) -> None:
 def _run_detect_calibrate(opts: dict) -> None:
     _, c = resolve_modulation(opts["modulation"])
     cfg = _ofdm_config(opts)
-    cfar = CfarConfig(window_cells=int(opts["window"]), guard_cells=int(opts["guard"]))
     result = calibrate_alpha(
-        cfar,
+        _cfar_config(opts),
         noise_profile_sampler(cfg, c),
-        float(opts["pfa"]),
-        int(opts["calib_trials"]),
-        int(opts["seed"]),
+        opts["pfa"],
+        opts["calib_trials"],
+        opts["seed"],
     )
     print(
         f"alpha = {result.alpha:.6g} (empirical pfa {result.empirical_pfa:.3g} "
@@ -407,7 +427,8 @@ _OFDM_DEFAULTS = {"subcarriers": 64, "bandwidth": 100e6, "oversampling": 4}
 _CFAR_DEFAULTS = {"window": 16, "guard": 2}
 
 # command -> (runner, help, option defaults); the defaults also define the
-# command's flags (see build_parser).
+# command's flags and their types (see build_parser and _config_value).  Only a
+# command whose runner starts a worker pool lists ``threads``.
 _COMMANDS = {
     "constellation dump": (_run_constellation_dump, "write a constellation as JSON", {
         "modulation": "qam16",
@@ -420,25 +441,27 @@ _COMMANDS = {
     }),
     "af slice": (_run_af_slice, "mean |AF| over delay, or over Doppler with --delay", {
         "modulation": "qam16", "doppler": 0.0, "delay": None, "trials": 500,
-        "points": 257, "seed": 0, **_OFDM_DEFAULTS,
+        "points": 257, "seed": 0, "threads": 1, **_OFDM_DEFAULTS,
     }),
     "af surface": (_run_af_surface, "mean |AF| over a delay-Doppler grid", {
         "modulation": "qam16", "trials": 100, "tau_points": 257, "nu_points": 257,
-        "seed": 0, **_OFDM_DEFAULTS,
+        "seed": 0, "threads": 1, **_OFDM_DEFAULTS,
     }),
     "af variance": (_run_af_variance, "closed-form AF variances and mean self part", {
         "modulation": "qam16", "doppler": 0.0, "points": 257, **_OFDM_DEFAULTS,
     }),
     "air sweep-c0": (_run_air_sweep_c0, "rate vs fourth-moment target", {
         "modulation": "qam16", "sigma2": 0.01, "c0": "1.0:0.04:1.68", "mc": 200_000, "seed": 0,
+        "threads": 1,
     }),
     "air sweep-snr": (_run_air_sweep_snr, "rate vs SNR for several constellations", {
         "modulations": "qam16,psk16", "snr": "0:2:30", "mc": 200_000, "seed": 0,
+        "threads": 1,
     }),
     "detect pd-sweep": (_run_detect_pd_sweep, "detection probability vs sensing SNR", {
         "modulation": "qam16", "c0": "1.0,1.32,1.64", "snr": "-5:1:20",
         "trials": 5000, "pfa": 1e-3, "si_db": 10.0, "offset": 8,
-        "calib_trials": 1000, "seed": 0, **_OFDM_DEFAULTS, **_CFAR_DEFAULTS,
+        "calib_trials": 1000, "seed": 0, "threads": 1, **_OFDM_DEFAULTS, **_CFAR_DEFAULTS,
     }),
     "detect calibrate": (_run_detect_calibrate, "calibrate the CFAR threshold multiplier", {
         "modulation": "qam16", "pfa": 1e-3, "calib_trials": 1000, "seed": 0,

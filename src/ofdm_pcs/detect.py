@@ -67,9 +67,12 @@ def _matched_filter_batch(rx: np.ndarray, ref: np.ndarray, lags: int | None = No
     last axis at lags ``k = 0..lags-1`` (default all N).
 
     ``ref`` broadcasts against ``rx``, so one reference spectrum serves every
-    received row stacked beside it.
+    received row stacked beside it; its rows must have ``rx``'s length, since
+    a shorter one would be zero-padded into a wrong correlation.
     """
     n = rx.shape[-1]
+    if ref.shape[-1] != n:
+        raise ValueError(f"ref rows have {ref.shape[-1]} samples, rx rows have {n}")
     size = 2 * n
     spec = np.fft.fft(rx, n=size, axis=-1) * np.conj(np.fft.fft(ref, n=size, axis=-1))
     return np.fft.ifft(spec, axis=-1)[..., : n if lags is None else lags]

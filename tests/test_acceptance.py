@@ -302,12 +302,14 @@ def test_11_cli_determinism(tmp_path):
     ]
     all_ok = True
     for i, args in enumerate(cases):
-        outs = [tmp_path / f"case{i}_{j}.out" for j in range(3)]
-        assert main(args + ["--out", str(outs[0])]) == 0
-        assert main(args + ["--out", str(outs[1])]) == 0
-        assert main(["--threads", "4"] + args + ["--out", str(outs[2])]) == 0
-        blobs = [p.read_bytes() for p in outs]
-        if not (blobs[0] == blobs[1] == blobs[2]):
+        # pcs sweep runs no worker pool, so it takes no --threads.
+        runs = [args, args] + ([args + ["--threads", "4"]] if args[0] != "pcs" else [])
+        blobs = []
+        for j, argv in enumerate(runs):
+            out = tmp_path / f"case{i}_{j}.out"
+            assert main(argv + ["--out", str(out)]) == 0
+            blobs.append(out.read_bytes())
+        if len(set(blobs)) != 1:
             all_ok = False
     check(
         "CLI determinism",

@@ -119,7 +119,7 @@ def test_af_slice_byte_identical_and_thread_invariant(tmp_path):
     outs = [tmp_path / f"s{i}.csv" for i in range(3)]
     assert main(args + ["--out", str(outs[0])]) == 0
     assert main(args + ["--out", str(outs[1])]) == 0
-    assert main(["--threads", "4"] + args + ["--out", str(outs[2])]) == 0
+    assert main(args + ["--threads", "4", "--out", str(outs[2])]) == 0
     data = [p.read_bytes() for p in outs]
     assert data[0] == data[1] == data[2]
 
@@ -174,6 +174,17 @@ def test_air_sweep_snr_negative_grid(tmp_path):
     assert [float(r[0]) for r in rows] == [-5.0, 5.0, 15.0]
 
 
+def test_air_sweep_snr_rejects_json_stem_naming_another_column(tmp_path, capsys):
+    shaped = tmp_path / "qam16.json"
+    shaped.write_text(resolve_modulation("psk4")[1].to_json())
+    out = tmp_path / "snr.csv"
+    rc = main(["air", "sweep-snr", "--modulations", f"qam16,{shaped}", "--mc", "10",
+               "--out", str(out)])
+    assert rc == 1
+    assert "modulations names 'qam16'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_detect_calibrate(tmp_path, capsys):
     out = tmp_path / "alpha.json"
     assert main(["detect", "calibrate", "--pfa", "0.02", "--calib-trials", "60",
@@ -197,15 +208,6 @@ def test_detect_pd_sweep(tmp_path):
     assert meta["pfa"] == "0.05"
 
 
-def test_threads_flag_accepted_in_both_positions(tmp_path):
-    common = ["af", "slice", "--modulation", "psk8", "--trials", "5", "--points", "9",
-              "--subcarriers", "8", "--bandwidth", "8", "--seed", "1"]
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert main(["--threads", "2"] + common + ["--out", str(a)]) == 0
-    assert main(common + ["--threads", "2", "--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
-
-
 def test_csv_header_records_tool_and_seed(tmp_path):
     out = tmp_path / "hdr.csv"
     assert main(["af", "slice", "--modulation", "psk8", "--trials", "5", "--points", "9",
@@ -220,16 +222,25 @@ def test_csv_header_records_tool_and_seed(tmp_path):
     assert "out" not in meta and "threads" not in meta
 
 
+_UNSEEDED = ["constellation dump", "pcs solve", "pcs sweep", "af variance"]
+_POOLLESS = [*_UNSEEDED, "detect calibrate"]
+
+
 @pytest.mark.parametrize(
-    "command", ["constellation dump", "pcs solve", "pcs sweep", "af variance"]
+    ("command", "flag", "value"),
+    [
+        # These commands draw nothing, so a seed could only decorate the artifact.
+        *(pytest.param(c, "--seed", "1", id=c) for c in _UNSEEDED),
+        # These run no worker pool, so a thread cap could change nothing.
+        *(pytest.param(c, "--threads", "2", id=f"{c} --threads") for c in _POOLLESS),
+    ],
 )
-def test_unseeded_commands_reject_seed(tmp_path, capsys, command):
-    # These commands draw nothing, so a seed could only decorate the artifact.
+def test_unseeded_commands_reject_seed(tmp_path, capsys, command, flag, value):
     out = tmp_path / "x.out"
     with pytest.raises(SystemExit) as exc:
-        main(command.split() + ["--seed", "1", "--out", str(out)])
+        main(command.split() + [flag, value, "--out", str(out)])
     assert exc.value.code == 2
-    assert "--seed" in capsys.readouterr().err
+    assert flag in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -261,15 +272,45 @@ def test_config_file_precedence(tmp_path):
 
 
 @pytest.mark.parametrize("command", sorted(_COMMANDS))
-def test_generated_flags_parse_to_table_defaults(command):
+def test_generated_flags_parse_to_table_defaults(tmp_path, command):
     _, _, defaults = _COMMANDS[command]
-    argv = command.split() + ["--out", "x"]
-    for key, default in defaults.items():
-        if default is not None:
-            argv += ["--" + key.replace("_", "-"), str(default)]
-    opts = _resolve(build_parser().parse_args(_merge_negative_values(argv)), command)
-    for key, default in defaults.items():
-        assert (opts[key], type(opts[key])) == (default, type(default)), key
+    given = {key: default for key, default in defaults.items() if default is not None}
+    flags = command.split() + ["--out", "x"]
+    for key, default in given.items():
+        flags += ["--" + key.replace("_", "-"), str(default)]
+    config = tmp_path / "defaults.json"
+    config.write_text(json.dumps(given))
+    # The same values given as flags and in a config file resolve alike.
+    for argv in (flags, command.split() + ["--config", str(config), "--out", "x"]):
+        opts = _resolve(build_parser().parse_args(_merge_negative_values(argv)), command)
+        for key, default in defaults.items():
+            assert (opts[key], type(opts[key])) == (default, type(default)), key
+
+
+@pytest.mark.parametrize(
+    ("command", "config", "key"),
+    [
+        ("af slice", {"trials": 3.7}, "trials"),
+        ("af slice", {"trials": True}, "trials"),
+        ("af slice", {"trials": "7"}, "trials"),
+        ("af slice", {"seed": 3.7}, "seed"),
+        ("af slice", {"seed": True}, "seed"),
+        ("af slice", {"seed": "7"}, "seed"),
+        ("af slice", {"threads": 0}, "threads"),
+        ("detect pd-sweep", {"pfa": "x"}, "pfa"),
+        ("air sweep-snr", {"modulations": ["qam16"]}, "modulations"),
+    ],
+)
+def test_bad_config_value_names_key(tmp_path, capsys, command, config, key):
+    # A config value must have its flag's type: the artifact header would
+    # otherwise record a value other than the one the run used.
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "x.csv"
+    rc = main(command.split() + ["--config", str(path), "--out", str(out)])
+    assert rc == 1
+    assert f"{key} must be" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_af_slice_delay_parses_as_float():
@@ -315,6 +356,9 @@ _SMALL_OFDM = ["--subcarriers", "8", "--bandwidth", "8"]
         (["pcs", "sweep", "--c0", "1:x:2"], "c0 entry 'x'"),
         # Both delays sit on the window edges +-T_p, where the AF is zero.
         (["af", "slice", "--points", "2", "--trials", "4", *_SMALL_OFDM], "tau_grid"),
+        # Each modulation is one column, keyed by its name.
+        (["air", "sweep-snr", "--modulations", "qam16,qam16", "--mc", "10"],
+         "modulations names 'qam16'"),
     ],
 )
 def test_af_empty_grid_names_parameter(tmp_path, capsys, args, name):
@@ -335,8 +379,14 @@ def test_af_empty_grid_names_parameter(tmp_path, capsys, args, name):
     ],
 )
 def test_threads_below_one_exits_nonzero(tmp_path, capsys, args, threads):
-    rc = main(args + ["--threads", threads, "--out", str(tmp_path / "x.csv")])
-    assert rc == 1
+    argv = args + ["--threads", threads, "--out", str(tmp_path / "x.csv")]
+    if " ".join(args[:2]) in _POOLLESS:
+        # no --threads flag to take the value
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    else:
+        assert main(argv) == 1
     assert "threads" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
 

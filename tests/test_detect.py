@@ -87,6 +87,12 @@ def test_matched_filter_batch_lags_match_direct_sum():
     assert np.max(np.abs(got - direct)) <= 1e-9 * np.max(np.abs(direct))
 
 
+def test_matched_filter_batch_rejects_reference_of_other_length():
+    # A shorter reference would be zero-padded into a correlation of the wrong signal.
+    with pytest.raises(ValueError, match="128 samples.*256"):
+        _matched_filter_batch(np.ones(256, complex), np.ones(128, complex))
+
+
 def test_flat_profile_no_detections():
     profile = np.ones(128)
     decisions = so_cfar(profile, CfarConfig(window_cells=8, guard_cells=2, alpha=1.5))
