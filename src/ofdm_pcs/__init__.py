@@ -3,15 +3,7 @@
 __version__ = "0.1.0"
 
 from .air import AirConfig, AirEstimate, air_mc, air_vs_c0, air_vs_snr
-from .ambiguity import (
-    DelayGeometry,
-    af_closed_form,
-    af_self_closed_form,
-    mc_average_af,
-    mean_af_components,
-    variance_cross_closed,
-    variance_self_closed,
-)
+from .ambiguity import af_closed_form, af_self_closed_form, af_statistics, mc_average_af
 from .constellation import Constellation, group_rings, make_psk, make_qam
 from .detect import (
     CfarConfig,
@@ -36,7 +28,6 @@ __all__ = [
     "AirEstimate",
     "CfarConfig",
     "Constellation",
-    "DelayGeometry",
     "DetectionScenario",
     "InfeasibleSupportError",
     "OfdmConfig",
@@ -45,6 +36,7 @@ __all__ = [
     "SolverNotConvergedError",
     "af_closed_form",
     "af_self_closed_form",
+    "af_statistics",
     "air_mc",
     "air_vs_c0",
     "air_vs_snr",
@@ -54,11 +46,8 @@ __all__ = [
     "make_psk",
     "make_qam",
     "mc_average_af",
-    "mean_af_components",
     "pd_experiment",
     "so_cfar",
     "solve_pcs",
     "sweep_c0",
-    "variance_cross_closed",
-    "variance_self_closed",
 ]

@@ -1,19 +1,19 @@
 """Ambiguity function of a data-modulated OFDM symbol.
 
 One closed form, the self + cross sinc decomposition of the delay-Doppler
-correlation with ``sinc(x) = sin(pi x)/(pi x)`` (numpy's convention), and one
-evaluation of it: per delay, every draw's lag products from one FFT
-convolution, then the delay's Doppler kernel, whose sinc envelope is taken
-once per distinct kernel frequency ``m df - nu``.  :func:`af_closed_form` is
-its one-point case; :func:`mc_average_af` averages its magnitude over random
-symbol draws on a delay-Doppler grid, peak-normalized.  Closed-form variances
-of the self and cross parts are provided alongside.  The sinc arguments carry
-no extra 2*pi factor anywhere; the tests pin that down by quadrature.
+correlation with ``sinc(x) = sin(pi x)/(pi x)`` (numpy's convention), built
+per delay as one Doppler kernel (:func:`_delay_terms`) whose sinc envelope is
+taken once per distinct kernel frequency ``m df - nu``.  Everything else
+reads that kernel.  :func:`_af_at_delay` applies it to every draw's lag
+products, taken from one FFT convolution, and :func:`af_closed_form` is the
+one-point case; :func:`mc_average_af` averages the magnitude over random
+symbol draws on a delay-Doppler grid, peak-normalized; :func:`af_statistics`
+takes the self and cross variances and the mean self magnitude from it in
+closed form.  The sinc arguments carry no extra 2*pi factor anywhere; the
+tests pin that down by quadrature.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,43 +26,15 @@ from .ofdm import OfdmConfig
 AF_CHUNK = 64
 
 
-@dataclass(frozen=True)
-class DelayGeometry:
-    """Integration window of the correlation integral at delay ``tau``.
-
-    For ``|tau| <= T_p`` the transmitted and delayed windows overlap on
-    ``[t_min, t_max]`` with ``t_min = max(0, tau)``, ``t_max = min(T_p,
-    T_p + tau)``; outside that range the ambiguity function is zero.
-    """
-
-    t_min: float
-    t_max: float
-
-    @classmethod
-    def for_delay(cls, tau: float, symbol_duration: float) -> "DelayGeometry":
-        return cls(
-            t_min=max(0.0, float(tau)),
-            t_max=min(symbol_duration, symbol_duration + float(tau)),
-        )
-
-    @property
-    def t_avg(self) -> float:
-        return 0.5 * (self.t_max + self.t_min)
-
-    @property
-    def t_diff(self) -> float:
-        return self.t_max - self.t_min
-
-    @property
-    def overlaps(self) -> bool:
-        return self.t_diff > 0.0
-
-
 def default_tau_grid(cfg: OfdmConfig, points: int = 257) -> np.ndarray:
+    if points < 1:
+        raise ValueError(f"tau_grid needs at least one point, got {points}")
     return np.linspace(-cfg.symbol_duration, cfg.symbol_duration, points)
 
 
 def default_nu_grid(cfg: OfdmConfig, points: int = 257) -> np.ndarray:
+    if points < 1:
+        raise ValueError(f"nu_grid needs at least one point, got {points}")
     half = cfg.bandwidth / 2.0
     return np.linspace(-half, half, points)
 
@@ -84,7 +56,9 @@ def _doppler_offsets(cfg: OfdmConfig, nu_grid: np.ndarray):
 
 
 def _delay_terms(cfg: OfdmConfig, tau: float, nu_grid: np.ndarray, offsets, out=None):
-    """Per-delay factors of the closed form, or None outside the window.
+    """Per-delay factors of the closed form, or None outside the window
+    ``[max(0, tau), min(T_p, T_p + tau)]`` where the symbol and its delayed
+    copy overlap (of middle t_avg and length T_diff; empty unless |tau| < T_p).
 
     Returns the lag phase ``exp(j 2 pi l df tau)`` (length L) and the
     (2L-1) x n_nu Doppler kernel ``T_diff sinc(f T_diff) exp(j 2 pi f t_avg)``
@@ -95,18 +69,21 @@ def _delay_terms(cfg: OfdmConfig, tau: float, nu_grid: np.ndarray, offsets, out=
     A delay thus costs 2L-1+n_nu complex exponentials and one sinc per
     distinct frequency, plus two multiplies per cell.
     """
-    geom = DelayGeometry.for_delay(tau, cfg.symbol_duration)
-    if not geom.overlaps:
+    t_min = max(0.0, float(tau))
+    t_max = min(cfg.symbol_duration, cfg.symbol_duration + float(tau))
+    t_diff = t_max - t_min
+    if not t_diff > 0.0:
         return None
+    t_avg = 0.5 * (t_max + t_min)
     carrier, u, inv = offsets
     l = np.arange(cfg.num_subcarriers)
     lag_phase = np.exp(2j * np.pi * l * cfg.subcarrier_spacing * tau)
     kernel = np.multiply.outer(
-        np.exp(2j * np.pi * carrier * geom.t_avg),
-        np.exp(-2j * np.pi * nu_grid * geom.t_avg),
+        np.exp(2j * np.pi * carrier * t_avg),
+        np.exp(-2j * np.pi * nu_grid * t_avg),
         out=out,
     )
-    envelope = geom.t_diff * np.sinc(u * geom.t_diff)
+    envelope = t_diff * np.sinc(u * t_diff)
     np.multiply(kernel, envelope[inv], out=kernel)
     return lag_phase, kernel
 
@@ -204,7 +181,7 @@ def mc_average_af(
         raise ValueError("tau_grid is empty: need at least one delay point")
     if nu_grid.size == 0:
         raise ValueError("nu_grid is empty: need at least one Doppler point")
-    if not any(DelayGeometry.for_delay(tau, cfg.symbol_duration).overlaps for tau in tau_grid):
+    if not np.any(np.abs(tau_grid) < cfg.symbol_duration):
         raise ValueError("tau_grid has no delay inside |tau| < T_p, where the AF is nonzero")
     num = cfg.num_subcarriers
     symbols = constellation.sample_symbols(trials * num, seed).reshape(trials, num)
@@ -231,61 +208,33 @@ def mc_average_af(
     return total
 
 
-def variance_self_closed(cfg: OfdmConfig, constellation: Constellation, tau: float, nu: float) -> float:
-    """Closed-form variance of the self part at one delay-Doppler point.
+def af_statistics(cfg: OfdmConfig, constellation: Constellation, tau_grid, nu: float) -> np.ndarray:
+    """Closed-form AF statistics over random symbols at one Doppler ``nu``:
+    rows self variance, cross variance and mean self magnitude over
+    ``tau_grid``, all from the delay's Doppler kernel ``K_m`` (row m = l1 - l2)
+    of :func:`_delay_terms`, and zero outside ``|tau| < T_p``.
 
-    ``T_diff^2 sinc^2(nu T_diff) L (E[A^4] - 1)``: proportional to the excess
-    of the constellation's fourth amplitude moment over its unit-power floor,
-    and identically zero for constant-modulus constellations.
+    * self variance ``L (E[A^4] - 1) |K_0|^2``, zero at constant modulus;
+    * cross variance ``sum_{m != 0} (L - |m|) |K_m|^2``, with L - |m| index
+      pairs at offset m; unit power makes each pair's amplitude factor one;
+    * mean self magnitude ``|sum_l exp(j 2 pi l df tau)| |K_0|``, a Dirichlet
+      envelope (E[A^2] = 1).  The cross part has zero mean.
     """
-    geom = DelayGeometry.for_delay(tau, cfg.symbol_duration)
-    if not geom.overlaps:
-        return 0.0
-    excess = constellation.moment(4) - 1.0
-    return float(
-        geom.t_diff**2 * np.sinc(-nu * geom.t_diff) ** 2 * cfg.num_subcarriers * excess
-    )
-
-
-def variance_cross_closed(cfg: OfdmConfig, tau: float, nu: float) -> float:
-    """Closed-form variance of the cross part; constellation-independent.
-
-    ``T_diff^2 sum_{m != 0} (L - |m|) sinc^2((m df - nu) T_diff)`` where the
-    (L - |m|) factor counts ordered index pairs at subcarrier offset m.  Unit
-    average power makes every pair's amplitude factor one, so no constellation
-    enters.
-    """
-    geom = DelayGeometry.for_delay(tau, cfg.symbol_duration)
-    if not geom.overlaps:
-        return 0.0
     num = cfg.num_subcarriers
-    m = np.arange(1, num)
-    pairs = num - m
-    sincs = (
-        np.sinc((m * cfg.subcarrier_spacing - nu) * geom.t_diff) ** 2
-        + np.sinc((-m * cfg.subcarrier_spacing - nu) * geom.t_diff) ** 2
-    )
-    return float(geom.t_diff**2 * (pairs @ sincs))
-
-
-def mean_af_components(cfg: OfdmConfig, tau_grid):
-    """Analytic zero-Doppler slice of the expected self part's magnitude.
-
-    A Dirichlet kernel envelope, independent of the constellation since
-    E[A^2] = 1.  The cross part has zero mean; its RMS level is
-    ``sqrt(variance_cross_closed(cfg, tau, 0))``.
-    """
-    tau_grid = np.asarray(tau_grid, dtype=float)
-    if tau_grid.size == 0:
-        raise ValueError("tau_grid is empty: need at least one delay point")
-    l = np.arange(cfg.num_subcarriers)
-    self_slice = np.zeros(tau_grid.size)
+    nu_grid = np.array([float(nu)])
+    offsets = _doppler_offsets(cfg, nu_grid)
+    pairs = num - np.abs(np.arange(1 - num, num))
+    pairs[num - 1] = 0
+    excess = constellation.moment(4) - 1.0
+    stats = np.zeros((3, len(tau_grid)))
     for i, tau in enumerate(tau_grid):
-        geom = DelayGeometry.for_delay(tau, cfg.symbol_duration)
-        if geom.overlaps:
-            dirichlet = np.exp(2j * np.pi * l * cfg.subcarrier_spacing * tau).sum()
-            self_slice[i] = geom.t_diff * abs(dirichlet)
-    return self_slice
+        terms = _delay_terms(cfg, tau, nu_grid, offsets)
+        if terms is not None:
+            lag_phase, kernel = terms
+            power = np.abs(kernel[:, 0]) ** 2
+            k0 = abs(kernel[num - 1, 0])
+            stats[:, i] = power[num - 1] * num * excess, pairs @ power, k0 * abs(lag_phase.sum())
+    return stats
 
 
 def magnitude_db(values) -> np.ndarray:

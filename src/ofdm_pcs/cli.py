@@ -12,7 +12,7 @@ artifacts.  Seeds are explicit flags (default 0), never environment state.
 slice|surface``, ``air sweep-c0|sweep-snr`` and ``detect pd-sweep``); it only
 adds workers and never changes any output byte.  Each option is declared once,
 in ``_COMMANDS``: its default gives the flag's type, and a config-file value
-must have that type too.
+must have that type too.  A config key must be some command's option.
 """
 
 from __future__ import annotations
@@ -29,13 +29,11 @@ import numpy as np
 from . import __version__
 from .air import AirConfig, air_vs_c0, air_vs_snr
 from .ambiguity import (
+    af_statistics,
     default_nu_grid,
     default_tau_grid,
     magnitude_db,
     mc_average_af,
-    mean_af_components,
-    variance_cross_closed,
-    variance_self_closed,
 )
 from .constellation import Constellation, make_psk, make_qam
 from .detect import (
@@ -243,6 +241,11 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
             raise ValueError(f"unreadable config {args.config!r}: {exc}") from exc
         if not isinstance(from_file, dict):
             raise ValueError(f"config {args.config!r} must hold a JSON object")
+        # One file may serve several commands; a key none takes is a misspelling.
+        known = {key for _, _, options in _COMMANDS.values() for key in options}
+        for key in from_file:
+            if key not in known:
+                raise ValueError(f"config {key} must be an option of some command")
     resolved = {}
     for key, default in defaults.items():
         value = getattr(args, key)
@@ -332,20 +335,11 @@ def _run_af_variance(opts: dict) -> None:
     _, c = resolve_modulation(opts["modulation"])
     cfg = _ofdm_config(opts)
     tau_grid = default_tau_grid(cfg, opts["points"])
-    nu = opts["doppler"]
-    mean_self = mean_af_components(cfg, tau_grid)
-    rows = [
-        [
-            tau,
-            variance_self_closed(cfg, c, tau, nu),
-            variance_cross_closed(cfg, tau, nu),
-            mean_self,
-        ]
-        for tau, mean_self in zip(tau_grid, mean_self)
-    ]
+    stats = af_statistics(cfg, c, tau_grid, opts["doppler"])
     write_csv(
         opts["out"], "af variance", opts,
-        ["tau", "sigma2_self", "sigma2_cross", "mean_self_abs"], rows,
+        ["tau", "sigma2_self", "sigma2_cross", "mean_self_abs"],
+        np.column_stack([tau_grid, *stats]),
     )
 
 

@@ -325,9 +325,7 @@ def pd_experiment(scn: DetectionScenario, *, threads: int = 1) -> list[dict]:
         rx[:, 1, offset:] = tx[:, : n_samples - offset]
         corr = _matched_filter_batch(rx, tx[:, None, :], cells)
         profiles = np.abs(corr[:, 0] + gain_target * corr[:, 1]) ** 2  # (snr, trial, cell)
-        lead, lag = reference_means(profiles, cfar)
-        threshold = cfar.alpha * np.fmin(lead[..., offset], lag[..., offset])
-        return np.count_nonzero(profiles[..., offset] > threshold, axis=1)
+        return np.count_nonzero(so_cfar(profiles, cfar)[..., offset], axis=1)
 
     hits = sum(map_chunks(chunk_hits, draw_seed, scn.trials, PD_CHUNK, threads))
     return [

@@ -1,7 +1,7 @@
 """Independent oracles for the closed-form ambiguity function.
 
-Neither goes through ``ofdm_pcs.ambiguity``'s FFT path; both take only the
-overlap window from :class:`DelayGeometry`:
+Neither imports anything from ``ofdm_pcs.ambiguity``; both work out the
+overlap window themselves (:func:`overlap_window`):
 
 * :func:`af_double_sum` is the brute-force double sum over subcarrier pairs,
   one L x L kernel per point;
@@ -13,24 +13,28 @@ import math
 
 import numpy as np
 
-from ofdm_pcs.ambiguity import DelayGeometry
-
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(16)
 _CYCLES_PER_PANEL = 2.0
+
+
+def overlap_window(cfg, tau):
+    """``(t_min, t_max)``: where the symbol and its copy delayed by ``tau``
+    overlap, ``[max(0, tau), min(T_p, T_p + tau)]``; empty unless |tau| < T_p."""
+    return max(0.0, tau), min(cfg.symbol_duration, cfg.symbol_duration + tau)
 
 
 def af_double_sum(cfg, symbols, tau, nu):
     """``sum_{l1,l2} c_l1 conj(c_l2) T_diff sinc(f T_diff) exp(j 2 pi (f t_avg
     + l2 df tau))`` with ``f = (l1 - l2) df - nu``, over leading batch axes."""
-    geom = DelayGeometry.for_delay(tau, cfg.symbol_duration)
-    t_diff = max(geom.t_diff, 0.0)  # no overlap: a zero kernel
+    t_min, t_max = overlap_window(cfg, tau)
+    t_diff, t_avg = max(t_max - t_min, 0.0), 0.5 * (t_max + t_min)  # no overlap: a zero kernel
     df = cfg.subcarrier_spacing
     l = np.arange(cfg.num_subcarriers)
     f = (l[:, None] - l[None, :]) * df - nu
     kernel = (
         t_diff
         * np.sinc(f * t_diff)
-        * np.exp(2j * np.pi * (f * geom.t_avg + l[None, :] * df * tau))
+        * np.exp(2j * np.pi * (f * t_avg + l[None, :] * df * tau))
     )
     symbols = np.asarray(symbols, dtype=np.complex128)
     out = np.einsum("...i,ij,...j->...", symbols, kernel, symbols.conj())
@@ -50,13 +54,13 @@ def af_quadrature(cfg, samples, tau, nu):
     samples = np.asarray(samples, dtype=np.complex128)
     df = cfg.subcarrier_spacing
     num = cfg.num_subcarriers
-    geom = DelayGeometry.for_delay(tau, cfg.symbol_duration)
-    if not geom.overlaps:
+    t_min, t_max = overlap_window(cfg, tau)
+    if t_max <= t_min:
         return complex(0.0)
     coeffs = np.fft.fft(samples)[:num] / samples.size
     f_max = (num - 1) * df + abs(nu)
-    panels = max(1, math.ceil(f_max * geom.t_diff / _CYCLES_PER_PANEL))
-    edges = np.linspace(geom.t_min, geom.t_max, panels + 1)
+    panels = max(1, math.ceil(f_max * (t_max - t_min) / _CYCLES_PER_PANEL))
+    edges = np.linspace(t_min, t_max, panels + 1)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * np.diff(edges)
     t = (mid[:, None] + half[:, None] * _NODES[None, :]).ravel()

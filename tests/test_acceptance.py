@@ -13,12 +13,11 @@ from ofdm_pcs.air import AirConfig, air_mc, air_vs_c0
 from ofdm_pcs.ambiguity import (
     af_closed_form,
     af_self_closed_form,
+    af_statistics,
     default_nu_grid,
     default_tau_grid,
     magnitude_db,
     mc_average_af,
-    variance_cross_closed,
-    variance_self_closed,
 )
 from ofdm_pcs.cli import main
 from ofdm_pcs.constellation import Constellation, group_rings, make_psk, make_qam
@@ -108,7 +107,7 @@ def test_04_self_variance_formula():
     for tau in (0.03125, 0.125, 0.25, 0.5, 0.75):
         values = af_self_closed_form(cfg, draws, tau, 0.0)
         empirical = np.mean(np.abs(values) ** 2) - abs(values.mean()) ** 2
-        predicted = variance_self_closed(cfg, qam, tau, 0.0)
+        predicted = af_statistics(cfg, qam, [tau], 0.0)[0][0]
         worst_rel = max(worst_rel, abs(empirical - predicted) / predicted)
         psk_values = af_self_closed_form(cfg, psk_draws, tau, 0.0)
         psk_var = np.mean(np.abs(psk_values) ** 2) - abs(psk_values.mean()) ** 2
@@ -138,7 +137,7 @@ def test_05_cross_statistics():
         emp_var = np.mean(np.abs(cross) ** 2) - abs(cross.mean()) ** 2
         se = np.sqrt(emp_var / n)
         worst_mean_sigmas = max(worst_mean_sigmas, abs(cross.mean()) / se)
-        predicted = variance_cross_closed(cfg, tau, nu)
+        predicted = af_statistics(cfg, c, [tau], nu)[1][0]
         worst_var_rel = max(worst_var_rel, abs(emp_var - predicted) / predicted)
     check(
         "cross-part statistics",

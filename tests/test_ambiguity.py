@@ -3,46 +3,34 @@ import pytest
 
 from ofdm_pcs.ambiguity import (
     AF_CHUNK,
-    DelayGeometry,
     af_closed_form,
     af_self_closed_form,
+    af_statistics,
     default_nu_grid,
     default_tau_grid,
     magnitude_db,
     mc_average_af,
-    mean_af_components,
-    variance_cross_closed,
-    variance_self_closed,
 )
 from ofdm_pcs.constellation import make_psk, make_qam
 from ofdm_pcs.ofdm import OfdmConfig, symbol_signal_batch
 
-from af_oracles import af_double_sum, af_quadrature
+from af_oracles import af_double_sum, af_quadrature, overlap_window
 
 CFG16 = OfdmConfig(num_subcarriers=16, subcarrier_spacing=1.0, oversampling=8)
 
 
 def cross_variance_oracle(cfg, tau, nu):
     """Direct double-loop summation of the cross-variance formula."""
-    geom = DelayGeometry.for_delay(tau, cfg.symbol_duration)
+    t_min, t_max = overlap_window(cfg, tau)
+    t_diff = t_max - t_min
     total = 0.0
     for l1 in range(cfg.num_subcarriers):
         for l2 in range(cfg.num_subcarriers):
             if l1 == l2:
                 continue
             f = (l1 - l2) * cfg.subcarrier_spacing - nu
-            total += np.sinc(f * geom.t_diff) ** 2
-    return geom.t_diff**2 * total
-
-
-def test_delay_geometry():
-    geom = DelayGeometry.for_delay(0.25, 1.0)
-    assert (geom.t_min, geom.t_max) == (0.25, 1.0)
-    assert geom.t_avg == pytest.approx(0.625)
-    assert geom.t_diff == pytest.approx(0.75)
-    neg = DelayGeometry.for_delay(-0.25, 1.0)
-    assert (neg.t_min, neg.t_max) == (0.0, 0.75)
-    assert not DelayGeometry.for_delay(1.5, 1.0).overlaps
+            total += np.sinc(f * t_diff) ** 2
+    return t_diff**2 * total
 
 
 def test_af_zero_outside_window():
@@ -112,9 +100,10 @@ def test_self_plus_cross_is_total():
     # Cross part recomputed independently by zeroing the diagonal.
     l = np.arange(16)
     f = (l[:, None] - l[None, :]) * 1.0 - nu
-    geom = DelayGeometry.for_delay(tau, CFG16.symbol_duration)
-    kernel = geom.t_diff * np.sinc(f * geom.t_diff) * np.exp(
-        2j * np.pi * (f * geom.t_avg + l[None, :] * tau)
+    t_min, t_max = overlap_window(CFG16, tau)
+    t_diff, t_avg = t_max - t_min, 0.5 * (t_max + t_min)
+    kernel = t_diff * np.sinc(f * t_diff) * np.exp(
+        2j * np.pi * (f * t_avg + l[None, :] * tau)
     )
     np.fill_diagonal(kernel, 0.0)
     cross = sym @ kernel @ sym.conj()
@@ -216,13 +205,13 @@ def test_mc_average_rejects_bad_input(taus, nus, name):
 def test_variance_self_psk_zero():
     for tau in (0.0, 0.3, -0.6):
         for nu in (0.0, 1.3):
-            assert variance_self_closed(CFG16, make_psk(16), tau, nu) == 0.0
+            assert af_statistics(CFG16, make_psk(16), [tau], nu)[0][0] == 0.0
 
 
 def test_variance_self_plugin_value():
     cfg = OfdmConfig(num_subcarriers=64, subcarrier_spacing=1.0, oversampling=2)
     # T_diff = 1 at tau = 0; uniform 16-QAM has fourth moment 1.32.
-    assert variance_self_closed(cfg, make_qam(16), 0.0, 0.0) == pytest.approx(
+    assert af_statistics(cfg, make_qam(16), [0.0], 0.0)[0][0] == pytest.approx(
         64 * 0.32, abs=1e-9
     )
 
@@ -230,9 +219,9 @@ def test_variance_self_plugin_value():
 def test_variance_self_doppler_never_exceeds_zero_doppler():
     c = make_qam(16)
     for tau in (0.0, 0.4):
-        base = variance_self_closed(CFG16, c, tau, 0.0)
+        base = af_statistics(CFG16, c, [tau], 0.0)[0][0]
         for nu in (0.3, 1.0, 2.7):
-            assert variance_self_closed(CFG16, c, tau, nu) <= base + 1e-12
+            assert af_statistics(CFG16, c, [tau], nu)[0][0] <= base + 1e-12
 
 
 def test_variance_self_monotone_in_fourth_moment():
@@ -240,8 +229,8 @@ def test_variance_self_monotone_in_fourth_moment():
     shaped_low = base.with_probs(
         np.where(np.isclose(base.energies, 1.0), 1 / 8, 0.0)
     )
-    v_low = variance_self_closed(CFG16, shaped_low, 0.2, 0.0)
-    v_high = variance_self_closed(CFG16, base, 0.2, 0.0)
+    v_low = af_statistics(CFG16, shaped_low, [0.2], 0.0)[0][0]
+    v_high = af_statistics(CFG16, base, [0.2], 0.0)[0][0]
     assert v_low < v_high
 
 
@@ -252,27 +241,27 @@ def test_variance_self_empirical():
     tau = 0.15
     values = af_self_closed_form(cfg, draws, tau, 0.0)
     empirical = np.mean(np.abs(values) ** 2) - abs(values.mean()) ** 2
-    assert empirical == pytest.approx(variance_self_closed(cfg, c, tau, 0.0), rel=0.1)
+    assert empirical == pytest.approx(af_statistics(cfg, c, [tau], 0.0)[0][0], rel=0.1)
 
 
 def test_variance_cross_zero_at_origin():
-    assert variance_cross_closed(CFG16, 0.0, 0.0) == pytest.approx(0.0, abs=1e-20)
+    assert af_statistics(CFG16, make_qam(16), [0.0], 0.0)[1][0] == pytest.approx(0.0, abs=1e-20)
 
 
 def test_variance_cross_matches_double_loop():
     for tau, nu in ((0.0, 1.0), (0.2, 0.0), (-0.35, 1.7), (0.6, -2.3)):
-        got = variance_cross_closed(CFG16, tau, nu)
+        got = af_statistics(CFG16, make_qam(16), [tau], nu)[1][0]
         assert got == pytest.approx(cross_variance_oracle(CFG16, tau, nu), rel=1e-12)
 
 
 def test_variance_cross_positive_at_subcarrier_doppler():
-    assert variance_cross_closed(CFG16, 0.0, CFG16.subcarrier_spacing) > 0.1
+    assert af_statistics(CFG16, make_qam(16), [0.0], CFG16.subcarrier_spacing)[1][0] > 0.1
 
 
 def test_mean_components_dirichlet():
     cfg = OfdmConfig(num_subcarriers=16, subcarrier_spacing=1.0, oversampling=2)
     taus = np.array([0.0, 0.1, 0.25, 1.2])
-    self_slice = mean_af_components(cfg, taus)
+    self_slice = af_statistics(cfg, make_qam(16), taus, 0.0)[2]
     assert self_slice[0] == pytest.approx(16 * cfg.symbol_duration, abs=1e-9)
     # Geometric-series oracle for the Dirichlet magnitude.
     for i, tau in enumerate(taus[:-1]):
@@ -292,7 +281,7 @@ def test_total_variance_decomposes_into_self_plus_cross():
     for tau in (0.1, 0.33, 0.57):
         total = af_closed_form(cfg, draws, tau, 0.0)
         empirical = np.mean(np.abs(total) ** 2) - abs(total.mean()) ** 2
-        predicted = variance_self_closed(cfg, c, tau, 0.0) + variance_cross_closed(cfg, tau, 0.0)
+        predicted = af_statistics(cfg, c, [tau], 0.0)[0][0] + af_statistics(cfg, c, [tau], 0.0)[1][0]
         assert empirical == pytest.approx(predicted, rel=0.1)
 
 

@@ -155,6 +155,32 @@ def test_af_variance_psk_self_is_zero(tmp_path):
     assert all(float(r[1]) == 0.0 for r in rows)
 
 
+def test_af_variance_mean_self_at_doppler(tmp_path):
+    # 16 subcarriers at df = 1 Hz, so T_p = 1 s and the delay grid steps 0.01 s.
+    nu = 0.7
+    columns = {}
+    for doppler in (0.0, nu):
+        out = tmp_path / f"var-{doppler}.csv"
+        assert main(["af", "variance", "--modulation", "qam16", "--points", "201",
+                     "--subcarriers", "16", "--bandwidth", "16", "--doppler", str(doppler),
+                     "--out", str(out)]) == 0
+        _, _, rows = read_csv(out)
+        columns[doppler] = np.array([[float(r[0]), float(r[3])] for r in rows])
+    taus, mean_self = columns[nu].T
+    # The mean self part is the zero-Doppler one under the sinc envelope.
+    t_diff = 1.0 - np.abs(taus)
+    expected = columns[0.0][:, 1] * np.abs(np.sinc(nu * t_diff))
+    assert mean_self == pytest.approx(expected, rel=1e-10, abs=1e-300)
+    # At tau = 0.03 the Dirichlet envelope is ~10.6, far above the draws' spread.
+    i = 103
+    assert taus[i] == pytest.approx(0.03)
+    cfg = ofdm_pcs.OfdmConfig(num_subcarriers=16, subcarrier_spacing=1.0, oversampling=4)
+    draws = ofdm_pcs.make_qam(16).sample_symbols(4000 * 16, 61).reshape(4000, 16)
+    values = ofdm_pcs.af_self_closed_form(cfg, draws, taus[i], nu)
+    se = np.sqrt(np.var(values) / values.size)
+    assert abs(abs(values.mean()) - mean_self[i]) < 3 * se
+
+
 def test_air_sweep_c0(tmp_path):
     out = tmp_path / "air.csv"
     assert main(["air", "sweep-c0", "--modulation", "qam16", "--sigma2", "0.01",
@@ -299,6 +325,8 @@ def test_generated_flags_parse_to_table_defaults(tmp_path, command):
         ("af slice", {"threads": 0}, "threads"),
         ("detect pd-sweep", {"pfa": "x"}, "pfa"),
         ("air sweep-snr", {"modulations": ["qam16"]}, "modulations"),
+        # A key no command takes, such as a misspelling, would run at the default.
+        ("af slice", {"trails": 3}, "config trails"),
     ],
 )
 def test_bad_config_value_names_key(tmp_path, capsys, command, config, key):
@@ -359,6 +387,9 @@ _SMALL_OFDM = ["--subcarriers", "8", "--bandwidth", "8"]
         # Each modulation is one column, keyed by its name.
         (["air", "sweep-snr", "--modulations", "qam16,qam16", "--mc", "10"],
          "modulations names 'qam16'"),
+        (["af", "slice", "--points", "-3", "--trials", "2", *_SMALL_OFDM], "tau_grid"),
+        (["af", "surface", "--tau-points", "-3", "--trials", "2", *_SMALL_OFDM], "tau_grid"),
+        (["af", "surface", "--nu-points", "-2", "--trials", "2", *_SMALL_OFDM], "nu_grid"),
     ],
 )
 def test_af_empty_grid_names_parameter(tmp_path, capsys, args, name):
