@@ -7,7 +7,10 @@ taken once per distinct kernel frequency ``m df - nu``.  Everything else
 reads that kernel.  :func:`_af_at_delay` applies it to every draw's lag
 products, taken from one FFT convolution, and :func:`af_closed_form` is the
 one-point case; :func:`mc_average_af` averages the magnitude over random
-symbol draws on a delay-Doppler grid, peak-normalized; :func:`af_statistics`
+symbol draws on a delay-Doppler grid, peak-normalized, computing only the
+tau >= 0 half of a grid that is exactly its own (-tau, -nu) mirror (as
+:func:`default_tau_grid` and :func:`default_nu_grid` are) and copying the
+other half, since the mean |AF| is point-symmetric; :func:`af_statistics`
 takes the self and cross variances and the mean self magnitude from it in
 closed form.  The sinc arguments carry no extra 2*pi factor anywhere; the
 tests pin that down by quadrature.
@@ -26,17 +29,22 @@ from .ofdm import OfdmConfig
 AF_CHUNK = 64
 
 
-def default_tau_grid(cfg: OfdmConfig, points: int = 257) -> np.ndarray:
+def _centred_grid(name: str, width: float, points: int) -> np.ndarray:
+    """``points`` evenly spaced values on [-width, width], exactly antisymmetric
+    (``g == -g[::-1]`` bit for bit) so :func:`mc_average_af` can mirror them;
+    a one-point grid is ``[0.0]``."""
     if points < 1:
-        raise ValueError(f"tau_grid needs at least one point, got {points}")
-    return np.linspace(-cfg.symbol_duration, cfg.symbol_duration, points)
+        raise ValueError(f"{name} needs at least one point, got {points}")
+    g = np.linspace(-width, width, points)
+    return 0.5 * (g - g[::-1])
+
+
+def default_tau_grid(cfg: OfdmConfig, points: int = 257) -> np.ndarray:
+    return _centred_grid("tau_grid", cfg.symbol_duration, points)
 
 
 def default_nu_grid(cfg: OfdmConfig, points: int = 257) -> np.ndarray:
-    if points < 1:
-        raise ValueError(f"nu_grid needs at least one point, got {points}")
-    half = cfg.bandwidth / 2.0
-    return np.linspace(-half, half, points)
+    return _centred_grid("nu_grid", cfg.bandwidth / 2.0, points)
 
 
 def _doppler_offsets(cfg: OfdmConfig, nu_grid: np.ndarray):
@@ -172,6 +180,14 @@ def mc_average_af(
     applies it to every chunk and adds the chunk partial sums in chunk
     order.  Worker threads split the delay rows between them and never
     change a row's arithmetic, so the result does not depend on ``threads``.
+
+    Every draw has ``AF(tau, nu) = exp(-j 2 pi nu tau) conj(AF(-tau, -nu))``,
+    so the mean |AF| is point-symmetric.  When both grids are exactly their
+    own negatives reversed (``g == -g[::-1]`` bit for bit, as the default
+    grids are), only the rows from the middle up (``tau >= 0``) are computed
+    and the rest are copied as ``total[i, j] = total[-1 - i, -1 - j]`` before
+    the division by ``trials`` and the peak normalization.  On any other
+    grid every row is computed.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -198,9 +214,12 @@ def mc_average_af(
                 for chunk, spectrum in zip(chunks, spectra):
                     total[ti] += np.abs(_af_at_delay(chunk, spectrum, *terms)).sum(axis=0)
 
+    symmetric = np.array_equal(tau_grid, -tau_grid[::-1]) and np.array_equal(nu_grid, -nu_grid[::-1])
+    half = tau_grid.size // 2 if symmetric else 0
     # One contiguous block of rows per worker; a row is written by one thread only.
-    blocks = np.array_split(np.arange(tau_grid.size), min(max(threads, 1), tau_grid.size))
-    map_ordered(fill, blocks, threads)
+    computed = np.arange(half, tau_grid.size)
+    map_ordered(fill, np.array_split(computed, min(max(threads, 1), computed.size)), threads)
+    total[:half] = total[::-1][:half, ::-1]
     total /= trials
     peak = total.max()
     if peak > 0:

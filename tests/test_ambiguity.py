@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ofdm_pcs import ambiguity
 from ofdm_pcs.ambiguity import (
     AF_CHUNK,
     af_closed_form,
@@ -165,6 +166,20 @@ _OFF_LATTICE = (
         ),
         # A Doppler step of df/4: the frequencies repeat off the integer lattice.
         pytest.param(CFG16, _OFF_LATTICE[0], np.arange(-36, 37) / 4, 9, 3, id="quarter-df"),
+        # Grids that are their own (-tau, -nu) mirror, so half the rows are copied:
+        # default-lattice points including +-T_p, and an off-lattice pair.
+        pytest.param(
+            _PROD,
+            default_tau_grid(_PROD)[[0, 1, 128, 255, 256]],
+            default_nu_grid(_PROD)[[0, 61, 128, 195, 256]],
+            5, 2, id="default-config-mirrored",
+        ),
+        pytest.param(
+            CFG16,
+            np.array([-1.2, -0.917, -0.31, 0.0, 0.31, 0.917, 1.2]),
+            np.array([-7.3, -2.19, 0.0, 2.19, 7.3]),
+            11, 3, id="off-lattice-mirrored",
+        ),
     ],
 )
 def test_mc_average_matches_brute_force_oracle(cfg, taus, nus, last_chunk, threads):
@@ -178,6 +193,33 @@ def test_mc_average_matches_brute_force_oracle(cfg, taus, nus, last_chunk, threa
     brute = np.abs(direct).mean(axis=2)
     surface = mc_average_af(cfg, c, taus, nus, trials, seed, threads=threads)
     assert np.max(np.abs(surface - brute / brute.max())) <= 1e-12
+
+
+def test_mc_average_mirror_computes_half_the_rows(monkeypatch):
+    taus = default_tau_grid(CFG16, 33)
+    nus = np.array([-2.5, -0.75, 0.0, 0.75, 2.5])
+    trials = AF_CHUNK + 6
+    offsets = ambiguity._doppler_offsets(CFG16, nus)
+    kernels = [ambiguity._delay_terms(CFG16, tau, nus, offsets) for tau in taus]
+    seen = []
+    original = ambiguity._af_at_delay
+
+    def counting(symbols, spectrum, lag_phase, kernel):
+        seen.extend(
+            i for i, terms in enumerate(kernels)
+            if terms is not None and np.array_equal(terms[1], kernel)
+        )
+        return original(symbols, spectrum, lag_phase, kernel)
+
+    monkeypatch.setattr(ambiguity, "_af_at_delay", counting)
+    mirrored = mc_average_af(CFG16, make_qam(16), taus, nus, trials, 19, threads=2)
+    # Rows 16..31 hold 0 <= tau < T_p; row 32 is tau = T_p, outside the window.
+    assert sorted(seen) == sorted(list(range(16, 32)) * 2)
+    # One delay past the window breaks the symmetry, so every row is computed.
+    full = mc_average_af(CFG16, make_qam(16), np.append(taus, 1.5), nus, trials, 19, threads=2)
+    assert len(seen) == 2 * (16 + 31)
+    assert np.max(np.abs(mirrored - full[:-1])) <= 1e-12
+    assert np.array_equal(mirrored[16:], full[16:-1])
 
 
 @pytest.mark.parametrize("taus", [np.array([-0.4, 0.1, 0.7]), np.array([0.25])])
@@ -302,6 +344,21 @@ def test_default_grids():
     assert taus.size == nus.size == 257
     assert taus[0] == -cfg.symbol_duration and taus[-1] == cfg.symbol_duration
     assert nus[-1] == pytest.approx(cfg.bandwidth / 2)
+
+
+@pytest.mark.parametrize("points", [1, 2, 33, 64, 256, 257])
+def test_default_grids_exactly_antisymmetric(points):
+    cfg = OfdmConfig()
+    for grid, edge in (
+        (default_tau_grid(cfg, points), cfg.symbol_duration),
+        (default_nu_grid(cfg, points), cfg.bandwidth / 2),
+    ):
+        assert grid.size == points
+        assert np.array_equal(grid, -grid[::-1])
+        if points > 1:
+            assert grid[0] == -edge and grid[-1] == edge
+        if points % 2:
+            assert grid[points // 2] == 0.0
 
 
 def test_magnitude_db_floor():

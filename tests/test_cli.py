@@ -146,6 +146,36 @@ def test_af_surface_layout(tmp_path):
     assert values.max() == pytest.approx(1.0)
 
 
+def test_af_slice_one_doppler_point_is_zero_doppler(tmp_path):
+    out = tmp_path / "one.csv"
+    assert main(["af", "slice", "--modulation", "qam16", "--delay", "0", "--points", "1",
+                 "--trials", "4", *_SMALL_OFDM, "--out", str(out)]) == 0
+    _, header, rows = read_csv(out)
+    assert header == ["nu", "magnitude_db"]
+    assert [float(v) for v in rows[0]] == [0.0, 0.0] and len(rows) == 1
+
+
+def test_af_surface_one_delay_point_is_zero_delay(tmp_path):
+    out = tmp_path / "one.csv"
+    assert main(["af", "surface", "--modulation", "qam16", "--tau-points", "1",
+                 "--nu-points", "3", "--trials", "4", *_SMALL_OFDM, "--out", str(out)]) == 0
+    _, header, rows = read_csv(out)
+    assert [float(v) for v in header[1:]] == [-4.0, 0.0, 4.0]
+    assert len(rows) == 1 and float(rows[0][0]) == 0.0 and float(rows[0][2]) == 1.0
+
+
+def test_af_variance_one_point_is_zero_delay(tmp_path):
+    out = tmp_path / "one.csv"
+    assert main(["af", "variance", "--modulation", "qam16", "--points", "1",
+                 *_SMALL_OFDM, "--out", str(out)]) == 0
+    _, _, rows = read_csv(out)
+    tau, self_var, cross_var, mean_self = (float(v) for v in rows[0])
+    # At tau = 0: T_diff = T_p = 1 s, so 8 (E[A^4] - 1) and |sum_l 1| T_p.
+    assert len(rows) == 1 and tau == 0.0
+    assert self_var == pytest.approx(8 * 0.32) and mean_self == pytest.approx(8.0)
+    assert cross_var == pytest.approx(0.0, abs=1e-12)
+
+
 def test_af_variance_psk_self_is_zero(tmp_path):
     out = tmp_path / "var.csv"
     assert main(["af", "variance", "--modulation", "psk8", "--points", "21",
