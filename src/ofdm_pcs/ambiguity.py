@@ -4,16 +4,22 @@ One closed form, the self + cross sinc decomposition of the delay-Doppler
 correlation with ``sinc(x) = sin(pi x)/(pi x)`` (numpy's convention), built
 per delay as one Doppler kernel (:func:`_delay_terms`) whose sinc envelope is
 taken once per distinct kernel frequency ``m df - nu``.  Everything else
-reads that kernel.  :func:`_af_at_delay` applies it to every draw's lag
-products, taken from one FFT convolution, and :func:`af_closed_form` is the
-one-point case; :func:`mc_average_af` averages the magnitude over random
-symbol draws on a delay-Doppler grid, peak-normalized, computing only the
-tau >= 0 half of a grid that is exactly its own (-tau, -nu) mirror (as
-:func:`default_tau_grid` and :func:`default_nu_grid` are) and copying the
-other half, since the mean |AF| is point-symmetric; :func:`af_statistics`
-takes the self and cross variances and the mean self magnitude from it in
-closed form.  The sinc arguments carry no extra 2*pi factor anywhere; the
-tests pin that down by quadrature.
+reads that kernel.  It factors as K = carrier phase . S . nu phase, a real
+envelope S between two unit-modulus phases.  :func:`_af_at_delay` applies it
+to every draw's lag products, taken from one FFT convolution.  On a grid of
+one Doppler both phases are folded into one complex kernel column, and
+:func:`af_closed_form` is the one-point case.  On a grid of more than one
+Doppler the carrier phase goes onto the lag products instead, which then take
+one real product against S (half the flops of a complex one) and come out as
+the AF times a unit-modulus phase per Doppler column.
+:func:`mc_average_af` averages the magnitude over random symbol draws on a
+delay-Doppler grid, peak-normalized, computing only the tau >= 0 half of a
+grid that is exactly its own (-tau, -nu) mirror (as :func:`default_tau_grid`
+and :func:`default_nu_grid` are) and copying the other half, since the mean
+|AF| is point-symmetric; :func:`af_statistics` takes the self and cross
+variances and the mean self magnitude from the kernel in closed form.  The
+sinc arguments carry no extra 2*pi factor anywhere; the tests pin that down
+by quadrature.
 """
 
 from __future__ import annotations
@@ -68,14 +74,25 @@ def _delay_terms(cfg: OfdmConfig, tau: float, nu_grid: np.ndarray, offsets, out=
     ``[max(0, tau), min(T_p, T_p + tau)]`` where the symbol and its delayed
     copy overlap (of middle t_avg and length T_diff; empty unless |tau| < T_p).
 
-    Returns the lag phase ``exp(j 2 pi l df tau)`` (length L) and the
-    (2L-1) x n_nu Doppler kernel ``T_diff sinc(f T_diff) exp(j 2 pi f t_avg)``
-    with ``f = m df - nu``, from ``offsets = _doppler_offsets(cfg, nu_grid)``.
-    The phase is the outer product ``exp(j 2 pi m df t_avg) exp(-j 2 pi nu
-    t_avg)`` of two short vectors, written into ``out`` when given; the sinc
-    envelope is evaluated once per distinct ``f`` and gathered onto the cells.
-    A delay thus costs 2L-1+n_nu complex exponentials and one sinc per
-    distinct frequency, plus two multiplies per cell.
+    The (2L-1) x n_nu Doppler kernel ``T_diff sinc(f T_diff) exp(j 2 pi f
+    t_avg)``, with ``f = m df - nu`` from ``offsets = _doppler_offsets(cfg,
+    nu_grid)``, factors as ``K = exp(j 2 pi m df t_avg) S exp(-j 2 pi nu
+    t_avg)``: a carrier phase per row, the real envelope ``S = T_diff
+    sinc(f T_diff)`` and a nu phase per column.  S is evaluated once per
+    distinct ``f`` and gathered onto the cells, into ``out`` (a real
+    (2L-1) x n_nu buffer) when given.
+
+    Returns ``(lag_phase, carrier_phase, kernel)`` with the lag phase
+    ``exp(j 2 pi l df tau)`` (length L); the grid's size picks the form.
+    On a grid of more than one Doppler, ``kernel`` is S and
+    ``carrier_phase`` the length 2L-1 vector, which :func:`_af_at_delay`
+    folds into the draws' lag products; the nu phase, of modulus one, is
+    left out.  On a one-Doppler grid both phases are folded into the one
+    complex kernel column K and ``carrier_phase`` is None: that grid serves
+    the point forms and the zero-Doppler slice, where a per-draw phase
+    multiply would cost more than a real product saves.  A delay thus
+    costs L + 2L-1 complex exponentials (one more at one Doppler) and one
+    sinc per distinct frequency, plus the gather.
     """
     t_min = max(0.0, float(tau))
     t_max = min(cfg.symbol_duration, cfg.symbol_duration + float(tau))
@@ -86,41 +103,69 @@ def _delay_terms(cfg: OfdmConfig, tau: float, nu_grid: np.ndarray, offsets, out=
     carrier, u, inv = offsets
     l = np.arange(cfg.num_subcarriers)
     lag_phase = np.exp(2j * np.pi * l * cfg.subcarrier_spacing * tau)
-    kernel = np.multiply.outer(
-        np.exp(2j * np.pi * carrier * t_avg),
-        np.exp(-2j * np.pi * nu_grid * t_avg),
-        out=out,
-    )
-    envelope = t_diff * np.sinc(u * t_diff)
-    np.multiply(kernel, envelope[inv], out=kernel)
-    return lag_phase, kernel
+    carrier_phase = np.exp(2j * np.pi * carrier * t_avg)
+    envelope = np.take(t_diff * np.sinc(u * t_diff), inv, out=out)
+    if nu_grid.size > 1:
+        return lag_phase, carrier_phase, envelope
+    kernel = np.multiply.outer(carrier_phase, np.exp(-2j * np.pi * nu_grid * t_avg))
+    np.multiply(kernel, envelope, out=kernel)
+    return lag_phase, None, kernel
 
 
 def _af_at_delay(
-    symbols: np.ndarray, spectrum: np.ndarray, lag_phase: np.ndarray, kernel: np.ndarray
+    symbols: np.ndarray,
+    spectrum: np.ndarray,
+    lag_phase: np.ndarray,
+    carrier_phase: np.ndarray | None,
+    kernel: np.ndarray,
+    work: np.ndarray | None = None,
 ):
-    """AF values for a batch of symbol vectors at one delay, all Dopplers.
+    """AF values for a batch of symbol vectors at one delay, all Dopplers,
+    as a draws x n_nu array.
 
     Groups the closed-form double sum by subcarrier offset m = l1 - l2: the
     lag products ``B_m = sum_l c_{l+m} conj(c_l) exp(j 2 pi l df tau)`` come
-    from one FFT convolution per draw, then the delay's Doppler kernel from
-    :func:`_delay_terms` finishes the job.  ``spectrum`` is the length-2L FFT
-    of ``symbols``, which does not depend on the delay.  With a one-column
-    kernel this is :func:`af_closed_form`.
+    from one FFT convolution per draw, then the delay's factors from
+    :func:`_delay_terms` finish the job.  ``spectrum`` is the length-2L FFT
+    of ``symbols``, which does not depend on the delay.
+
+    The path follows the form :func:`_delay_terms` gave for the grid's size.
+    With a complex kernel column (one Doppler, ``carrier_phase`` None) this
+    is one complex product and gives the AF itself: :func:`af_closed_form`.
+    Otherwise the lag products are multiplied by the carrier phase and the
+    real envelope S finishes them in one real product, half the flops of a
+    complex one, so the values are the AF times the unit-modulus phase
+    ``exp(j 2 pi nu t_avg)`` of each Doppler column: their magnitudes are
+    exact, which is all :func:`mc_average_af` reads.  That product reads the
+    lag products as a (2L-1) x draws block, written into ``work`` (a 1-D
+    complex buffer of at least (2L-1) draws elements) when given.
     """
     num = symbols.shape[1]
-    lagged = symbols.conj() * lag_phase
     # One (chunk, 2L) buffer, reused in place: the spectra held for every draw
-    # already raise the peak memory, so a call adds no further temporaries.
-    conv = np.fft.fft(lagged[:, ::-1], n=2 * num, axis=1)
+    # already raise the peak memory, so a call adds no further large
+    # temporary when ``work`` is given.  A fresh block per call would have
+    # the allocator return and re-map its pages on every call.
+    conv = np.fft.fft((symbols.conj() * lag_phase)[:, ::-1], n=2 * num, axis=1)
     np.multiply(spectrum, conv, out=conv)
     np.fft.ifft(conv, axis=1, out=conv)
-    return conv[:, : 2 * num - 1] @ kernel
+    lags = conv[:, : 2 * num - 1]
+    if carrier_phase is None:
+        return lags @ kernel
+    # A C-contiguous block, so its float view holds each draw's real and
+    # imaginary parts as two adjacent columns for S to take.  Transposing by
+    # assignment and then multiplying in place keeps numpy from staging the
+    # mixed-layout product through its own per-call ufunc buffers.
+    if work is None:
+        work = np.empty(lags.size, complex)
+    block = work[: lags.size].reshape(lags.shape[::-1])
+    block[...] = lags.T
+    np.multiply(block, carrier_phase[:, None], out=block)
+    return (kernel.T @ block.view(float)).view(complex).T
 
 
 def _at_point(cfg: OfdmConfig, symbols, tau: float, nu: float, evaluate):
     """Front end of the point forms: checks the symbol length and applies
-    ``evaluate(rows, lag_phase, kernel)`` to the rows at the one Doppler
+    ``evaluate(rows, lag_phase, None, kernel)`` to the rows at the one Doppler
     ``nu`` (zeros outside the window); one symbol vector gives a complex."""
     symbols = np.asarray(symbols, dtype=np.complex128)
     num = cfg.num_subcarriers
@@ -139,9 +184,9 @@ def af_closed_form(cfg: OfdmConfig, symbols, tau: float, nu: float):
     :func:`_af_at_delay`.  ``symbols`` may carry leading batch dimensions, in
     which case a matching array of values is returned."""
 
-    def evaluate(rows, lag_phase, kernel):
+    def evaluate(rows, *terms):
         spectrum = np.fft.fft(rows, n=2 * cfg.num_subcarriers, axis=1)
-        return _af_at_delay(rows, spectrum, lag_phase, kernel)[:, 0]
+        return _af_at_delay(rows, spectrum, *terms)[:, 0]
 
     return _at_point(cfg, symbols, tau, nu, evaluate)
 
@@ -151,7 +196,7 @@ def af_self_closed_form(cfg: OfdmConfig, symbols, tau: float, nu: float):
     ``sum_l |c_l|^2 exp(j 2 pi l df tau)`` times the m = 0 row of the
     delay's Doppler kernel."""
 
-    def evaluate(rows, lag_phase, kernel):
+    def evaluate(rows, lag_phase, _, kernel):
         return (np.abs(rows) ** 2 @ lag_phase) * kernel[cfg.num_subcarriers - 1, 0]
 
     return _at_point(cfg, symbols, tau, nu, evaluate)
@@ -207,12 +252,14 @@ def mc_average_af(
     offsets = _doppler_offsets(cfg, nu_grid)
 
     def fill(rows):
-        kernel = np.empty((2 * num - 1, nu_grid.size), complex)
+        envelope = np.empty((2 * num - 1, nu_grid.size))
+        work = np.empty((2 * num - 1) * AF_CHUNK, complex)
         for ti in rows:
-            terms = _delay_terms(cfg, tau_grid[ti], nu_grid, offsets, kernel)
+            terms = _delay_terms(cfg, tau_grid[ti], nu_grid, offsets, envelope)
             if terms is not None:
                 for chunk, spectrum in zip(chunks, spectra):
-                    total[ti] += np.abs(_af_at_delay(chunk, spectrum, *terms)).sum(axis=0)
+                    af = _af_at_delay(chunk, spectrum, *terms, work)
+                    total[ti] += np.abs(af).sum(axis=0)
 
     symmetric = np.array_equal(tau_grid, -tau_grid[::-1]) and np.array_equal(nu_grid, -nu_grid[::-1])
     half = tau_grid.size // 2 if symmetric else 0
@@ -249,7 +296,7 @@ def af_statistics(cfg: OfdmConfig, constellation: Constellation, tau_grid, nu: f
     for i, tau in enumerate(tau_grid):
         terms = _delay_terms(cfg, tau, nu_grid, offsets)
         if terms is not None:
-            lag_phase, kernel = terms
+            lag_phase, _, kernel = terms
             power = np.abs(kernel[:, 0]) ** 2
             k0 = abs(kernel[num - 1, 0])
             stats[:, i] = power[num - 1] * num * excess, pairs @ power, k0 * abs(lag_phase.sum())

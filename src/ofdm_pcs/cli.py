@@ -124,12 +124,9 @@ def resolve_modulation(spec: str) -> tuple[str, Constellation]:
     )
 
 
-_FLOAT = "{:.12g}".format
-
-
 def _fmt(value) -> str:
     if isinstance(value, (float, np.floating)):
-        return _FLOAT(float(value))
+        return "%.12g" % value
     return str(value)
 
 
@@ -141,15 +138,16 @@ def _meta(command: str, resolved: dict) -> dict:
 
 
 def write_csv(path: str, command: str, resolved: dict, header: list[str], rows) -> None:
-    """Rows are sequences or 1-D arrays.  A float cell prints as ``_fmt``
-    would, in one bound ``_FLOAT`` call; pass large float tables as arrays,
-    whose ``tolist`` yields Python floats, the fastest input of that call.
-    Each line goes to the file as it is formatted, so the text is never held
-    whole."""
+    """Rows are sequences or 1-D arrays.  Each cell prints as ``_fmt``
+    would, the whole row in one ``%`` operation whose format string is built
+    from the cell types (``%.12g`` for a float, ``%s`` otherwise); pass large
+    float tables as arrays, whose ``tolist`` yields Python floats.  Each line
+    goes to the file as it is formatted, so the text is never held whole."""
 
     def format_row(row):
         cells = row.tolist() if isinstance(row, np.ndarray) else row
-        return ",".join([_FLOAT(v) if isinstance(v, float) else _fmt(v) for v in cells]) + "\n"
+        spec = ",".join(["%.12g" if isinstance(v, (float, np.floating)) else "%s" for v in cells])
+        return spec % tuple(cells) + "\n"
 
     meta = _meta(command, resolved)
     with open(path, "w") as fh:

@@ -180,6 +180,10 @@ _OFF_LATTICE = (
             np.array([-7.3, -2.19, 0.0, 2.19, 7.3]),
             11, 3, id="off-lattice-mirrored",
         ),
+        # Both sides of the Doppler-count split in _delay_terms: one Doppler
+        # keeps the complex kernel column, two take the real envelope.
+        pytest.param(CFG16, _OFF_LATTICE[0], np.array([0.75]), 5, 2, id="one-doppler"),
+        pytest.param(CFG16, _OFF_LATTICE[0], np.array([-2.19, 0.75]), 5, 2, id="two-doppler"),
     ],
 )
 def test_mc_average_matches_brute_force_oracle(cfg, taus, nus, last_chunk, threads):
@@ -204,12 +208,14 @@ def test_mc_average_mirror_computes_half_the_rows(monkeypatch):
     seen = []
     original = ambiguity._af_at_delay
 
-    def counting(symbols, spectrum, lag_phase, kernel):
+    def counting(symbols, spectrum, lag_phase, carrier_phase, kernel, work=None):
         seen.extend(
             i for i, terms in enumerate(kernels)
-            if terms is not None and np.array_equal(terms[1], kernel)
+            if terms is not None
+            and np.array_equal(terms[1], carrier_phase)
+            and np.array_equal(terms[2], kernel)
         )
-        return original(symbols, spectrum, lag_phase, kernel)
+        return original(symbols, spectrum, lag_phase, carrier_phase, kernel, work)
 
     monkeypatch.setattr(ambiguity, "_af_at_delay", counting)
     mirrored = mc_average_af(CFG16, make_qam(16), taus, nus, trials, 19, threads=2)

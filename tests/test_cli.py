@@ -310,6 +310,20 @@ def test_csv_cells_print_alike_from_arrays_and_lists(tmp_path):
     # a non-float cell (the pd trials column) prints through str
     write_csv(str(tmp_path / "mixed.csv"), "t", {}, ["h"], [[0.5, 5000, np.int64(7)]])
     assert (tmp_path / "mixed.csv").read_text().splitlines()[-1] == "0.5,5000,7"
+    # Signed zero, exponent form at both ends, a float32 (printed as the float
+    # it holds), a bool and a numpy integer, from a list and from arrays.
+    odd = [-0.0, 1e16, 1e-5, np.float32(0.1), True, np.int64(-3)]
+    expected = "-0,1e+16,1e-05,0.10000000149,True,-3"
+    typed = [np.array([-0.0, 1e16, 1e-5]), np.array([0.1], dtype=np.float32),
+             np.array([True]), np.array([-3], dtype=np.int64)]
+    cases = [
+        ([odd], [expected]),
+        ([np.array(odd, dtype=object)], [expected]),
+        (typed, ["-0,1e+16,1e-05", "0.10000000149", "True", "-3"]),
+    ]
+    for i, (rs, lines) in enumerate(cases):
+        write_csv(str(tmp_path / f"odd{i}.csv"), "t", {}, ["h"], rs)
+        assert (tmp_path / f"odd{i}.csv").read_text().splitlines()[-len(rs):] == lines
 
 
 def test_config_file_precedence(tmp_path):
