@@ -7,6 +7,12 @@ gives a range profile; a smallest-of CFAR thresholds each cell by the smaller
 of its leading/lagging reference-window means so the interference peak in one
 window cannot mask the target.  The threshold multiplier is calibrated by
 bisection against the empirical false-alarm rate on noise-only profiles.
+
+The matched filter is an FFT correlation at the shortest 5-smooth length
+that keeps the lags read free of wrap-around, run over cache-sized blocks of
+trials.  The pd loop evaluates the SO-CFAR rule at the target cell only,
+from the same running sums as the whole-profile rule, so that cell's
+decisions are bitwise the same.
 """
 
 from __future__ import annotations
@@ -22,6 +28,8 @@ from .ofdm import OfdmConfig, symbol_signal_batch
 
 # Trials per Monte-Carlo chunk of the pd loop: bounds the (chunk, 2, N) buffers.
 PD_CHUNK = 512
+# Rows per block of the matched filter's leading axis: keeps its spectra cache-sized.
+MF_BLOCK = 64
 # Fewest cells a truncated reference window keeps and still counts (see CfarConfig).
 MIN_REFERENCE_CELLS = 4
 
@@ -62,29 +70,71 @@ class CfarConfig:
         return 2 * (self.window_cells + self.guard_cells) + 2
 
 
+def _fft_length(minimum: int) -> int:
+    """Smallest 2^a * 3^b * 5^c that is >= ``minimum``."""
+    size = minimum
+    while True:
+        rest = size
+        for prime in (2, 3, 5):
+            while rest % prime == 0:
+                rest //= prime
+        if rest == 1:
+            return size
+        size += 1
+
+
 def _matched_filter_batch(rx: np.ndarray, ref: np.ndarray, lags: int | None = None) -> np.ndarray:
     """Complex linear cross-correlation ``sum_n rx[n+k] conj(ref[n])`` over the
-    last axis at lags ``k = 0..lags-1`` (default all N).
+    last axis at lags ``k = 0..lags-1``, with ``lags`` in 1..N (default N).
 
     ``ref`` broadcasts against ``rx``, so one reference spectrum serves every
     received row stacked beside it; its rows must have ``rx``'s length, since
     a shorter one would be zero-padded into a wrong correlation.
+
+    The FFT length is the smallest 2^a 3^b 5^c >= N + lags - 1, the shortest
+    at which no lag read wraps around: 384 points for 128 lags of N = 256,
+    300 for 38, and 2N = 512 for all 256.  The leading (trial) axis runs in
+    blocks of ``MF_BLOCK`` rows, each taking the conjugate, product and
+    inverse FFT in place on its own spectra and writing into one preallocated
+    output.  A row's FFT does not depend on how many rows share the call, so
+    the blocking changes no bit.
     """
     n = rx.shape[-1]
     if ref.shape[-1] != n:
         raise ValueError(f"ref rows have {ref.shape[-1]} samples, rx rows have {n}")
-    size = 2 * n
-    spec = np.fft.fft(rx, n=size, axis=-1) * np.conj(np.fft.fft(ref, n=size, axis=-1))
-    return np.fft.ifft(spec, axis=-1)[..., : n if lags is None else lags]
+    if lags is None:
+        lags = n
+    elif not 1 <= lags <= n:
+        raise ValueError(f"lags must be in 1..{n} (the row length), got {lags}")
+    size = _fft_length(n + lags - 1)
+    batch = np.broadcast_shapes(rx.shape[:-1], ref.shape[:-1])
+    out = np.empty(batch + (lags,), dtype=complex)
+    # Every operand gets a leading block axis, even a single row.
+    shape = batch or (1,)
+    rows = shape[0]
+    rx = np.broadcast_to(rx, shape + (n,))
+    ref = ref.reshape((1,) * (len(shape) + 1 - ref.ndim) + ref.shape)
+    rows_out = out.reshape(shape + (lags,))
+    for lo in range(0, rows, MF_BLOCK):
+        block = slice(lo, lo + MF_BLOCK)
+        spec = np.fft.fft(rx[block], n=size, axis=-1)
+        ref_spec = np.fft.fft(ref[block] if len(ref) == rows else ref, n=size, axis=-1)
+        spec *= np.conjugate(ref_spec, out=ref_spec)
+        np.fft.ifft(spec, axis=-1, out=spec)
+        rows_out[block] = spec[..., :lags]
+    return out
 
 
-def reference_means(profiles: np.ndarray, cfar: CfarConfig):
-    """Leading/lagging reference-window means for every cell.
+def reference_means(profiles: np.ndarray, cfar: CfarConfig, cell: int | None = None):
+    """Leading/lagging reference-window means for every cell, or for ``cell``
+    alone.
 
     Windows are truncated at the profile edges; a side left with fewer than
     ``min(MIN_REFERENCE_CELLS, cfar.window_cells)`` cells (or none at all)
     yields NaN there, so the other side decides alone.  Accepts a single
-    profile or a batch whose last axis is the cells.
+    profile or a batch whose last axis is the cells; with ``cell`` given, the
+    means drop that axis.  Both forms take the window sums as differences of
+    one running sum, so a cell's means are bitwise the same either way.
     """
     profiles = np.asarray(profiles, dtype=float)
     n = profiles.shape[-1]
@@ -93,10 +143,12 @@ def reference_means(profiles: np.ndarray, cfar: CfarConfig):
             f"profile with {n} cells is too short for window={cfar.window_cells}, "
             f"guard={cfar.guard_cells}"
         )
+    if cell is not None and not 0 <= cell < n:
+        raise ValueError(f"cell must be in 0..{n - 1}, got {cell}")
     cs = np.concatenate(
         [np.zeros(profiles.shape[:-1] + (1,)), np.cumsum(profiles, axis=-1)], axis=-1
     )
-    i = np.arange(n)
+    i = np.arange(n) if cell is None else cell
     lead_lo = np.clip(i - cfar.guard_cells - cfar.window_cells, 0, n)
     lead_hi = np.clip(i - cfar.guard_cells, 0, n)
     lag_lo = np.clip(i + cfar.guard_cells + 1, 0, n)
@@ -112,18 +164,21 @@ def reference_means(profiles: np.ndarray, cfar: CfarConfig):
     return lead, lag
 
 
-def so_cfar(profile: np.ndarray, cfar: CfarConfig) -> np.ndarray:
-    """Per-cell detection decisions under the smallest-of rule.
+def so_cfar(profile: np.ndarray, cfar: CfarConfig, cell: int | None = None) -> np.ndarray:
+    """Per-cell detection decisions under the smallest-of rule, for every cell
+    or for ``cell`` alone (the cell axis is then dropped).
 
     Threshold = alpha * min(leading mean, lagging mean); edge cells fall back
     to the single available window.  Decisions are invariant to a global
-    positive scaling of the profile.
+    positive scaling of the profile, and ``so_cfar(p, cfar, c)`` equals
+    ``so_cfar(p, cfar)[..., c]`` bit for bit.
     """
     if cfar.alpha is None:
         raise ValueError("CfarConfig.alpha is unset; calibrate first")
-    lead, lag = reference_means(profile, cfar)
+    lead, lag = reference_means(profile, cfar, cell)
     threshold = cfar.alpha * np.fmin(lead, lag)
-    return np.asarray(profile) > threshold
+    profile = np.asarray(profile)
+    return (profile if cell is None else profile[..., cell]) > threshold
 
 
 @dataclass
@@ -282,7 +337,8 @@ def pd_experiment(scn: DetectionScenario, *, threads: int = 1) -> list[dict]:
     stays O(``PD_CHUNK``) whatever ``scn.trials`` is.  Every SNR point shares
     a chunk's draws: the matched filter is linear, so the received
     correlation is ``C_clutter + g_s * C_echo`` with both parts computed once
-    per chunk, and only at the lags the target cell's CFAR windows reach.
+    per chunk, and only at the lags the target cell's CFAR windows reach;
+    SO-CFAR then decides that one cell (``so_cfar(..., offset)``).
     Threads split the chunks and the integer hit counts are summed, so the
     result does not depend on the thread count.  Returns rows
     ``{"snr_db", "pd", "trials"}``.
@@ -325,7 +381,7 @@ def pd_experiment(scn: DetectionScenario, *, threads: int = 1) -> list[dict]:
         rx[:, 1, offset:] = tx[:, : n_samples - offset]
         corr = _matched_filter_batch(rx, tx[:, None, :], cells)
         profiles = np.abs(corr[:, 0] + gain_target * corr[:, 1]) ** 2  # (snr, trial, cell)
-        return np.count_nonzero(so_cfar(profiles, cfar)[..., offset], axis=1)
+        return np.count_nonzero(so_cfar(profiles, cfar, offset), axis=1)
 
     hits = sum(map_chunks(chunk_hits, draw_seed, scn.trials, PD_CHUNK, threads))
     return [

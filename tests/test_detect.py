@@ -5,11 +5,13 @@ import pytest
 
 from ofdm_pcs.constellation import make_psk, make_qam
 from ofdm_pcs.detect import (
+    MF_BLOCK,
     PD_CHUNK,
     CalibrationError,
     CfarConfig,
     DetectionScenario,
     _complex_noise,
+    _fft_length,
     _matched_filter_batch,
     calibrate_alpha,
     instrumented_range,
@@ -91,6 +93,85 @@ def test_matched_filter_batch_rejects_reference_of_other_length():
     # A shorter reference would be zero-padded into a correlation of the wrong signal.
     with pytest.raises(ValueError, match="128 samples.*256"):
         _matched_filter_batch(np.ones(256, complex), np.ones(128, complex))
+
+
+def complex_normal(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize(
+    "rx_shape, ref_shape",
+    [((-1, 256), (-1, 256)), ((-1, 2, 256), (-1, 1, 256)), ((-1, 256), (256,))],
+    ids=["rows", "stacked-rows", "one-ref"],
+)
+def test_matched_filter_blocks_change_no_bit(rx_shape, ref_shape):
+    # Two full blocks plus a remainder equal the same rows correlated one by one.
+    count = 2 * MF_BLOCK + 37
+    rng = np.random.default_rng(15)
+    rx = complex_normal(rng, tuple(count if d < 0 else d for d in rx_shape))
+    ref = complex_normal(rng, tuple(count if d < 0 else d for d in ref_shape))
+    for lags in (128, 38, 256):
+        got = _matched_filter_batch(rx, ref, lags)
+        rows = [_matched_filter_batch(rx[i], ref if ref.ndim == 1 else ref[i], lags) for i in range(count)]
+        assert np.array_equal(got, np.stack(rows))
+
+
+@pytest.mark.parametrize(
+    "n, lags", [(16, 1), (16, 2), (16, 15), (16, 16), (27, 1), (27, 2), (27, 26), (27, 27)]
+)
+def test_matched_filter_short_fft_has_no_wraparound(n, lags):
+    # Lags 1, 2, N-1 and N.  N + lags - 1 is 5-smooth for (16, 1), (16, 15) and
+    # (27, 1), and not for the rest; either way no negative lag may alias onto
+    # the ones returned.
+    rng = np.random.default_rng(16)
+    rx = complex_normal(rng, (3, n))
+    ref = complex_normal(rng, (3, n))
+    got = _matched_filter_batch(rx, ref, lags)
+    direct = np.stack(
+        [np.sum(rx[..., k:] * np.conj(ref[..., : n - k]), axis=-1) for k in range(lags)], axis=-1
+    )
+    assert got.shape == (3, lags)
+    assert np.max(np.abs(got - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+
+def test_fft_length_is_smallest_five_smooth():
+    smooth = sorted(
+        2**a * 3**b * 5**c for a in range(11) for b in range(7) for c in range(5)
+    )
+    for m in range(1, 1025):
+        assert _fft_length(m) == next(s for s in smooth if s >= m)
+    assert [_fft_length(m) for m in (293, 383, 511)] == [300, 384, 512]
+
+
+@pytest.mark.parametrize("lags", [0, -3, 17, 20, 40])
+def test_matched_filter_rejects_lags_outside_row(lags):
+    with pytest.raises(ValueError, match=f"lags must be in 1..16.*got {lags}"):
+        _matched_filter_batch(np.ones(16, complex), np.ones(16, complex), lags)
+
+
+@pytest.mark.parametrize("cell", [0, 5, 60, 127], ids=["first", "edge", "interior", "last"])
+def test_one_cell_decision_matches_full_profile(cell):
+    # Cell 5 keeps 3 leading cells, under the floor of 4, so its lead is NaN;
+    # cells 0 and 127 have one window missing outright.
+    cfar = CfarConfig(window_cells=16, guard_cells=2, alpha=3.0)
+    profiles = np.random.default_rng(17).exponential(size=(3, 200, 128))
+    lead, lag = reference_means(profiles, cfar)
+    one_lead, one_lag = reference_means(profiles, cfar, cell)
+    assert np.array_equal(one_lead, lead[..., cell], equal_nan=True)
+    assert np.array_equal(one_lag, lag[..., cell], equal_nan=True)
+    assert np.isnan(one_lead).all() == (cell in (0, 5))
+    assert np.isnan(one_lag).all() == (cell == 127)
+    decisions = so_cfar(profiles, cfar, cell)
+    assert decisions.shape == (3, 200)
+    assert np.array_equal(decisions, so_cfar(profiles, cfar)[..., cell])
+    assert 0 < np.count_nonzero(decisions) < decisions.size
+
+
+@pytest.mark.parametrize("cell", [-1, 128])
+def test_one_cell_decision_rejects_cell_outside_profile(cell):
+    cfar = CfarConfig(window_cells=16, guard_cells=2, alpha=3.0)
+    with pytest.raises(ValueError, match=f"cell must be in 0..127, got {cell}"):
+        so_cfar(np.ones(128), cfar, cell)
 
 
 def test_flat_profile_no_detections():
