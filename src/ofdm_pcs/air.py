@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constellation import Constellation
+from .constellation import Constellation, IndexSampler
 from .mc import map_chunks, map_ordered
 from .pcs import PcsProblem, solve_pcs
 
@@ -65,9 +65,10 @@ def air_mc(constellation: Constellation, cfg: AirConfig) -> AirEstimate:
     memory stays O(``AIR_CHUNK`` x points) and the estimate is an exact
     function of (seed, mc_trials, inputs).
 
-    Each chunk draws, in this order, the symbol indices
-    (``rng.choice(points, count, p=p)``), the real noise parts and the
-    imaginary noise parts (``rng.standard_normal(count)`` each).  The
+    Each chunk draws, in this order, the symbol indices (an
+    :class:`IndexSampler`, bitwise ``rng.choice(points, count, p=p)``), the
+    real noise parts and the imaginary noise parts
+    (``rng.standard_normal(count)`` each).  The
     log-likelihoods ``log p_q - ((x_q,re - y_re)^2 + (x_q,im - y_im)^2) /
     sigma^2`` then fill one (points, count) float64 buffer, a row per point
     written in place, so the max and the sum over the points reduce over
@@ -83,11 +84,11 @@ def air_mc(constellation: Constellation, cfg: AirConfig) -> AirEstimate:
     points = constellation.points[mask]
     prior = constellation.probs[mask]
     log_prior = np.log(prior)[:, None]
-    p = prior / prior.sum()
+    sampler = IndexSampler(prior / prior.sum())
     scale = math.sqrt(sigma2 / 2.0)
 
     def partials(rng: np.random.Generator, count: int) -> tuple[float, float]:
-        idx = rng.choice(points.size, size=count, p=p)
+        idx = sampler.draw(rng, count)
         y_re = points.real[idx] + rng.standard_normal(count) * scale
         y_im = points.imag[idx] + rng.standard_normal(count) * scale
         ll = np.empty((points.size, count))

@@ -22,6 +22,35 @@ RING_TOL = 1e-9
 _TWO_PI = 2.0 * math.pi
 
 
+class IndexSampler:
+    """I.i.d. indices ``0..len(p)-1`` drawn with probabilities ``p``.
+
+    ``draw(rng, n)`` equals ``rng.choice(len(p), size=n, p=p)`` bit for bit
+    and leaves ``rng`` where that call would: it takes numpy's own
+    ``cdf = p.cumsum(); cdf /= cdf[-1]`` and one ``rng.random(n)`` key per
+    index, and an index is the count of cdf entries <= its key.  That count
+    is found by halving steps over the cdf padded with ``inf`` to a power of
+    two, so every key takes the same log2 steps, each one gather and compare
+    over all keys at once, with no per-key branch.
+    """
+
+    def __init__(self, p):
+        cdf = np.asarray(p, dtype=np.float64).cumsum()
+        cdf /= cdf[-1]
+        size = 1 << (cdf.size - 1).bit_length()
+        self._cdf = np.concatenate([cdf, np.full(size - cdf.size, np.inf)])
+
+    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        keys = rng.random(n)
+        idx = np.zeros(n, dtype=np.int64)
+        step = self._cdf.size // 2
+        while step:
+            # The last cdf entry is exactly 1 > key, so idx never passes len(p) - 1.
+            idx += step * (self._cdf.take(idx + (step - 1)) <= keys)
+            step //= 2
+        return idx
+
+
 @dataclass(frozen=True)
 class Constellation:
     """Ordered complex points plus a probability vector on the simplex.
@@ -102,8 +131,7 @@ class Constellation:
         if n < 1:
             raise ValueError(f"need at least one draw, got n={n}")
         rng = np.random.default_rng(seed)
-        idx = rng.choice(self.order, size=n, p=self.probs)
-        return self.points[idx]
+        return self.points[IndexSampler(self.probs).draw(rng, n)]
 
     def with_probs(self, probs) -> "Constellation":
         """Same points, new probability vector (revalidated)."""

@@ -10,9 +10,12 @@ bisection against the empirical false-alarm rate on noise-only profiles.
 
 The matched filter is an FFT correlation at the shortest 5-smooth length
 that keeps the lags read free of wrap-around, run over cache-sized blocks of
-trials.  The pd loop evaluates the SO-CFAR rule at the target cell only,
-from the same running sums as the whole-profile rule, so that cell's
-decisions are bitwise the same.
+trials.  The pd loop correlates only the lags the target cell's reference
+windows reach (27 of the 128 instrumented at the defaults) and evaluates the
+SO-CFAR rule at that cell only.  Its profile is quadratic in the target
+gain, so it takes the window means of three parts once per chunk and
+decides every SNR point from them, through the same rule as
+:func:`so_cfar`.
 """
 
 from __future__ import annotations
@@ -93,7 +96,7 @@ def _matched_filter_batch(rx: np.ndarray, ref: np.ndarray, lags: int | None = No
 
     The FFT length is the smallest 2^a 3^b 5^c >= N + lags - 1, the shortest
     at which no lag read wraps around: 384 points for 128 lags of N = 256,
-    300 for 38, and 2N = 512 for all 256.  The leading (trial) axis runs in
+    288 for 27, and 2N = 512 for all 256.  The leading (trial) axis runs in
     blocks of ``MF_BLOCK`` rows, each taking the conjugate, product and
     inverse FFT in place on its own spectra and writing into one preallocated
     output.  A row's FFT does not depend on how many rows share the call, so
@@ -135,16 +138,26 @@ def reference_means(profiles: np.ndarray, cfar: CfarConfig, cell: int | None = N
     profile or a batch whose last axis is the cells; with ``cell`` given, the
     means drop that axis.  Both forms take the window sums as differences of
     one running sum, so a cell's means are bitwise the same either way.
+
+    The whole-profile form needs ``cfar.min_profile_len()`` cells.  With
+    ``cell`` given, a profile that reaches the end of that cell's lagging
+    window (``cell + guard + window + 1`` cells) is enough: the cells beyond
+    it change neither mean, so a cut profile gives the cell the means of the
+    full one.
     """
     profiles = np.asarray(profiles, dtype=float)
     n = profiles.shape[-1]
-    if n < cfar.min_profile_len():
-        raise ValueError(
-            f"profile with {n} cells is too short for window={cfar.window_cells}, "
-            f"guard={cfar.guard_cells}"
-        )
     if cell is not None and not 0 <= cell < n:
         raise ValueError(f"cell must be in 0..{n - 1}, got {cell}")
+    need = cfar.min_profile_len()
+    if cell is not None:
+        need = min(need, cell + cfar.guard_cells + cfar.window_cells + 1)
+    if n < need:
+        at = "" if cell is None else f" at cell {cell}"
+        raise ValueError(
+            f"profile with {n} cells is too short for window={cfar.window_cells}, "
+            f"guard={cfar.guard_cells}{at} (needs {need})"
+        )
     cs = np.concatenate(
         [np.zeros(profiles.shape[:-1] + (1,)), np.cumsum(profiles, axis=-1)], axis=-1
     )
@@ -164,6 +177,25 @@ def reference_means(profiles: np.ndarray, cfar: CfarConfig, cell: int | None = N
     return lead, lag
 
 
+def _so_decide(parts: np.ndarray, cfar: CfarConfig, cell: int | None, profile_of=None):
+    """The smallest-of rule ``value > alpha * fmin(lead, lag)``, on
+    ``profile_of(parts)`` (``parts`` itself by default).
+
+    ``profile_of`` must be linear in the cells' values, like a weighted sum
+    over a leading axis of ``parts``: window means are linear too, so it is
+    applied to the cell value and to both means of ``parts`` instead of to
+    every cell before the running sum.
+    """
+    if cfar.alpha is None:
+        raise ValueError("CfarConfig.alpha is unset; calibrate first")
+    lead, lag = reference_means(parts, cfar, cell)
+    parts = np.asarray(parts)
+    value = parts if cell is None else parts[..., cell]
+    if profile_of is not None:
+        value, lead, lag = profile_of(value), profile_of(lead), profile_of(lag)
+    return value > cfar.alpha * np.fmin(lead, lag)
+
+
 def so_cfar(profile: np.ndarray, cfar: CfarConfig, cell: int | None = None) -> np.ndarray:
     """Per-cell detection decisions under the smallest-of rule, for every cell
     or for ``cell`` alone (the cell axis is then dropped).
@@ -171,14 +203,11 @@ def so_cfar(profile: np.ndarray, cfar: CfarConfig, cell: int | None = None) -> n
     Threshold = alpha * min(leading mean, lagging mean); edge cells fall back
     to the single available window.  Decisions are invariant to a global
     positive scaling of the profile, and ``so_cfar(p, cfar, c)`` equals
-    ``so_cfar(p, cfar)[..., c]`` bit for bit.
+    ``so_cfar(p, cfar)[..., c]`` bit for bit.  The pd loop decides through
+    the same rule, on three stacked parts of a profile quadratic in the
+    target gain (see :func:`pd_experiment`).
     """
-    if cfar.alpha is None:
-        raise ValueError("CfarConfig.alpha is unset; calibrate first")
-    lead, lag = reference_means(profile, cfar, cell)
-    threshold = cfar.alpha * np.fmin(lead, lag)
-    profile = np.asarray(profile)
-    return (profile if cell is None else profile[..., cell]) > threshold
+    return _so_decide(profile, cfar, cell)
 
 
 @dataclass
@@ -286,8 +315,16 @@ def noise_profile_sampler(cfg: OfdmConfig, constellation: Constellation):
 
 
 def _complex_noise(rng: np.random.Generator, shape, variance: float) -> np.ndarray:
+    """Circular complex Gaussian noise of ``variance``: real parts drawn
+    first, then imaginary parts, each scaled into its half of one complex
+    output.  Bitwise ``sqrt(variance / 2) * (a + 1j * b)`` from the same two
+    draws, without that expression's three complex temporaries.
+    """
     scale = math.sqrt(variance / 2.0)
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    out = np.empty(shape, dtype=complex)
+    np.multiply(rng.standard_normal(shape), scale, out=out.real)
+    np.multiply(rng.standard_normal(shape), scale, out=out.imag)
+    return out
 
 
 @dataclass
@@ -336,11 +373,16 @@ def pd_experiment(scn: DetectionScenario, *, threads: int = 1) -> list[dict]:
     noise from child k of child seed 1 (see :func:`mc.map_chunks`), so memory
     stays O(``PD_CHUNK``) whatever ``scn.trials`` is.  Every SNR point shares
     a chunk's draws: the matched filter is linear, so the received
-    correlation is ``C_clutter + g_s * C_echo`` with both parts computed once
-    per chunk, and only at the lags the target cell's CFAR windows reach;
-    SO-CFAR then decides that one cell (``so_cfar(..., offset)``).
-    Threads split the chunks and the integer hit counts are summed, so the
-    result does not depend on the thread count.  Returns rows
+    correlation is ``C0 + g * C1`` (self-interference plus noise, and the
+    unit-gain echo), with both parts computed once per chunk and only at the
+    lags the target cell's CFAR windows reach (``offset + guard + window +
+    1``, capped at the instrumented range).  The profile ``|C0 + g C1|^2`` is
+    ``P0 + g^2 P1 + g P2`` with the parts ``|C0|^2``, ``|C1|^2`` and
+    ``2 Re(C0 C1*)``, and window means are linear, so the target cell's value
+    and reference means are taken once per chunk from the stacked parts and
+    every SNR point is decided from those quadratics by the SO-CFAR rule at
+    that one cell.  Threads split the chunks and the integer hit counts are
+    summed, so the result does not depend on the thread count.  Returns rows
     ``{"snr_db", "pd", "trials"}``.
     """
     grid = scn.snr_grid_db
@@ -360,16 +402,17 @@ def pd_experiment(scn: DetectionScenario, *, threads: int = 1) -> list[dict]:
     n_samples = scn.cfg.num_samples
     offset = scn.target_cell_offset
     # The target cell's lagging window ends at offset+guard+window; cutting the
-    # profile there (but not below the CFAR minimum) leaves its decision as on
-    # the full instrumented profile.
-    cells = min(
-        instrumented_range(scn.cfg),
-        max(offset + cfar.guard_cells + cfar.window_cells + 1, cfar.min_profile_len()),
-    )
+    # profile there leaves its decision as on the full instrumented profile.
+    cells = min(instrumented_range(scn.cfg), offset + cfar.guard_cells + cfar.window_cells + 1)
     # Amplitudes scale so received power over the L-subcarrier waveform hits
     # the requested ratios against unit-variance noise.
     gain_si = math.sqrt(10.0 ** (scn.si_to_noise_db / 10.0) / num)
-    gain_target = np.sqrt(10.0 ** (grid / 10.0) / num)[:, None, None]
+    gain_target = np.sqrt(10.0 ** (grid / 10.0) / num)[:, None]
+    gain_sq = gain_target**2
+
+    def profile_of(p: np.ndarray) -> np.ndarray:
+        # |C0 + g C1|^2 = |C0|^2 + g^2 |C1|^2 + g 2Re(C0 C1*), for every g at once.
+        return p[0] + gain_sq * p[1] + gain_target * p[2]  # (snr, trial)
 
     def chunk_hits(rng: np.random.Generator, count: int) -> np.ndarray:
         symbols = scn.constellation.sample_symbols(count * num, rng).reshape(count, num)
@@ -380,8 +423,13 @@ def pd_experiment(scn: DetectionScenario, *, threads: int = 1) -> list[dict]:
         rx[:, 0] = gain_si * tx + noise
         rx[:, 1, offset:] = tx[:, : n_samples - offset]
         corr = _matched_filter_batch(rx, tx[:, None, :], cells)
-        profiles = np.abs(corr[:, 0] + gain_target * corr[:, 1]) ** 2  # (snr, trial, cell)
-        return np.count_nonzero(so_cfar(profiles, cfar, offset), axis=1)
+        c0, c1 = corr[:, 0], corr[:, 1]
+        parts = np.stack([  # (part, trial, cell)
+            c0.real**2 + c0.imag**2,
+            c1.real**2 + c1.imag**2,
+            2.0 * (c0.real * c1.real + c0.imag * c1.imag),
+        ])
+        return np.count_nonzero(_so_decide(parts, cfar, offset, profile_of), axis=1)
 
     hits = sum(map_chunks(chunk_hits, draw_seed, scn.trials, PD_CHUNK, threads))
     return [

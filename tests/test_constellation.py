@@ -6,6 +6,7 @@ import pytest
 
 from ofdm_pcs.constellation import (
     Constellation,
+    IndexSampler,
     group_rings,
     make_psk,
     make_qam,
@@ -118,6 +119,43 @@ def test_sampling_deterministic():
     b = c.sample_symbols(512, 42)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c.sample_symbols(512, 43))
+
+
+@pytest.mark.parametrize("points", [1, 2, 3, 16, 17, 256, 1000, 1024])
+@pytest.mark.parametrize("zeros", [False, True], ids=["dense", "zeros"])
+def test_index_sampler_matches_rng_choice(points, zeros):
+    rng = np.random.default_rng(points)
+    p = rng.random(points)
+    if zeros and points > 1:
+        p[rng.random(points) < 0.4] = 0.0
+        p[0] = p[-1] = 0.0
+        p[points // 2] = 1.0
+    p /= p.sum()
+    expected, drawn = np.random.default_rng(5), np.random.default_rng(5)
+    want = expected.choice(points, size=3000, p=p)
+    got = IndexSampler(p).draw(drawn, 3000)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    # Same stream position afterwards: the next draw is the same too.
+    assert drawn.standard_normal(8).tobytes() == expected.standard_normal(8).tobytes()
+
+
+def test_index_sampler_keys_on_cdf_entries():
+    # A key equal to a cdf entry goes past it (searchsorted side="right"),
+    # and a zero-probability point is never drawn, at 0.0 either.
+    p = np.array([0.0, 0.25, 0.25, 0.0, 0.5])
+    cdf = p.cumsum() / p.sum()
+    keys = np.concatenate([cdf[:-1], np.nextafter(cdf[:-1], 0.0), [0.0, np.nextafter(1.0, 0.0)]])
+
+    class Keys:
+        def random(self, n):
+            assert n == keys.size
+            return keys.copy()
+
+    got = IndexSampler(p).draw(Keys(), keys.size)
+    assert np.array_equal(got, cdf.searchsorted(keys, side="right"))
+    assert np.array_equal(got[:4], [1, 2, 4, 4])
+    assert not np.isin(got, [0, 3]).any()
 
 
 def test_bpsk_sample_mean_near_zero():

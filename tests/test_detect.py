@@ -13,6 +13,7 @@ from ofdm_pcs.detect import (
     _complex_noise,
     _fft_length,
     _matched_filter_batch,
+    _so_decide,
     calibrate_alpha,
     instrumented_range,
     noise_profile_sampler,
@@ -165,6 +166,47 @@ def test_one_cell_decision_matches_full_profile(cell):
     assert decisions.shape == (3, 200)
     assert np.array_equal(decisions, so_cfar(profiles, cfar)[..., cell])
     assert 0 < np.count_nonzero(decisions) < decisions.size
+
+
+def test_one_cell_means_need_only_the_cells_windows():
+    # Cell 8's lagging window (guard 2, window 16) ends at cell 26: a 27-cell
+    # cut gives the means of the full profile, and a 26-cell one is refused.
+    cfar = CfarConfig(window_cells=16, guard_cells=2, alpha=3.0)
+    profiles = np.random.default_rng(18).exponential(size=(50, 128))
+    full = reference_means(profiles, cfar, 8)
+    cut = reference_means(profiles[:, :27], cfar, 8)
+    for a, b in zip(cut, full):
+        assert a.tobytes() == b.tobytes()
+    assert np.isfinite(cut).all()
+    with pytest.raises(ValueError, match="profile with 26 cells .* at cell 8 [(]needs 27[)]"):
+        reference_means(profiles[:, :26], cfar, 8)
+    # The whole-profile form still needs the CFAR minimum.
+    with pytest.raises(ValueError, match="profile with 27 cells .* guard=2 [(]needs 38[)]"):
+        reference_means(profiles[:, :27], cfar)
+
+
+def test_three_part_decision_matches_built_profiles():
+    # |C0 + g C1|^2 is quadratic in g; deciding on its three parts' window
+    # means gives so_cfar's decisions on the profiles built for every g.
+    rng = np.random.default_rng(19)
+    c0, c1 = (rng.standard_normal((300, 40)) + 1j * rng.standard_normal((300, 40)) for _ in range(2))
+    gains = np.array([0.0, 0.3, 1.0, 2.5])[:, None]
+    cfar = CfarConfig(window_cells=8, guard_cells=2, alpha=4.0)
+    parts = np.stack([abs(c0) ** 2, abs(c1) ** 2, 2.0 * (c0 * c1.conj()).real])
+    decided = _so_decide(parts, cfar, 12, lambda p: p[0] + gains**2 * p[1] + gains * p[2])
+    profiles = np.abs(c0 + gains[..., None] * c1) ** 2
+    assert np.array_equal(decided, so_cfar(profiles, cfar, 12))
+    assert 0 < np.count_nonzero(decided) < decided.size
+
+
+@pytest.mark.parametrize("shape", [(1000, 256), (200, 256), (333,)])
+def test_complex_noise_bits(shape):
+    want = np.random.default_rng(20)
+    scale = math.sqrt(2.5 / 2.0)
+    expected = scale * (want.standard_normal(shape) + 1j * want.standard_normal(shape))
+    got = np.random.default_rng(20)
+    assert _complex_noise(got, shape, 2.5).tobytes() == expected.tobytes()
+    assert got.standard_normal(4).tobytes() == want.standard_normal(4).tobytes()
 
 
 @pytest.mark.parametrize("cell", [-1, 128])
