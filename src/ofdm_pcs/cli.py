@@ -79,7 +79,8 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
 
 def parse_grid(value, name: str = "grid") -> np.ndarray:
     """Parse ``start:step:stop`` (inclusive), comma lists, or a single number,
-    given as option ``name``, which every error names; entries must be finite."""
+    given as option ``name``, which every error names; entries must be finite
+    and there must be at least one."""
 
     def number(entry) -> float:
         try:
@@ -103,6 +104,8 @@ def parse_grid(value, name: str = "grid") -> np.ndarray:
             count = int(np.floor((stop - start) / step + 1e-9)) + 1
             return start + step * np.arange(count)
         grid = np.array([number(p) for p in text.split(",") if p.strip() != ""])
+    if grid.size == 0:
+        raise ValueError(f"{name} is empty")
     if not np.isfinite(grid).all():
         raise ValueError(f"{name} entries must be finite, got {grid.tolist()}")
     return grid
@@ -374,8 +377,6 @@ def _run_detect_pd_sweep(opts: dict) -> None:
     cfg = _ofdm_config(opts)
     cfar = _cfar_config(opts)
     c0_list = parse_grid(opts["c0"], "c0")
-    if c0_list.size == 0:
-        raise ValueError("c0 is empty: need at least one shaping target")
     snr_grid = parse_grid(opts["snr"], "snr")
     rows = []
     for c0 in c0_list:

@@ -5,8 +5,8 @@ self-interference copy at lag zero, a weak target echo a few range cells
 away, and white noise.  Matched filtering with the known transmitted data
 gives a range profile; a smallest-of CFAR thresholds each cell by the smaller
 of its leading/lagging reference-window means so the interference peak in one
-window cannot mask the target.  The threshold multiplier is calibrated by
-bisection against the empirical false-alarm rate on noise-only profiles.
+window cannot mask the target.  The threshold multiplier is the noise-only
+cell/background ratio whose exceedance rate meets the false-alarm target.
 
 The matched filter is an FFT correlation at the shortest 5-smooth length
 that keeps the lags read free of wrap-around, run over cache-sized blocks of
@@ -212,6 +212,9 @@ def so_cfar(profile: np.ndarray, cfar: CfarConfig, cell: int | None = None) -> n
 
 @dataclass
 class CalibrationResult:
+    """Threshold multiplier, its exceedance rate over ``cells`` noise-only
+    cells (never above the target), and ``iterations``, the passes made over
+    the cell ratios: one, by the order-statistic selection."""
     alpha: float
     empirical_pfa: float
     cells: int
@@ -225,12 +228,13 @@ def calibrate_alpha(
     calib_trials: int,
     seed,
 ) -> CalibrationResult:
-    """Bisect the threshold multiplier to the target false-alarm rate.
+    """Set the threshold multiplier to the target false-alarm rate.
 
     ``profile_fn(rng, count)`` must return noise-only profiles of shape
-    (count, cells).  The cell/background ratios are computed once; bisection
-    then drives the empirical exceedance fraction to ``pfa_target``.  Requires
-    enough cells for at least 100 expected false alarms.
+    (count, cells).  With k the most exceedances whose fraction ``k / cells``
+    stays within ``pfa_target``, alpha is the (k+1)-th largest cell/background
+    ratio, the smallest multiplier that meets the target.  Requires enough
+    cells for 100 expected false alarms and a rate within 20 % of the target.
     """
     if not (0.0 < pfa_target < 1.0):
         raise ValueError(f"pfa_target must be in (0, 1), got {pfa_target}")
@@ -240,49 +244,30 @@ def calibrate_alpha(
     lead, lag = reference_means(profiles, cfar)
     background = np.fmin(lead, lag)
     finite = np.isfinite(background)
-    # A zero background (cumsum cancellation on near-empty tail windows) trips
-    # the cell at any alpha, exactly as so_cfar decides it; keep it as inf.
-    ratios = np.full(np.count_nonzero(finite), np.inf)
-    positive = background[finite] > 0
-    ratios[positive] = profiles[finite][positive] / background[finite][positive]
-    cells = int(ratios.size)
+    background = background[finite]
+    cells = int(background.size)
     if cells * pfa_target < 100:
         raise ValueError(
             f"{calib_trials} trials give {cells} cells, expecting "
             f"{cells * pfa_target:.1f} false alarms; need >= 100 for calibration"
         )
-
-    def pfa_of(alpha: float) -> float:
-        return np.count_nonzero(ratios > alpha) / cells
-
-    lo, hi = 0.0, 2.0
-    iterations = 0
-    while pfa_of(hi) > pfa_target:
-        hi *= 2.0
-        iterations += 1
-        if iterations > 60:
-            raise CalibrationError(
-                f"no alpha below {hi} reaches pfa {pfa_target}; ratio max is {ratios.max():.3g}"
-            )
-    for _ in range(200):
-        if hi - lo <= 1e-12 * max(1.0, hi):
-            break
-        mid = 0.5 * (lo + hi)
-        iterations += 1
-        if pfa_of(mid) > pfa_target:
-            lo = mid
-        else:
-            hi = mid
-    alpha = 0.5 * (lo + hi)
-    achieved = pfa_of(alpha)
-    if not (0.8 * pfa_target <= achieved <= 1.2 * pfa_target):
+    # A zero background (cumsum cancellation on near-empty tail windows) trips
+    # the cell at any alpha, exactly as so_cfar decides it; keep it as inf.
+    ratios = np.divide(profiles[finite], background, out=np.full(cells, np.inf), where=background > 0)
+    # int() lands within one of k; the checks use the float rate k / cells.
+    k = int(pfa_target * cells)
+    k += (k + 1) / cells <= pfa_target
+    k -= k / cells > pfa_target
+    ratios.partition(cells - k - 1)
+    alpha = float(ratios[cells - k - 1])
+    achieved = np.count_nonzero(ratios > alpha) / cells
+    # An inf alpha (more than k zero backgrounds) achieves 0 and fails the band.
+    if not (alpha > 0 and 0.8 * pfa_target <= achieved <= 1.2 * pfa_target):
         raise CalibrationError(
             f"calibration landed at pfa {achieved:.3g} for target {pfa_target:.3g} "
-            f"(alpha {alpha:.6g}, {cells} cells, {iterations} iterations)"
+            f"(alpha {alpha:.6g}, {cells} cells)"
         )
-    return CalibrationResult(
-        alpha=float(alpha), empirical_pfa=float(achieved), cells=cells, iterations=iterations
-    )
+    return CalibrationResult(alpha=alpha, empirical_pfa=float(achieved), cells=cells, iterations=1)
 
 
 def instrumented_range(cfg: OfdmConfig) -> int:

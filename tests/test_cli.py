@@ -407,11 +407,11 @@ _SMALL_OFDM = ["--subcarriers", "8", "--bandwidth", "8"]
         (["af", "surface", "--nu-points", "0", "--trials", "2", *_SMALL_OFDM], "nu_grid"),
         (["af", "slice", "--points", "0", "--trials", "2", *_SMALL_OFDM], "tau_grid"),
         (["af", "variance", "--points", "0", *_SMALL_OFDM], "tau_grid"),
-        (["detect", "pd-sweep", "--snr", "", "--trials", "2"], "snr_grid_db"),
+        (["detect", "pd-sweep", "--snr", "", "--trials", "2"], "snr is empty"),
         (["detect", "pd-sweep", "--c0", "", "--trials", "2"], "c0"),
         (["detect", "calibrate", "--calib-trials", "0"], "calib_trials"),
-        (["air", "sweep-c0", "--c0", "", "--mc", "10"], "c0_grid"),
-        (["air", "sweep-snr", "--snr", "", "--mc", "10"], "snr_grid_db"),
+        (["air", "sweep-c0", "--c0", "", "--mc", "10"], "c0 is empty"),
+        (["air", "sweep-snr", "--snr", "", "--mc", "10"], "snr is empty"),
         (["air", "sweep-snr", "--modulations", "", "--mc", "10"], "constellations"),
         (["air", "sweep-c0", "--c0", "1.0", "--mc", "10", "--sigma2", "inf"], "sigma2"),
         (["af", "slice", "--doppler", "inf", "--trials", "2", *_SMALL_OFDM], "doppler"),
@@ -441,6 +441,27 @@ def test_af_empty_grid_names_parameter(tmp_path, capsys, args, name):
     assert rc == 1
     assert name in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize(
+    ("args", "config", "name"),
+    [
+        (["pcs", "sweep", "--c0", ""], None, "c0"),
+        (["air", "sweep-c0", "--c0", ",", "--mc", "10"], None, "c0"),
+        (["air", "sweep-snr", "--snr", "", "--mc", "10"], None, "snr"),
+        (["pcs", "sweep"], {"c0": []}, "c0"),
+    ],
+)
+def test_empty_grid_names_option(tmp_path, capsys, args, config, name):
+    # An empty grid fails by its flag's name, before the library sees it.
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        args = args + ["--config", str(path)]
+    out = tmp_path / "x.csv"
+    assert main(args + ["--out", str(out)]) == 1
+    assert f"error: {args[0]} {args[1]}: {name} is empty\n" == capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("threads", ["0", "-3"])

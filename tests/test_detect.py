@@ -360,6 +360,102 @@ def test_calibrate_failure_on_degenerate_profiles():
                         constant_profiles, 0.5, 400, seed=0)
 
 
+def _kth_largest_oracle(profiles, cfar, pfa_target):
+    """The (k+1)-th largest cell/background ratio by a full sort, with k the
+    largest count whose rate ``k / cells`` is within ``pfa_target``."""
+    lead, lag = reference_means(profiles, cfar)
+    background = np.fmin(lead, lag)
+    finite = np.isfinite(background)
+    with np.errstate(divide="ignore"):
+        ratios = np.sort(profiles[finite] / background[finite])[::-1]
+    cells = ratios.size
+    k = np.flatnonzero(np.arange(cells + 1) / cells <= pfa_target)[-1]
+    return ratios[k]
+
+
+@pytest.mark.parametrize("pfa", [1e-3, 1e-2])
+@pytest.mark.parametrize(
+    "sampler",
+    [noise_profile_sampler(CFG, make_qam(16)), exponential_profiles()],
+    ids=["qam16", "exponential"],
+)
+def test_calibrate_selects_exact_order_statistic(sampler, pfa):
+    # Alpha is the smallest ratio whose exceedance rate meets the target, so
+    # the empirical rate never exceeds it, not even by one cell's 1 / cells.
+    cfar = CfarConfig()
+    for seed in range(4):
+        result = calibrate_alpha(cfar, sampler, pfa, 1000, seed)
+        expected = _kth_largest_oracle(sampler(np.random.default_rng(seed), 1000), cfar, pfa)
+        assert np.float64(result.alpha).tobytes() == expected.tobytes(), seed
+        assert result.empirical_pfa <= pfa, seed
+        assert result.iterations == 1
+
+
+@pytest.mark.parametrize(
+    ("pfa", "truncated", "allowed"),
+    [(0.29, 927, 928), (math.nextafter(134 / 3200, 0), 134, 133)],
+    ids=["int-reads-low", "int-reads-high"],
+)
+def test_calibrate_allowed_count_uses_float_rate(pfa, truncated, allowed):
+    # The allowed count is the largest whose float rate count / cells is
+    # within the target, one off int(pfa * cells) at these targets.
+    assert int(pfa * 3200) == truncated
+    cfar = CfarConfig(window_cells=8, guard_cells=1)
+    sampler = exponential_profiles()
+    result = calibrate_alpha(cfar, sampler, pfa, 25, seed=5)
+    assert result.cells == 3200
+    assert result.empirical_pfa == allowed / 3200
+    expected = _kth_largest_oracle(sampler(np.random.default_rng(5), 25), cfar, pfa)
+    assert np.float64(result.alpha).tobytes() == expected.tobytes()
+
+
+def zero_window_profiles(rows):
+    """Exponential profiles whose cells 40..47 are exactly zero in ``rows``:
+    that stretch is the whole lagging window of cell 38 and the whole
+    leading window of cell 49 under an 8-cell window behind 1 guard cell."""
+
+    def sampler(rng, count):
+        profiles = rng.exponential(1.0, size=(count, 128))
+        profiles[rows, 40:48] = 0.0
+        return profiles
+
+    return sampler
+
+
+def test_calibrate_counts_zero_backgrounds_as_exceedances():
+    cfar = CfarConfig(window_cells=8, guard_cells=1)
+    sampler = zero_window_profiles([3, 70, 211])
+    profiles = sampler(np.random.default_rng(4), 400)
+    lead, lag = reference_means(profiles, cfar)
+    background = np.fmin(lead, lag)
+    assert np.count_nonzero(background == 0) == 6
+    result = calibrate_alpha(cfar, sampler, 1e-2, 400, seed=4)
+    assert np.isfinite(result.alpha)
+    assert np.float64(result.alpha).tobytes() == _kth_largest_oracle(profiles, cfar, 1e-2).tobytes()
+    decisions = so_cfar(profiles, CfarConfig(window_cells=8, guard_cells=1, alpha=result.alpha))
+    assert decisions[background == 0].all()
+    finite = np.isfinite(background)
+    assert np.count_nonzero(decisions[finite]) / result.cells == result.empirical_pfa
+
+
+def test_calibrate_fails_with_more_zero_backgrounds_than_exceedances():
+    # 2 zero backgrounds in each of 400 rows exceed the ~496 false alarms a
+    # 1e-2 target allows, so the selected ratio is inf.
+    cfar = CfarConfig(window_cells=8, guard_cells=1)
+    with pytest.raises(CalibrationError, match="alpha inf"):
+        calibrate_alpha(cfar, zero_window_profiles(slice(None)), 1e-2, 400, seed=4)
+
+
+def test_calibrate_rejects_zero_alpha():
+    # Every 4th cell is 1 and the rest 0: a quarter of the ratios are positive,
+    # within the 20 % band of a 0.3 target, but the selected ratio is 0.
+    def sparse_profiles(rng, count):
+        return np.tile(np.arange(128) % 4 == 0, (count, 1)).astype(float)
+
+    with pytest.raises(CalibrationError, match="alpha 0"):
+        calibrate_alpha(CfarConfig(window_cells=8, guard_cells=1), sparse_profiles, 0.3, 400, seed=0)
+
+
 def test_scenario_validation():
     c = make_qam(16)
     with pytest.raises(ValueError):
