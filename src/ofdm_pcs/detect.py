@@ -3,10 +3,11 @@
 Per trial: a random OFDM symbol is transmitted; the receiver sees the direct
 self-interference copy at lag zero, a weak target echo a few range cells
 away, and white noise.  Matched filtering with the known transmitted data
-gives a range profile; a smallest-of CFAR thresholds each cell by the smaller
-of its leading/lagging reference-window means so the interference peak in one
-window cannot mask the target.  The threshold multiplier is the noise-only
-cell/background ratio whose exceedance rate meets the false-alarm target.
+gives a range profile; the smallest-of CFAR statistic divides each cell by
+the smaller of its leading/lagging reference-window means, so the
+interference peak in one window cannot mask the target.  Detection and
+calibration read that one statistic: a cell trips where it exceeds alpha, and
+alpha is the noise-only statistic whose exceedance rate meets the target.
 
 The matched filter is an FFT correlation at the shortest 5-smooth length
 that keeps the lags read free of wrap-around, run over cache-sized blocks of
@@ -14,7 +15,7 @@ trials.  The pd loop correlates only the lags the target cell's reference
 windows reach (27 of the 128 instrumented at the defaults) and evaluates the
 SO-CFAR rule at that cell only.  Its profile is quadratic in the target
 gain, so it takes the window means of three parts once per chunk and
-decides every SNR point from them, through the same rule as
+decides every SNR point from them, through the same statistic as
 :func:`so_cfar`.
 """
 
@@ -177,44 +178,45 @@ def reference_means(profiles: np.ndarray, cfar: CfarConfig, cell: int | None = N
     return lead, lag
 
 
-def _so_decide(parts: np.ndarray, cfar: CfarConfig, cell: int | None, profile_of=None):
-    """The smallest-of rule ``value > alpha * fmin(lead, lag)``, on
-    ``profile_of(parts)`` (``parts`` itself by default).
+def _so_statistic(parts: np.ndarray, cfar: CfarConfig, cell: int | None = None, profile_of=None):
+    """The smallest-of statistic ``value / fmin(lead, lag)`` of every cell, or
+    of ``cell`` alone, on ``profile_of(parts)`` (``parts`` itself by default).
+    A positive cell over a zero background is ``inf``, an exactly-zero one 0.
 
     ``profile_of`` must be linear in the cells' values, like a weighted sum
     over a leading axis of ``parts``: window means are linear too, so it is
     applied to the cell value and to both means of ``parts`` instead of to
     every cell before the running sum.
     """
-    if cfar.alpha is None:
-        raise ValueError("CfarConfig.alpha is unset; calibrate first")
     lead, lag = reference_means(parts, cfar, cell)
     parts = np.asarray(parts)
     value = parts if cell is None else parts[..., cell]
     if profile_of is not None:
         value, lead, lag = profile_of(value), profile_of(lead), profile_of(lag)
-    return value > cfar.alpha * np.fmin(lead, lag)
+    background = np.fmin(lead, lag)
+    return np.divide(value, background, out=np.where(value > 0, np.inf, 0.0), where=background > 0)
 
 
 def so_cfar(profile: np.ndarray, cfar: CfarConfig, cell: int | None = None) -> np.ndarray:
     """Per-cell detection decisions under the smallest-of rule, for every cell
     or for ``cell`` alone (the cell axis is then dropped).
 
-    Threshold = alpha * min(leading mean, lagging mean); edge cells fall back
-    to the single available window.  Decisions are invariant to a global
-    positive scaling of the profile, and ``so_cfar(p, cfar, c)`` equals
-    ``so_cfar(p, cfar)[..., c]`` bit for bit.  The pd loop decides through
-    the same rule, on three stacked parts of a profile quadratic in the
-    target gain (see :func:`pd_experiment`).
+    A cell trips where its statistic (:func:`_so_statistic`) exceeds alpha;
+    edge cells fall back to the single available window.  Decisions are
+    invariant to a global positive scaling of the profile, and
+    ``so_cfar(p, cfar, c)`` equals ``so_cfar(p, cfar)[..., c]`` bit for bit.
+    Calibration and the pd loop read the same statistic.
     """
-    return _so_decide(profile, cfar, cell)
+    if cfar.alpha is None:
+        raise ValueError("CfarConfig.alpha is unset; calibrate first")
+    return _so_statistic(profile, cfar, cell) > cfar.alpha
 
 
 @dataclass
 class CalibrationResult:
-    """Threshold multiplier, its exceedance rate over ``cells`` noise-only
-    cells (never above the target), and ``iterations``, the passes made over
-    the cell ratios: one, by the order-statistic selection."""
+    """Threshold multiplier, the share of ``cells`` noise-only cells that
+    :func:`so_cfar` trips at it (never above the target), and ``iterations``,
+    the passes made over the statistics: one, by the order-statistic selection."""
     alpha: float
     empirical_pfa: float
     cells: int
@@ -232,35 +234,29 @@ def calibrate_alpha(
 
     ``profile_fn(rng, count)`` must return noise-only profiles of shape
     (count, cells).  With k the most exceedances whose fraction ``k / cells``
-    stays within ``pfa_target``, alpha is the (k+1)-th largest cell/background
-    ratio, the smallest multiplier that meets the target.  Requires enough
-    cells for 100 expected false alarms and a rate within 20 % of the target.
+    stays within ``pfa_target``, alpha is the (k+1)-th largest SO-CFAR statistic,
+    the smallest multiplier that meets the target.  Requires enough cells for
+    100 expected false alarms and a rate within 20 % of the target.
     """
     if not (0.0 < pfa_target < 1.0):
         raise ValueError(f"pfa_target must be in (0, 1), got {pfa_target}")
     if calib_trials < 1:
         raise ValueError(f"calib_trials must be >= 1, got {calib_trials}")
     profiles = profile_fn(np.random.default_rng(seed), calib_trials)
-    lead, lag = reference_means(profiles, cfar)
-    background = np.fmin(lead, lag)
-    finite = np.isfinite(background)
-    background = background[finite]
-    cells = int(background.size)
+    stats = _so_statistic(profiles, cfar).ravel()
+    cells = stats.size
     if cells * pfa_target < 100:
         raise ValueError(
             f"{calib_trials} trials give {cells} cells, expecting "
             f"{cells * pfa_target:.1f} false alarms; need >= 100 for calibration"
         )
-    # A zero background (cumsum cancellation on near-empty tail windows) trips
-    # the cell at any alpha, exactly as so_cfar decides it; keep it as inf.
-    ratios = np.divide(profiles[finite], background, out=np.full(cells, np.inf), where=background > 0)
     # int() lands within one of k; the checks use the float rate k / cells.
     k = int(pfa_target * cells)
     k += (k + 1) / cells <= pfa_target
     k -= k / cells > pfa_target
-    ratios.partition(cells - k - 1)
-    alpha = float(ratios[cells - k - 1])
-    achieved = np.count_nonzero(ratios > alpha) / cells
+    stats.partition(cells - k - 1)
+    alpha = float(stats[cells - k - 1])
+    achieved = np.count_nonzero(stats > alpha) / cells
     # An inf alpha (more than k zero backgrounds) achieves 0 and fails the band.
     if not (alpha > 0 and 0.8 * pfa_target <= achieved <= 1.2 * pfa_target):
         raise CalibrationError(
@@ -414,7 +410,7 @@ def pd_experiment(scn: DetectionScenario, *, threads: int = 1) -> list[dict]:
             c1.real**2 + c1.imag**2,
             2.0 * (c0.real * c1.real + c0.imag * c1.imag),
         ])
-        return np.count_nonzero(_so_decide(parts, cfar, offset, profile_of), axis=1)
+        return np.count_nonzero(_so_statistic(parts, cfar, offset, profile_of) > cfar.alpha, axis=1)
 
     hits = sum(map_chunks(chunk_hits, draw_seed, scn.trials, PD_CHUNK, threads))
     return [

@@ -63,38 +63,36 @@ class PcsSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _check_feasible(energies: np.ndarray):
+def fourth_moment_range(support) -> tuple[float, float]:
+    """Extremes of ``sum p A^4`` over the power-constrained simplex."""
+    _, _, (_, lo, _), (_, hi, _) = _range_lps(np.asarray(support, dtype=float) ** 2)
+    return (lo, hi)
+
+
+def _range_lps(energies: np.ndarray):
+    """Energy rings and both range LPs over the ring masses.
+
+    Returns ``(rings, ring_e, lo, hi)``: the :func:`group_by_energy` rings,
+    their energies, and for the minimum and the maximum of ``sum p E^2`` the
+    LP's (ring mass vector, extreme m4 value, pivots).  Grouping equal-energy
+    points loses nothing: the objective and constraints depend on points only
+    through their energies.
+    """
     if energies.min() > 1 + FEAS_TOL or energies.max() < 1 - FEAS_TOL:
         raise InfeasibleSupportError(
             "unit average power is unreachable: point energies span "
             f"[{energies.min():.6g}, {energies.max():.6g}], which does not cover 1"
         )
-
-
-def fourth_moment_range(support) -> tuple[float, float]:
-    """Extremes of ``sum p A^4`` over the power-constrained simplex.
-
-    Both bounds come from linear programs over the energy rings (grouping
-    equal-energy points loses nothing: the objective and constraints depend on
-    points only through their energies).
-    """
-    support = np.asarray(support, dtype=float)
-    energies = support**2
-    _check_feasible(energies)
-    ring_e = np.array([e for e, _ in group_by_energy(energies)])
-    lo = _range_lp(ring_e, maximize=False)[1]
-    hi = _range_lp(ring_e, maximize=True)[1]
-    return (lo, hi)
-
-
-def _range_lp(ring_e: np.ndarray, maximize: bool):
-    """LP over ring masses; returns (ring mass vector, extreme m4 value, pivots)."""
+    rings = group_by_energy(energies)
+    ring_e = np.array([e for e, _ in rings])
     a_eq = np.vstack([np.ones_like(ring_e), ring_e])
     b_eq = np.array([1.0, 1.0])
-    c = -(ring_e**2) if maximize else ring_e**2
-    res = solve_lp(c, a_eq, b_eq)
-    value = float(ring_e**2 @ res.x)
-    return res.x, value, res.iterations
+    quad = ring_e**2
+    extremes = []
+    for c in (quad, -quad):
+        res = solve_lp(c, a_eq, b_eq)
+        extremes.append((res.x, float(quad @ res.x), res.iterations))
+    return rings, ring_e, *extremes
 
 
 def solve_pcs(problem: PcsProblem, tie_break: str = "max-entropy") -> PcsSolution:
@@ -110,14 +108,8 @@ def solve_pcs(problem: PcsProblem, tie_break: str = "max-entropy") -> PcsSolutio
     amps = problem.support
     energies = amps**2
     quads = energies**2
-    _check_feasible(energies)
-
-    rings = group_by_energy(energies)
-    ring_e = np.array([e for e, _ in rings])
+    rings, ring_e, (w_min, m4_min, lp_min), (w_max, m4_max, lp_max) = _range_lps(energies)
     ring_n = np.array([len(idx) for _, idx in rings], dtype=float)
-
-    w_min, m4_min, lp_min = _range_lp(ring_e, maximize=False)
-    w_max, m4_max, lp_max = _range_lp(ring_e, maximize=True)
 
     m4_target = float(np.clip(problem.c0, m4_min, m4_max))
     try:

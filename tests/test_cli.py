@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -461,6 +462,33 @@ def test_empty_grid_names_option(tmp_path, capsys, args, config, name):
     out = tmp_path / "x.csv"
     assert main(args + ["--out", str(out)]) == 1
     assert f"error: {args[0]} {args[1]}: {name} is empty\n" == capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    ("args", "name", "value"),
+    [
+        (["detect", "pd-sweep", "--snr", "4000", "--c0", "1.0", "--trials", "10"], "snr", 4000.0),
+        (["detect", "pd-sweep", "--si-db", "1e308", "--c0", "1.0", "--trials", "10"], "si_db", 1e308),
+        (["detect", "pd-sweep", "--snr", "313,-313.5,0", "--c0", "1.0"], "snr", -313.5),
+        (["air", "sweep-snr", "--snr", "4000", "--mc", "10"], "snr", 4000.0),
+        (["air", "sweep-snr", "--snr=-4000", "--mc", "10"], "snr", -4000.0),
+    ],
+)
+def test_db_out_of_range_names_option(tmp_path, capsys, monkeypatch, args, name, value):
+    # Beyond +-313 dB the weaker signal is lost below one ulp of the stronger;
+    # such a value fails by its flag's name before any solve, draw or warning.
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for stage in ("solve_pcs", "pd_experiment", "air_vs_snr"):
+        monkeypatch.setattr(ofdm_pcs.cli, stage, no_work)
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(args + ["--out", str(out)]) == 1
+    message = f"{name} entries must lie within +-313.071 dB, got [{value!r}]"
+    assert capsys.readouterr().err == f"error: {args[0]} {args[1]}: {message}\n"
     assert not out.exists()
 
 

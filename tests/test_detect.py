@@ -13,11 +13,11 @@ from ofdm_pcs.detect import (
     _complex_noise,
     _fft_length,
     _matched_filter_batch,
-    _so_decide,
     calibrate_alpha,
     instrumented_range,
     noise_profile_sampler,
     pd_experiment,
+    _so_statistic,
     reference_means,
     so_cfar,
 )
@@ -193,7 +193,7 @@ def test_three_part_decision_matches_built_profiles():
     gains = np.array([0.0, 0.3, 1.0, 2.5])[:, None]
     cfar = CfarConfig(window_cells=8, guard_cells=2, alpha=4.0)
     parts = np.stack([abs(c0) ** 2, abs(c1) ** 2, 2.0 * (c0 * c1.conj()).real])
-    decided = _so_decide(parts, cfar, 12, lambda p: p[0] + gains**2 * p[1] + gains * p[2])
+    decided = _so_statistic(parts, cfar, 12, lambda p: p[0] + gains**2 * p[1] + gains * p[2]) > cfar.alpha
     profiles = np.abs(c0 + gains[..., None] * c1) ** 2
     assert np.array_equal(decided, so_cfar(profiles, cfar, 12))
     assert 0 < np.count_nonzero(decided) < decided.size
@@ -382,13 +382,17 @@ def _kth_largest_oracle(profiles, cfar, pfa_target):
 def test_calibrate_selects_exact_order_statistic(sampler, pfa):
     # Alpha is the smallest ratio whose exceedance rate meets the target, so
     # the empirical rate never exceeds it, not even by one cell's 1 / cells.
+    # so_cfar at that alpha trips exactly the reported share of the same cells.
     cfar = CfarConfig()
     for seed in range(4):
         result = calibrate_alpha(cfar, sampler, pfa, 1000, seed)
-        expected = _kth_largest_oracle(sampler(np.random.default_rng(seed), 1000), cfar, pfa)
+        profiles = sampler(np.random.default_rng(seed), 1000)
+        expected = _kth_largest_oracle(profiles, cfar, pfa)
         assert np.float64(result.alpha).tobytes() == expected.tobytes(), seed
         assert result.empirical_pfa <= pfa, seed
         assert result.iterations == 1
+        tripped = np.count_nonzero(so_cfar(profiles, CfarConfig(alpha=result.alpha)))
+        assert tripped / result.cells == result.empirical_pfa, seed
 
 
 @pytest.mark.parametrize(
@@ -434,8 +438,32 @@ def test_calibrate_counts_zero_backgrounds_as_exceedances():
     assert np.float64(result.alpha).tobytes() == _kth_largest_oracle(profiles, cfar, 1e-2).tobytes()
     decisions = so_cfar(profiles, CfarConfig(window_cells=8, guard_cells=1, alpha=result.alpha))
     assert decisions[background == 0].all()
-    finite = np.isfinite(background)
-    assert np.count_nonzero(decisions[finite]) / result.cells == result.empirical_pfa
+    assert np.count_nonzero(decisions) / result.cells == result.empirical_pfa
+
+
+def test_zero_background_statistic():
+    # Cells 40..49 are zero: cell 38's lagging window and cell 49's leading
+    # window hold only zeros, so both backgrounds are 0.  The positive cell 38
+    # trips at any alpha; the zero cell 49 never does.
+    profile = np.ones(128)
+    profile[40:50] = 0.0
+    cfar = CfarConfig(window_cells=8, guard_cells=1, alpha=1e-300)
+    lead, lag = reference_means(profile, cfar)
+    assert np.fmin(lead, lag)[38] == np.fmin(lead, lag)[49] == 0.0
+    assert _so_statistic(profile, cfar)[[38, 49]].tolist() == [np.inf, 0.0]
+    decisions = so_cfar(profile, cfar)
+    assert decisions[38] and not decisions[49]
+
+
+@pytest.mark.parametrize("guard", range(6))
+def test_every_cell_has_a_finite_background(guard):
+    # From the CFAR minimum length on, one of every cell's windows is whole,
+    # so every statistic has a finite background.
+    for window in range(1, 20):
+        cfar = CfarConfig(window_cells=window, guard_cells=guard)
+        for n in range(cfar.min_profile_len(), cfar.min_profile_len() + 40):
+            lead, lag = reference_means(np.ones(n), cfar)
+            assert np.isfinite(np.fmin(lead, lag)).all(), (window, n)
 
 
 def test_calibrate_fails_with_more_zero_backgrounds_than_exceedances():
