@@ -6,12 +6,15 @@ per delay as one Doppler kernel (:func:`_delay_terms`) whose sinc envelope is
 taken once per distinct kernel frequency ``m df - nu``.  Everything else
 reads that kernel.  It factors as K = carrier phase . S . nu phase, a real
 envelope S between two unit-modulus phases.  :func:`_af_at_delay` applies it
-to every draw's lag products, taken from one FFT convolution.  On a grid of
-one Doppler both phases are folded into one complex kernel column, and
+to every draw's lag products.  On a grid of one Doppler both phases are
+folded into one complex kernel column, which is taken to the spectral domain
+once per delay (:func:`_spectral`): the AF is then one forward FFT per draw
+and one complex product against that spectral kernel, and
 :func:`af_closed_form` is the one-point case.  On a grid of more than one
-Doppler the carrier phase goes onto the lag products instead, which then take
-one real product against S (half the flops of a complex one) and come out as
-the AF times a unit-modulus phase per Doppler column.
+Doppler the lag products come from one FFT convolution per draw, the carrier
+phase goes onto them, and they take one real product against S (half the
+flops of a complex one) and come out as the AF times a unit-modulus phase
+per Doppler column.
 :func:`mc_average_af` averages the magnitude over random symbol draws on a
 delay-Doppler grid, peak-normalized, computing only the tau >= 0 half of a
 grid that is exactly its own (-tau, -nu) mirror (as :func:`default_tau_grid`
@@ -89,10 +92,12 @@ def _delay_terms(cfg: OfdmConfig, tau: float, nu_grid: np.ndarray, offsets, out=
     folds into the draws' lag products; the nu phase, of modulus one, is
     left out.  On a one-Doppler grid both phases are folded into the one
     complex kernel column K and ``carrier_phase`` is None: that grid serves
-    the point forms and the zero-Doppler slice, where a per-draw phase
-    multiply would cost more than a real product saves.  A delay thus
-    costs L + 2L-1 complex exponentials (one more at one Doppler) and one
-    sinc per distinct frequency, plus the gather.
+    the point forms and the zero-Doppler slice.  :func:`af_statistics` and
+    :func:`af_self_closed_form` read K as it is; for :func:`_af_at_delay`
+    it goes through :func:`_spectral` once per delay, after which a draw
+    costs one forward FFT and a product with that spectral kernel.  A delay
+    thus costs L + 2L-1 complex exponentials (one more at one Doppler) and
+    one sinc per distinct frequency, plus the gather.
     """
     t_min = max(0.0, float(tau))
     t_max = min(cfg.symbol_duration, cfg.symbol_duration + float(tau))
@@ -112,6 +117,23 @@ def _delay_terms(cfg: OfdmConfig, tau: float, nu_grid: np.ndarray, offsets, out=
     return lag_phase, None, kernel
 
 
+def _spectral(kernel: np.ndarray) -> np.ndarray:
+    """The one-Doppler kernel column K (rows m = 1-L .. L-1) as the spectral
+    kernel H that :func:`_af_at_delay` takes on that grid: the length-2L
+    inverse FFT of K in FFT order (row m at index m mod 2L, a zero at L).
+
+    That order is K's zero-padded column shifted circularly by L-1, so H is
+    ``ifft(K, n=2L)`` times ``exp(-j 2 pi k (L-1) / 2L)`` with the phase
+    placed exactly, not evaluated.  It does not depend on the draws, so it is
+    built once per delay.
+    """
+    num = (kernel.shape[0] + 1) // 2
+    rotated = np.zeros((2 * num, kernel.shape[1]), complex)
+    rotated[:num] = kernel[num - 1 :]
+    rotated[num + 1 :] = kernel[: num - 1]
+    return np.fft.ifft(rotated, axis=0)
+
+
 def _af_at_delay(
     symbols: np.ndarray,
     spectrum: np.ndarray,
@@ -124,16 +146,20 @@ def _af_at_delay(
     as a draws x n_nu array.
 
     Groups the closed-form double sum by subcarrier offset m = l1 - l2: the
-    lag products ``B_m = sum_l c_{l+m} conj(c_l) exp(j 2 pi l df tau)`` come
-    from one FFT convolution per draw, then the delay's factors from
-    :func:`_delay_terms` finish the job.  ``spectrum`` is the length-2L FFT
-    of ``symbols``, which does not depend on the delay.
+    lag products ``B_m = sum_l c_{l+m} conj(c_l) exp(j 2 pi l df tau)`` are
+    the circular correlation, at length 2L, of the symbols with their
+    lag-phased copy, and the delay's factors from :func:`_delay_terms` finish
+    the job.  ``spectrum`` is the length-2L FFT S of ``symbols``, which does
+    not depend on the delay.
 
     The path follows the form :func:`_delay_terms` gave for the grid's size.
-    With a complex kernel column (one Doppler, ``carrier_phase`` None) this
-    is one complex product and gives the AF itself: :func:`af_closed_form`.
-    Otherwise the lag products are multiplied by the carrier phase and the
-    real envelope S finishes them in one real product, half the flops of a
+    On one Doppler (``carrier_phase`` None) ``kernel`` is the spectral kernel
+    H of :func:`_spectral`, and by Parseval the AF is ``sum_k conj(G_k) S_k
+    H_k`` with ``G = fft(symbols conj(lag_phase), n=2L)``: one forward FFT
+    per draw, then one complex product, giving the AF itself
+    (:func:`af_closed_form`).  Otherwise the lag products are taken from one
+    FFT convolution per draw, multiplied by the carrier phase, and the real
+    envelope S finishes them in one real product, half the flops of a
     complex one, so the values are the AF times the unit-modulus phase
     ``exp(j 2 pi nu t_avg)`` of each Doppler column: their magnitudes are
     exact, which is all :func:`mc_average_af` reads.  That product reads the
@@ -141,6 +167,11 @@ def _af_at_delay(
     complex buffer of at least (2L-1) draws elements) when given.
     """
     num = symbols.shape[1]
+    if carrier_phase is None:
+        spec = np.fft.fft(symbols * lag_phase.conj(), n=2 * num, axis=1)
+        np.conjugate(spec, out=spec)
+        np.multiply(spec, spectrum, out=spec)
+        return spec @ kernel
     # One (chunk, 2L) buffer, reused in place: the spectra held for every draw
     # already raise the peak memory, so a call adds no further large
     # temporary when ``work`` is given.  A fresh block per call would have
@@ -149,8 +180,6 @@ def _af_at_delay(
     np.multiply(spectrum, conv, out=conv)
     np.fft.ifft(conv, axis=1, out=conv)
     lags = conv[:, : 2 * num - 1]
-    if carrier_phase is None:
-        return lags @ kernel
     # A C-contiguous block, so its float view holds each draw's real and
     # imaginary parts as two adjacent columns for S to take.  Transposing by
     # assignment and then multiplying in place keeps numpy from staging the
@@ -181,12 +210,14 @@ def _at_point(cfg: OfdmConfig, symbols, tau: float, nu: float, evaluate):
 
 def af_closed_form(cfg: OfdmConfig, symbols, tau: float, nu: float):
     """Closed-form ambiguity function at one point: the one-Doppler case of
-    :func:`_af_at_delay`.  ``symbols`` may carry leading batch dimensions, in
-    which case a matching array of values is returned."""
+    :func:`_af_at_delay`, one forward FFT of the lag-phased rows and one
+    product with the delay's spectral kernel (:func:`_spectral`).
+    ``symbols`` may carry leading batch dimensions, in which case a matching
+    array of values is returned."""
 
-    def evaluate(rows, *terms):
+    def evaluate(rows, lag_phase, _, kernel):
         spectrum = np.fft.fft(rows, n=2 * cfg.num_subcarriers, axis=1)
-        return _af_at_delay(rows, spectrum, *terms)[:, 0]
+        return _af_at_delay(rows, spectrum, lag_phase, None, _spectral(kernel))[:, 0]
 
     return _at_point(cfg, symbols, tau, nu, evaluate)
 
@@ -221,10 +252,11 @@ def mc_average_af(
     rebuilding each row's kernel once per chunk.  The draws are split into
     chunks of ``AF_CHUNK``, whose FFT spectra are taken once, and the
     distinct kernel frequencies are found once (:func:`_doppler_offsets`).
-    Each delay row builds its kernel once, into one buffer per worker,
-    applies it to every chunk and adds the chunk partial sums in chunk
-    order.  Worker threads split the delay rows between them and never
-    change a row's arithmetic, so the result does not depend on ``threads``.
+    Each delay row builds its kernel once, into one buffer per worker (on
+    one Doppler, and then its spectral kernel), applies it to every chunk
+    and adds the chunk partial sums in chunk order.  Worker threads split
+    the delay rows between them and never change a row's arithmetic, so the
+    result does not depend on ``threads``.
 
     Every draw has ``AF(tau, nu) = exp(-j 2 pi nu tau) conj(AF(-tau, -nu))``,
     so the mean |AF| is point-symmetric.  When both grids are exactly their
@@ -257,6 +289,9 @@ def mc_average_af(
         for ti in rows:
             terms = _delay_terms(cfg, tau_grid[ti], nu_grid, offsets, envelope)
             if terms is not None:
+                lag_phase, carrier_phase, kernel = terms
+                if carrier_phase is None:
+                    terms = lag_phase, None, _spectral(kernel)
                 for chunk, spectrum in zip(chunks, spectra):
                     af = _af_at_delay(chunk, spectrum, *terms, work)
                     total[ti] += np.abs(af).sum(axis=0)

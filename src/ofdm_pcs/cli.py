@@ -43,7 +43,7 @@ from .detect import (
     noise_profile_sampler,
     pd_experiment,
 )
-from .ofdm import OfdmConfig
+from .ofdm import OfdmConfig, check_db
 from .pcs import PcsProblem, solve_pcs, sweep_c0
 
 # Options that must not influence output bytes (or are the output itself).
@@ -109,18 +109,6 @@ def parse_grid(value, name: str = "grid") -> np.ndarray:
     if not np.isfinite(grid).all():
         raise ValueError(f"{name} entries must be finite, got {grid.tolist()}")
     return grid
-
-
-def _check_db(values, name: str) -> None:
-    """Refuse dB values, given as option ``name``, whose amplitude ratio
-    ``10^(|x|/20)`` exceeds 1/eps: the weaker signal is then lost below one
-    ulp of the stronger in double precision, so an experiment would report
-    rounding (or, further out, overflow) as its result."""
-    limit = -20.0 * np.log10(np.finfo(float).eps)
-    values = np.atleast_1d(values)
-    outside = values[np.abs(values) > limit]
-    if outside.size:
-        raise ValueError(f"{name} entries must lie within +-{limit:.6g} dB, got {outside.tolist()}")
 
 
 def resolve_modulation(spec: str) -> tuple[str, Constellation]:
@@ -376,7 +364,7 @@ def _run_air_sweep_snr(opts: dict) -> None:
         if names.count(name) > 1:
             raise ValueError(f"modulations names {name!r} more than once; each name is one column")
     grid = parse_grid(opts["snr"], "snr")
-    _check_db(grid, "snr")
+    check_db(grid, "snr")
     rows = air_vs_snr(constellations, grid, opts["mc"], opts["seed"], threads=opts["threads"])
     header = ["snr_db"] + [f"rate_{name}" for name, _ in constellations]
     out_rows = [
@@ -391,8 +379,8 @@ def _run_detect_pd_sweep(opts: dict) -> None:
     cfar = _cfar_config(opts)
     c0_list = parse_grid(opts["c0"], "c0")
     snr_grid = parse_grid(opts["snr"], "snr")
-    _check_db(snr_grid, "snr")
-    _check_db(opts["si_db"], "si_db")
+    check_db(snr_grid, "snr")
+    check_db(opts["si_db"], "si_db")
     rows = []
     for c0 in c0_list:
         sol = solve_pcs(PcsProblem(base.amplitudes, float(c0)))

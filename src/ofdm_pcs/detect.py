@@ -28,7 +28,7 @@ import numpy as np
 
 from .constellation import Constellation
 from .mc import map_chunks
-from .ofdm import OfdmConfig, symbol_signal_batch
+from .ofdm import OfdmConfig, check_db, symbol_signal_batch
 
 # Trials per Monte-Carlo chunk of the pd loop: bounds the (chunk, 2, N) buffers.
 PD_CHUNK = 512
@@ -313,7 +313,9 @@ class DetectionScenario:
     """Full experiment description for one constellation.
 
     The CFAR monitors, and calibrates on, the first
-    :func:`instrumented_range` cells of each profile.
+    :func:`instrumented_range` cells of each profile.  The dB fields must be
+    finite and within the bound of :func:`ofdm.check_db`, checked here
+    before any draw or calibration.
     """
 
     cfg: OfdmConfig
@@ -331,6 +333,8 @@ class DetectionScenario:
         self.snr_grid_db = np.asarray(self.snr_grid_db, dtype=float)
         if self.snr_grid_db.ndim != 1 or self.snr_grid_db.size == 0:
             raise ValueError("snr_grid_db must be a non-empty 1-D list")
+        check_db(self.snr_grid_db, "snr_grid_db")
+        check_db(self.si_to_noise_db, "si_to_noise_db")
         if not (0.0 < self.pfa_target < 1.0):
             raise ValueError(f"pfa_target must be in (0, 1), got {self.pfa_target}")
         if self.trials < 1:

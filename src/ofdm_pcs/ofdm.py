@@ -6,7 +6,8 @@ points makes the sum an oversampled inverse DFT, which is how it is computed.
 Symbols carry unit average power, so the mean sample power is the subcarrier
 count L; ambiguity surfaces are peak-normalized downstream, which only needs
 this scaling to be internally consistent.  No cyclic prefix and no pulse
-shaping beyond the rectangular window.
+shaping beyond the rectangular window.  :func:`check_db` bounds the power
+ratios, in dB, that the experiments take.
 """
 
 from __future__ import annotations
@@ -62,3 +63,16 @@ def symbol_signal_batch(cfg: OfdmConfig, symbols: np.ndarray) -> np.ndarray:
     if symbols.ndim != 2 or symbols.shape[1] != cfg.num_subcarriers:
         raise ValueError(f"expected (trials, {cfg.num_subcarriers}) symbols, got {symbols.shape}")
     return np.fft.ifft(symbols, n=cfg.num_samples, axis=1) * cfg.num_samples
+
+
+def check_db(values, name: str) -> None:
+    """Refuse dB values of ``name`` that are not finite or whose amplitude
+    ratio ``10^(|x|/20)`` exceeds 1/eps (+-313.07 dB): the weaker signal is
+    then lost below one ulp of the stronger in double precision, so an
+    experiment would report rounding (or, further out, overflow) as its
+    result."""
+    limit = -20.0 * np.log10(np.finfo(float).eps)
+    values = np.atleast_1d(np.asarray(values, dtype=float))
+    outside = values[~(np.abs(values) <= limit)]
+    if outside.size:
+        raise ValueError(f"{name} entries must lie within +-{limit:.6g} dB, got {outside.tolist()}")

@@ -199,6 +199,41 @@ def test_mc_average_matches_brute_force_oracle(cfg, taus, nus, last_chunk, threa
     assert np.max(np.abs(surface - brute / brute.max())) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    ("cfg", "taus", "nus"),
+    [
+        pytest.param(CFG16, _OFF_LATTICE[0], np.array([0.75, -2.19]), id="off-lattice"),
+        # The zero-Doppler slice on default delays: the one-Doppler grid is its
+        # own mirror and computes half the rows, the two-Doppler one all of them.
+        pytest.param(
+            _PROD, default_tau_grid(_PROD, 33), np.array([0.0, 61.0 * _PROD.subcarrier_spacing]),
+            id="zero-doppler",
+        ),
+    ],
+)
+def test_mc_average_one_doppler_matches_real_envelope_column(cfg, taus, nus):
+    # One Doppler takes the spectral product, two the real envelope: the
+    # first column of the two-Doppler mean, renormalized by its own peak,
+    # is the one-Doppler result.
+    trials, seed = 2 * AF_CHUNK + 9, 17
+    one = mc_average_af(cfg, make_qam(16), taus, nus[:1], trials, seed)
+    two = mc_average_af(cfg, make_qam(16), taus, nus, trials, seed)
+    column = two[:, :1] / two[:, 0].max()
+    assert np.max(np.abs(one - column)) <= 1e-12
+
+
+def test_closed_form_matches_double_sum_at_256_subcarriers():
+    # The one-Doppler spectral product on a long symbol, at off-lattice delays
+    # and nonzero Doppler: every kernel row must land at its FFT index.
+    cfg = OfdmConfig(num_subcarriers=256, subcarrier_spacing=1.0, oversampling=2)
+    draws = make_qam(16).sample_symbols(3 * 256, 23).reshape(3, 256)
+    for tau in (-0.6180339, 0.0731, 0.93317):
+        for nu in (3.71, -101.3):
+            fast = af_closed_form(cfg, draws, tau, nu)
+            direct = af_double_sum(cfg, draws, tau, nu)
+            assert np.max(np.abs(fast - direct)) <= 1e-12 * np.abs(direct).max()
+
+
 def test_mc_average_mirror_computes_half_the_rows(monkeypatch):
     taus = default_tau_grid(CFG16, 33)
     nus = np.array([-2.5, -0.75, 0.0, 0.75, 2.5])

@@ -1,8 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from ofdm_pcs import detect
 from ofdm_pcs.constellation import make_psk, make_qam
 from ofdm_pcs.detect import (
     MF_BLOCK,
@@ -495,6 +497,34 @@ def test_scenario_validation():
     small = OfdmConfig(num_subcarriers=8, subcarrier_spacing=1.0, oversampling=2)
     with pytest.raises(ValueError):
         DetectionScenario(cfg=small, constellation=c, snr_grid_db=[0.0])
+
+
+@pytest.mark.parametrize(
+    ("field", "entry", "value"),
+    [
+        pytest.param("si_to_noise_db", 1e308, 1e308, id="si-huge"),
+        pytest.param("si_to_noise_db", float("nan"), float("nan"), id="si-nan"),
+        pytest.param("snr_grid_db", [0.0, -313.5], -313.5, id="snr-below"),
+        pytest.param("snr_grid_db", [float("inf"), 5.0], float("inf"), id="snr-inf"),
+    ],
+)
+def test_scenario_rejects_db_beyond_precision(monkeypatch, field, entry, value):
+    # Beyond +-313 dB the weaker signal is lost below one ulp of the stronger:
+    # the scenario refuses such a value by its field's name, before any draw
+    # or calibration can run.
+    def no_work(*args, **kwargs):
+        raise AssertionError("calibration started")
+
+    monkeypatch.setattr(detect, "calibrate_alpha", no_work)
+    args = {"cfg": CFG, "constellation": make_qam(16), "snr_grid_db": [0.0], field: entry}
+    message = f"{field} entries must lie within +-313.071 dB, got [{value!r}]"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        pd_experiment(DetectionScenario(**args))
+    # The bound itself is accepted.
+    limit = -20.0 * np.log10(np.finfo(float).eps)
+    DetectionScenario(
+        cfg=CFG, constellation=make_qam(16), snr_grid_db=[-limit, limit], si_to_noise_db=limit
+    )
 
 
 def test_pd_matches_pfa_without_target_or_interference():
