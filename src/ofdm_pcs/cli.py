@@ -358,6 +358,8 @@ def _run_air_sweep_c0(opts: dict) -> None:
 
 def _run_air_sweep_snr(opts: dict) -> None:
     specs = [s.strip() for s in opts["modulations"].split(",") if s.strip()]
+    if not specs:
+        raise ValueError("modulations is empty")
     constellations = [resolve_modulation(spec) for spec in specs]
     names = [name for name, _ in constellations]
     for name in names:

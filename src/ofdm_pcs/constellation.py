@@ -55,11 +55,12 @@ class IndexSampler:
 class Constellation:
     """Ordered complex points plus a probability vector on the simplex.
 
-    Invariants checked at construction: probabilities form a simplex within
-    ``PROB_TOL`` and the average power ``sum(p * |x|^2)`` is one within
-    ``POWER_TOL``.  Zero probabilities are allowed (shaped distributions may
-    drop points entirely).  The point mean is *not* constrained; callers that
-    rely on a zero-mean constellation can inspect :meth:`mean_point`.
+    Invariants checked at construction: points and probabilities are finite,
+    probabilities form a simplex within ``PROB_TOL`` and the average power
+    ``sum(p * |x|^2)`` is one within ``POWER_TOL``.  Zero probabilities are
+    allowed (shaped distributions may drop points entirely).  The point mean
+    is *not* constrained; callers that rely on a zero-mean constellation can
+    inspect :meth:`mean_point`.
 
     Instances are immutable; all methods are pure functions.
     """
@@ -76,6 +77,11 @@ class Constellation:
             raise ValueError(
                 f"probs shape {probs.shape} does not match points shape {points.shape}"
             )
+        # NaN fails no comparison below, so non-finite input is caught first.
+        for name, values in (("points", points), ("probabilities", probs)):
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:
+                raise ValueError(f"{name} must be finite, got {values[bad[0]]} at index {bad[0]}")
         if np.any(probs < -PROB_TOL) or np.any(probs > 1 + PROB_TOL):
             raise ValueError("probabilities must lie in [0, 1]")
         if abs(probs.sum() - 1.0) > PROB_TOL:

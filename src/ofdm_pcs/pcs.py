@@ -2,21 +2,22 @@
 
 Given the amplitudes of a constellation's points, choose point probabilities
 minimizing ``|sum_q p_q A_q^4 - c0|`` subject to unit average power and the
-probability simplex.  Two range LPs (dense simplex solver) give the feasible
-fourth-moment interval and the target is clipped onto it.  The solution is the
-maximum-entropy distribution with that fourth moment: a Maxwell-Boltzmann
-(Gibbs) law in E and E^2, fitted as two nested monotone 1-D roots, so it is
-unique, reproducible and found for every target.
+probability simplex.  The feasible fourth-moment interval has closed-form
+ends (``E^2`` is strictly convex in the energy ``E``, so each end is one ring
+or a chord between two rings) and the target is clipped onto it.  The
+solution is the maximum-entropy distribution with that fourth moment: a
+Maxwell-Boltzmann (Gibbs) law in E and E^2, fitted as two nested monotone 1-D
+roots, so it is unique, reproducible and found for every target.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .constellation import group_by_energy
-from .simplex import solve_lp
 
 FEAS_TOL = 1e-9
 # Targets within this distance of the feasible boundary snap onto it; the
@@ -44,8 +45,8 @@ class PcsProblem:
         support = np.asarray(self.support, dtype=float).copy()
         if support.ndim != 1 or support.size == 0:
             raise ValueError("support must be a non-empty 1-D amplitude list")
-        if np.any(support < 0):
-            raise ValueError("amplitudes must be nonnegative")
+        if not np.all(np.isfinite(support) & (support >= 0)):
+            raise ValueError(f"amplitudes must be finite and nonnegative, got {support.tolist()}")
         if not np.isfinite(self.c0) or self.c0 < 0:
             raise ValueError(f"c0 must be a nonnegative real, got {self.c0}")
         support.setflags(write=False)
@@ -64,19 +65,48 @@ class PcsSolution:
 
 
 def fourth_moment_range(support) -> tuple[float, float]:
-    """Extremes of ``sum p A^4`` over the power-constrained simplex."""
-    _, _, (_, lo, _), (_, hi, _) = _range_lps(np.asarray(support, dtype=float) ** 2)
+    """Extremes of ``sum p A^4`` over the power-constrained simplex, in closed
+    form (:func:`solve_lp`), for amplitudes that :class:`PcsProblem` accepts."""
+    _, _, (_, lo), (_, hi) = _range_lps(PcsProblem(support, 0.0).support ** 2)
     return (lo, hi)
 
 
+class RangeEnd(NamedTuple):
+    masses: np.ndarray
+    iterations: int = 0  # solver pivots: none, the end is taken in closed form
+
+
+def solve_lp(ring_e: np.ndarray, maximize: bool) -> RangeEnd:
+    """Ring masses at the smallest, or with ``maximize`` the largest, ``sum w E^2``
+    over ``w >= 0``, ``sum w = 1`` and ``sum w E = 1``, for ascending ``E``.
+
+    ``E^2`` is strictly convex in ``E``, so the minimum is its chord between the
+    rings next to 1 on either side (one ring, if it sits at 1), and the maximum
+    its chord between the innermost and the outermost ring.  A ring with no
+    partner across 1 is within ``FEAS_TOL`` of 1 (:func:`_range_lps` checks
+    that) and counts as being at 1, alone.
+    """
+    if maximize:
+        i, j = 0, ring_e.size - 1
+    else:
+        i = max(int(np.searchsorted(ring_e, 1.0, "right")) - 1, 0)
+        j = min(int(np.searchsorted(ring_e, 1.0)), ring_e.size - 1)
+    lo, hi, masses = ring_e[i], ring_e[j], np.zeros(ring_e.size)
+    if lo >= 1.0 or hi <= 1.0:
+        masses[i if lo >= 1.0 else j] = 1.0
+    else:
+        masses[i], masses[j] = (hi - 1.0) / (hi - lo), (1.0 - lo) / (hi - lo)
+    return RangeEnd(masses)
+
+
 def _range_lps(energies: np.ndarray):
-    """Energy rings and both range LPs over the ring masses.
+    """Energy rings and both ends of the fourth-moment range over their masses.
 
     Returns ``(rings, ring_e, lo, hi)``: the :func:`group_by_energy` rings,
     their energies, and for the minimum and the maximum of ``sum p E^2`` the
-    LP's (ring mass vector, extreme m4 value, pivots).  Grouping equal-energy
-    points loses nothing: the objective and constraints depend on points only
-    through their energies.
+    (ring mass vector, extreme m4 value).  Grouping equal-energy points loses
+    nothing: the objective and constraints depend on points only through
+    their energies.
     """
     if energies.min() > 1 + FEAS_TOL or energies.max() < 1 - FEAS_TOL:
         raise InfeasibleSupportError(
@@ -85,14 +115,8 @@ def _range_lps(energies: np.ndarray):
         )
     rings = group_by_energy(energies)
     ring_e = np.array([e for e, _ in rings])
-    a_eq = np.vstack([np.ones_like(ring_e), ring_e])
-    b_eq = np.array([1.0, 1.0])
-    quad = ring_e**2
-    extremes = []
-    for c in (quad, -quad):
-        res = solve_lp(c, a_eq, b_eq)
-        extremes.append((res.x, float(quad @ res.x), res.iterations))
-    return rings, ring_e, *extremes
+    ends = [solve_lp(ring_e, maximize).masses for maximize in (False, True)]
+    return rings, ring_e, *((w, float(ring_e**2 @ w)) for w in ends)
 
 
 def solve_pcs(problem: PcsProblem, tie_break: str = "max-entropy") -> PcsSolution:
@@ -108,7 +132,7 @@ def solve_pcs(problem: PcsProblem, tie_break: str = "max-entropy") -> PcsSolutio
     amps = problem.support
     energies = amps**2
     quads = energies**2
-    rings, ring_e, (w_min, m4_min, lp_min), (w_max, m4_max, lp_max) = _range_lps(energies)
+    rings, ring_e, (w_min, m4_min), (w_max, m4_max) = _range_lps(energies)
     ring_n = np.array([len(idx) for _, idx in rings], dtype=float)
 
     m4_target = float(np.clip(problem.c0, m4_min, m4_max))
@@ -132,14 +156,14 @@ def solve_pcs(problem: PcsProblem, tie_break: str = "max-entropy") -> PcsSolutio
         gap=abs(achieved - problem.c0),
         feasible_range=(m4_min, m4_max),
         tie_break_entropy=float(-(pos @ np.log2(pos))) if pos.size else 0.0,
-        diagnostics={"lp_iterations": lp_min + lp_max, "newton_iterations": newton_iters},
+        diagnostics={"newton_iterations": newton_iters},
     )
 
 
 def _max_entropy_ring_masses(ring_e, ring_n, m4_target, m4_min, m4_max, w_min, w_max):
     """Entropy-maximizing ring masses subject to the two moment equalities.
 
-    Boundary targets have a unique mass vector (the range LP vertex: the
+    Boundary targets have a unique mass vector (the :func:`solve_lp` end: the
     objective ``E^2`` is strictly convex in ``E``, so the extreme is a one- or
     two-ring chord).  Interior targets take the Gibbs masses
     w ~ n_r * exp(l1*E_r + l2*E_r^2) from two nested monotone roots: for a

@@ -19,7 +19,7 @@ from ofdm_pcs.cli import (
     resolve_modulation,
 )
 import ofdm_pcs
-from ofdm_pcs.constellation import Constellation
+from ofdm_pcs.constellation import Constellation, make_qam
 
 
 def read_csv(path):
@@ -413,7 +413,7 @@ _SMALL_OFDM = ["--subcarriers", "8", "--bandwidth", "8"]
         (["detect", "calibrate", "--calib-trials", "0"], "calib_trials"),
         (["air", "sweep-c0", "--c0", "", "--mc", "10"], "c0 is empty"),
         (["air", "sweep-snr", "--snr", "", "--mc", "10"], "snr is empty"),
-        (["air", "sweep-snr", "--modulations", "", "--mc", "10"], "constellations"),
+        (["air", "sweep-snr", "--modulations", "", "--mc", "10"], "modulations is empty"),
         (["air", "sweep-c0", "--c0", "1.0", "--mc", "10", "--sigma2", "inf"], "sigma2"),
         (["af", "slice", "--doppler", "inf", "--trials", "2", *_SMALL_OFDM], "doppler"),
         (["af", "slice", "--doppler", "nan", "--trials", "2", *_SMALL_OFDM], "doppler"),
@@ -451,6 +451,7 @@ def test_af_empty_grid_names_parameter(tmp_path, capsys, args, name):
         (["air", "sweep-c0", "--c0", ",", "--mc", "10"], None, "c0"),
         (["air", "sweep-snr", "--snr", "", "--mc", "10"], None, "snr"),
         (["pcs", "sweep"], {"c0": []}, "c0"),
+        (["air", "sweep-snr", "--modulations", ",", "--mc", "10"], None, "modulations"),
     ],
 )
 def test_empty_grid_names_option(tmp_path, capsys, args, config, name):
@@ -463,6 +464,22 @@ def test_empty_grid_names_option(tmp_path, capsys, args, config, name):
     assert main(args + ["--out", str(out)]) == 1
     assert f"error: {args[0]} {args[1]}: {name} is empty\n" == capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["constellation", "dump", "--modulation"],
+    ["air", "sweep-snr", "--snr", "10", "--mc", "10", "--modulations"],
+    ["af", "slice", "--trials", "2", *_SMALL_OFDM, "--modulation"],
+])
+def test_non_finite_constellation_json_fails(tmp_path, capsys, args):
+    # NaN passes every comparison; unchecked, it is written out as ``nan``.
+    doc = json.loads(make_qam(16).to_json())
+    doc["points"][3]["re"] = float("nan")
+    shaped = tmp_path / "nan.json"
+    shaped.write_text(json.dumps(doc))
+    assert main(args + [str(shaped), "--out", str(tmp_path / "x.csv")]) == 1
+    assert "points must be finite, got (nan+" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 @pytest.mark.parametrize(

@@ -185,6 +185,18 @@ def test_constructor_rejects_bad_simplex():
         Constellation(points, np.array([1.2, -0.2]))
 
 
+@pytest.mark.parametrize(("points", "probs", "message"), [
+    ([1, complex(np.nan, 0)], [0.5, 0.5], "points must be finite, got (nan+0j) at index 1"),
+    ([1, complex(0, np.inf)], [1.0, 0.0], "points must be finite, got infj at index 1"),
+    ([1, -1], [np.nan, 0.5], "probabilities must be finite, got nan at index 0"),
+], ids=["nan-point", "inf-point", "nan-prob"])
+def test_constructor_rejects_non_finite(points, probs, message):
+    # NaN fails every comparison, so the simplex and power checks pass it.
+    with pytest.raises(ValueError) as info:
+        Constellation(np.array(points, dtype=complex), np.array(probs))
+    assert str(info.value) == message
+
+
 def test_constructor_rejects_bad_power():
     points = np.array([2.0 + 0j, -2.0 + 0j])
     with pytest.raises(ValueError):

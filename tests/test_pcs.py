@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from ofdm_pcs import pcs
-from ofdm_pcs.constellation import group_rings, make_psk, make_qam
+from ofdm_pcs.constellation import group_by_energy, group_rings, make_psk, make_qam
 from ofdm_pcs.pcs import (
+    FEAS_TOL,
     InfeasibleSupportError,
     PcsProblem,
     SolverNotConvergedError,
@@ -13,27 +14,25 @@ from ofdm_pcs.pcs import (
 )
 
 
-def two_ring_range_oracle(energies):
-    """Oracle: scan one- and two-ring chords for the m4 extremes.
+def two_ring_vertex_oracle(energies):
+    """Oracle: (m4, masses over the distinct energies) at both m4 extremes,
+    scanned over every energy within FEAS_TOL of 1 and every two-energy chord
+    through 1.  E^2 is strictly convex in E, so each extreme is one of them."""
+    e, ends = np.unique(energies), []
+    for i, j in zip(*np.triu_indices(e.size)):
+        w = np.zeros(e.size)
+        if i == j and abs(e[i] - 1.0) <= FEAS_TOL:
+            w[i] = 1.0
+        elif i < j and e[i] <= 1.0 <= e[j]:
+            w[i], w[j] = (e[j] - 1.0) / (e[j] - e[i]), (1.0 - e[i]) / (e[j] - e[i])
+        else:
+            continue
+        ends.append((float(w @ e**2), w))
+    return min(ends, key=lambda end: end[0]), max(ends, key=lambda end: end[0])
 
-    The fourth moment is strictly convex in the ring energy, so every extreme
-    of the range LP concentrates on at most two rings (or one ring sitting
-    exactly at unit energy).
-    """
-    e = np.unique(np.round(energies, 12))
-    best_lo, best_hi = np.inf, -np.inf
-    for i in range(e.size):
-        if abs(e[i] - 1.0) < 1e-12:
-            best_lo = min(best_lo, e[i] ** 2)
-            best_hi = max(best_hi, e[i] ** 2)
-        for j in range(i + 1, e.size):
-            if not (e[i] <= 1.0 <= e[j]):
-                continue
-            w = (e[j] - 1.0) / (e[j] - e[i])
-            m4 = w * e[i] ** 2 + (1 - w) * e[j] ** 2
-            best_lo = min(best_lo, m4)
-            best_hi = max(best_hi, m4)
-    return best_lo, best_hi
+
+def two_ring_range_oracle(energies):
+    return tuple(m4 for m4, _ in two_ring_vertex_oracle(energies))
 
 
 def test_range_qam16():
@@ -71,6 +70,31 @@ def test_range_random_supports_match_oracle():
         assert lo >= 1.0 - 1e-9
 
 
+_RNG = np.random.default_rng(5)  # the supports of test_range_random_supports_match_oracle
+_RANDOM = [_RNG.uniform(0.2, 1.8, _RNG.integers(3, 24)) for _ in range(30)]
+
+
+@pytest.mark.parametrize("amps", [
+    *(make_qam(n).amplitudes for n in (16, 64, 256)), make_psk(8).amplitudes,
+    *(a for a in _RANDOM if (a**2).min() <= 1.0 <= (a**2).max()),
+    # Rings within FEAS_TOL of 1: alone on their side of it, or bracketed.
+    *(np.sqrt(e) for e in ([0.5, 1 - 5e-10], [1 + 5e-10, 1.5], [0.5, 1 + 5e-10, 1.5])),
+])
+def test_range_end_masses_match_two_ring_oracle(amps):
+    rings = group_by_energy(amps**2)
+    ring_e = np.array([e for e, _ in rings])
+    ends = [pcs.solve_lp(ring_e, maximize) for maximize in (False, True)]
+    for end, (m4, w) in zip(ends, two_ring_vertex_oracle(ring_e)):
+        assert end.iterations == 0 and np.all(end.masses >= 0)
+        assert abs(end.masses.sum() - 1.0) <= 1e-12 and abs(end.masses @ ring_e - 1.0) <= FEAS_TOL
+        assert abs(end.masses @ ring_e**2 - m4) <= 1e-12 and end.masses == pytest.approx(w, abs=1e-12)
+    # A target beyond either end takes that end's masses, spread evenly over each ring.
+    for c0, end in zip((0.0, 1e3), ends):
+        probs = solve_pcs(PcsProblem(amps, c0)).probs
+        for (_, idx), mass in zip(rings, end.masses):
+            assert probs[idx] == pytest.approx(np.full(idx.size, mass / idx.size), abs=1e-15)
+
+
 def test_infeasible_support():
     with pytest.raises(InfeasibleSupportError):
         fourth_moment_range(np.array([0.5, 0.6]))
@@ -78,34 +102,11 @@ def test_infeasible_support():
         solve_pcs(PcsProblem(np.array([1.5, 2.0]), 1.0))
 
 
-def test_qam16_unit_target_picks_unit_ring():
-    c = make_qam(16)
-    sol = solve_pcs(PcsProblem(c.amplitudes, 1.0))
-    assert sol.gap <= 1e-8
-    on_ring = np.isclose(c.energies, 1.0)
-    assert np.all(sol.probs[~on_ring] <= 1e-9)
-    assert sol.probs[on_ring] == pytest.approx(np.full(8, 1 / 8), abs=1e-9)
-    assert sol.tie_break_entropy == pytest.approx(3.0, abs=1e-9)
-
-
 def test_qam16_native_target_recovers_uniform():
     c = make_qam(16)
     sol = solve_pcs(PcsProblem(c.amplitudes, 1.32))
     assert sol.gap <= 1e-8
     assert sol.probs == pytest.approx(np.full(16, 1 / 16), abs=1e-9)
-
-
-def test_qam64_unit_target_two_bracket_rings():
-    c = make_qam(64)
-    sol = solve_pcs(PcsProblem(c.amplitudes, 1.0))
-    assert sol.achieved_m4 == pytest.approx(3656 / 3528, abs=1e-9)
-    assert sol.gap == pytest.approx(3656 / 3528 - 1.0, abs=1e-9)
-    for energy, idx in group_rings(c):
-        mass = sol.probs[idx].sum()
-        if abs(energy - 34 / 42) < 1e-9 or abs(energy - 50 / 42) < 1e-9:
-            assert mass == pytest.approx(0.5, abs=1e-9)
-        else:
-            assert mass <= 1e-9
 
 
 def test_qam16_interior_target_ring_masses():
@@ -176,15 +177,6 @@ def test_every_random_support_target_converges():
             assert_targets_converge(amps, rng, 10)
 
 
-def test_out_of_range_targets_clamp():
-    c = make_qam(16)
-    low = solve_pcs(PcsProblem(c.amplitudes, 0.3))
-    high = solve_pcs(PcsProblem(c.amplitudes, 2.5))
-    assert low.achieved_m4 == pytest.approx(1.0, abs=1e-8)
-    assert high.achieved_m4 == pytest.approx(1.64, abs=1e-8)
-    assert high.gap == pytest.approx(2.5 - 1.64, abs=1e-8)
-
-
 def test_unknown_tie_break():
     with pytest.raises(ValueError):
         solve_pcs(PcsProblem(make_qam(16).amplitudes, 1.0), tie_break="other")
@@ -239,3 +231,11 @@ def test_problem_validation():
         PcsProblem(np.array([-1.0, 1.0]), 1.0)
     with pytest.raises(ValueError):
         sweep_c0(make_qam(16).amplitudes, [])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_amplitudes_rejected(bad):
+    # NaN passes the feasibility check; the range would read NaN.
+    for call in (lambda a: PcsProblem(a, 1.0), fourth_moment_range):
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            call(np.array([bad, 1.0, 1.2]))
