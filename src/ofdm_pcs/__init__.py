@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .air import AirConfig, AirEstimate, air_mc, air_vs_c0, air_vs_snr
-from .ambiguity import af_closed_form, af_self_closed_form, af_statistics, mc_average_af
+from .ambiguity import af_closed_form, af_statistics, mc_average_af
 from .constellation import Constellation, group_rings, make_psk, make_qam
 from .detect import (
     CfarConfig,
@@ -35,7 +35,6 @@ __all__ = [
     "PcsSolution",
     "SolverNotConvergedError",
     "af_closed_form",
-    "af_self_closed_form",
     "af_statistics",
     "air_mc",
     "air_vs_c0",

@@ -121,6 +121,14 @@ def sigma2_from_snr_db(snr_db: float) -> float:
     return 10.0 ** (-snr_db / 10.0)
 
 
+def _air_cells(cells, mc_trials: int, seed, threads: int) -> list[AirEstimate]:
+    """:func:`air_mc` of each ``(constellation, noise variance)`` cell, in
+    cell order; cell k draws from child k of ``seed``, whatever ``threads`` is."""
+    seeds = np.random.SeedSequence(seed).spawn(len(cells))
+    jobs = [(c, AirConfig(sigma2, mc_trials, s)) for (c, sigma2), s in zip(cells, seeds)]
+    return map_ordered(lambda job: air_mc(*job), jobs, threads)
+
+
 def air_vs_c0(
     base: Constellation,
     c0_grid,
@@ -131,27 +139,20 @@ def air_vs_c0(
     """Shape the base constellation for each target, then estimate its rate.
 
     Returns one row per c0 with keys ``c0, rate, std_error, gap,
-    entropy_bits``.  Each grid point uses an independent child seed so the
-    rows do not depend on evaluation order.
+    entropy_bits``.  The targets are shaped first, serially; row i's rate is
+    cell i of :func:`_air_cells`.
     """
     grid = np.asarray(c0_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("c0_grid must be a non-empty 1-D list")
-    seeds = np.random.SeedSequence(cfg.seed).spawn(grid.size)
-
-    def run(i: int) -> dict:
-        sol = solve_pcs(PcsProblem(base.amplitudes, grid[i]))
-        shaped = base.with_probs(sol.probs)
-        est = air_mc(shaped, AirConfig(cfg.noise_variance, cfg.mc_trials, seeds[i]))
-        return {
-            "c0": float(grid[i]),
-            "rate": est.rate,
-            "std_error": est.std_error,
-            "gap": sol.gap,
-            "entropy_bits": sol.tie_break_entropy,
-        }
-
-    return map_ordered(run, range(grid.size), threads)
+    sols = [solve_pcs(PcsProblem(base.amplitudes, c0)) for c0 in grid]
+    cells = [(base.with_probs(sol.probs), cfg.noise_variance) for sol in sols]
+    ests = _air_cells(cells, cfg.mc_trials, cfg.seed, threads)
+    return [
+        {"c0": float(c0), "rate": est.rate, "std_error": est.std_error, "gap": sol.gap,
+         "entropy_bits": sol.tie_break_entropy}
+        for c0, sol, est in zip(grid, sols, ests)
+    ]
 
 
 def air_vs_snr(
@@ -163,25 +164,15 @@ def air_vs_snr(
     threads: int = 1,
 ) -> list[dict]:
     """Rate series over an SNR grid, one column per named constellation;
-    each cell is an :func:`air_mc` estimate from its own child seed."""
+    cell (i, j) of J constellations is cell ``i J + j`` of :func:`_air_cells`."""
     grid = np.asarray(snr_grid_db, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("snr_grid_db must be a non-empty 1-D list")
     if not constellations:
         raise ValueError("constellations is empty: need at least one named constellation")
-    seeds = np.random.SeedSequence(seed).spawn(grid.size * len(constellations))
-
-    def run(k: int) -> tuple:
-        i, j = divmod(k, len(constellations))
-        est = air_mc(
-            constellations[j][1],
-            AirConfig(sigma2_from_snr_db(grid[i]), mc_trials, seeds[k]),
-        )
-        return i, constellations[j][0], est
-
-    results = map_ordered(run, range(grid.size * len(constellations)), threads)
-    rows = [{"snr_db": float(s)} for s in grid]
-    for i, name, est in results:
-        rows[i][name] = est.rate
-    return rows
-
+    cells = [(c, sigma2_from_snr_db(snr)) for snr in grid for _, c in constellations]
+    ests = iter(_air_cells(cells, mc_trials, seed, threads))
+    return [
+        {"snr_db": float(snr), **{name: next(ests).rate for name, _ in constellations}}
+        for snr in grid
+    ]

@@ -92,10 +92,10 @@ def _delay_terms(cfg: OfdmConfig, tau: float, nu_grid: np.ndarray, offsets, out=
     folds into the draws' lag products; the nu phase, of modulus one, is
     left out.  On a one-Doppler grid both phases are folded into the one
     complex kernel column K and ``carrier_phase`` is None: that grid serves
-    the point forms and the zero-Doppler slice.  :func:`af_statistics` and
-    :func:`af_self_closed_form` read K as it is; for :func:`_af_at_delay`
-    it goes through :func:`_spectral` once per delay, after which a draw
-    costs one forward FFT and a product with that spectral kernel.  A delay
+    :func:`af_closed_form` and the zero-Doppler slice.  :func:`af_statistics`
+    reads K as it is; for :func:`_af_at_delay` it goes through
+    :func:`_spectral` once per delay, after which a draw costs one forward
+    FFT and a product with that spectral kernel.  A delay
     thus costs L + 2L-1 complex exponentials (one more at one Doppler) and
     one sinc per distinct frequency, plus the gather.
     """
@@ -192,10 +192,13 @@ def _af_at_delay(
     return (kernel.T @ block.view(float)).view(complex).T
 
 
-def _at_point(cfg: OfdmConfig, symbols, tau: float, nu: float, evaluate):
-    """Front end of the point forms: checks the symbol length and applies
-    ``evaluate(rows, lag_phase, None, kernel)`` to the rows at the one Doppler
-    ``nu`` (zeros outside the window); one symbol vector gives a complex."""
+def af_closed_form(cfg: OfdmConfig, symbols, tau: float, nu: float):
+    """Closed-form ambiguity function at one point: the one-Doppler case of
+    :func:`_af_at_delay`, one forward FFT of the lag-phased rows and one
+    product with the delay's spectral kernel (:func:`_spectral`), and zero
+    outside the window.  ``symbols`` may carry leading batch dimensions, in
+    which case a matching array of values is returned; one symbol vector
+    gives a complex."""
     symbols = np.asarray(symbols, dtype=np.complex128)
     num = cfg.num_subcarriers
     if symbols.shape[-1] != num:
@@ -203,34 +206,13 @@ def _at_point(cfg: OfdmConfig, symbols, tau: float, nu: float, evaluate):
     rows = symbols.reshape(-1, num)
     nu_grid = np.array([float(nu)])
     terms = _delay_terms(cfg, tau, nu_grid, _doppler_offsets(cfg, nu_grid))
-    out = np.zeros(rows.shape[0], complex) if terms is None else evaluate(rows, *terms)
+    out = np.zeros(rows.shape[0], complex)
+    if terms is not None:
+        lag_phase, _, kernel = terms
+        spectrum = np.fft.fft(rows, n=2 * num, axis=1)
+        out = _af_at_delay(rows, spectrum, lag_phase, None, _spectral(kernel))[:, 0]
     out = out.reshape(symbols.shape[:-1])
     return complex(out) if out.ndim == 0 else out
-
-
-def af_closed_form(cfg: OfdmConfig, symbols, tau: float, nu: float):
-    """Closed-form ambiguity function at one point: the one-Doppler case of
-    :func:`_af_at_delay`, one forward FFT of the lag-phased rows and one
-    product with the delay's spectral kernel (:func:`_spectral`).
-    ``symbols`` may carry leading batch dimensions, in which case a matching
-    array of values is returned."""
-
-    def evaluate(rows, lag_phase, _, kernel):
-        spectrum = np.fft.fft(rows, n=2 * cfg.num_subcarriers, axis=1)
-        return _af_at_delay(rows, spectrum, lag_phase, None, _spectral(kernel))[:, 0]
-
-    return _at_point(cfg, symbols, tau, nu, evaluate)
-
-
-def af_self_closed_form(cfg: OfdmConfig, symbols, tau: float, nu: float):
-    """Self part only: the L equal-index components of the closed form,
-    ``sum_l |c_l|^2 exp(j 2 pi l df tau)`` times the m = 0 row of the
-    delay's Doppler kernel."""
-
-    def evaluate(rows, lag_phase, _, kernel):
-        return (np.abs(rows) ** 2 @ lag_phase) * kernel[cfg.num_subcarriers - 1, 0]
-
-    return _at_point(cfg, symbols, tau, nu, evaluate)
 
 
 def mc_average_af(

@@ -52,6 +52,12 @@ _META_EXCLUDE = {"out", "threads"}
 # Options read by ``parse_grid``, which also takes a config file's JSON list.
 _GRID_KEYS = {"c0", "snr"}
 
+# Least value of each integer option; the grid sizes are left to their grids.
+_INT_MIN = {
+    "trials": 1, "calib_trials": 1, "mc": 1, "window": 1, "subcarriers": 1,
+    "oversampling": 1, "threads": 1, "seed": 0, "guard": 0,
+}
+
 _HELP = {"threads": "worker thread cap (never changes results)"}
 
 _NUMBERISH = re.compile(r"^-(\d|\.\d)[\d.,:eE+-]*$")
@@ -166,8 +172,6 @@ def write_json(path: str, command: str, resolved: dict, payload: dict) -> None:
 
 def _ofdm_config(opts: dict) -> OfdmConfig:
     subcarriers, bandwidth = opts["subcarriers"], opts["bandwidth"]
-    if subcarriers < 1:
-        raise ValueError(f"subcarriers must be >= 1, got {subcarriers}")
     if bandwidth <= 0:
         raise ValueError(f"bandwidth must be positive, got {bandwidth}")
     return OfdmConfig(
@@ -254,11 +258,9 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
             value = _config_value(key, from_file[key], default) if key in from_file else default
         if isinstance(value, float) and not np.isfinite(value):
             raise ValueError(f"{key} must be finite, got {value}")
+        if key in _INT_MIN and value < _INT_MIN[key]:
+            raise ValueError(f"{key} must be >= {_INT_MIN[key]}, got {value}")
         resolved[key] = value
-    if resolved.get("seed", 0) < 0:
-        raise ValueError(f"seed must be >= 0, got {resolved['seed']}")
-    if resolved.get("threads", 1) < 1:
-        raise ValueError(f"threads must be >= 1, got {resolved['threads']}")
     resolved["out"] = args.out
     return resolved
 

@@ -1,10 +1,12 @@
 """Independent oracles for the closed-form ambiguity function.
 
-Neither imports anything from ``ofdm_pcs.ambiguity``; both work out the
-overlap window themselves (:func:`overlap_window`):
+None of the three imports anything from ``ofdm_pcs.ambiguity``; each works
+out the overlap window itself (:func:`overlap_window`):
 
 * :func:`af_double_sum` is the brute-force double sum over subcarrier pairs,
   one L x L kernel per point;
+* :func:`af_self_part` is the self part of that sum, its equal-index terms
+  (the kernel's diagonal);
 * :func:`af_quadrature` integrates the defining correlation integral of the
   sampled waveform with composite Gauss-Legendre panels.
 """
@@ -23,21 +25,34 @@ def overlap_window(cfg, tau):
     return max(0.0, tau), min(cfg.symbol_duration, cfg.symbol_duration + tau)
 
 
-def af_double_sum(cfg, symbols, tau, nu):
-    """``sum_{l1,l2} c_l1 conj(c_l2) T_diff sinc(f T_diff) exp(j 2 pi (f t_avg
-    + l2 df tau))`` with ``f = (l1 - l2) df - nu``, over leading batch axes."""
+def _pair_kernel(cfg, tau, nu):
+    """The L x L kernel of :func:`af_double_sum`, row l1 and column l2."""
     t_min, t_max = overlap_window(cfg, tau)
     t_diff, t_avg = max(t_max - t_min, 0.0), 0.5 * (t_max + t_min)  # no overlap: a zero kernel
     df = cfg.subcarrier_spacing
     l = np.arange(cfg.num_subcarriers)
     f = (l[:, None] - l[None, :]) * df - nu
-    kernel = (
+    return (
         t_diff
         * np.sinc(f * t_diff)
         * np.exp(2j * np.pi * (f * t_avg + l[None, :] * df * tau))
     )
+
+
+def af_double_sum(cfg, symbols, tau, nu):
+    """``sum_{l1,l2} c_l1 conj(c_l2) T_diff sinc(f T_diff) exp(j 2 pi (f t_avg
+    + l2 df tau))`` with ``f = (l1 - l2) df - nu``, over leading batch axes."""
     symbols = np.asarray(symbols, dtype=np.complex128)
-    out = np.einsum("...i,ij,...j->...", symbols, kernel, symbols.conj())
+    out = np.einsum("...i,ij,...j->...", symbols, _pair_kernel(cfg, tau, nu), symbols.conj())
+    return complex(out) if np.ndim(out) == 0 else out
+
+
+def af_self_part(cfg, symbols, tau, nu):
+    """The self part: the l1 = l2 terms of :func:`af_double_sum`, ``sum_l
+    |c_l|^2 T_diff sinc(nu T_diff) exp(j 2 pi (l df tau - nu t_avg))``, over
+    leading batch axes."""
+    symbols = np.asarray(symbols, dtype=np.complex128)
+    out = np.abs(symbols) ** 2 @ np.diagonal(_pair_kernel(cfg, tau, nu))
     return complex(out) if np.ndim(out) == 0 else out
 
 

@@ -12,7 +12,6 @@ import pytest
 from ofdm_pcs.air import AirConfig, air_mc, air_vs_c0
 from ofdm_pcs.ambiguity import (
     af_closed_form,
-    af_self_closed_form,
     af_statistics,
     default_nu_grid,
     default_tau_grid,
@@ -32,7 +31,7 @@ from ofdm_pcs.detect import (
 from ofdm_pcs.ofdm import OfdmConfig, symbol_signal_batch
 from ofdm_pcs.pcs import PcsProblem, fourth_moment_range, solve_pcs
 
-from af_oracles import af_quadrature
+from af_oracles import af_quadrature, af_self_part
 
 
 def check(name: str, ok: bool, detail: str):
@@ -105,11 +104,11 @@ def test_04_self_variance_formula():
     worst_rel = 0.0
     worst_psk_ratio = 0.0
     for tau in (0.03125, 0.125, 0.25, 0.5, 0.75):
-        values = af_self_closed_form(cfg, draws, tau, 0.0)
+        values = af_self_part(cfg, draws, tau, 0.0)
         empirical = np.mean(np.abs(values) ** 2) - abs(values.mean()) ** 2
         predicted = af_statistics(cfg, qam, [tau], 0.0)[0][0]
         worst_rel = max(worst_rel, abs(empirical - predicted) / predicted)
-        psk_values = af_self_closed_form(cfg, psk_draws, tau, 0.0)
+        psk_values = af_self_part(cfg, psk_draws, tau, 0.0)
         psk_var = np.mean(np.abs(psk_values) ** 2) - abs(psk_values.mean()) ** 2
         worst_psk_ratio = max(worst_psk_ratio, abs(psk_var) / predicted)
     check(
@@ -132,7 +131,7 @@ def test_05_cross_statistics():
     worst_mean_sigmas = 0.0
     worst_var_rel = 0.0
     for tau, nu in points:
-        cross = af_closed_form(cfg, draws, tau, nu) - af_self_closed_form(cfg, draws, tau, nu)
+        cross = af_closed_form(cfg, draws, tau, nu) - af_self_part(cfg, draws, tau, nu)
         n = cross.size
         emp_var = np.mean(np.abs(cross) ** 2) - abs(cross.mean()) ** 2
         se = np.sqrt(emp_var / n)

@@ -13,6 +13,7 @@ from ofdm_pcs.air import (
 )
 from ofdm_pcs.constellation import Constellation, make_psk, make_qam
 from ofdm_pcs.mc import map_chunks
+from ofdm_pcs.pcs import PcsProblem, solve_pcs
 
 
 def grid_mi_oracle(points, probs, sigma2, half_width=6.0, step=0.01):
@@ -195,6 +196,30 @@ def test_air_vs_c0_thread_invariance():
     serial = air_vs_c0(make_qam(16), [1.0, 1.2, 1.32], cfg, threads=1)
     parallel = air_vs_c0(make_qam(16), [1.0, 1.2, 1.32], cfg, threads=3)
     assert serial == parallel
+    named = [("qam16", make_qam(16)), ("psk16", make_psk(16))]
+    serial = air_vs_snr(named, [0.0, 10.0], 10_000, 1, threads=1)
+    parallel = air_vs_snr(named, [0.0, 10.0], 10_000, 1, threads=3)
+    assert serial == parallel
+
+
+def test_air_sweeps_seed_layout():
+    # Cell (i, j) of the SNR sweep draws from child i J + j of the seed, and
+    # row i of the c0 sweep from child i, each exactly as a lone air_mc call.
+    named = [("qam16", make_qam(16)), ("psk16", make_psk(16)), ("psk8", make_psk(8))]
+    snrs, mc, seed = [0.0, 8.0], 3_000, 5
+    children = np.random.SeedSequence(seed).spawn(len(snrs) * len(named))
+    rows = air_vs_snr(named, snrs, mc, seed, threads=2)
+    for i, snr in enumerate(snrs):
+        for j, (name, c) in enumerate(named):
+            cfg = AirConfig(sigma2_from_snr_db(snr), mc, children[i * len(named) + j])
+            assert rows[i][name] == air_mc(c, cfg).rate
+    base, c0s = make_qam(16), [1.0, 1.2, 1.32]
+    children = np.random.SeedSequence(seed).spawn(len(c0s))
+    rows = air_vs_c0(base, c0s, AirConfig(0.05, mc, seed), threads=2)
+    for i, c0 in enumerate(c0s):
+        shaped = base.with_probs(solve_pcs(PcsProblem(base.amplitudes, c0)).probs)
+        est = air_mc(shaped, AirConfig(0.05, mc, children[i]))
+        assert (rows[i]["rate"], rows[i]["std_error"]) == (est.rate, est.std_error)
 
 
 def test_air_vs_snr_rows():

@@ -5,7 +5,6 @@ from ofdm_pcs import ambiguity
 from ofdm_pcs.ambiguity import (
     AF_CHUNK,
     af_closed_form,
-    af_self_closed_form,
     af_statistics,
     default_nu_grid,
     default_tau_grid,
@@ -15,7 +14,7 @@ from ofdm_pcs.ambiguity import (
 from ofdm_pcs.constellation import make_psk, make_qam
 from ofdm_pcs.ofdm import OfdmConfig, symbol_signal_batch
 
-from af_oracles import af_double_sum, af_quadrature, overlap_window
+from af_oracles import af_double_sum, af_quadrature, af_self_part, overlap_window
 
 CFG16 = OfdmConfig(num_subcarriers=16, subcarrier_spacing=1.0, oversampling=8)
 
@@ -97,7 +96,7 @@ def test_self_plus_cross_is_total():
     sym = make_qam(16).sample_symbols(16, 11)
     tau, nu = 0.21, -1.7
     total = af_closed_form(CFG16, sym, tau, nu)
-    self_part = af_self_closed_form(CFG16, sym, tau, nu)
+    self_part = af_self_part(CFG16, sym, tau, nu)
     # Cross part recomputed independently by zeroing the diagonal.
     l = np.arange(16)
     f = (l[:, None] - l[None, :]) * 1.0 - nu
@@ -322,7 +321,7 @@ def test_variance_self_empirical():
     c = make_qam(16)
     draws = c.sample_symbols(4000 * 64, 17).reshape(4000, 64)
     tau = 0.15
-    values = af_self_closed_form(cfg, draws, tau, 0.0)
+    values = af_self_part(cfg, draws, tau, 0.0)
     empirical = np.mean(np.abs(values) ** 2) - abs(values.mean()) ** 2
     assert empirical == pytest.approx(af_statistics(cfg, c, [tau], 0.0)[0][0], rel=0.1)
 
@@ -373,7 +372,7 @@ def test_cross_mean_is_zero_empirically():
     c = make_qam(16)
     draws = c.sample_symbols(4000 * 16, 23).reshape(4000, 16)
     tau, nu = 0.2, 0.7
-    cross = af_closed_form(cfg, draws, tau, nu) - af_self_closed_form(cfg, draws, tau, nu)
+    cross = af_closed_form(cfg, draws, tau, nu) - af_self_part(cfg, draws, tau, nu)
     se = np.sqrt(np.var(cross) / draws.shape[0])
     assert abs(cross.mean()) < 3 * se
 
@@ -412,5 +411,3 @@ def test_magnitude_db_floor():
 def test_symbol_length_validation():
     with pytest.raises(ValueError):
         af_closed_form(CFG16, np.ones(15, dtype=complex), 0.0, 0.0)
-    with pytest.raises(ValueError):
-        af_self_closed_form(CFG16, np.ones(4, dtype=complex), 0.0, 0.0)

@@ -21,6 +21,8 @@ from ofdm_pcs.cli import (
 import ofdm_pcs
 from ofdm_pcs.constellation import Constellation, make_qam
 
+from af_oracles import af_self_part
+
 
 def read_csv(path):
     meta, header, rows = {}, None, []
@@ -207,7 +209,7 @@ def test_af_variance_mean_self_at_doppler(tmp_path):
     assert taus[i] == pytest.approx(0.03)
     cfg = ofdm_pcs.OfdmConfig(num_subcarriers=16, subcarrier_spacing=1.0, oversampling=4)
     draws = ofdm_pcs.make_qam(16).sample_symbols(4000 * 16, 61).reshape(4000, 16)
-    values = ofdm_pcs.af_self_closed_form(cfg, draws, taus[i], nu)
+    values = af_self_part(cfg, draws, taus[i], nu)
     se = np.sqrt(np.var(values) / values.size)
     assert abs(abs(values.mean()) - mean_self[i]) < 3 * se
 
@@ -435,6 +437,11 @@ _SMALL_OFDM = ["--subcarriers", "8", "--bandwidth", "8"]
         (["af", "slice", "--points", "-3", "--trials", "2", *_SMALL_OFDM], "tau_grid"),
         (["af", "surface", "--tau-points", "-3", "--trials", "2", *_SMALL_OFDM], "tau_grid"),
         (["af", "surface", "--nu-points", "-2", "--trials", "2", *_SMALL_OFDM], "nu_grid"),
+        # Integer options name their flag and fail before any work.
+        (["af", "slice", "--trials", "0", *_SMALL_OFDM], "trials must be >= 1, got 0"),
+        (["detect", "calibrate", "--window", "0"], "window must be >= 1, got 0"),
+        (["detect", "calibrate", "--guard", "-1"], "guard must be >= 0, got -1"),
+        (["air", "sweep-c0", "--mc", "0"], "mc must be >= 1, got 0"),
     ],
 )
 def test_af_empty_grid_names_parameter(tmp_path, capsys, args, name):
