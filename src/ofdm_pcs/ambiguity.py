@@ -8,13 +8,16 @@ reads that kernel.  It factors as K = carrier phase . S . nu phase, a real
 envelope S between two unit-modulus phases.  :func:`_af_at_delay` applies it
 to every draw's lag products.  On a grid of one Doppler both phases are
 folded into one complex kernel column, which is taken to the spectral domain
-once per delay (:func:`_spectral`): the AF is then one forward FFT per draw
-and one complex product against that spectral kernel, and
-:func:`af_closed_form` is the one-point case.  On a grid of more than one
-Doppler the lag products come from one FFT convolution per draw, the carrier
-phase goes onto them, and they take one real product against S (half the
-flops of a complex one) and come out as the AF times a unit-modulus phase
-per Doppler column.
+once per delay (:func:`_spectral`): the AF is then one complex product of
+the draw's lag-phased spectrum against that spectral kernel, and
+:func:`af_closed_form` is the one-point case.  A delay on the lattice
+``tau = n / (2L df)`` (every computed delay of the default slice) takes that
+spectrum as the draw's one length-2L spectrum shifted circularly by n, with
+no FFT; any other delay takes one forward FFT per draw.  On a grid of more
+than one Doppler the lag products come from one FFT convolution per draw,
+the carrier phase goes onto them, and they take one real product against S
+(half the flops of a complex one) and come out as the AF times a
+unit-modulus phase per Doppler column.
 :func:`mc_average_af` averages the magnitude over random symbol draws on a
 delay-Doppler grid, peak-normalized, computing only the tau >= 0 half of a
 grid that is exactly its own (-tau, -nu) mirror (as :func:`default_tau_grid`
@@ -36,6 +39,11 @@ from .ofdm import OfdmConfig
 # Draws per chunk of the Monte-Carlo AF: each delay row sums its chunk
 # partials in chunk order, so this fixes the order of the sums.
 AF_CHUNK = 64
+
+# A one-Doppler delay lies on the lattice tau = n / (2L df) when x = 2L df tau
+# is within this many ulps of 2L of the integer n.  The default grids miss by
+# at most one ulp; snapping moves each lag phase by at most pi |x - n|.
+LATTICE_ULPS = 4
 
 
 def _centred_grid(name: str, width: float, points: int) -> np.ndarray:
@@ -93,11 +101,10 @@ def _delay_terms(cfg: OfdmConfig, tau: float, nu_grid: np.ndarray, offsets, out=
     left out.  On a one-Doppler grid both phases are folded into the one
     complex kernel column K and ``carrier_phase`` is None: that grid serves
     :func:`af_closed_form` and the zero-Doppler slice.  :func:`af_statistics`
-    reads K as it is; for :func:`_af_at_delay` it goes through
-    :func:`_spectral` once per delay, after which a draw costs one forward
-    FFT and a product with that spectral kernel.  A delay
-    thus costs L + 2L-1 complex exponentials (one more at one Doppler) and
-    one sinc per distinct frequency, plus the gather.
+    reads K and the lag phase as they are; for :func:`_af_at_delay` both go
+    through :func:`_spectral` once per delay.  A delay thus costs L + 2L-1
+    complex exponentials (one more at one Doppler) and one sinc per distinct
+    frequency, plus the gather.
     """
     t_min = max(0.0, float(tau))
     t_max = min(cfg.symbol_duration, cfg.symbol_duration + float(tau))
@@ -117,27 +124,42 @@ def _delay_terms(cfg: OfdmConfig, tau: float, nu_grid: np.ndarray, offsets, out=
     return lag_phase, None, kernel
 
 
-def _spectral(kernel: np.ndarray) -> np.ndarray:
-    """The one-Doppler kernel column K (rows m = 1-L .. L-1) as the spectral
-    kernel H that :func:`_af_at_delay` takes on that grid: the length-2L
-    inverse FFT of K in FFT order (row m at index m mod 2L, a zero at L).
+def _spectral(cfg: OfdmConfig, tau: float, terms):
+    """The one-Doppler terms ``(lag_phase, None, K)`` of :func:`_delay_terms`
+    at delay ``tau`` as :func:`_af_at_delay` takes them on that grid,
+    ``((shift, phase), None, H)``.  Neither part depends on the draws, so
+    both are built once per delay.
 
-    That order is K's zero-padded column shifted circularly by L-1, so H is
-    ``ifft(K, n=2L)`` times ``exp(-j 2 pi k (L-1) / 2L)`` with the phase
-    placed exactly, not evaluated.  It does not depend on the draws, so it is
-    built once per delay.
+    H is the spectral kernel: the length-2L inverse FFT of K (rows m = 1-L ..
+    L-1) in FFT order (row m at index m mod 2L, a zero at L).  That order is
+    K's zero-padded column shifted circularly by L-1, so H is ``ifft(K,
+    n=2L)`` times ``exp(-j 2 pi k (L-1) / 2L)`` with the phase placed
+    exactly, not evaluated.
+
+    The lag says where a draw's lag-phased spectrum ``G = fft(c
+    conj(lag_phase), n=2L)`` comes from.  With ``x = 2L df tau``, ``G_k =
+    sum_l c_l exp(-j 2 pi l (k + x) / 2L)`` is the draw's spectrum ``S =
+    fft(c, n=2L)`` read at ``k + x``.  On the lattice, x within ``LATTICE_ULPS`` ulps of 2L (the
+    largest |x| inside the window) of an integer n, ``G_k = S_{(k + n) mod
+    2L}`` and the lag is ``(n, None)``; otherwise it is ``(0, lag_phase)``
+    and G is the FFT of the lag-phased draw.
     """
-    num = (kernel.shape[0] + 1) // 2
+    lag_phase, _, kernel = terms
+    num = cfg.num_subcarriers
     rotated = np.zeros((2 * num, kernel.shape[1]), complex)
     rotated[:num] = kernel[num - 1 :]
     rotated[num + 1 :] = kernel[: num - 1]
-    return np.fft.ifft(rotated, axis=0)
+    x = 2 * num * cfg.subcarrier_spacing * float(tau)
+    shift = round(x)
+    on_lattice = abs(x - shift) <= LATTICE_ULPS * np.spacing(2.0 * num)
+    lag = (shift, None) if on_lattice else (0, lag_phase)
+    return lag, None, np.fft.ifft(rotated, axis=0)
 
 
 def _af_at_delay(
     symbols: np.ndarray,
     spectrum: np.ndarray,
-    lag_phase: np.ndarray,
+    lag,
     carrier_phase: np.ndarray | None,
     kernel: np.ndarray,
     work: np.ndarray | None = None,
@@ -148,27 +170,34 @@ def _af_at_delay(
     Groups the closed-form double sum by subcarrier offset m = l1 - l2: the
     lag products ``B_m = sum_l c_{l+m} conj(c_l) exp(j 2 pi l df tau)`` are
     the circular correlation, at length 2L, of the symbols with their
-    lag-phased copy, and the delay's factors from :func:`_delay_terms` finish
-    the job.  ``spectrum`` is the length-2L FFT S of ``symbols``, which does
-    not depend on the delay.
+    lag-phased copy, and the delay's factors finish the job.  ``spectrum``
+    is the length-2L FFT S of ``symbols``, which does not depend on the
+    delay.
 
     The path follows the form :func:`_delay_terms` gave for the grid's size.
-    On one Doppler (``carrier_phase`` None) ``kernel`` is the spectral kernel
-    H of :func:`_spectral`, and by Parseval the AF is ``sum_k conj(G_k) S_k
-    H_k`` with ``G = fft(symbols conj(lag_phase), n=2L)``: one forward FFT
-    per draw, then one complex product, giving the AF itself
-    (:func:`af_closed_form`).  Otherwise the lag products are taken from one
-    FFT convolution per draw, multiplied by the carrier phase, and the real
+    On one Doppler (``carrier_phase`` None) ``lag`` and ``kernel`` are the
+    ``(shift, phase)`` and the spectral kernel H of :func:`_spectral`, and by
+    Parseval the AF is ``sum_k conj(G_k) S_k H_k`` with ``G_k = F_{(k +
+    shift) mod 2L}``, F being S itself on the lattice (``phase`` None) and
+    ``fft(symbols conj(phase), n=2L)`` otherwise: one circular shift, or one
+    forward FFT, per draw, then one complex product, giving the AF itself
+    (:func:`af_closed_form`).  G is taken into ``work`` (a 1-D complex
+    buffer of at least 2L draws elements) when given.  Otherwise ``lag`` is
+    the lag phase vector, the lag products are taken from one FFT
+    convolution per draw, multiplied by the carrier phase, and the real
     envelope S finishes them in one real product, half the flops of a
     complex one, so the values are the AF times the unit-modulus phase
     ``exp(j 2 pi nu t_avg)`` of each Doppler column: their magnitudes are
     exact, which is all :func:`mc_average_af` reads.  That product reads the
-    lag products as a (2L-1) x draws block, written into ``work`` (a 1-D
-    complex buffer of at least (2L-1) draws elements) when given.
+    lag products as a (2L-1) x draws block, written into ``work`` when
+    given.
     """
     num = symbols.shape[1]
     if carrier_phase is None:
-        spec = np.fft.fft(symbols * lag_phase.conj(), n=2 * num, axis=1)
+        shift, phase = lag
+        source = spectrum if phase is None else np.fft.fft(symbols * phase.conj(), n=2 * num, axis=1)
+        out = None if work is None else work[: source.size].reshape(source.shape)
+        spec = np.take(source, np.arange(shift, shift + 2 * num), axis=1, mode="wrap", out=out)
         np.conjugate(spec, out=spec)
         np.multiply(spec, spectrum, out=spec)
         return spec @ kernel
@@ -176,7 +205,7 @@ def _af_at_delay(
     # already raise the peak memory, so a call adds no further large
     # temporary when ``work`` is given.  A fresh block per call would have
     # the allocator return and re-map its pages on every call.
-    conv = np.fft.fft((symbols.conj() * lag_phase)[:, ::-1], n=2 * num, axis=1)
+    conv = np.fft.fft((symbols.conj() * lag)[:, ::-1], n=2 * num, axis=1)
     np.multiply(spectrum, conv, out=conv)
     np.fft.ifft(conv, axis=1, out=conv)
     lags = conv[:, : 2 * num - 1]
@@ -194,8 +223,9 @@ def _af_at_delay(
 
 def af_closed_form(cfg: OfdmConfig, symbols, tau: float, nu: float):
     """Closed-form ambiguity function at one point: the one-Doppler case of
-    :func:`_af_at_delay`, one forward FFT of the lag-phased rows and one
-    product with the delay's spectral kernel (:func:`_spectral`), and zero
+    :func:`_af_at_delay`, the lag-phased spectrum of each row (a circular
+    shift of its FFT on the delay lattice, an FFT of the lag-phased row off
+    it) against the delay's spectral kernel (:func:`_spectral`), and zero
     outside the window.  ``symbols`` may carry leading batch dimensions, in
     which case a matching array of values is returned; one symbol vector
     gives a complex."""
@@ -208,9 +238,8 @@ def af_closed_form(cfg: OfdmConfig, symbols, tau: float, nu: float):
     terms = _delay_terms(cfg, tau, nu_grid, _doppler_offsets(cfg, nu_grid))
     out = np.zeros(rows.shape[0], complex)
     if terms is not None:
-        lag_phase, _, kernel = terms
         spectrum = np.fft.fft(rows, n=2 * num, axis=1)
-        out = _af_at_delay(rows, spectrum, lag_phase, None, _spectral(kernel))[:, 0]
+        out = _af_at_delay(rows, spectrum, *_spectral(cfg, tau, terms))[:, 0]
     out = out.reshape(symbols.shape[:-1])
     return complex(out) if out.ndim == 0 else out
 
@@ -235,10 +264,13 @@ def mc_average_af(
     chunks of ``AF_CHUNK``, whose FFT spectra are taken once, and the
     distinct kernel frequencies are found once (:func:`_doppler_offsets`).
     Each delay row builds its kernel once, into one buffer per worker (on
-    one Doppler, and then its spectral kernel), applies it to every chunk
-    and adds the chunk partial sums in chunk order.  Worker threads split
-    the delay rows between them and never change a row's arithmetic, so the
-    result does not depend on ``threads``.
+    one Doppler, and then its spectral kernel and lattice shift), applies it
+    to every chunk and adds the chunk partial sums in chunk order.  On one
+    Doppler a delay on the lattice ``tau = n / (2L df)``, as every computed
+    delay of the default slice is, costs each chunk a circular shift of its
+    spectra and no FFT.  Worker threads split the delay rows between them
+    and never change a row's arithmetic, so the result does not depend on
+    ``threads``.
 
     Every draw has ``AF(tau, nu) = exp(-j 2 pi nu tau) conj(AF(-tau, -nu))``,
     so the mean |AF| is point-symmetric.  When both grids are exactly their
@@ -267,13 +299,12 @@ def mc_average_af(
 
     def fill(rows):
         envelope = np.empty((2 * num - 1, nu_grid.size))
-        work = np.empty((2 * num - 1) * AF_CHUNK, complex)
+        work = np.empty(2 * num * AF_CHUNK, complex)
         for ti in rows:
             terms = _delay_terms(cfg, tau_grid[ti], nu_grid, offsets, envelope)
             if terms is not None:
-                lag_phase, carrier_phase, kernel = terms
-                if carrier_phase is None:
-                    terms = lag_phase, None, _spectral(kernel)
+                if nu_grid.size == 1:
+                    terms = _spectral(cfg, tau_grid[ti], terms)
                 for chunk, spectrum in zip(chunks, spectra):
                     af = _af_at_delay(chunk, spectrum, *terms, work)
                     total[ti] += np.abs(af).sum(axis=0)

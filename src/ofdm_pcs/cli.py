@@ -40,6 +40,7 @@ from .detect import (
     CfarConfig,
     DetectionScenario,
     calibrate_alpha,
+    check_target_cell,
     noise_profile_sampler,
     pd_experiment,
 )
@@ -148,14 +149,23 @@ def _meta(command: str, resolved: dict) -> dict:
 
 def write_csv(path: str, command: str, resolved: dict, header: list[str], rows) -> None:
     """Rows are sequences or 1-D arrays.  Each cell prints as ``_fmt``
-    would, the whole row in one ``%`` operation whose format string is built
-    from the cell types (``%.12g`` for a float, ``%s`` otherwise); pass large
-    float tables as arrays, whose ``tolist`` yields Python floats.  Each line
-    goes to the file as it is formatted, so the text is never held whole."""
+    would, the whole row in one ``%`` operation.  A float array row takes
+    ``%.12g`` in every cell, a format string built once per width; any other
+    row builds its format string from the cell types (``%.12g`` for a float,
+    ``%s`` otherwise).  Pass large float tables as arrays, whose ``tolist``
+    yields Python floats.  Each line goes to the file as it is formatted, so
+    the text is never held whole."""
+    float_specs: dict[int, str] = {}
 
     def format_row(row):
-        cells = row.tolist() if isinstance(row, np.ndarray) else row
-        spec = ",".join(["%.12g" if isinstance(v, (float, np.floating)) else "%s" for v in cells])
+        if isinstance(row, np.ndarray) and row.dtype.kind == "f":
+            cells = row.tolist()
+            spec = float_specs.get(len(cells))
+            if spec is None:
+                spec = float_specs[len(cells)] = ",".join(["%.12g"] * len(cells))
+        else:
+            cells = row.tolist() if isinstance(row, np.ndarray) else row
+            spec = ",".join(["%.12g" if isinstance(v, (float, np.floating)) else "%s" for v in cells])
         return spec % tuple(cells) + "\n"
 
     meta = _meta(command, resolved)
@@ -385,6 +395,7 @@ def _run_detect_pd_sweep(opts: dict) -> None:
     snr_grid = parse_grid(opts["snr"], "snr")
     check_db(snr_grid, "snr")
     check_db(opts["si_db"], "si_db")
+    check_target_cell(cfg, cfar, opts["offset"], "offset")
     rows = []
     for c0 in c0_list:
         sol = solve_pcs(PcsProblem(base.amplitudes, float(c0)))

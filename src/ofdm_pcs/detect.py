@@ -278,6 +278,20 @@ def instrumented_range(cfg: OfdmConfig) -> int:
     return cfg.num_samples // 2
 
 
+def check_target_cell(cfg: OfdmConfig, cfar: CfarConfig, offset: int, name: str = "target_cell_offset") -> None:
+    """Raise ValueError unless the CFAR windows fit the instrumented profile
+    and the target cell ``offset`` lies in it, past the guard cells that
+    the self-interference occupies; the message names the option ``name``."""
+    n = instrumented_range(cfg)
+    if n < cfar.min_profile_len():
+        raise ValueError("instrumented profile is too short for the CFAR geometry")
+    if not (cfar.guard_cells < offset < n):
+        raise ValueError(
+            f"{name} must lie in {cfar.guard_cells + 1}..{n - 1} (the instrumented profile, "
+            f"clear of the interference guard region), got {offset}"
+        )
+
+
 def noise_profile_sampler(cfg: OfdmConfig, constellation: Constellation):
     """Noise-only matched-filter profiles under random known transmit data.
 
@@ -339,14 +353,7 @@ class DetectionScenario:
             raise ValueError(f"pfa_target must be in (0, 1), got {self.pfa_target}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        n = instrumented_range(self.cfg)
-        if n < self.cfar.min_profile_len():
-            raise ValueError("instrumented profile is too short for the CFAR geometry")
-        if not (self.cfar.guard_cells < self.target_cell_offset < n):
-            raise ValueError(
-                f"target cell {self.target_cell_offset} must lie in the instrumented "
-                f"profile and clear of the interference guard region"
-            )
+        check_target_cell(self.cfg, self.cfar, self.target_cell_offset)
 
 
 def pd_experiment(scn: DetectionScenario, *, threads: int = 1) -> list[dict]:

@@ -233,6 +233,99 @@ def test_closed_form_matches_double_sum_at_256_subcarriers():
             assert np.max(np.abs(fast - direct)) <= 1e-12 * np.abs(direct).max()
 
 
+def _on_lattice(cfg, taus):
+    """Which delays inside the window take the circular-shift path."""
+    nus = np.array([0.0])
+    offsets = ambiguity._doppler_offsets(cfg, nus)
+    flags = []
+    for tau in taus:
+        terms = ambiguity._delay_terms(cfg, tau, nus, offsets)
+        if terms is not None:
+            (_, phase), _, _ = ambiguity._spectral(cfg, tau, terms)
+            flags.append(phase is None)
+    return np.array(flags)
+
+
+_L32 = OfdmConfig(num_subcarriers=32, subcarrier_spacing=100e6 / 32)
+
+
+@pytest.mark.parametrize(
+    ("cfg", "taus", "lattice_rows"),
+    [
+        # The whole default slice: all 255 delays inside the window lie on
+        # the lattice tau = n T_p / 128.
+        pytest.param(_PROD, default_tau_grid(_PROD), 255, id="default-slice"),
+        # Grids that are not their own mirror, so the negative lattice delays
+        # (n < 0) are computed too; the second adds one half a step off it.
+        pytest.param(
+            _PROD, np.array([-127, -64, -33, -1, 0, 5, 64, 126]) / 128 * _PROD.symbol_duration,
+            8, id="negative-shifts",
+        ),
+        pytest.param(
+            _PROD, np.array([-100.5, -3, 0, 2, 77]) / 128 * _PROD.symbol_duration,
+            4, id="negative-shifts-and-off-lattice",
+        ),
+        # At 32 subcarriers the default step is T_p / 128 against a lattice
+        # of T_p / 64: on- and off-lattice rows alternate.
+        pytest.param(_L32, default_tau_grid(_L32), 127, id="L32-alternating"),
+    ],
+)
+def test_lattice_shift_matches_double_sum(cfg, taus, lattice_rows):
+    flags = _on_lattice(cfg, taus)
+    assert np.count_nonzero(flags) == lattice_rows
+    num = cfg.num_subcarriers
+    trials, seed = 2 * AF_CHUNK + 3, 29
+    c = make_qam(16)
+    draws = c.sample_symbols(trials * num, seed).reshape(trials, num)
+    direct = np.array([af_double_sum(cfg, draws, tau, 0.0) for tau in taus])
+    fast = np.array([af_closed_form(cfg, draws, tau, 0.0) for tau in taus])
+    assert np.max(np.abs(fast - direct)) <= 1e-12 * np.abs(direct).max()
+    brute = np.abs(direct).mean(axis=1)
+    surface = mc_average_af(cfg, c, taus, np.array([0.0]), trials, seed, threads=2)
+    assert np.max(np.abs(surface[:, 0] - brute / brute.max())) <= 1e-12
+
+
+def test_delay_nudged_off_lattice_takes_the_fft():
+    cfg = _PROD
+    nus = np.array([0.0])
+    offsets = ambiguity._doppler_offsets(cfg, nus)
+    draws = make_qam(16).sample_symbols(3 * 64, 31).reshape(3, 64)
+    for n in (-37, 0, 50):
+        tau = n / 128 * cfg.symbol_duration
+        terms = ambiguity._delay_terms(cfg, tau, nus, offsets)
+        assert ambiguity._spectral(cfg, tau, terms)[0] == (n, None)
+        nudged = tau + 1e-9 * cfg.symbol_duration
+        terms = ambiguity._delay_terms(cfg, nudged, nus, offsets)
+        shift, phase = ambiguity._spectral(cfg, nudged, terms)[0]
+        assert shift == 0 and np.array_equal(phase, terms[0])
+        for t in (tau, nudged):
+            direct = af_double_sum(cfg, draws, t, 0.0)
+            fast = af_closed_form(cfg, draws, t, 0.0)
+            assert np.max(np.abs(fast - direct)) <= 1e-12 * np.abs(direct).max()
+
+
+def test_one_doppler_slice_calls_af_at_delay_once_per_computed_row_and_chunk(monkeypatch):
+    # Profilers count the per-delay stage by its calls: on the default
+    # one-Doppler slice the 128 computed delays (0 <= tau < T_p) each call it
+    # once per chunk of draws, on- and off-lattice alike.
+    calls = []
+    original = ambiguity._af_at_delay
+
+    def counting(symbols, *args):
+        out = original(symbols, *args)
+        calls.append((symbols.shape[0], out.shape))
+        return out
+
+    monkeypatch.setattr(ambiguity, "_af_at_delay", counting)
+    taus = default_tau_grid(_PROD)
+    for trials in (AF_CHUNK, 2 * AF_CHUNK + 5):
+        calls.clear()
+        mc_average_af(_PROD, make_qam(16), taus, np.array([0.0]), trials, 3, threads=2)
+        chunks = -(-trials // AF_CHUNK)
+        assert len(calls) == 128 * chunks
+        assert all(shape == (rows, 1) for rows, shape in calls)
+
+
 def test_mc_average_mirror_computes_half_the_rows(monkeypatch):
     taus = default_tau_grid(CFG16, 33)
     nus = np.array([-2.5, -0.75, 0.0, 0.75, 2.5])

@@ -10,6 +10,7 @@ import pytest
 
 from ofdm_pcs.cli import (
     _COMMANDS,
+    _fmt,
     _merge_negative_values,
     _resolve,
     build_parser,
@@ -267,6 +268,24 @@ def test_detect_pd_sweep(tmp_path):
     assert meta["pfa"] == "0.05"
 
 
+@pytest.mark.parametrize("offset", ["-1", "2", "128"])
+def test_pd_sweep_offset_outside_profile_fails_before_any_solve(tmp_path, capsys, monkeypatch, offset):
+    # The default profile instruments 128 cells and guards 2: the target cell
+    # must lie in 3..127, checked by the flag's name before the first c0 solve.
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(ofdm_pcs.cli, "solve_pcs", no_work)
+    out = tmp_path / "pd.csv"
+    assert main(["detect", "pd-sweep", "--offset", offset, "--out", str(out)]) == 1
+    message = (
+        "offset must lie in 3..127 (the instrumented profile, clear of the "
+        f"interference guard region), got {offset}"
+    )
+    assert capsys.readouterr().err == f"error: detect pd-sweep: {message}\n"
+    assert not out.exists()
+
+
 def test_csv_header_records_tool_and_seed(tmp_path):
     out = tmp_path / "hdr.csv"
     assert main(["af", "slice", "--modulation", "psk8", "--trials", "5", "--points", "9",
@@ -327,6 +346,27 @@ def test_csv_cells_print_alike_from_arrays_and_lists(tmp_path):
     for i, (rs, lines) in enumerate(cases):
         write_csv(str(tmp_path / f"odd{i}.csv"), "t", {}, ["h"], rs)
         assert (tmp_path / f"odd{i}.csv").read_text().splitlines()[-len(rs):] == lines
+
+
+def test_csv_float_array_rows_print_as_fmt_cell_by_cell(tmp_path):
+    # A float array row takes one format string per width; every cell still
+    # prints exactly as _fmt prints it, and so does a mixed list row.
+    rng = np.random.default_rng(5)
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-300, 1e16, 1 / 3])
+    tables = {
+        "wide": np.column_stack([rng.standard_normal((4, 257)) * 10.0 ** rng.integers(-9, 9, (4, 257)),
+                                 specials[:4]]),
+        "narrow": np.column_stack([specials, 20 * np.log10(np.abs(specials) + 1e-4)]),
+        "float32": rng.standard_normal((3, 5)).astype(np.float32),
+    }
+    for name, rows in tables.items():
+        write_csv(str(tmp_path / f"{name}.csv"), "t", {}, ["h"], rows)
+        lines = (tmp_path / f"{name}.csv").read_text().splitlines()[-len(rows):]
+        assert lines == [",".join(_fmt(v) for v in row.tolist()) for row in rows]
+    mixed = [[1.32, -5.0, 0.25, 5000], [1.0, 20.0, 1.0, np.int64(4999)]]
+    write_csv(str(tmp_path / "mixed.csv"), "t", {}, ["h"], mixed)
+    lines = (tmp_path / "mixed.csv").read_text().splitlines()[-2:]
+    assert lines == [",".join(_fmt(v) for v in row) for row in mixed]
 
 
 def test_config_file_precedence(tmp_path):
