@@ -40,6 +40,7 @@ from .detect import (
     CfarConfig,
     DetectionScenario,
     calibrate_alpha,
+    check_calibration,
     check_target_cell,
     noise_profile_sampler,
     pd_experiment,
@@ -396,36 +397,33 @@ def _run_detect_pd_sweep(opts: dict) -> None:
     check_db(snr_grid, "snr")
     check_db(opts["si_db"], "si_db")
     check_target_cell(cfg, cfar, opts["offset"], "offset")
-    rows = []
-    for c0 in c0_list:
-        sol = solve_pcs(PcsProblem(base.amplitudes, float(c0)))
-        scenario = DetectionScenario(
-            cfg=cfg,
-            constellation=base.with_probs(sol.probs),
-            snr_grid_db=snr_grid,
-            si_to_noise_db=opts["si_db"],
-            target_cell_offset=opts["offset"],
-            pfa_target=opts["pfa"],
-            trials=opts["trials"],
-            cfar=cfar,
-            calib_trials=opts["calib_trials"],
-            seed=opts["seed"],
-        )
-        for r in pd_experiment(scenario, threads=opts["threads"]):
-            rows.append([float(c0), r["snr_db"], r["pd"], r["trials"]])
+    check_calibration(cfg, opts["calib_trials"], opts["pfa"], ("calib_trials", "pfa"))
+    shaped = [base.with_probs(solve_pcs(PcsProblem(base.amplitudes, float(c0))).probs) for c0 in c0_list]
+    scenario = DetectionScenario(
+        cfg=cfg,
+        constellations=shaped,
+        snr_grid_db=snr_grid,
+        si_to_noise_db=opts["si_db"],
+        target_cell_offset=opts["offset"],
+        pfa_target=opts["pfa"],
+        trials=opts["trials"],
+        cfar=cfar,
+        calib_trials=opts["calib_trials"],
+        seed=opts["seed"],
+    )
+    rows = [
+        [float(c0_list[r["curve"]]), r["snr_db"], r["pd"], r["trials"]]
+        for r in pd_experiment(scenario, threads=opts["threads"])
+    ]
     write_csv(opts["out"], "detect pd-sweep", opts, ["c0", "snr_db", "pd", "trials"], rows)
 
 
 def _run_detect_calibrate(opts: dict) -> None:
     _, c = resolve_modulation(opts["modulation"])
     cfg = _ofdm_config(opts)
-    result = calibrate_alpha(
-        _cfar_config(opts),
-        noise_profile_sampler(cfg, c),
-        opts["pfa"],
-        opts["calib_trials"],
-        opts["seed"],
-    )
+    check_calibration(cfg, opts["calib_trials"], opts["pfa"], ("calib_trials", "pfa"))
+    profiles = noise_profile_sampler(cfg, c)(np.random.default_rng(opts["seed"]), opts["calib_trials"])
+    result = calibrate_alpha(_cfar_config(opts), profiles, opts["pfa"])
     print(
         f"alpha = {result.alpha:.6g} (empirical pfa {result.empirical_pfa:.3g} "
         f"over {result.cells} cells)"

@@ -17,12 +17,20 @@ SO-CFAR rule at that cell only.  Its profile is quadratic in the target
 gain, so it takes the window means of three parts once per chunk and
 decides every SNR point from them, through the same statistic as
 :func:`so_cfar`.
+
+One experiment runs one pd curve per constellation on common random
+numbers: calibration and each pd chunk draw their noise once, and every curve
+reuses it beside its own symbols, replayed from the same generator state.
+The symbol draw takes the same keys whatever the probabilities, so each
+draw is the one a curve would see alone, and a curve's alpha and pd are the
+same alone or in a sweep.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
+import copy
 import math
 import numpy as np
 
@@ -36,6 +44,8 @@ PD_CHUNK = 512
 MF_BLOCK = 64
 # Fewest cells a truncated reference window keeps and still counts (see CfarConfig).
 MIN_REFERENCE_CELLS = 4
+# Fewest expected false alarms a calibration takes its threshold from.
+MIN_FALSE_ALARMS = 100
 
 
 class CalibrationError(RuntimeError):
@@ -223,33 +233,46 @@ class CalibrationResult:
     iterations: int
 
 
-def calibrate_alpha(
-    cfar: CfarConfig,
-    profile_fn,
-    pfa_target: float,
-    calib_trials: int,
-    seed,
-) -> CalibrationResult:
-    """Set the threshold multiplier to the target false-alarm rate.
-
-    ``profile_fn(rng, count)`` must return noise-only profiles of shape
-    (count, cells).  With k the most exceedances whose fraction ``k / cells``
-    stays within ``pfa_target``, alpha is the (k+1)-th largest SO-CFAR statistic,
-    the smallest multiplier that meets the target.  Requires enough cells for
-    100 expected false alarms and a rate within 20 % of the target.
-    """
+def _check_false_alarms(cells: int, pfa_target: float, source: str, pfa_name: str) -> None:
+    """Raise ValueError unless ``pfa_target`` lies in (0, 1) and ``cells``
+    noise-only cells expect ``MIN_FALSE_ALARMS`` false alarms at it; the
+    messages name the option ``pfa_name`` and the cells' ``source``."""
     if not (0.0 < pfa_target < 1.0):
-        raise ValueError(f"pfa_target must be in (0, 1), got {pfa_target}")
-    if calib_trials < 1:
-        raise ValueError(f"calib_trials must be >= 1, got {calib_trials}")
-    profiles = profile_fn(np.random.default_rng(seed), calib_trials)
+        raise ValueError(f"{pfa_name} must be in (0, 1), got {pfa_target}")
+    if cells * pfa_target < MIN_FALSE_ALARMS:
+        raise ValueError(
+            f"{source}: {cells} cells expect {cells * pfa_target:.1f} false alarms at "
+            f"{pfa_name} {pfa_target:g}; calibration needs >= {MIN_FALSE_ALARMS}"
+        )
+
+
+def check_calibration(
+    cfg: OfdmConfig, calib_trials: int, pfa_target: float, names=("calib_trials", "pfa_target")
+) -> None:
+    """Raise ValueError unless ``calib_trials`` noise-only profiles of the
+    instrumented range can calibrate to ``pfa_target`` (see
+    :func:`calibrate_alpha`); the messages name the options ``names``, the
+    trial count's and the target's."""
+    trials_name, pfa_name = names
+    _check_false_alarms(
+        calib_trials * instrumented_range(cfg), pfa_target, f"{trials_name} {calib_trials}", pfa_name
+    )
+
+
+def calibrate_alpha(cfar: CfarConfig, profiles: np.ndarray, pfa_target: float) -> CalibrationResult:
+    """Set the threshold multiplier to the target false-alarm rate on the
+    noise-only ``profiles`` (trials, cells).
+
+    With k the most exceedances whose fraction ``k / cells`` stays within
+    ``pfa_target``, alpha is the (k+1)-th largest SO-CFAR statistic, the
+    smallest multiplier that meets the target.  Requires enough cells for
+    ``MIN_FALSE_ALARMS`` expected false alarms and a rate within 20 % of the
+    target.
+    """
+    profiles = np.asarray(profiles, dtype=float)
+    _check_false_alarms(profiles.size, pfa_target, "profiles", "pfa_target")
     stats = _so_statistic(profiles, cfar).ravel()
     cells = stats.size
-    if cells * pfa_target < 100:
-        raise ValueError(
-            f"{calib_trials} trials give {cells} cells, expecting "
-            f"{cells * pfa_target:.1f} false alarms; need >= 100 for calibration"
-        )
     # int() lands within one of k; the checks use the float rate k / cells.
     k = int(pfa_target * cells)
     k += (k + 1) / cells <= pfa_target
@@ -296,17 +319,45 @@ def noise_profile_sampler(cfg: OfdmConfig, constellation: Constellation):
     """Noise-only matched-filter profiles under random known transmit data.
 
     Profiles are truncated to :func:`instrumented_range`, matching the
-    population the detector thresholds in operation.
+    population the detector thresholds in operation.  ``sampler(rng,
+    count)`` draws as one curve of :func:`pd_experiment`'s calibration does.
     """
-    cells = instrumented_range(cfg)
 
     def sampler(rng: np.random.Generator, count: int) -> np.ndarray:
-        symbols = constellation.sample_symbols(count * cfg.num_subcarriers, rng)
-        tx = symbol_signal_batch(cfg, symbols.reshape(count, cfg.num_subcarriers))
-        noise = _complex_noise(rng, tx.shape, 1.0)
-        return np.abs(_matched_filter_batch(noise, tx, cells)) ** 2
+        [(symbols, noise)] = _curve_draws(cfg, (constellation,), rng, count)
+        return _noise_profiles(cfg, symbols, noise)
 
     return sampler
+
+
+def _noise_profiles(cfg: OfdmConfig, symbols: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """``|matched filter|^2`` of ``noise`` against the waveforms of the
+    (trials, L) ``symbols``, over the :func:`instrumented_range` lags; the
+    waveforms are freed on return."""
+    tx = symbol_signal_batch(cfg, symbols)
+    return np.abs(_matched_filter_batch(noise, tx, instrumented_range(cfg))) ** 2
+
+
+def _curve_draws(cfg: OfdmConfig, constellations, rng: np.random.Generator, count: int):
+    """Yield each curve's (count, L) symbols with the (count, N) unit-variance
+    noise that every curve shares.
+
+    Every curve's symbols are drawn from ``rng``'s state on entry (a copy of
+    it for all curves after the first), and the one noise draw follows the
+    first curve's symbols.  :meth:`Constellation.sample_symbols` takes one
+    ``rng.random`` key per symbol whatever the probabilities, so curve i gets
+    the symbols and noise a one-curve call with its constellation would, and
+    ``rng`` is left after the noise either way.  Only the current curve's
+    symbols are held.
+    """
+    num = cfg.num_subcarriers
+    start = copy.deepcopy(rng)
+    noise = None
+    for constellation in constellations:
+        symbols = constellation.sample_symbols(count * num, rng if noise is None else copy.deepcopy(start))
+        if noise is None:
+            noise = _complex_noise(rng, (count, cfg.num_samples), 1.0)
+        yield symbols.reshape(count, num), noise
 
 
 def _complex_noise(rng: np.random.Generator, shape, variance: float) -> np.ndarray:
@@ -324,16 +375,19 @@ def _complex_noise(rng: np.random.Generator, shape, variance: float) -> np.ndarr
 
 @dataclass
 class DetectionScenario:
-    """Full experiment description for one constellation.
+    """Full experiment description: one pd curve per entry of
+    ``constellations`` (a 1-tuple for one curve), all under one geometry.
 
     The CFAR monitors, and calibrates on, the first
     :func:`instrumented_range` cells of each profile.  The dB fields must be
-    finite and within the bound of :func:`ofdm.check_db`, checked here
-    before any draw or calibration.
+    finite and within the bound of :func:`ofdm.check_db`, and, unless
+    ``cfar`` carries an alpha, ``calib_trials`` must calibrate to
+    ``pfa_target`` (:func:`check_calibration`); all are checked here before
+    any draw or calibration.
     """
 
     cfg: OfdmConfig
-    constellation: Constellation
+    constellations: tuple[Constellation, ...]
     snr_grid_db: np.ndarray
     si_to_noise_db: float = 10.0
     target_cell_offset: int = 8
@@ -344,6 +398,9 @@ class DetectionScenario:
     seed: int = 0
 
     def __post_init__(self):
+        self.constellations = tuple(self.constellations)
+        if not self.constellations:
+            raise ValueError("constellations must hold at least one constellation")
         self.snr_grid_db = np.asarray(self.snr_grid_db, dtype=float)
         if self.snr_grid_db.ndim != 1 or self.snr_grid_db.size == 0:
             raise ValueError("snr_grid_db must be a non-empty 1-D list")
@@ -351,51 +408,59 @@ class DetectionScenario:
         check_db(self.si_to_noise_db, "si_to_noise_db")
         if not (0.0 < self.pfa_target < 1.0):
             raise ValueError(f"pfa_target must be in (0, 1), got {self.pfa_target}")
+        if self.cfar.alpha is None:
+            check_calibration(self.cfg, self.calib_trials, self.pfa_target)
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         check_target_cell(self.cfg, self.cfar, self.target_cell_offset)
 
 
 def pd_experiment(scn: DetectionScenario, *, threads: int = 1) -> list[dict]:
-    """Detection probability at the target cell over the sensing-SNR grid.
+    """Detection probability at the target cell over the sensing-SNR grid,
+    one curve per constellation of the scenario.
 
-    Calibrates alpha against the scenario's false-alarm target if the CFAR
-    config does not already carry one (child seed 0 of ``scn.seed``).  The
-    trials run in chunks of ``PD_CHUNK``; chunk k draws its own symbols and
-    noise from child k of child seed 1 (see :func:`mc.map_chunks`), so memory
-    stays O(``PD_CHUNK``) whatever ``scn.trials`` is.  Every SNR point shares
-    a chunk's draws: the matched filter is linear, so the received
-    correlation is ``C0 + g * C1`` (self-interference plus noise, and the
-    unit-gain echo), with both parts computed once per chunk and only at the
-    lags the target cell's CFAR windows reach (``offset + guard + window +
-    1``, capped at the instrumented range).  The profile ``|C0 + g C1|^2`` is
-    ``P0 + g^2 P1 + g P2`` with the parts ``|C0|^2``, ``|C1|^2`` and
-    ``2 Re(C0 C1*)``, and window means are linear, so the target cell's value
-    and reference means are taken once per chunk from the stacked parts and
-    every SNR point is decided from those quadratics by the SO-CFAR rule at
-    that one cell.  Threads split the chunks and the integer hit counts are
-    summed, so the result does not depend on the thread count.  Returns rows
-    ``{"snr_db", "pd", "trials"}``.
+    Calibrates each curve's alpha against the scenario's false-alarm target
+    if the CFAR config does not already carry one (child seed 0 of
+    ``scn.seed``).  The trials run in chunks of ``PD_CHUNK``; chunk k draws
+    from child k of child seed 1 (see :func:`mc.map_chunks`), so memory stays
+    O(``PD_CHUNK``) whatever ``scn.trials`` is.  Calibration and every chunk
+    draw their noise once and share it across the curves, each curve with
+    its own symbols replayed from the same generator state (see
+    :func:`_curve_draws`), so a curve's alpha and pd are the same alone or in
+    a sweep; each curve is calibrated, or decided, before the next curve's
+    waveforms are made.
+
+    Every SNR point shares a chunk's draws: the matched filter is linear, so
+    the received correlation is ``C0 + g * C1`` (self-interference plus
+    noise, and the unit-gain echo), with both parts computed once per chunk
+    and only at the lags the target cell's CFAR windows reach (``offset +
+    guard + window + 1``, capped at the instrumented range).  The profile
+    ``|C0 + g C1|^2`` is ``P0 + g^2 P1 + g P2`` with the parts ``|C0|^2``,
+    ``|C1|^2`` and ``2 Re(C0 C1*)``, and window means are linear, so the
+    target cell's value and reference means are taken once per chunk from
+    the stacked parts and every SNR point is decided from those quadratics by
+    the SO-CFAR rule at that one cell.  Threads split the chunks and the
+    integer hit counts are summed, so the result does not depend on the
+    thread count.  Returns rows ``{"curve", "alpha", "snr_db", "pd",
+    "trials"}`` curve by curve, ``curve`` indexing ``scn.constellations``.
     """
-    grid = scn.snr_grid_db
+    cfg, grid, cfar = scn.cfg, scn.snr_grid_db, scn.cfar
     calib_seed, draw_seed = np.random.SeedSequence(scn.seed).spawn(2)
-    cfar = scn.cfar
     if cfar.alpha is None:
-        calib = calibrate_alpha(
-            cfar,
-            noise_profile_sampler(scn.cfg, scn.constellation),
-            scn.pfa_target,
-            scn.calib_trials,
-            calib_seed,
-        )
-        cfar = replace(cfar, alpha=calib.alpha)
+        draws = _curve_draws(cfg, scn.constellations, np.random.default_rng(calib_seed), scn.calib_trials)
+        alphas = [
+            calibrate_alpha(cfar, _noise_profiles(cfg, symbols, noise), scn.pfa_target).alpha
+            for symbols, noise in draws
+        ]
+    else:
+        alphas = [cfar.alpha] * len(scn.constellations)
 
-    num = scn.cfg.num_subcarriers
-    n_samples = scn.cfg.num_samples
+    num = cfg.num_subcarriers
+    n_samples = cfg.num_samples
     offset = scn.target_cell_offset
     # The target cell's lagging window ends at offset+guard+window; cutting the
     # profile there leaves its decision as on the full instrumented profile.
-    cells = min(instrumented_range(scn.cfg), offset + cfar.guard_cells + cfar.window_cells + 1)
+    cells = min(instrumented_range(cfg), offset + cfar.guard_cells + cfar.window_cells + 1)
     # Amplitudes scale so received power over the L-subcarrier waveform hits
     # the requested ratios against unit-variance noise.
     gain_si = math.sqrt(10.0 ** (scn.si_to_noise_db / 10.0) / num)
@@ -406,10 +471,9 @@ def pd_experiment(scn: DetectionScenario, *, threads: int = 1) -> list[dict]:
         # |C0 + g C1|^2 = |C0|^2 + g^2 |C1|^2 + g 2Re(C0 C1*), for every g at once.
         return p[0] + gain_sq * p[1] + gain_target * p[2]  # (snr, trial)
 
-    def chunk_hits(rng: np.random.Generator, count: int) -> np.ndarray:
-        symbols = scn.constellation.sample_symbols(count * num, rng).reshape(count, num)
-        noise = _complex_noise(rng, (count, n_samples), 1.0)
-        tx = symbol_signal_batch(scn.cfg, symbols)
+    def curve_hits(symbols: np.ndarray, noise: np.ndarray, alpha: float) -> np.ndarray:
+        count = len(noise)
+        tx = symbol_signal_batch(cfg, symbols)
         # Row 0: self-interference plus noise; row 1: the unit-gain echo.
         rx = np.zeros((count, 2, n_samples), dtype=complex)
         rx[:, 0] = gain_si * tx + noise
@@ -421,10 +485,15 @@ def pd_experiment(scn: DetectionScenario, *, threads: int = 1) -> list[dict]:
             c1.real**2 + c1.imag**2,
             2.0 * (c0.real * c1.real + c0.imag * c1.imag),
         ])
-        return np.count_nonzero(_so_statistic(parts, cfar, offset, profile_of) > cfar.alpha, axis=1)
+        return np.count_nonzero(_so_statistic(parts, cfar, offset, profile_of) > alpha, axis=1)
+
+    def chunk_hits(rng: np.random.Generator, count: int) -> np.ndarray:  # (curve, snr)
+        draws = _curve_draws(cfg, scn.constellations, rng, count)
+        return np.array([curve_hits(symbols, noise, alpha) for (symbols, noise), alpha in zip(draws, alphas)])
 
     hits = sum(map_chunks(chunk_hits, draw_seed, scn.trials, PD_CHUNK, threads))
     return [
-        {"snr_db": float(snr), "pd": int(h) / scn.trials, "trials": scn.trials}
-        for snr, h in zip(grid, hits)
+        {"curve": curve, "alpha": alpha, "snr_db": float(snr), "pd": int(h) / scn.trials, "trials": scn.trials}
+        for curve, (alpha, row) in enumerate(zip(alphas, hits))
+        for snr, h in zip(grid, row)
     ]

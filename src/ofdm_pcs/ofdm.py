@@ -57,12 +57,14 @@ class OfdmConfig:
 
 def symbol_signal_batch(cfg: OfdmConfig, symbols: np.ndarray) -> np.ndarray:
     """Samples ``s[i, n] = sum_l symbols[i, l] exp(j 2 pi l n / N)``, shape
-    (trials, N): a zero-padded inverse DFT scaled by N, which equals the sum
-    exactly; bit-reproducible for fixed inputs."""
+    (trials, N): a zero-padded inverse DFT scaled by N in place, which equals
+    the sum exactly; bit-reproducible for fixed inputs."""
     symbols = np.asarray(symbols, dtype=np.complex128)
     if symbols.ndim != 2 or symbols.shape[1] != cfg.num_subcarriers:
         raise ValueError(f"expected (trials, {cfg.num_subcarriers}) symbols, got {symbols.shape}")
-    return np.fft.ifft(symbols, n=cfg.num_samples, axis=1) * cfg.num_samples
+    samples = np.fft.ifft(symbols, n=cfg.num_samples, axis=1)
+    samples *= cfg.num_samples
+    return samples
 
 
 def check_db(values, name: str) -> None:

@@ -251,21 +251,22 @@ def test_10_detection_experiment():
     cfar = CfarConfig()
     pfa_target = 1e-3
 
-    calib = calibrate_alpha(cfar, noise_profile_sampler(cfg, base), pfa_target, 3000, seed=100)
+    calib_profiles = noise_profile_sampler(cfg, base)(np.random.default_rng(100), 3000)
+    calib = calibrate_alpha(cfar, calib_profiles, pfa_target)
     held_out = noise_profile_sampler(cfg, base)(np.random.default_rng(101), 3000)
     lead, lag = reference_means(held_out, cfar)
     pfa_held = float(np.mean(held_out > calib.alpha * np.fmin(lead, lag)))
     pfa_ok = abs(pfa_held - pfa_target) <= 0.25 * pfa_target
 
     snr_grid = np.arange(-2.0, 21.0, 2.0)
-    curves = {}
-    for c0 in (1.0, 1.32, 1.64):
-        sol = solve_pcs(PcsProblem(base.amplitudes, c0))
-        scn = DetectionScenario(
-            cfg=cfg, constellation=base.with_probs(sol.probs), snr_grid_db=snr_grid,
-            pfa_target=pfa_target, trials=5000, calib_trials=1000, seed=102,
-        )
-        curves[c0] = np.array([row["pd"] for row in pd_experiment(scn)])
+    c0s = (1.0, 1.32, 1.64)
+    scn = DetectionScenario(
+        cfg=cfg,
+        constellations=[base.with_probs(solve_pcs(PcsProblem(base.amplitudes, c0)).probs) for c0 in c0s],
+        snr_grid_db=snr_grid, pfa_target=pfa_target, trials=5000, calib_trials=1000, seed=102,
+    )
+    rows = pd_experiment(scn)
+    curves = {c0: np.array([row["pd"] for row in rows if row["curve"] == i]) for i, c0 in enumerate(c0s)}
 
     trials = 5000
     monotone_ok = True

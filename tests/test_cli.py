@@ -286,6 +286,33 @@ def test_pd_sweep_offset_outside_profile_fails_before_any_solve(tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["pd-sweep", "calibrate"])
+@pytest.mark.parametrize(
+    ("flags", "message"),
+    [
+        (["--calib-trials", "10"],
+         "calib_trials 10: 1280 cells expect 1.3 false alarms at pfa 0.001; calibration needs >= 100"),
+        (["--pfa", "0"], "pfa must be in (0, 1), got 0.0"),
+        (["--pfa", "1.5"], "pfa must be in (0, 1), got 1.5"),
+    ],
+    ids=["calib-trials-10", "pfa-0", "pfa-1.5"],
+)
+def test_detect_calibration_size_and_pfa_fail_by_flag_before_any_work(
+    tmp_path, capsys, monkeypatch, command, flags, message
+):
+    # The default profile instruments 128 cells per calibration trial; the
+    # checks run by the flags' names before the first c0 solve or draw.
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for stage in ("solve_pcs", "pd_experiment", "noise_profile_sampler", "calibrate_alpha"):
+        monkeypatch.setattr(ofdm_pcs.cli, stage, no_work)
+    out = tmp_path / "x.out"
+    assert main(["detect", command, *flags, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: detect {command}: {message}\n"
+    assert not out.exists()
+
+
 def test_csv_header_records_tool_and_seed(tmp_path):
     out = tmp_path / "hdr.csv"
     assert main(["af", "slice", "--modulation", "psk8", "--trials", "5", "--points", "9",

@@ -25,6 +25,7 @@ from ofdm_pcs.detect import (
 )
 from ofdm_pcs.mc import map_chunks
 from ofdm_pcs.ofdm import OfdmConfig, symbol_signal_batch
+from ofdm_pcs.pcs import PcsProblem, solve_pcs
 
 CFG = OfdmConfig(num_subcarriers=64, subcarrier_spacing=1.5625e6, oversampling=4)
 
@@ -298,7 +299,7 @@ def test_calibrated_alpha_meets_closed_form_pfa():
     # Edge cells with short windows have heavier tails; with the window floor
     # applied they no longer pull the calibrated alpha off the i.i.d. value.
     cfar = CfarConfig()
-    result = calibrate_alpha(cfar, exponential_profiles(cells=500), 1e-2, 800, seed=3)
+    result = calibrate_alpha(cfar, exponential_profiles(cells=500)(np.random.default_rng(3), 800), 1e-2)
     assert result.cells == 400_000
     assert so_cfar_pfa(result.alpha, cfar.window_cells) == pytest.approx(1e-2, rel=0.06)
 
@@ -326,21 +327,21 @@ def test_so_cfar_requires_alpha():
 def test_calibrate_median_regime():
     # pfa = 0.5 on exponential cells puts the threshold near the median.
     cfar = CfarConfig(window_cells=8, guard_cells=1)
-    result = calibrate_alpha(cfar, exponential_profiles(), 0.5, 400, seed=0)
+    result = calibrate_alpha(cfar, exponential_profiles()(np.random.default_rng(0), 400), 0.5)
     assert 0.3 < result.alpha < 1.5
     assert result.empirical_pfa == pytest.approx(0.5, rel=0.05)
 
 
 def test_calibrate_monotone_in_pfa():
     cfar = CfarConfig(window_cells=8, guard_cells=1)
-    loose = calibrate_alpha(cfar, exponential_profiles(), 0.2, 800, seed=1)
-    tight = calibrate_alpha(cfar, exponential_profiles(), 0.02, 800, seed=1)
+    loose = calibrate_alpha(cfar, exponential_profiles()(np.random.default_rng(1), 800), 0.2)
+    tight = calibrate_alpha(cfar, exponential_profiles()(np.random.default_rng(1), 800), 0.02)
     assert tight.alpha > loose.alpha
 
 
 def test_calibrate_holds_on_independent_seed():
     cfar = CfarConfig(window_cells=8, guard_cells=1)
-    result = calibrate_alpha(cfar, exponential_profiles(), 0.01, 1000, seed=2)
+    result = calibrate_alpha(cfar, exponential_profiles()(np.random.default_rng(2), 1000), 0.01)
     fresh = exponential_profiles()(np.random.default_rng(3), 1000)
     lead, lag = reference_means(fresh, cfar)
     pfa = np.mean(fresh > result.alpha * np.fmin(lead, lag))
@@ -350,7 +351,7 @@ def test_calibrate_holds_on_independent_seed():
 def test_calibrate_requires_enough_cells():
     with pytest.raises(ValueError):
         calibrate_alpha(CfarConfig(window_cells=8, guard_cells=1),
-                        exponential_profiles(), 1e-4, 10, seed=0)
+                        exponential_profiles()(np.random.default_rng(0), 10), 1e-4)
 
 
 def test_calibrate_failure_on_degenerate_profiles():
@@ -359,7 +360,7 @@ def test_calibrate_failure_on_degenerate_profiles():
 
     with pytest.raises(CalibrationError):
         calibrate_alpha(CfarConfig(window_cells=8, guard_cells=1),
-                        constant_profiles, 0.5, 400, seed=0)
+                        constant_profiles(np.random.default_rng(0), 400), 0.5)
 
 
 def _kth_largest_oracle(profiles, cfar, pfa_target):
@@ -387,8 +388,8 @@ def test_calibrate_selects_exact_order_statistic(sampler, pfa):
     # so_cfar at that alpha trips exactly the reported share of the same cells.
     cfar = CfarConfig()
     for seed in range(4):
-        result = calibrate_alpha(cfar, sampler, pfa, 1000, seed)
         profiles = sampler(np.random.default_rng(seed), 1000)
+        result = calibrate_alpha(cfar, profiles, pfa)
         expected = _kth_largest_oracle(profiles, cfar, pfa)
         assert np.float64(result.alpha).tobytes() == expected.tobytes(), seed
         assert result.empirical_pfa <= pfa, seed
@@ -408,7 +409,7 @@ def test_calibrate_allowed_count_uses_float_rate(pfa, truncated, allowed):
     assert int(pfa * 3200) == truncated
     cfar = CfarConfig(window_cells=8, guard_cells=1)
     sampler = exponential_profiles()
-    result = calibrate_alpha(cfar, sampler, pfa, 25, seed=5)
+    result = calibrate_alpha(cfar, sampler(np.random.default_rng(5), 25), pfa)
     assert result.cells == 3200
     assert result.empirical_pfa == allowed / 3200
     expected = _kth_largest_oracle(sampler(np.random.default_rng(5), 25), cfar, pfa)
@@ -435,7 +436,7 @@ def test_calibrate_counts_zero_backgrounds_as_exceedances():
     lead, lag = reference_means(profiles, cfar)
     background = np.fmin(lead, lag)
     assert np.count_nonzero(background == 0) == 6
-    result = calibrate_alpha(cfar, sampler, 1e-2, 400, seed=4)
+    result = calibrate_alpha(cfar, profiles, 1e-2)
     assert np.isfinite(result.alpha)
     assert np.float64(result.alpha).tobytes() == _kth_largest_oracle(profiles, cfar, 1e-2).tobytes()
     decisions = so_cfar(profiles, CfarConfig(window_cells=8, guard_cells=1, alpha=result.alpha))
@@ -473,7 +474,7 @@ def test_calibrate_fails_with_more_zero_backgrounds_than_exceedances():
     # 1e-2 target allows, so the selected ratio is inf.
     cfar = CfarConfig(window_cells=8, guard_cells=1)
     with pytest.raises(CalibrationError, match="alpha inf"):
-        calibrate_alpha(cfar, zero_window_profiles(slice(None)), 1e-2, 400, seed=4)
+        calibrate_alpha(cfar, zero_window_profiles(slice(None))(np.random.default_rng(4), 400), 1e-2)
 
 
 def test_calibrate_rejects_zero_alpha():
@@ -483,20 +484,54 @@ def test_calibrate_rejects_zero_alpha():
         return np.tile(np.arange(128) % 4 == 0, (count, 1)).astype(float)
 
     with pytest.raises(CalibrationError, match="alpha 0"):
-        calibrate_alpha(CfarConfig(window_cells=8, guard_cells=1), sparse_profiles, 0.3, 400, seed=0)
+        calibrate_alpha(CfarConfig(window_cells=8, guard_cells=1),
+                        sparse_profiles(np.random.default_rng(0), 400), 0.3)
 
 
 def test_scenario_validation():
     c = make_qam(16)
     with pytest.raises(ValueError):
-        DetectionScenario(cfg=CFG, constellation=c, snr_grid_db=[0.0], pfa_target=2.0)
+        DetectionScenario(cfg=CFG, constellations=(c,), snr_grid_db=[0.0], pfa_target=2.0)
     with pytest.raises(ValueError):
-        DetectionScenario(cfg=CFG, constellation=c, snr_grid_db=[0.0], trials=0)
+        DetectionScenario(cfg=CFG, constellations=(c,), snr_grid_db=[0.0], trials=0)
     with pytest.raises(ValueError):
-        DetectionScenario(cfg=CFG, constellation=c, snr_grid_db=[0.0], target_cell_offset=1)
+        DetectionScenario(cfg=CFG, constellations=(c,), snr_grid_db=[0.0], target_cell_offset=1)
     small = OfdmConfig(num_subcarriers=8, subcarrier_spacing=1.0, oversampling=2)
     with pytest.raises(ValueError):
-        DetectionScenario(cfg=small, constellation=c, snr_grid_db=[0.0])
+        DetectionScenario(cfg=small, constellations=(c,), snr_grid_db=[0.0])
+
+
+@pytest.mark.parametrize(
+    ("fields", "message"),
+    [
+        ({"calib_trials": 10},
+         "calib_trials 10: 1280 cells expect 1.3 false alarms at pfa_target 0.001; calibration needs >= 100"),
+        ({"calib_trials": 0},
+         "calib_trials 0: 0 cells expect 0.0 false alarms at pfa_target 0.001; calibration needs >= 100"),
+        ({"pfa_target": 0.0}, "pfa_target must be in (0, 1), got 0.0"),
+        ({"pfa_target": 1.0, "cfar": CfarConfig(alpha=20.0)}, "pfa_target must be in (0, 1), got 1.0"),
+    ],
+    ids=["calib-trials-10", "calib-trials-0", "pfa-0", "pfa-1-with-alpha"],
+)
+def test_scenario_checks_calibration_before_any_draw(fields, message):
+    # 128 instrumented cells per calibration trial: 10 trials expect 1.3 false
+    # alarms at the 1e-3 default, against the 100 calibration needs.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        DetectionScenario(cfg=CFG, constellations=(make_qam(16),), snr_grid_db=[0.0], **fields)
+
+
+def test_scenario_with_alpha_takes_any_calibration_size():
+    # A supplied alpha skips calibration, so the calibration size is not checked.
+    scn = DetectionScenario(
+        cfg=CFG, constellations=(make_qam(16),), snr_grid_db=[0.0], calib_trials=0,
+        cfar=CfarConfig(alpha=20.0),
+    )
+    assert scn.calib_trials == 0
+
+
+def test_scenario_needs_a_constellation():
+    with pytest.raises(ValueError, match="constellations"):
+        DetectionScenario(cfg=CFG, constellations=(), snr_grid_db=[0.0])
 
 
 @pytest.mark.parametrize(
@@ -516,14 +551,14 @@ def test_scenario_rejects_db_beyond_precision(monkeypatch, field, entry, value):
         raise AssertionError("calibration started")
 
     monkeypatch.setattr(detect, "calibrate_alpha", no_work)
-    args = {"cfg": CFG, "constellation": make_qam(16), "snr_grid_db": [0.0], field: entry}
+    args = {"cfg": CFG, "constellations": (make_qam(16),), "snr_grid_db": [0.0], field: entry}
     message = f"{field} entries must lie within +-313.071 dB, got [{value!r}]"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         pd_experiment(DetectionScenario(**args))
     # The bound itself is accepted.
     limit = -20.0 * np.log10(np.finfo(float).eps)
     DetectionScenario(
-        cfg=CFG, constellation=make_qam(16), snr_grid_db=[-limit, limit], si_to_noise_db=limit
+        cfg=CFG, constellations=(make_qam(16),), snr_grid_db=[-limit, limit], si_to_noise_db=limit
     )
 
 
@@ -531,7 +566,7 @@ def test_pd_matches_pfa_without_target_or_interference():
     # Pure null hypothesis: no target and no self-interference leaves the
     # monitored cell with noise statistics only, so Pd collapses to Pfa.
     scn = DetectionScenario(
-        cfg=CFG, constellation=make_qam(16), snr_grid_db=np.array([-300.0]),
+        cfg=CFG, constellations=(make_qam(16),), snr_grid_db=np.array([-300.0]),
         si_to_noise_db=-300.0, pfa_target=0.05, trials=2000, calib_trials=100, seed=6,
     )
     rows = pd_experiment(scn)
@@ -547,7 +582,7 @@ def test_pd_with_interference_only_stays_below_calibrated_pfa():
     # around the (null-located) monitored cell, so its conditional
     # false-alarm rate lands at or below the noise-only calibration.
     scn = DetectionScenario(
-        cfg=CFG, constellation=make_qam(16), snr_grid_db=np.array([-300.0]),
+        cfg=CFG, constellations=(make_qam(16),), snr_grid_db=np.array([-300.0]),
         pfa_target=0.05, trials=2000, calib_trials=100, seed=6,
     )
     assert pd_experiment(scn)[0]["pd"] < 0.05
@@ -555,7 +590,7 @@ def test_pd_with_interference_only_stays_below_calibrated_pfa():
 
 def test_pd_saturates_at_high_snr():
     scn = DetectionScenario(
-        cfg=CFG, constellation=make_psk(16), snr_grid_db=np.array([25.0]),
+        cfg=CFG, constellations=(make_psk(16),), snr_grid_db=np.array([25.0]),
         pfa_target=1e-2, trials=500, calib_trials=200, seed=7,
     )
     rows = pd_experiment(scn)
@@ -564,7 +599,7 @@ def test_pd_saturates_at_high_snr():
 
 def test_pd_deterministic_and_thread_invariant():
     scn = DetectionScenario(
-        cfg=CFG, constellation=make_qam(16), snr_grid_db=np.array([5.0, 12.0]),
+        cfg=CFG, constellations=(make_qam(16),), snr_grid_db=np.array([5.0, 12.0]),
         pfa_target=1e-2, trials=300, calib_trials=200, seed=8,
     )
     a = pd_experiment(scn, threads=1)
@@ -575,7 +610,7 @@ def test_pd_deterministic_and_thread_invariant():
 def test_pd_uses_supplied_alpha_without_calibration():
     cfar = CfarConfig(window_cells=16, guard_cells=2, alpha=40.0)
     scn = DetectionScenario(
-        cfg=CFG, constellation=make_qam(16), snr_grid_db=np.array([20.0]),
+        cfg=CFG, constellations=(make_qam(16),), snr_grid_db=np.array([20.0]),
         trials=200, cfar=cfar, seed=9,
     )
     rows = pd_experiment(scn)
@@ -589,7 +624,7 @@ def test_pd_fast_path_matches_brute_force():
     # profile.
     cfg = OfdmConfig(num_subcarriers=16, subcarrier_spacing=1.0, oversampling=4)
     scn = DetectionScenario(
-        cfg=cfg, constellation=make_qam(16), snr_grid_db=np.array([-5.0, 0.0, 5.0, 10.0]),
+        cfg=cfg, constellations=(make_qam(16),), snr_grid_db=np.array([-5.0, 0.0, 5.0, 10.0]),
         target_cell_offset=12, trials=150, cfar=CfarConfig(window_cells=8, alpha=6.0), seed=13,
     )
     fast = [round(row["pd"] * scn.trials) for row in pd_experiment(scn)]
@@ -597,7 +632,7 @@ def test_pd_fast_path_matches_brute_force():
     n = cfg.num_samples
 
     def draw(rng, count):
-        symbols = scn.constellation.sample_symbols(count * 16, rng).reshape(count, 16)
+        symbols = scn.constellations[0].sample_symbols(count * 16, rng).reshape(count, 16)
         return symbols, _complex_noise(rng, (count, n), 1.0)
 
     parts = map_chunks(draw, np.random.SeedSequence(13).spawn(2)[1], scn.trials, PD_CHUNK, 1)
@@ -622,8 +657,52 @@ def test_pd_fast_path_matches_brute_force():
 def test_pd_point_does_not_depend_on_rest_of_grid():
     def scenario(grid):
         return DetectionScenario(
-            cfg=CFG, constellation=make_qam(16), snr_grid_db=np.array(grid),
+            cfg=CFG, constellations=(make_qam(16),), snr_grid_db=np.array(grid),
             pfa_target=1e-2, trials=300, calib_trials=200, seed=8,
         )
 
     assert pd_experiment(scenario([5.0, 12.0]))[1] == pd_experiment(scenario([12.0]))[0]
+
+
+def _three_curves():
+    shaped = make_qam(16).with_probs(solve_pcs(PcsProblem(make_qam(16).amplitudes, 1.64)).probs)
+    return (make_qam(16), shaped, make_psk(8))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_each_curve_of_a_sweep_equals_its_run_alone(threads):
+    # Three chunks (two full, one of 37 trials) on common random numbers: each
+    # curve's alpha and rows are those of a one-curve run of its constellation,
+    # bit for bit, whatever the thread count.
+    curves = _three_curves()
+
+    def scenario(constellations):
+        return DetectionScenario(
+            cfg=CFG, constellations=constellations, snr_grid_db=np.array([0.0, 6.0, 12.0]),
+            pfa_target=1e-2, trials=2 * PD_CHUNK + 37, calib_trials=100, seed=11,
+        )
+
+    rows = pd_experiment(scenario(curves), threads=threads)
+    assert [row["curve"] for row in rows] == [0] * 3 + [1] * 3 + [2] * 3
+    for i, c in enumerate(curves):
+        alone = pd_experiment(scenario((c,)), threads=threads)
+        assert [{**row, "curve": i} for row in alone] == [row for row in rows if row["curve"] == i]
+    assert len({row["alpha"] for row in rows}) == 3
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_noise_is_drawn_once_per_calibration_and_chunk(monkeypatch, count):
+    # One draw for calibration and one per chunk, shared by every curve.
+    calls = []
+
+    def counted(rng, shape, variance):
+        calls.append(shape)
+        return _complex_noise(rng, shape, variance)
+
+    monkeypatch.setattr(detect, "_complex_noise", counted)
+    scn = DetectionScenario(
+        cfg=CFG, constellations=_three_curves()[:count], snr_grid_db=np.array([6.0]),
+        pfa_target=1e-2, trials=2 * PD_CHUNK + 37, calib_trials=100, seed=12,
+    )
+    pd_experiment(scn)
+    assert calls == [(100, 256), (PD_CHUNK, 256), (PD_CHUNK, 256), (37, 256)]

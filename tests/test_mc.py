@@ -71,7 +71,7 @@ def _traced_peak(fn) -> int:
 def test_memory_stays_bounded_in_trial_count():
     def pd(trials):
         scn = DetectionScenario(
-            cfg=CFG, constellation=make_qam(16), snr_grid_db=np.array([0.0, 10.0]),
+            cfg=CFG, constellations=(make_qam(16),), snr_grid_db=np.array([0.0, 10.0]),
             trials=trials, cfar=CfarConfig(alpha=20.0), seed=3,
         )
         return lambda: pd_experiment(scn)
@@ -88,7 +88,7 @@ def test_memory_stays_bounded_in_trial_count():
 
 def test_pd_thread_invariant_across_chunks():
     scn = DetectionScenario(
-        cfg=CFG, constellation=make_qam(16), snr_grid_db=np.array([0.0, 6.0]),
+        cfg=CFG, constellations=(make_qam(16),), snr_grid_db=np.array([0.0, 6.0]),
         trials=2 * PD_CHUNK + 37, cfar=CfarConfig(alpha=20.0), seed=5,
     )
     serial = pd_experiment(scn, threads=1)
