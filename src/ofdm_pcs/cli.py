@@ -60,6 +60,9 @@ _INT_MIN = {
     "oversampling": 1, "threads": 1, "seed": 0, "guard": 0,
 }
 
+# Float options that must be positive; every float option must be finite.
+_POSITIVE = {"sigma2", "bandwidth"}
+
 _HELP = {"threads": "worker thread cap (never changes results)"}
 
 _NUMBERISH = re.compile(r"^-(\d|\.\d)[\d.,:eE+-]*$")
@@ -183,8 +186,6 @@ def write_json(path: str, command: str, resolved: dict, payload: dict) -> None:
 
 def _ofdm_config(opts: dict) -> OfdmConfig:
     subcarriers, bandwidth = opts["subcarriers"], opts["bandwidth"]
-    if bandwidth <= 0:
-        raise ValueError(f"bandwidth must be positive, got {bandwidth}")
     return OfdmConfig(
         num_subcarriers=subcarriers,
         subcarrier_spacing=bandwidth / subcarriers,
@@ -267,6 +268,8 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
         value = getattr(args, key)
         if value is None:
             value = _config_value(key, from_file[key], default) if key in from_file else default
+        if key in _POSITIVE and not 0 < value < np.inf:
+            raise ValueError(f"{key} must be positive and finite, got {value}")
         if isinstance(value, float) and not np.isfinite(value):
             raise ValueError(f"{key} must be finite, got {value}")
         if key in _INT_MIN and value < _INT_MIN[key]:

@@ -203,23 +203,47 @@ def test_air_vs_c0_thread_invariance():
 
 
 def test_air_sweeps_seed_layout():
-    # Cell (i, j) of the SNR sweep draws from child i J + j of the seed, and
-    # row i of the c0 sweep from child i, each exactly as a lone air_mc call.
+    # Every cell of the SNR sweep and every row of the c0 sweep draws from the
+    # sweep's own seed, exactly as a lone air_mc call at that noise variance.
     named = [("qam16", make_qam(16)), ("psk16", make_psk(16)), ("psk8", make_psk(8))]
     snrs, mc, seed = [0.0, 8.0], 3_000, 5
-    children = np.random.SeedSequence(seed).spawn(len(snrs) * len(named))
     rows = air_vs_snr(named, snrs, mc, seed, threads=2)
     for i, snr in enumerate(snrs):
-        for j, (name, c) in enumerate(named):
-            cfg = AirConfig(sigma2_from_snr_db(snr), mc, children[i * len(named) + j])
-            assert rows[i][name] == air_mc(c, cfg).rate
+        for name, c in named:
+            assert rows[i][name] == air_mc(c, AirConfig(sigma2_from_snr_db(snr), mc, seed)).rate
+    # A column is the same alone as beside other columns.
+    alone = air_vs_snr(named[1:2], snrs, mc, seed)
+    assert [r["psk16"] for r in alone] == [r["psk16"] for r in rows]
     base, c0s = make_qam(16), [1.0, 1.2, 1.32]
-    children = np.random.SeedSequence(seed).spawn(len(c0s))
     rows = air_vs_c0(base, c0s, AirConfig(0.05, mc, seed), threads=2)
     for i, c0 in enumerate(c0s):
         shaped = base.with_probs(solve_pcs(PcsProblem(base.amplitudes, c0)).probs)
-        est = air_mc(shaped, AirConfig(0.05, mc, children[i]))
+        est = air_mc(shaped, AirConfig(0.05, mc, seed))
         assert (rows[i]["rate"], rows[i]["std_error"]) == (est.rate, est.std_error)
+
+
+@pytest.mark.parametrize("constellation", [make_qam(16), _with_rare_points()], ids=["qam16", "rare-points"])
+def test_air_mc_grid_equals_scalar_calls(constellation):
+    # One draw per chunk serves every variance; three chunks, the last one short.
+    variances = [sigma2_from_snr_db(snr) for snr in (-10.0, 8.0, 60.0, 313.0)]
+    trials = 2 * AIR_CHUNK + 123
+    grid = air_mc(constellation, AirConfig(np.array(variances), trials, 12))
+    assert grid.rate.shape == grid.std_error.shape == (len(variances),)
+    for k, sigma2 in enumerate(variances):
+        est = air_mc(constellation, AirConfig(sigma2, trials, 12))
+        assert type(est.rate) is float and type(est.std_error) is float
+        assert (grid.rate[k], grid.std_error[k]) == (est.rate, est.std_error)
+
+
+@pytest.mark.parametrize("snr_db", [310.0, 313.0])
+def test_air_mc_keeps_the_noise_at_any_snr(snr_db):
+    # Forming y = x + n rounds n away beside x above ~300 dB; that read qam16
+    # at 4.015 bits at 310 dB and 4.033 at 313 dB.
+    c, mc, seed = make_qam(16), 20_000, 11
+    ref = air_mc(c, AirConfig(sigma2_from_snr_db(60.0), mc, seed))
+    est = air_mc(c, AirConfig(sigma2_from_snr_db(snr_db), mc, seed))
+    assert est.rate == pytest.approx(ref.rate, abs=1e-9)
+    assert abs(est.rate - 4.0) <= 3 * est.std_error
 
 
 def test_air_vs_snr_rows():
@@ -242,3 +266,13 @@ def test_config_validation():
         AirConfig(np.inf, 100, 0)
     with pytest.raises(ValueError):
         AirConfig(1.0, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "noise_variance",
+    [[], [[0.1, 0.2]], [0.1, 0.0], [0.1, -1.0], [np.nan], [0.1, np.inf]],
+    ids=["empty", "2-D", "zero", "negative", "nan", "inf"],
+)
+def test_config_rejects_bad_noise_variance_grid(noise_variance):
+    with pytest.raises(ValueError, match="^noise_variance must be"):
+        AirConfig(np.array(noise_variance), 100, 0)

@@ -583,6 +583,19 @@ def test_db_out_of_range_names_option(tmp_path, capsys, monkeypatch, args, name,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+def test_sigma2_must_be_positive_before_any_solve(tmp_path, capsys, monkeypatch, value):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(ofdm_pcs.cli, "air_vs_c0", no_work)
+    out = tmp_path / "x.csv"
+    assert main(["air", "sweep-c0", "--sigma2", value, "--out", str(out)]) == 1
+    message = f"sigma2 must be positive and finite, got {float(value)}"
+    assert capsys.readouterr().err == f"error: air sweep-c0: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("threads", ["0", "-3"])
 @pytest.mark.parametrize(
     "args",

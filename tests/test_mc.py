@@ -45,7 +45,7 @@ def test_map_chunks_thread_invariant(threads):
 
 
 def test_chunk_k_is_child_k_and_seed_object_is_not_advanced():
-    # A spawned SeedSequence, as air_vs_c0 hands one per grid point to air_mc.
+    # A spawned SeedSequence, as pd_experiment hands its trial draws to map_chunks.
     seed = np.random.SeedSequence(7).spawn(3)[1]
     first = map_chunks(draw, seed, 10, 3, 1)
     second = map_chunks(draw, seed, 10, 3, 1)
