@@ -5,14 +5,17 @@ Subcommands: ``constellation dump``, ``pcs solve|sweep``,
 ``detect pd-sweep|calibrate``.
 
 Option precedence is defaults < JSON config file (``--config``) < flags.
-Every output file starts with comment lines recording the tool version and
-the fully resolved parameters, so identical invocations produce byte-identical
-artifacts.  Seeds are explicit flags (default 0), never environment state.
-``--threads`` is offered only by the commands that run a worker pool (``af
-slice|surface``, ``air sweep-c0|sweep-snr`` and ``detect pd-sweep``); it only
-adds workers and never changes any output byte.  Each option is declared once,
-in ``_COMMANDS``: its default gives the flag's type, and a config-file value
-must have that type too.  A config key must be some command's option.
+A command takes a flag only if the flag can change its artifact, so the AF
+commands take ``--bandwidth`` and the detect commands ``--oversampling``.
+``--threads`` is the one exception: it is offered only by the commands that
+run a worker pool (``af slice|surface``, ``air sweep-c0|sweep-snr`` and
+``detect pd-sweep``), never changes any output byte and is left out of the
+header.  Every output file starts with comment lines recording the tool
+version and the resolved parameters, so identical invocations produce
+byte-identical artifacts.  Seeds are explicit flags (default 0), never
+environment state.  Each option is declared once, in ``_COMMANDS``: its
+default gives the flag's type, and a config-file value must have that type
+too.  A config key must be some command's option.
 """
 
 from __future__ import annotations
@@ -145,8 +148,9 @@ def _fmt(value) -> str:
 
 
 def _meta(command: str, resolved: dict) -> dict:
-    """Provenance of an artifact: tool, command and every resolved option that
-    can influence its bytes, in key order; unset options are left out."""
+    """Provenance of an artifact: tool, command and every resolved option, in
+    key order, each of which can change the artifact's bytes (a command takes
+    no other); ``threads``, which never does, and unset options are left out."""
     kept = (k for k in sorted(resolved) if k not in _META_EXCLUDE and resolved[k] is not None)
     return {"tool": f"ofdm-pcs {__version__}", "command": command, **{k: resolved[k] for k in kept}}
 
@@ -185,12 +189,14 @@ def write_json(path: str, command: str, resolved: dict, payload: dict) -> None:
 
 
 def _ofdm_config(opts: dict) -> OfdmConfig:
-    subcarriers, bandwidth = opts["subcarriers"], opts["bandwidth"]
-    return OfdmConfig(
-        num_subcarriers=subcarriers,
-        subcarrier_spacing=bandwidth / subcarriers,
-        oversampling=opts["oversampling"],
-    )
+    """Spacing ``bandwidth / subcarriers`` for the AF commands, oversampling for
+    the detect commands; the field a command lacks stays at its default."""
+    fields = {"num_subcarriers": opts["subcarriers"]}
+    if "bandwidth" in opts:
+        fields["subcarrier_spacing"] = opts["bandwidth"] / opts["subcarriers"]
+    if "oversampling" in opts:
+        fields["oversampling"] = opts["oversampling"]
+    return OfdmConfig(**fields)
 
 
 def _cfar_config(opts: dict) -> CfarConfig:
@@ -279,12 +285,39 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
     return resolved
 
 
-def _run_constellation_dump(opts: dict) -> None:
-    _, c = resolve_modulation(opts["modulation"])
-    write_json(opts["out"], "constellation dump", opts, c.to_json_dict())
+def _inputs(command: str, opts: dict) -> dict:
+    """``opts`` as the runner reads them, each parsed and checked once by its
+    option's name before any work: ``modulation`` as its constellation,
+    ``modulations`` as (name, constellation) pairs, each grid option whose
+    default is a string as its array, and each dB option within range."""
+    defaults, inputs = _COMMANDS[command][2], {}
+    for key, value in opts.items():
+        if key == "modulation":
+            value = resolve_modulation(value)[1]
+        elif key == "modulations":
+            specs = [s.strip() for s in value.split(",") if s.strip()]
+            if not specs:
+                raise ValueError("modulations is empty")
+            value = [resolve_modulation(spec) for spec in specs]
+            names = [name for name, _ in value]
+            for name in names:
+                if names.count(name) > 1:
+                    raise ValueError(f"modulations names {name!r} more than once; each name is one column")
+        elif key in _GRID_KEYS and isinstance(defaults[key], str):
+            value = parse_grid(value, key)
+        if key in ("snr", "si_db"):
+            check_db(value, key)
+        inputs[key] = value
+    return inputs
 
 
-def _solution_payload(base: Constellation, sol) -> dict:
+def _run_constellation_dump(opts: dict) -> dict:
+    return opts["modulation"].to_json_dict()
+
+
+def _run_pcs_solve(opts: dict) -> dict:
+    base = opts["modulation"]
+    sol = solve_pcs(PcsProblem(base.amplitudes, opts["c0"]))
     shaped = base.with_probs(sol.probs)
     return {
         **shaped.to_json_dict(),
@@ -295,117 +328,74 @@ def _solution_payload(base: Constellation, sol) -> dict:
     }
 
 
-def _run_pcs_solve(opts: dict) -> None:
-    _, base = resolve_modulation(opts["modulation"])
-    sol = solve_pcs(PcsProblem(base.amplitudes, opts["c0"]))
-    write_json(opts["out"], "pcs solve", opts, _solution_payload(base, sol))
-
-
-def _run_pcs_sweep(opts: dict) -> None:
-    _, base = resolve_modulation(opts["modulation"])
-    grid = parse_grid(opts["c0"], "c0")
-    sols = sweep_c0(base.amplitudes, grid)
-    header = ["c0", "achieved_m4", "gap", "entropy_bits"] + [
-        f"p{q}" for q in range(base.order)
-    ]
+def _run_pcs_sweep(opts: dict):
+    base, grid = opts["modulation"], opts["c0"]
+    header = ["c0", "achieved_m4", "gap", "entropy_bits"] + [f"p{q}" for q in range(base.order)]
     rows = [
         [c0, s.achieved_m4, s.gap, s.tie_break_entropy, *s.probs]
-        for c0, s in zip(grid, sols)
+        for c0, s in zip(grid, sweep_c0(base.amplitudes, grid))
     ]
-    write_csv(opts["out"], "pcs sweep", opts, header, rows)
+    return header, rows
 
 
-def _run_af_slice(opts: dict) -> None:
-    _, c = resolve_modulation(opts["modulation"])
-    cfg = _ofdm_config(opts)
-    if opts["delay"] is not None:
-        tau_grid = np.array([opts["delay"]])
-        nu_grid = default_nu_grid(cfg, opts["points"])
-        axis = "nu"
+def _run_af_slice(opts: dict):
+    cfg, delay, doppler = _ofdm_config(opts), opts["delay"], opts["doppler"]
+    if delay is None:
+        axis, tau_grid, nu_grid = "tau", default_tau_grid(cfg, opts["points"]), np.array([doppler])
+    elif doppler != 0:
+        raise ValueError(f"doppler must be 0 with delay, whose slice spans the Doppler grid, got {doppler}")
     else:
-        tau_grid = default_tau_grid(cfg, opts["points"])
-        nu_grid = np.array([opts["doppler"]])
-        axis = "tau"
+        axis, tau_grid, nu_grid = "nu", np.array([delay]), default_nu_grid(cfg, opts["points"])
     surface = mc_average_af(
-        cfg, c, tau_grid, nu_grid, opts["trials"], opts["seed"], threads=opts["threads"]
+        cfg, opts["modulation"], tau_grid, nu_grid, opts["trials"], opts["seed"], threads=opts["threads"]
     )
-    mags = surface[0] if axis == "nu" else surface[:, 0]
-    grid = nu_grid if axis == "nu" else tau_grid
-    rows = np.column_stack([grid, magnitude_db(mags)])
-    write_csv(opts["out"], "af slice", opts, [axis, "magnitude_db"], rows)
+    # One of the two grids is a single point, so the surface is one line.
+    grid = tau_grid if axis == "tau" else nu_grid
+    return [axis, "magnitude_db"], np.column_stack([grid, magnitude_db(surface.ravel())])
 
 
-def _run_af_surface(opts: dict) -> None:
-    _, c = resolve_modulation(opts["modulation"])
+def _run_af_surface(opts: dict):
     cfg = _ofdm_config(opts)
     tau_grid = default_tau_grid(cfg, opts["tau_points"])
     nu_grid = default_nu_grid(cfg, opts["nu_points"])
     surface = mc_average_af(
-        cfg, c, tau_grid, nu_grid, opts["trials"], opts["seed"], threads=opts["threads"]
+        cfg, opts["modulation"], tau_grid, nu_grid, opts["trials"], opts["seed"], threads=opts["threads"]
     )
-    header = ["tau"] + [_fmt(nu) for nu in nu_grid]
-    rows = np.column_stack([tau_grid, surface])
-    write_csv(opts["out"], "af surface", opts, header, rows)
+    return ["tau"] + [_fmt(nu) for nu in nu_grid], np.column_stack([tau_grid, surface])
 
 
-def _run_af_variance(opts: dict) -> None:
-    _, c = resolve_modulation(opts["modulation"])
+def _run_af_variance(opts: dict):
     cfg = _ofdm_config(opts)
     tau_grid = default_tau_grid(cfg, opts["points"])
-    stats = af_statistics(cfg, c, tau_grid, opts["doppler"])
-    write_csv(
-        opts["out"], "af variance", opts,
-        ["tau", "sigma2_self", "sigma2_cross", "mean_self_abs"],
-        np.column_stack([tau_grid, *stats]),
-    )
+    stats = af_statistics(cfg, opts["modulation"], tau_grid, opts["doppler"])
+    header = ["tau", "sigma2_self", "sigma2_cross", "mean_self_abs"]
+    return header, np.column_stack([tau_grid, *stats])
 
 
-def _run_air_sweep_c0(opts: dict) -> None:
-    _, base = resolve_modulation(opts["modulation"])
-    grid = parse_grid(opts["c0"], "c0")
+def _run_air_sweep_c0(opts: dict):
     cfg = AirConfig(opts["sigma2"], opts["mc"], opts["seed"])
-    rows = air_vs_c0(base, grid, cfg, threads=opts["threads"])
-    write_csv(
-        opts["out"], "air sweep-c0", opts,
-        ["c0", "rate_bits", "std_error", "gap", "entropy_bits"],
-        [[r["c0"], r["rate"], r["std_error"], r["gap"], r["entropy_bits"]] for r in rows],
-    )
+    rows = air_vs_c0(opts["modulation"], opts["c0"], cfg, threads=opts["threads"])
+    header = ["c0", "rate_bits", "std_error", "gap", "entropy_bits"]
+    return header, [[r["c0"], r["rate"], r["std_error"], r["gap"], r["entropy_bits"]] for r in rows]
 
 
-def _run_air_sweep_snr(opts: dict) -> None:
-    specs = [s.strip() for s in opts["modulations"].split(",") if s.strip()]
-    if not specs:
-        raise ValueError("modulations is empty")
-    constellations = [resolve_modulation(spec) for spec in specs]
-    names = [name for name, _ in constellations]
-    for name in names:
-        if names.count(name) > 1:
-            raise ValueError(f"modulations names {name!r} more than once; each name is one column")
-    grid = parse_grid(opts["snr"], "snr")
-    check_db(grid, "snr")
-    rows = air_vs_snr(constellations, grid, opts["mc"], opts["seed"], threads=opts["threads"])
+def _run_air_sweep_snr(opts: dict):
+    constellations = opts["modulations"]
+    rows = air_vs_snr(constellations, opts["snr"], opts["mc"], opts["seed"], threads=opts["threads"])
     header = ["snr_db"] + [f"rate_{name}" for name, _ in constellations]
-    out_rows = [
-        [r["snr_db"], *(r[name] for name, _ in constellations)] for r in rows
-    ]
-    write_csv(opts["out"], "air sweep-snr", opts, header, out_rows)
+    return header, [[r["snr_db"], *(r[name] for name, _ in constellations)] for r in rows]
 
 
-def _run_detect_pd_sweep(opts: dict) -> None:
-    _, base = resolve_modulation(opts["modulation"])
-    cfg = _ofdm_config(opts)
-    cfar = _cfar_config(opts)
-    c0_list = parse_grid(opts["c0"], "c0")
-    snr_grid = parse_grid(opts["snr"], "snr")
-    check_db(snr_grid, "snr")
-    check_db(opts["si_db"], "si_db")
+def _run_detect_pd_sweep(opts: dict):
+    base, c0_list = opts["modulation"], opts["c0"]
+    cfg, cfar = _ofdm_config(opts), _cfar_config(opts)
     check_target_cell(cfg, cfar, opts["offset"], "offset")
     check_calibration(cfg, opts["calib_trials"], opts["pfa"], ("calib_trials", "pfa"))
     shaped = [base.with_probs(solve_pcs(PcsProblem(base.amplitudes, float(c0))).probs) for c0 in c0_list]
     scenario = DetectionScenario(
         cfg=cfg,
         constellations=shaped,
-        snr_grid_db=snr_grid,
+        snr_grid_db=opts["snr"],
         si_to_noise_db=opts["si_db"],
         target_cell_offset=opts["offset"],
         pfa_target=opts["pfa"],
@@ -418,29 +408,28 @@ def _run_detect_pd_sweep(opts: dict) -> None:
         [float(c0_list[r["curve"]]), r["snr_db"], r["pd"], r["trials"]]
         for r in pd_experiment(scenario, threads=opts["threads"])
     ]
-    write_csv(opts["out"], "detect pd-sweep", opts, ["c0", "snr_db", "pd", "trials"], rows)
+    return ["c0", "snr_db", "pd", "trials"], rows
 
 
-def _run_detect_calibrate(opts: dict) -> None:
-    _, c = resolve_modulation(opts["modulation"])
+def _run_detect_calibrate(opts: dict) -> dict:
     cfg = _ofdm_config(opts)
     check_calibration(cfg, opts["calib_trials"], opts["pfa"], ("calib_trials", "pfa"))
-    profiles = noise_profile_sampler(cfg, c)(np.random.default_rng(opts["seed"]), opts["calib_trials"])
+    sampler = noise_profile_sampler(cfg, opts["modulation"])
+    profiles = sampler(np.random.default_rng(opts["seed"]), opts["calib_trials"])
     result = calibrate_alpha(_cfar_config(opts), profiles, opts["pfa"])
     print(
         f"alpha = {result.alpha:.6g} (empirical pfa {result.empirical_pfa:.3g} "
         f"over {result.cells} cells)"
     )
-    if opts.get("out"):
-        write_json(opts["out"], "detect calibrate", opts, asdict(result))
+    return asdict(result)
 
 
-_OFDM_DEFAULTS = {"subcarriers": 64, "bandwidth": 100e6, "oversampling": 4}
 _CFAR_DEFAULTS = {"window": 16, "guard": 2}
 
 # command -> (runner, help, option defaults); the defaults also define the
-# command's flags and their types (see build_parser and _config_value).  Only a
-# command whose runner starts a worker pool lists ``threads``.
+# command's flags and their types (see build_parser and _config_value).  A
+# runner returns its artifact: a JSON payload, or a CSV header and rows.  Only
+# a command whose runner starts a worker pool lists ``threads``.
 _COMMANDS = {
     "constellation dump": (_run_constellation_dump, "write a constellation as JSON", {
         "modulation": "qam16",
@@ -453,14 +442,14 @@ _COMMANDS = {
     }),
     "af slice": (_run_af_slice, "mean |AF| over delay, or over Doppler with --delay", {
         "modulation": "qam16", "doppler": 0.0, "delay": None, "trials": 500,
-        "points": 257, "seed": 0, "threads": 1, **_OFDM_DEFAULTS,
+        "points": 257, "seed": 0, "threads": 1, "subcarriers": 64, "bandwidth": 100e6,
     }),
     "af surface": (_run_af_surface, "mean |AF| over a delay-Doppler grid", {
         "modulation": "qam16", "trials": 100, "tau_points": 257, "nu_points": 257,
-        "seed": 0, "threads": 1, **_OFDM_DEFAULTS,
+        "seed": 0, "threads": 1, "subcarriers": 64, "bandwidth": 100e6,
     }),
     "af variance": (_run_af_variance, "closed-form AF variances and mean self part", {
-        "modulation": "qam16", "doppler": 0.0, "points": 257, **_OFDM_DEFAULTS,
+        "modulation": "qam16", "doppler": 0.0, "points": 257, "subcarriers": 64, "bandwidth": 100e6,
     }),
     "air sweep-c0": (_run_air_sweep_c0, "rate vs fourth-moment target", {
         "modulation": "qam16", "sigma2": 0.01, "c0": "1.0:0.04:1.68", "mc": 200_000, "seed": 0,
@@ -473,23 +462,29 @@ _COMMANDS = {
     "detect pd-sweep": (_run_detect_pd_sweep, "detection probability vs sensing SNR", {
         "modulation": "qam16", "c0": "1.0,1.32,1.64", "snr": "-5:1:20",
         "trials": 5000, "pfa": 1e-3, "si_db": 10.0, "offset": 8,
-        "calib_trials": 1000, "seed": 0, "threads": 1, **_OFDM_DEFAULTS, **_CFAR_DEFAULTS,
+        "calib_trials": 1000, "seed": 0, "threads": 1, "subcarriers": 64, "oversampling": 4,
+        **_CFAR_DEFAULTS,
     }),
     "detect calibrate": (_run_detect_calibrate, "calibrate the CFAR threshold multiplier", {
         "modulation": "qam16", "pfa": 1e-3, "calib_trials": 1000, "seed": 0,
-        **_OFDM_DEFAULTS, **_CFAR_DEFAULTS,
+        "subcarriers": 64, "oversampling": 4, **_CFAR_DEFAULTS,
     }),
 }
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(_merge_negative_values(argv))
+    args = build_parser().parse_args(_merge_negative_values(argv))
     command = f"{args.command} {args.action}"
     try:
         opts = _resolve(args, command)
-        _COMMANDS[command][0](opts)
+        artifact = _COMMANDS[command][0](_inputs(command, opts))
+        if isinstance(artifact, dict):
+            # Only detect calibrate may run without --out; it prints alpha.
+            if opts["out"] is not None:
+                write_json(opts["out"], command, opts, artifact)
+        else:
+            write_csv(opts["out"], command, opts, *artifact)
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {command}: {exc}", file=sys.stderr)
         return 1

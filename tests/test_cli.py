@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ofdm_pcs.ambiguity import default_nu_grid, magnitude_db, mc_average_af
 from ofdm_pcs.cli import (
     _COMMANDS,
     _fmt,
@@ -338,6 +339,12 @@ _POOLLESS = [*_UNSEEDED, "detect calibrate"]
         *(pytest.param(c, "--seed", "1", id=c) for c in _UNSEEDED),
         # These run no worker pool, so a thread cap could change nothing.
         *(pytest.param(c, "--threads", "2", id=f"{c} --threads") for c in _POOLLESS),
+        # The closed-form AF depends only on the subcarriers and their spacing,
+        # and detection counts range cells in samples, so neither reads the flag.
+        *(pytest.param(c, "--oversampling", "16", id=f"{c} --oversampling")
+          for c in ("af slice", "af surface", "af variance")),
+        *(pytest.param(c, "--bandwidth", "3e9", id=f"{c} --bandwidth")
+          for c in ("detect pd-sweep", "detect calibrate")),
     ],
 )
 def test_unseeded_commands_reject_seed(tmp_path, capsys, command, flag, value):
@@ -509,6 +516,8 @@ _SMALL_OFDM = ["--subcarriers", "8", "--bandwidth", "8"]
         (["detect", "calibrate", "--window", "0"], "window must be >= 1, got 0"),
         (["detect", "calibrate", "--guard", "-1"], "guard must be >= 0, got -1"),
         (["air", "sweep-c0", "--mc", "0"], "mc must be >= 1, got 0"),
+        # A delay slice spans the Doppler grid, so a Doppler would only decorate it.
+        (["af", "slice", "--delay", "1e-8", "--doppler", "5e6"], "doppler must be 0 with delay"),
     ],
 )
 def test_af_empty_grid_names_parameter(tmp_path, capsys, args, name):
@@ -516,6 +525,66 @@ def test_af_empty_grid_names_parameter(tmp_path, capsys, args, name):
     assert rc == 1
     assert name in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_af_slice_delay_spans_the_doppler_grid(tmp_path):
+    # With or without an explicit zero Doppler, a delay slice is the mean |AF|
+    # over the default Doppler grid at that delay.
+    args = ["af", "slice", "--delay", "1e-8", "--trials", "4", "--points", "9"]
+    cfg = ofdm_pcs.OfdmConfig()
+    nu_grid = default_nu_grid(cfg, 9)
+    surface = mc_average_af(cfg, make_qam(16), np.array([1e-8]), nu_grid, 4, 0)
+    expected = [[_fmt(nu), _fmt(db)] for nu, db in zip(nu_grid, magnitude_db(surface[0]))]
+    for i, extra in enumerate([[], ["--doppler", "0"]]):
+        out = tmp_path / f"d{i}.csv"
+        assert main(args + extra + ["--out", str(out)]) == 0
+        _, header, rows = read_csv(out)
+        assert header == ["nu", "magnitude_db"] and rows == expected
+
+
+# A small run of every command, and a second valid value for every option.
+_LIVE_BASE = {
+    "constellation dump": [],
+    "pcs solve": [],
+    "pcs sweep": ["--c0", "1.0,1.2"],
+    "af slice": ["--trials", "4", "--points", "17", *_SMALL_OFDM],
+    "af surface": ["--trials", "2", "--tau-points", "5", "--nu-points", "3", *_SMALL_OFDM],
+    "af variance": ["--points", "9", *_SMALL_OFDM],
+    "air sweep-c0": ["--c0", "1.0,1.2", "--mc", "200"],
+    "air sweep-snr": ["--snr", "0,10", "--mc", "200"],
+    "detect pd-sweep": ["--c0", "1.0", "--snr", "0,10", "--trials", "64", "--pfa", "0.01",
+                        "--calib-trials", "200"],
+    "detect calibrate": ["--pfa", "0.01", "--calib-trials", "200"],
+}
+# 32 subcarriers still fit the CFAR windows and expect 100 calibration false
+# alarms; 400 calibration trials move the pd counts of 64 trials, 300 do not.
+_LIVE_VALUE = {
+    "modulation": "psk8", "modulations": "qam16", "c0": "1.3", "snr": "5", "doppler": "0.3",
+    "delay": "0.1", "trials": "5", "points": "11", "tau_points": "7", "nu_points": "5",
+    "seed": "1", "subcarriers": "32", "bandwidth": "16", "oversampling": "2", "sigma2": "0.1",
+    "mc": "300", "pfa": "0.02", "si_db": "20", "offset": "20", "calib_trials": "400",
+    "window": "8", "guard": "1",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_every_option_can_change_the_artifact(tmp_path, command):
+    # A flag that cannot change its command's data would only decorate the
+    # header; --threads alone is taken for speed and never changes a byte.
+    def data(extra):
+        out = tmp_path / "x.out"
+        assert main([*command.split(), *_LIVE_BASE[command], *extra, "--out", str(out)]) == 0, extra
+        text = out.read_text()
+        if text.startswith("{"):
+            return {k: v for k, v in json.loads(text).items() if k != "meta"}
+        return [line for line in text.splitlines() if not line.startswith("#")]
+
+    base = data([])
+    dead = [
+        key for key in _COMMANDS[command][2]
+        if key != "threads" and data(["--" + key.replace("_", "-"), _LIVE_VALUE[key]]) == base
+    ]
+    assert dead == []
 
 
 @pytest.mark.parametrize(

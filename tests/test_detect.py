@@ -81,6 +81,18 @@ def test_matched_filter_noise_floor_tracks_overlap():
         assert profiles[:, cell].mean() == pytest.approx(expected, rel=0.1)
 
 
+def test_noise_profiles_correlate_adjacent_cells_as_the_oversampled_filter():
+    # The matched filter passes L of the N = 4L bins, so the powers of adjacent
+    # noise-only cells correlate by |D(1) / L|^2, D the Dirichlet kernel of
+    # the L bins; 4x oversampling sets this value, the subcarrier spacing does not.
+    L, N = CFG.num_subcarriers, CFG.num_samples
+    closed_form = (np.sin(np.pi * L / N) / (L * np.sin(np.pi / N))) ** 2
+    assert closed_form == pytest.approx(0.8106, abs=1e-4)
+    profiles = noise_profile_sampler(CFG, make_qam(16))(np.random.default_rng(21), 2000)
+    pooled = np.corrcoef(profiles[:, 20:60].ravel(), profiles[:, 21:61].ravel())[0, 1]
+    assert abs(pooled - closed_form) <= 0.01
+
+
 def test_matched_filter_batch_lags_match_direct_sum():
     rng = np.random.default_rng(14)
     rx = rng.standard_normal((3, 2, 40)) + 1j * rng.standard_normal((3, 2, 40))
