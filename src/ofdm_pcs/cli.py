@@ -45,6 +45,7 @@ from .detect import (
     calibrate_alpha,
     check_calibration,
     check_target_cell,
+    instrumented_range,
     noise_profile_sampler,
     pd_experiment,
 )
@@ -155,32 +156,17 @@ def _meta(command: str, resolved: dict) -> dict:
     return {"tool": f"ofdm-pcs {__version__}", "command": command, **{k: resolved[k] for k in kept}}
 
 
-def write_csv(path: str, command: str, resolved: dict, header: list[str], rows) -> None:
-    """Rows are sequences or 1-D arrays.  Each cell prints as ``_fmt``
-    would, the whole row in one ``%`` operation.  A float array row takes
-    ``%.12g`` in every cell, a format string built once per width; any other
-    row builds its format string from the cell types (``%.12g`` for a float,
-    ``%s`` otherwise).  Pass large float tables as arrays, whose ``tolist``
-    yields Python floats.  Each line goes to the file as it is formatted, so
-    the text is never held whole."""
-    float_specs: dict[int, str] = {}
-
-    def format_row(row):
-        if isinstance(row, np.ndarray) and row.dtype.kind == "f":
-            cells = row.tolist()
-            spec = float_specs.get(len(cells))
-            if spec is None:
-                spec = float_specs[len(cells)] = ",".join(["%.12g"] * len(cells))
-        else:
-            cells = row.tolist() if isinstance(row, np.ndarray) else row
-            spec = ",".join(["%.12g" if isinstance(v, (float, np.floating)) else "%s" for v in cells])
-        return spec % tuple(cells) + "\n"
-
-    meta = _meta(command, resolved)
+def write_csv(path: str, command: str, resolved: dict, header: list[str], table) -> None:
+    """``table`` is a 2-D float table, one line per row.  Every cell prints
+    with ``%.12g``, as ``_fmt`` prints a float, through one format string
+    built from the table's width.  Each line goes to the file as it is
+    formatted from its row, so the text is never held whole."""
+    table = np.asarray(table, dtype=float)
+    spec = ",".join(["%.12g"] * table.shape[1]) + "\n"
     with open(path, "w") as fh:
-        fh.writelines(f"# {key} = {_fmt(value)}\n" for key, value in meta.items())
+        fh.writelines(f"# {key} = {_fmt(value)}\n" for key, value in _meta(command, resolved).items())
         fh.write(",".join(header) + "\n")
-        fh.writelines(map(format_row, rows))
+        fh.writelines(spec % tuple(row.tolist()) for row in table)
 
 
 def write_json(path: str, command: str, resolved: dict, payload: dict) -> None:
@@ -199,8 +185,17 @@ def _ofdm_config(opts: dict) -> OfdmConfig:
     return OfdmConfig(**fields)
 
 
-def _cfar_config(opts: dict) -> CfarConfig:
-    return CfarConfig(window_cells=opts["window"], guard_cells=opts["guard"])
+def _cfar_config(opts: dict, cfg: OfdmConfig) -> CfarConfig:
+    """The CFAR windows, checked by their flags' names to fit the profile
+    that ``cfg`` instruments."""
+    cfar = CfarConfig(window_cells=opts["window"], guard_cells=opts["guard"])
+    need, cells = cfar.min_profile_len(), instrumented_range(cfg)
+    if cells < need:
+        raise ValueError(
+            f"window {cfar.window_cells} and guard {cfar.guard_cells} need 2*(window + guard) + 2 = {need} "
+            f"cells; subcarriers {opts['subcarriers']} at oversampling {opts['oversampling']} instrument {cells}"
+        )
+    return cfar
 
 
 def _add_common(parser: argparse.ArgumentParser, leaf: bool = False):
@@ -331,11 +326,10 @@ def _run_pcs_solve(opts: dict) -> dict:
 def _run_pcs_sweep(opts: dict):
     base, grid = opts["modulation"], opts["c0"]
     header = ["c0", "achieved_m4", "gap", "entropy_bits"] + [f"p{q}" for q in range(base.order)]
-    rows = [
+    return header, np.array([
         [c0, s.achieved_m4, s.gap, s.tie_break_entropy, *s.probs]
         for c0, s in zip(grid, sweep_c0(base.amplitudes, grid))
-    ]
-    return header, rows
+    ])
 
 
 def _run_af_slice(opts: dict):
@@ -376,19 +370,20 @@ def _run_air_sweep_c0(opts: dict):
     cfg = AirConfig(opts["sigma2"], opts["mc"], opts["seed"])
     rows = air_vs_c0(opts["modulation"], opts["c0"], cfg, threads=opts["threads"])
     header = ["c0", "rate_bits", "std_error", "gap", "entropy_bits"]
-    return header, [[r["c0"], r["rate"], r["std_error"], r["gap"], r["entropy_bits"]] for r in rows]
+    return header, np.array([[r["c0"], r["rate"], r["std_error"], r["gap"], r["entropy_bits"]] for r in rows])
 
 
 def _run_air_sweep_snr(opts: dict):
     constellations = opts["modulations"]
     rows = air_vs_snr(constellations, opts["snr"], opts["mc"], opts["seed"], threads=opts["threads"])
     header = ["snr_db"] + [f"rate_{name}" for name, _ in constellations]
-    return header, [[r["snr_db"], *(r[name] for name, _ in constellations)] for r in rows]
+    return header, np.array([[r["snr_db"], *(r[name] for name, _ in constellations)] for r in rows])
 
 
 def _run_detect_pd_sweep(opts: dict):
     base, c0_list = opts["modulation"], opts["c0"]
-    cfg, cfar = _ofdm_config(opts), _cfar_config(opts)
+    cfg = _ofdm_config(opts)
+    cfar = _cfar_config(opts, cfg)
     check_target_cell(cfg, cfar, opts["offset"], "offset")
     check_calibration(cfg, opts["calib_trials"], opts["pfa"], ("calib_trials", "pfa"))
     shaped = [base.with_probs(solve_pcs(PcsProblem(base.amplitudes, float(c0))).probs) for c0 in c0_list]
@@ -404,19 +399,19 @@ def _run_detect_pd_sweep(opts: dict):
         calib_trials=opts["calib_trials"],
         seed=opts["seed"],
     )
-    rows = [
-        [float(c0_list[r["curve"]]), r["snr_db"], r["pd"], r["trials"]]
-        for r in pd_experiment(scenario, threads=opts["threads"])
-    ]
-    return ["c0", "snr_db", "pd", "trials"], rows
+    rows = pd_experiment(scenario, threads=opts["threads"])
+    return ["c0", "snr_db", "pd", "trials"], np.array(
+        [[c0_list[r["curve"]], r["snr_db"], r["pd"], r["trials"]] for r in rows]
+    )
 
 
 def _run_detect_calibrate(opts: dict) -> dict:
     cfg = _ofdm_config(opts)
+    cfar = _cfar_config(opts, cfg)
     check_calibration(cfg, opts["calib_trials"], opts["pfa"], ("calib_trials", "pfa"))
     sampler = noise_profile_sampler(cfg, opts["modulation"])
     profiles = sampler(np.random.default_rng(opts["seed"]), opts["calib_trials"])
-    result = calibrate_alpha(_cfar_config(opts), profiles, opts["pfa"])
+    result = calibrate_alpha(cfar, profiles, opts["pfa"])
     print(
         f"alpha = {result.alpha:.6g} (empirical pfa {result.empirical_pfa:.3g} "
         f"over {result.cells} cells)"
@@ -428,8 +423,8 @@ _CFAR_DEFAULTS = {"window": 16, "guard": 2}
 
 # command -> (runner, help, option defaults); the defaults also define the
 # command's flags and their types (see build_parser and _config_value).  A
-# runner returns its artifact: a JSON payload, or a CSV header and rows.  Only
-# a command whose runner starts a worker pool lists ``threads``.
+# runner returns its artifact: a JSON payload, or a CSV header and a 2-D float
+# table.  Only a command whose runner starts a worker pool lists ``threads``.
 _COMMANDS = {
     "constellation dump": (_run_constellation_dump, "write a constellation as JSON", {
         "modulation": "qam16",

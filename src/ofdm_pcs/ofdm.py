@@ -35,6 +35,11 @@ class OfdmConfig:
             raise ValueError(f"num_subcarriers must be a positive integer, got {self.num_subcarriers}")
         if not (self.subcarrier_spacing > 0):
             raise ValueError(f"subcarrier_spacing must be positive, got {self.subcarrier_spacing}")
+        if not (0 < 1.0 / float(self.subcarrier_spacing) < np.inf):
+            raise ValueError(
+                f"subcarrier_spacing {self.subcarrier_spacing} (bandwidth {self.bandwidth}) must give a "
+                f"finite, non-zero symbol duration 1/subcarrier_spacing"
+            )
         if int(self.oversampling) != self.oversampling or self.oversampling < 1:
             raise ValueError(f"oversampling must be a positive integer, got {self.oversampling}")
 

@@ -266,6 +266,7 @@ def test_detect_pd_sweep(tmp_path):
     assert header == ["c0", "snr_db", "pd", "trials"]
     assert len(rows) == 2
     assert float(rows[1][2]) >= float(rows[0][2])
+    assert [row[3] for row in rows] == ["60", "60"]
     assert meta["pfa"] == "0.05"
 
 
@@ -310,6 +311,31 @@ def test_detect_calibration_size_and_pfa_fail_by_flag_before_any_work(
         monkeypatch.setattr(ofdm_pcs.cli, stage, no_work)
     out = tmp_path / "x.out"
     assert main(["detect", command, *flags, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: detect {command}: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    ("command", "flags"),
+    [("pd-sweep", ["--subcarriers", "16", "--trials", "10"]),
+     ("calibrate", ["--subcarriers", "16", "--pfa", "0.01"])],
+    ids=["pd-sweep", "calibrate"],
+)
+def test_detect_cfar_geometry_fails_by_flag_before_any_work(tmp_path, capsys, monkeypatch, command, flags):
+    # 16 subcarriers at 4x oversampling instrument 32 cells, short of the 38
+    # that the default windows need; checked by the flags' names before the
+    # first c0 solve or draw.
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for stage in ("solve_pcs", "pd_experiment", "noise_profile_sampler", "calibrate_alpha"):
+        monkeypatch.setattr(ofdm_pcs.cli, stage, no_work)
+    out = tmp_path / "x.out"
+    assert main(["detect", command, *flags, "--out", str(out)]) == 1
+    message = (
+        "window 16 and guard 2 need 2*(window + guard) + 2 = 38 cells; "
+        "subcarriers 16 at oversampling 4 instrument 32"
+    )
     assert capsys.readouterr().err == f"error: detect {command}: {message}\n"
     assert not out.exists()
 
@@ -363,23 +389,23 @@ def test_csv_cells_print_alike_from_arrays_and_lists(tmp_path):
     for name, rs in rows.items():
         write_csv(str(tmp_path / f"{name}.csv"), "t", {}, ["h"], rs)
         assert (tmp_path / f"{name}.csv").read_text().splitlines()[-1] == expected
-    # a non-float cell (the pd trials column) prints through str
+    # an integer cell (the pd trials column) prints without a point
     write_csv(str(tmp_path / "mixed.csv"), "t", {}, ["h"], [[0.5, 5000, np.int64(7)]])
     assert (tmp_path / "mixed.csv").read_text().splitlines()[-1] == "0.5,5000,7"
     # Signed zero, exponent form at both ends, a float32 (printed as the float
-    # it holds), a bool and a numpy integer, from a list and from arrays.
-    odd = [-0.0, 1e16, 1e-5, np.float32(0.1), True, np.int64(-3)]
-    expected = "-0,1e+16,1e-05,0.10000000149,True,-3"
+    # it holds) and a numpy integer, from a list and from arrays.
+    odd = [-0.0, 1e16, 1e-5, np.float32(0.1), np.int64(-3)]
+    expected = "-0,1e+16,1e-05,0.10000000149,-3"
     typed = [np.array([-0.0, 1e16, 1e-5]), np.array([0.1], dtype=np.float32),
-             np.array([True]), np.array([-3], dtype=np.int64)]
+             np.array([-3], dtype=np.int64)]
     cases = [
-        ([odd], [expected]),
-        ([np.array(odd, dtype=object)], [expected]),
-        (typed, ["-0,1e+16,1e-05", "0.10000000149", "True", "-3"]),
+        ([odd], expected),
+        ([np.array(odd, dtype=object)], expected),
+        *(([row], line) for row, line in zip(typed, ["-0,1e+16,1e-05", "0.10000000149", "-3"])),
     ]
-    for i, (rs, lines) in enumerate(cases):
-        write_csv(str(tmp_path / f"odd{i}.csv"), "t", {}, ["h"], rs)
-        assert (tmp_path / f"odd{i}.csv").read_text().splitlines()[-len(rs):] == lines
+    for i, (table, line) in enumerate(cases):
+        write_csv(str(tmp_path / f"odd{i}.csv"), "t", {}, ["h"], table)
+        assert (tmp_path / f"odd{i}.csv").read_text().splitlines()[-1] == line
 
 
 def test_csv_float_array_rows_print_as_fmt_cell_by_cell(tmp_path):
@@ -518,6 +544,8 @@ _SMALL_OFDM = ["--subcarriers", "8", "--bandwidth", "8"]
         (["air", "sweep-c0", "--mc", "0"], "mc must be >= 1, got 0"),
         # A delay slice spans the Doppler grid, so a Doppler would only decorate it.
         (["af", "slice", "--delay", "1e-8", "--doppler", "5e6"], "doppler must be 0 with delay"),
+        # A spacing of 1.6e-320 Hz has no finite symbol duration 1/df.
+        (["af", "variance", "--bandwidth", "1e-318"], "bandwidth"),
     ],
 )
 def test_af_empty_grid_names_parameter(tmp_path, capsys, args, name):

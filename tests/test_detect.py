@@ -27,6 +27,8 @@ from ofdm_pcs.mc import map_chunks
 from ofdm_pcs.ofdm import OfdmConfig, symbol_signal_batch
 from ofdm_pcs.pcs import PcsProblem, solve_pcs
 
+from noise_oracles import band_limited_noise_profiles
+
 CFG = OfdmConfig(num_subcarriers=64, subcarrier_spacing=1.5625e6, oversampling=4)
 
 
@@ -91,6 +93,20 @@ def test_noise_profiles_correlate_adjacent_cells_as_the_oversampled_filter():
     profiles = noise_profile_sampler(CFG, make_qam(16))(np.random.default_rng(21), 2000)
     pooled = np.corrcoef(profiles[:, 20:60].ravel(), profiles[:, 21:61].ravel())[0, 1]
     assert abs(pooled - closed_form) <= 0.01
+
+
+def test_calibrated_alpha_matches_the_band_limited_noise_model():
+    # White noise kept to the L subcarrier bins stands in for the matched
+    # filter's noise output; at Pfa 0.05 over 4,000 profiles each alpha reads
+    # about 5.15 with a seed-to-seed spread of about 0.03.  Independent cells
+    # read about 3.77, so the band tells the correlated profile apart.
+    def alpha(profiles):
+        return calibrate_alpha(CfarConfig(), profiles, 0.05).alpha
+
+    model = alpha(band_limited_noise_profiles(np.random.default_rng(100), 4000))
+    experiment = alpha(noise_profile_sampler(CFG, make_qam(16))(np.random.default_rng(200), 4000))
+    independent = alpha(exponential_profiles()(np.random.default_rng(300), 4000))
+    assert abs(experiment - model) <= 0.15 < abs(independent - model)
 
 
 def test_matched_filter_batch_lags_match_direct_sum():

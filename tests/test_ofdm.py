@@ -18,6 +18,10 @@ def test_config_validation():
         OfdmConfig(num_subcarriers=0)
     with pytest.raises(ValueError):
         OfdmConfig(subcarrier_spacing=0.0)
+    # The symbol duration 1/df must be finite and non-zero.
+    for spacing in (np.inf, 1e-320):
+        with pytest.raises(ValueError, match="subcarrier_spacing"):
+            OfdmConfig(subcarrier_spacing=spacing)
     with pytest.raises(ValueError):
         OfdmConfig(oversampling=0)
 
