@@ -2,20 +2,23 @@
 
 Subcommands: ``constellation dump``, ``pcs solve|sweep``,
 ``af surface|slice|variance``, ``air sweep-c0|sweep-snr``,
-``detect pd-sweep|calibrate``.
+``detect pd-sweep``.
 
 Option precedence is defaults < JSON config file (``--config``) < flags.
 A command takes a flag only if the flag can change its artifact, so the AF
-commands take ``--bandwidth`` and the detect commands ``--oversampling``.
+commands take ``--bandwidth`` and ``detect pd-sweep`` ``--oversampling``.
 ``--threads`` is the one exception: it is offered only by the commands that
 run a worker pool (``af slice|surface``, ``air sweep-c0|sweep-snr`` and
 ``detect pd-sweep``), never changes any output byte and is left out of the
 header.  Every output file starts with comment lines recording the tool
 version and the resolved parameters, so identical invocations produce
-byte-identical artifacts.  Seeds are explicit flags (default 0), never
-environment state.  Each option is declared once, in ``_COMMANDS``: its
-default gives the flag's type, and a config-file value must have that type
-too.  A config key must be some command's option.
+byte-identical artifacts.  ``detect pd-sweep``, the one command that
+calibrates the CFAR threshold, adds after them each curve's calibrated
+alpha, the empirical false-alarm rate it reached and the calibration's cell
+count.  Seeds are explicit flags (default 0), never environment state.
+Each option is declared once, in ``_COMMANDS``: its default gives the
+flag's type, and a config-file value must have that type too.  A config
+key must be some command's option.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -42,11 +44,9 @@ from .constellation import Constellation, make_psk, make_qam
 from .detect import (
     CfarConfig,
     DetectionScenario,
-    calibrate_alpha,
     check_calibration,
     check_target_cell,
     instrumented_range,
-    noise_profile_sampler,
     pd_experiment,
 )
 from .ofdm import OfdmConfig, check_db
@@ -156,15 +156,17 @@ def _meta(command: str, resolved: dict) -> dict:
     return {"tool": f"ofdm-pcs {__version__}", "command": command, **{k: resolved[k] for k in kept}}
 
 
-def write_csv(path: str, command: str, resolved: dict, header: list[str], table) -> None:
+def write_csv(path: str, command: str, resolved: dict, header: list[str], table, results=None) -> None:
     """``table`` is a 2-D float table, one line per row.  Every cell prints
     with ``%.12g``, as ``_fmt`` prints a float, through one format string
     built from the table's width.  Each line goes to the file as it is
-    formatted from its row, so the text is never held whole."""
+    formatted from its row, so the text is never held whole.  The
+    ``results`` (key, value) pairs follow the option lines as ``#`` lines."""
     table = np.asarray(table, dtype=float)
     spec = ",".join(["%.12g"] * table.shape[1]) + "\n"
+    lines = {**_meta(command, resolved), **(results or {})}
     with open(path, "w") as fh:
-        fh.writelines(f"# {key} = {_fmt(value)}\n" for key, value in _meta(command, resolved).items())
+        fh.writelines(f"# {key} = {_fmt(value)}\n" for key, value in lines.items())
         fh.write(",".join(header) + "\n")
         fh.writelines(spec % tuple(row.tolist()) for row in table)
 
@@ -176,26 +178,13 @@ def write_json(path: str, command: str, resolved: dict, payload: dict) -> None:
 
 def _ofdm_config(opts: dict) -> OfdmConfig:
     """Spacing ``bandwidth / subcarriers`` for the AF commands, oversampling for
-    the detect commands; the field a command lacks stays at its default."""
+    ``detect pd-sweep``; the field a command lacks stays at its default."""
     fields = {"num_subcarriers": opts["subcarriers"]}
     if "bandwidth" in opts:
         fields["subcarrier_spacing"] = opts["bandwidth"] / opts["subcarriers"]
     if "oversampling" in opts:
         fields["oversampling"] = opts["oversampling"]
     return OfdmConfig(**fields)
-
-
-def _cfar_config(opts: dict, cfg: OfdmConfig) -> CfarConfig:
-    """The CFAR windows, checked by their flags' names to fit the profile
-    that ``cfg`` instruments."""
-    cfar = CfarConfig(window_cells=opts["window"], guard_cells=opts["guard"])
-    need, cells = cfar.min_profile_len(), instrumented_range(cfg)
-    if cells < need:
-        raise ValueError(
-            f"window {cfar.window_cells} and guard {cfar.guard_cells} need 2*(window + guard) + 2 = {need} "
-            f"cells; subcarriers {opts['subcarriers']} at oversampling {opts['oversampling']} instrument {cells}"
-        )
-    return cfar
 
 
 def _add_common(parser: argparse.ArgumentParser, leaf: bool = False):
@@ -225,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "--" + key.replace("_", "-"), default=None,
                 type=float if default is None else type(default), help=_HELP.get(key),
             )
-        leaf.add_argument("--out", required=command != "detect calibrate")
+        leaf.add_argument("--out", required=True)
         _add_common(leaf, leaf=True)
     return parser
 
@@ -383,8 +372,8 @@ def _run_air_sweep_snr(opts: dict):
 def _run_detect_pd_sweep(opts: dict):
     base, c0_list = opts["modulation"], opts["c0"]
     cfg = _ofdm_config(opts)
-    cfar = _cfar_config(opts, cfg)
-    check_target_cell(cfg, cfar, opts["offset"], "offset")
+    cfar = CfarConfig(window_cells=opts["window"], guard_cells=opts["guard"])
+    check_target_cell(cfg, cfar, opts["offset"], ("offset", "window", "guard", "subcarriers", "oversampling"))
     check_calibration(cfg, opts["calib_trials"], opts["pfa"], ("calib_trials", "pfa"))
     shaped = [base.with_probs(solve_pcs(PcsProblem(base.amplitudes, float(c0))).probs) for c0 in c0_list]
     scenario = DetectionScenario(
@@ -400,31 +389,23 @@ def _run_detect_pd_sweep(opts: dict):
         seed=opts["seed"],
     )
     rows = pd_experiment(scenario, threads=opts["threads"])
+    # Each curve's first row carries its calibration, in --c0 order.
+    curves = rows[:: len(opts["snr"])]
+    results = {
+        "alpha": ",".join(_fmt(r["alpha"]) for r in curves),
+        "empirical_pfa": ",".join(_fmt(r["empirical_pfa"]) for r in curves),
+        "calib_cells": opts["calib_trials"] * instrumented_range(cfg),
+    }
     return ["c0", "snr_db", "pd", "trials"], np.array(
         [[c0_list[r["curve"]], r["snr_db"], r["pd"], r["trials"]] for r in rows]
-    )
+    ), results
 
-
-def _run_detect_calibrate(opts: dict) -> dict:
-    cfg = _ofdm_config(opts)
-    cfar = _cfar_config(opts, cfg)
-    check_calibration(cfg, opts["calib_trials"], opts["pfa"], ("calib_trials", "pfa"))
-    sampler = noise_profile_sampler(cfg, opts["modulation"])
-    profiles = sampler(np.random.default_rng(opts["seed"]), opts["calib_trials"])
-    result = calibrate_alpha(cfar, profiles, opts["pfa"])
-    print(
-        f"alpha = {result.alpha:.6g} (empirical pfa {result.empirical_pfa:.3g} "
-        f"over {result.cells} cells)"
-    )
-    return asdict(result)
-
-
-_CFAR_DEFAULTS = {"window": 16, "guard": 2}
 
 # command -> (runner, help, option defaults); the defaults also define the
 # command's flags and their types (see build_parser and _config_value).  A
-# runner returns its artifact: a JSON payload, or a CSV header and a 2-D float
-# table.  Only a command whose runner starts a worker pool lists ``threads``.
+# runner returns its artifact: a JSON payload, or a CSV header, a 2-D float
+# table and, for ``detect pd-sweep``, its result lines.  Only a command whose
+# runner starts a worker pool lists ``threads``.
 _COMMANDS = {
     "constellation dump": (_run_constellation_dump, "write a constellation as JSON", {
         "modulation": "qam16",
@@ -458,11 +439,7 @@ _COMMANDS = {
         "modulation": "qam16", "c0": "1.0,1.32,1.64", "snr": "-5:1:20",
         "trials": 5000, "pfa": 1e-3, "si_db": 10.0, "offset": 8,
         "calib_trials": 1000, "seed": 0, "threads": 1, "subcarriers": 64, "oversampling": 4,
-        **_CFAR_DEFAULTS,
-    }),
-    "detect calibrate": (_run_detect_calibrate, "calibrate the CFAR threshold multiplier", {
-        "modulation": "qam16", "pfa": 1e-3, "calib_trials": 1000, "seed": 0,
-        "subcarriers": 64, "oversampling": 4, **_CFAR_DEFAULTS,
+        "window": 16, "guard": 2,
     }),
 }
 
@@ -475,9 +452,7 @@ def main(argv=None) -> int:
         opts = _resolve(args, command)
         artifact = _COMMANDS[command][0](_inputs(command, opts))
         if isinstance(artifact, dict):
-            # Only detect calibrate may run without --out; it prints alpha.
-            if opts["out"] is not None:
-                write_json(opts["out"], command, opts, artifact)
+            write_json(opts["out"], command, opts, artifact)
         else:
             write_csv(opts["out"], command, opts, *artifact)
     except Exception as exc:  # noqa: BLE001 - CLI boundary

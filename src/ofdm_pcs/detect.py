@@ -301,16 +301,26 @@ def instrumented_range(cfg: OfdmConfig) -> int:
     return cfg.num_samples // 2
 
 
-def check_target_cell(cfg: OfdmConfig, cfar: CfarConfig, offset: int, name: str = "target_cell_offset") -> None:
+def check_target_cell(
+    cfg: OfdmConfig, cfar: CfarConfig, offset: int,
+    names=("target_cell_offset", "window_cells", "guard_cells", "num_subcarriers", "oversampling"),
+) -> None:
     """Raise ValueError unless the CFAR windows fit the instrumented profile
     and the target cell ``offset`` lies in it, past the guard cells that
-    the self-interference occupies; the message names the option ``name``."""
-    n = instrumented_range(cfg)
-    if n < cfar.min_profile_len():
-        raise ValueError("instrumented profile is too short for the CFAR geometry")
+    the self-interference occupies; the messages name the options ``names``:
+    the offset's, the window's, the guard's, the subcarrier count's and the
+    oversampling's."""
+    offset_name, window, guard, subcarriers, oversampling = names
+    n, need = instrumented_range(cfg), cfar.min_profile_len()
+    if n < need:
+        raise ValueError(
+            f"{window} {cfar.window_cells} and {guard} {cfar.guard_cells} need "
+            f"2*({window} + {guard}) + 2 = {need} cells; "
+            f"{subcarriers} {cfg.num_subcarriers} at {oversampling} {cfg.oversampling} instrument {n}"
+        )
     if not (cfar.guard_cells < offset < n):
         raise ValueError(
-            f"{name} must lie in {cfar.guard_cells + 1}..{n - 1} (the instrumented profile, "
+            f"{offset_name} must lie in {cfar.guard_cells + 1}..{n - 1} (the instrumented profile, "
             f"clear of the interference guard region), got {offset}"
         )
 
@@ -380,10 +390,11 @@ class DetectionScenario:
 
     The CFAR monitors, and calibrates on, the first
     :func:`instrumented_range` cells of each profile.  The dB fields must be
-    finite and within the bound of :func:`ofdm.check_db`, and, unless
-    ``cfar`` carries an alpha, ``calib_trials`` must calibrate to
-    ``pfa_target`` (:func:`check_calibration`); all are checked here before
-    any draw or calibration.
+    finite and within the bound of :func:`ofdm.check_db`; unless ``cfar``
+    carries an alpha, ``calib_trials`` must calibrate to ``pfa_target``
+    (:func:`check_calibration`); and the CFAR windows must fit the
+    instrumented range with the target cell in it (:func:`check_target_cell`).
+    All are checked here, by field name, before any draw or calibration.
     """
 
     cfg: OfdmConfig
@@ -441,19 +452,22 @@ def pd_experiment(scn: DetectionScenario, *, threads: int = 1) -> list[dict]:
     the stacked parts and every SNR point is decided from those quadratics by
     the SO-CFAR rule at that one cell.  Threads split the chunks and the
     integer hit counts are summed, so the result does not depend on the
-    thread count.  Returns rows ``{"curve", "alpha", "snr_db", "pd",
-    "trials"}`` curve by curve, ``curve`` indexing ``scn.constellations``.
+    thread count.  Returns rows ``{"curve", "alpha", "empirical_pfa",
+    "snr_db", "pd", "trials"}`` curve by curve, ``curve`` indexing
+    ``scn.constellations``; ``empirical_pfa`` is the calibration's
+    (:class:`CalibrationResult`), None for a supplied alpha.
     """
     cfg, grid, cfar = scn.cfg, scn.snr_grid_db, scn.cfar
     calib_seed, draw_seed = np.random.SeedSequence(scn.seed).spawn(2)
     if cfar.alpha is None:
         draws = _curve_draws(cfg, scn.constellations, np.random.default_rng(calib_seed), scn.calib_trials)
-        alphas = [
-            calibrate_alpha(cfar, _noise_profiles(cfg, symbols, noise), scn.pfa_target).alpha
+        results = (
+            calibrate_alpha(cfar, _noise_profiles(cfg, symbols, noise), scn.pfa_target)
             for symbols, noise in draws
-        ]
+        )
+        calibrations = [(r.alpha, r.empirical_pfa) for r in results]
     else:
-        alphas = [cfar.alpha] * len(scn.constellations)
+        calibrations = [(cfar.alpha, None)] * len(scn.constellations)
 
     num = cfg.num_subcarriers
     n_samples = cfg.num_samples
@@ -489,11 +503,14 @@ def pd_experiment(scn: DetectionScenario, *, threads: int = 1) -> list[dict]:
 
     def chunk_hits(rng: np.random.Generator, count: int) -> np.ndarray:  # (curve, snr)
         draws = _curve_draws(cfg, scn.constellations, rng, count)
-        return np.array([curve_hits(symbols, noise, alpha) for (symbols, noise), alpha in zip(draws, alphas)])
+        return np.array([
+            curve_hits(symbols, noise, alpha) for (symbols, noise), (alpha, _) in zip(draws, calibrations)
+        ])
 
     hits = sum(map_chunks(chunk_hits, draw_seed, scn.trials, PD_CHUNK, threads))
     return [
-        {"curve": curve, "alpha": alpha, "snr_db": float(snr), "pd": int(h) / scn.trials, "trials": scn.trials}
-        for curve, (alpha, row) in enumerate(zip(alphas, hits))
+        {"curve": curve, "alpha": alpha, "empirical_pfa": pfa, "snr_db": float(snr),
+         "pd": int(h) / scn.trials, "trials": scn.trials}
+        for curve, ((alpha, pfa), row) in enumerate(zip(calibrations, hits))
         for snr, h in zip(grid, row)
     ]

@@ -22,6 +22,8 @@ from ofdm_pcs.cli import (
 )
 import ofdm_pcs
 from ofdm_pcs.constellation import Constellation, make_qam
+from ofdm_pcs.detect import CfarConfig, calibrate_alpha, noise_profile_sampler
+from ofdm_pcs.pcs import PcsProblem, solve_pcs
 
 from af_oracles import af_self_part
 
@@ -246,17 +248,6 @@ def test_air_sweep_snr_rejects_json_stem_naming_another_column(tmp_path, capsys)
     assert not out.exists()
 
 
-def test_detect_calibrate(tmp_path, capsys):
-    out = tmp_path / "alpha.json"
-    assert main(["detect", "calibrate", "--pfa", "0.02", "--calib-trials", "60",
-                 "--seed", "3", "--out", str(out)]) == 0
-    printed = capsys.readouterr().out
-    assert "alpha" in printed
-    doc = json.loads(out.read_text())
-    assert doc["alpha"] > 0
-    assert doc["empirical_pfa"] == pytest.approx(0.02, rel=0.2)
-
-
 def test_detect_pd_sweep(tmp_path):
     out = tmp_path / "pd.csv"
     assert main(["detect", "pd-sweep", "--c0", "1.0", "--snr", "0,15",
@@ -268,6 +259,39 @@ def test_detect_pd_sweep(tmp_path):
     assert float(rows[1][2]) >= float(rows[0][2])
     assert [row[3] for row in rows] == ["60", "60"]
     assert meta["pfa"] == "0.05"
+
+
+def test_pd_sweep_records_each_curves_calibration(tmp_path):
+    # pd-sweep calibrates every curve from child 0 of --seed, each replaying
+    # the same generator state, so its lines hold what calibrate_alpha gives
+    # on a one-curve sampler's profiles drawn from that child, at any thread count.
+    flags = ["--c0", "1.0,1.64", "--snr", "0", "--trials", "8", "--pfa", "0.01",
+             "--calib-trials", "100", "--seed", "3"]
+    texts = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"pd-t{threads}.csv"
+        assert main(["detect", "pd-sweep", *flags, "--threads", threads, "--out", str(out)]) == 0
+        texts.append(out.read_text())
+    assert texts[0] == texts[1]
+    # The calibration lines follow the option lines.
+    comments = [line.split(" = ")[0] for line in texts[0].splitlines() if line.startswith("#")]
+    assert comments[-4:] == ["# window", "# alpha", "# empirical_pfa", "# calib_cells"]
+    meta, _, _ = read_csv(tmp_path / "pd-t1.csv")
+    base, cfg = make_qam(16), ofdm_pcs.OfdmConfig()
+    calib_seed = np.random.SeedSequence(3).spawn(2)[0]
+    results = []
+    for c0 in (1.0, 1.64):
+        shaped = base.with_probs(solve_pcs(PcsProblem(base.amplitudes, c0)).probs)
+        profiles = noise_profile_sampler(cfg, shaped)(np.random.default_rng(calib_seed), 100)
+        results.append(calibrate_alpha(CfarConfig(), profiles, 0.01))
+    assert meta["alpha"] == ",".join(_fmt(r.alpha) for r in results)
+    assert meta["empirical_pfa"] == ",".join(_fmt(r.empirical_pfa) for r in results)
+    assert meta["calib_cells"] == str(results[0].cells) == "12800"
+    assert all(float(v) <= 0.01 for v in meta["empirical_pfa"].split(","))
+    # pd-sweep is the one command that calibrates; detect calibrate is gone.
+    with pytest.raises(SystemExit) as exc:
+        main(["detect", "calibrate", "--out", str(tmp_path / "alpha.json")])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("offset", ["-1", "2", "128"])
@@ -288,7 +312,7 @@ def test_pd_sweep_offset_outside_profile_fails_before_any_solve(tmp_path, capsys
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["pd-sweep", "calibrate"])
+@pytest.mark.parametrize("command", ["pd-sweep"])
 @pytest.mark.parametrize(
     ("flags", "message"),
     [
@@ -307,7 +331,7 @@ def test_detect_calibration_size_and_pfa_fail_by_flag_before_any_work(
     def no_work(*args, **kwargs):
         raise AssertionError("work started")
 
-    for stage in ("solve_pcs", "pd_experiment", "noise_profile_sampler", "calibrate_alpha"):
+    for stage in ("solve_pcs", "pd_experiment"):
         monkeypatch.setattr(ofdm_pcs.cli, stage, no_work)
     out = tmp_path / "x.out"
     assert main(["detect", command, *flags, "--out", str(out)]) == 1
@@ -316,28 +340,42 @@ def test_detect_calibration_size_and_pfa_fail_by_flag_before_any_work(
 
 
 @pytest.mark.parametrize(
-    ("command", "flags"),
-    [("pd-sweep", ["--subcarriers", "16", "--trials", "10"]),
-     ("calibrate", ["--subcarriers", "16", "--pfa", "0.01"])],
-    ids=["pd-sweep", "calibrate"],
+    "flags",
+    [["--subcarriers", "16", "--trials", "10"], ["--subcarriers", "16", "--pfa", "0.01"]],
+    ids=["pd-sweep", "pd-sweep-pfa"],
 )
-def test_detect_cfar_geometry_fails_by_flag_before_any_work(tmp_path, capsys, monkeypatch, command, flags):
+def test_detect_cfar_geometry_fails_by_flag_before_any_work(tmp_path, capsys, monkeypatch, flags):
     # 16 subcarriers at 4x oversampling instrument 32 cells, short of the 38
     # that the default windows need; checked by the flags' names before the
     # first c0 solve or draw.
     def no_work(*args, **kwargs):
         raise AssertionError("work started")
 
-    for stage in ("solve_pcs", "pd_experiment", "noise_profile_sampler", "calibrate_alpha"):
+    for stage in ("solve_pcs", "pd_experiment"):
         monkeypatch.setattr(ofdm_pcs.cli, stage, no_work)
     out = tmp_path / "x.out"
-    assert main(["detect", command, *flags, "--out", str(out)]) == 1
+    assert main(["detect", "pd-sweep", *flags, "--out", str(out)]) == 1
     message = (
         "window 16 and guard 2 need 2*(window + guard) + 2 = 38 cells; "
         "subcarriers 16 at oversampling 4 instrument 32"
     )
-    assert capsys.readouterr().err == f"error: detect {command}: {message}\n"
+    assert capsys.readouterr().err == f"error: detect pd-sweep: {message}\n"
     assert not out.exists()
+
+
+def test_pd_sweep_calibration_lines_do_not_depend_on_the_trials_or_snr_grid(tmp_path):
+    # Calibration draws from child 0 of --seed and the trials from child 1,
+    # so the pd trials and the SNR grid change the rows, never the calibration.
+    def calibration(extra):
+        out = tmp_path / "pd.csv"
+        assert main(["detect", "pd-sweep", "--c0", "1.0,1.32", "--pfa", "0.01", "--calib-trials", "100",
+                     *extra, "--out", str(out)]) == 0
+        meta, _, rows = read_csv(out)
+        return [meta[key] for key in ("alpha", "empirical_pfa", "calib_cells")], rows
+
+    lines, rows = calibration(["--snr", "0", "--trials", "8"])
+    other_lines, other_rows = calibration(["--snr", "0,10", "--trials", "16"])
+    assert lines == other_lines and rows != other_rows
 
 
 def test_csv_header_records_tool_and_seed(tmp_path):
@@ -354,8 +392,8 @@ def test_csv_header_records_tool_and_seed(tmp_path):
     assert "out" not in meta and "threads" not in meta
 
 
+# The commands that draw nothing, which are also those that run no worker pool.
 _UNSEEDED = ["constellation dump", "pcs solve", "pcs sweep", "af variance"]
-_POOLLESS = [*_UNSEEDED, "detect calibrate"]
 
 
 @pytest.mark.parametrize(
@@ -364,13 +402,12 @@ _POOLLESS = [*_UNSEEDED, "detect calibrate"]
         # These commands draw nothing, so a seed could only decorate the artifact.
         *(pytest.param(c, "--seed", "1", id=c) for c in _UNSEEDED),
         # These run no worker pool, so a thread cap could change nothing.
-        *(pytest.param(c, "--threads", "2", id=f"{c} --threads") for c in _POOLLESS),
+        *(pytest.param(c, "--threads", "2", id=f"{c} --threads") for c in _UNSEEDED),
         # The closed-form AF depends only on the subcarriers and their spacing,
         # and detection counts range cells in samples, so neither reads the flag.
         *(pytest.param(c, "--oversampling", "16", id=f"{c} --oversampling")
           for c in ("af slice", "af surface", "af variance")),
-        *(pytest.param(c, "--bandwidth", "3e9", id=f"{c} --bandwidth")
-          for c in ("detect pd-sweep", "detect calibrate")),
+        pytest.param("detect pd-sweep", "--bandwidth", "3e9", id="detect pd-sweep --bandwidth"),
     ],
 )
 def test_unseeded_commands_reject_seed(tmp_path, capsys, command, flag, value):
@@ -512,7 +549,7 @@ _SMALL_OFDM = ["--subcarriers", "8", "--bandwidth", "8"]
         (["af", "variance", "--points", "0", *_SMALL_OFDM], "tau_grid"),
         (["detect", "pd-sweep", "--snr", "", "--trials", "2"], "snr is empty"),
         (["detect", "pd-sweep", "--c0", "", "--trials", "2"], "c0"),
-        (["detect", "calibrate", "--calib-trials", "0"], "calib_trials"),
+        (["detect", "pd-sweep", "--calib-trials", "0"], "calib_trials"),
         (["air", "sweep-c0", "--c0", "", "--mc", "10"], "c0 is empty"),
         (["air", "sweep-snr", "--snr", "", "--mc", "10"], "snr is empty"),
         (["air", "sweep-snr", "--modulations", "", "--mc", "10"], "modulations is empty"),
@@ -539,8 +576,8 @@ _SMALL_OFDM = ["--subcarriers", "8", "--bandwidth", "8"]
         (["af", "surface", "--nu-points", "-2", "--trials", "2", *_SMALL_OFDM], "nu_grid"),
         # Integer options name their flag and fail before any work.
         (["af", "slice", "--trials", "0", *_SMALL_OFDM], "trials must be >= 1, got 0"),
-        (["detect", "calibrate", "--window", "0"], "window must be >= 1, got 0"),
-        (["detect", "calibrate", "--guard", "-1"], "guard must be >= 0, got -1"),
+        (["detect", "pd-sweep", "--window", "0"], "window must be >= 1, got 0"),
+        (["detect", "pd-sweep", "--guard", "-1"], "guard must be >= 0, got -1"),
         (["air", "sweep-c0", "--mc", "0"], "mc must be >= 1, got 0"),
         # A delay slice spans the Doppler grid, so a Doppler would only decorate it.
         (["af", "slice", "--delay", "1e-8", "--doppler", "5e6"], "doppler must be 0 with delay"),
@@ -582,7 +619,6 @@ _LIVE_BASE = {
     "air sweep-snr": ["--snr", "0,10", "--mc", "200"],
     "detect pd-sweep": ["--c0", "1.0", "--snr", "0,10", "--trials", "64", "--pfa", "0.01",
                         "--calib-trials", "200"],
-    "detect calibrate": ["--pfa", "0.01", "--calib-trials", "200"],
 }
 # 32 subcarriers still fit the CFAR windows and expect 100 calibration false
 # alarms; 400 calibration trials move the pd counts of 64 trials, 300 do not.
@@ -705,7 +741,7 @@ def test_sigma2_must_be_positive_before_any_solve(tmp_path, capsys, monkeypatch,
 )
 def test_threads_below_one_exits_nonzero(tmp_path, capsys, args, threads):
     argv = args + ["--threads", threads, "--out", str(tmp_path / "x.csv")]
-    if " ".join(args[:2]) in _POOLLESS:
+    if " ".join(args[:2]) in _UNSEEDED:
         # no --threads flag to take the value
         with pytest.raises(SystemExit) as exc:
             main(argv)
