@@ -32,6 +32,7 @@ import numpy as np
 
 from .constellation import Constellation, IndexSampler
 from .mc import map_chunks, map_ordered
+from .ofdm import check_db
 from .pcs import PcsProblem, solve_pcs
 
 _LOG2E = math.log2(math.e)
@@ -47,7 +48,9 @@ _EXP_FLOOR = -700.0
 @dataclass(frozen=True)
 class AirConfig:
     """Monte-Carlo settings of :func:`air_mc`; ``noise_variance`` is a float
-    or a non-empty 1-D grid of them."""
+    or a non-empty 1-D grid of them, each of level ``10 log10 sigma^2``
+    within the bound of :func:`ofdm.check_db`, where ``1/sigma^2`` and the
+    squared distances stay finite."""
 
     noise_variance: float | np.ndarray
     mc_trials: int = 200_000
@@ -61,6 +64,7 @@ class AirConfig:
             )
         if not ((grid > 0) & (grid < np.inf)).all():
             raise ValueError(f"noise_variance must be positive and finite, got {grid.tolist()}")
+        check_db(10.0 * np.log10(grid), "10 log10 noise_variance")
         if self.mc_trials < 1:
             raise ValueError(f"mc_trials must be >= 1, got {self.mc_trials}")
 
@@ -182,50 +186,43 @@ def air_vs_c0(
     cfg: AirConfig,
     *,
     threads: int = 1,
-) -> list[dict]:
+) -> tuple[list, AirEstimate]:
     """Shape the base constellation for each target, then estimate its rate.
 
-    Returns one row per c0 with keys ``c0, rate, std_error, gap,
-    entropy_bits``.  The targets are shaped first, serially; row i's rate is
-    ``air_mc(shaped_i, cfg)``, every row drawing from ``cfg.seed``, and the
-    rows run on up to ``threads`` workers.
+    Returns each c0's :func:`solve_pcs` solution and one :class:`AirEstimate`
+    over ``c0_grid``.  The targets are shaped first, serially; entry i is
+    ``air_mc(shaped_i, cfg)``, every entry drawing from ``cfg.seed``, and the
+    entries run on up to ``threads`` workers.
     """
     grid = np.asarray(c0_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("c0_grid must be a non-empty 1-D list")
     sols = [solve_pcs(PcsProblem(base.amplitudes, c0)) for c0 in grid]
     ests = map_ordered(lambda sol: air_mc(base.with_probs(sol.probs), cfg), sols, threads)
-    return [
-        {"c0": float(c0), "rate": est.rate, "std_error": est.std_error, "gap": sol.gap,
-         "entropy_bits": sol.tie_break_entropy}
-        for c0, sol, est in zip(grid, sols, ests)
-    ]
+    return sols, AirEstimate(np.array([e.rate for e in ests]), np.array([e.std_error for e in ests]))
 
 
 def air_vs_snr(
-    constellations: list[tuple[str, Constellation]],
+    constellations: list[Constellation],
     snr_grid_db,
     mc_trials: int,
     seed,
     *,
     threads: int = 1,
-) -> list[dict]:
-    """Rate series over an SNR grid, one column per named constellation.
+) -> AirEstimate:
+    """Rates over an SNR grid as one (constellation, snr) :class:`AirEstimate`.
 
     Each constellation is one :func:`air_mc` call over the whole grid's
-    noise variances at ``seed``, so cell (snr, c) equals
+    noise variances at ``seed``, so entry (c, snr) equals
     ``air_mc(c, AirConfig(sigma2_from_snr_db(snr), mc_trials, seed))`` and a
-    column does not depend on the other columns; the calls run on up to
-    ``threads`` workers.
+    constellation's row does not depend on the others; the calls run on up
+    to ``threads`` workers.
     """
     grid = np.asarray(snr_grid_db, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("snr_grid_db must be a non-empty 1-D list")
     if not constellations:
-        raise ValueError("constellations is empty: need at least one named constellation")
+        raise ValueError("constellations is empty: need at least one constellation")
     cfg = AirConfig(np.array([sigma2_from_snr_db(snr) for snr in grid]), mc_trials, seed)
-    ests = map_ordered(lambda named: air_mc(named[1], cfg), constellations, threads)
-    return [
-        {"snr_db": float(snr), **{name: float(est.rate[i]) for (name, _), est in zip(constellations, ests)}}
-        for i, snr in enumerate(grid)
-    ]
+    ests = map_ordered(lambda c: air_mc(c, cfg), constellations, threads)
+    return AirEstimate(np.array([e.rate for e in ests]), np.array([e.std_error for e in ests]))

@@ -6,9 +6,9 @@ per delay as one Doppler kernel (:func:`_delay_terms`) whose sinc envelope is
 taken once per distinct kernel frequency ``m df - nu``.  Everything else
 reads that kernel.  It factors as K = carrier phase . S . nu phase, a real
 envelope S between two unit-modulus phases.  :func:`_af_at_delay` applies it
-to every draw's lag products.  On a grid of one Doppler both phases are
-folded into one complex kernel column, which is taken to the spectral domain
-once per delay (:func:`_spectral`): the AF is then one complex product of
+to every draw's lag products.  On a grid of one Doppler :func:`_spectral`
+folds both phases into one complex kernel column and takes it to the
+spectral domain once per delay: the AF is then one complex product of
 the draw's lag-phased spectrum against that spectral kernel, and
 :func:`af_closed_form` is the one-point case.  A delay on the lattice
 ``tau = n / (2L df)`` (every computed delay of the default slice) takes that
@@ -23,7 +23,7 @@ delay-Doppler grid, peak-normalized, computing only the tau >= 0 half of a
 grid that is exactly its own (-tau, -nu) mirror (as :func:`default_tau_grid`
 and :func:`default_nu_grid` are) and copying the other half, since the mean
 |AF| is point-symmetric; :func:`af_statistics` takes the self and cross
-variances and the mean self magnitude from the kernel in closed form.  The
+variances and the mean self magnitude from S in closed form.  The
 sinc arguments carry no extra 2*pi factor anywhere; the tests pin that down
 by quadrature.
 """
@@ -80,7 +80,7 @@ def _doppler_offsets(cfg: OfdmConfig, nu_grid: np.ndarray):
     return carrier, u, inv.reshape(carrier.size, nu_grid.size)
 
 
-def _delay_terms(cfg: OfdmConfig, tau: float, nu_grid: np.ndarray, offsets, out=None):
+def _delay_terms(cfg: OfdmConfig, tau: float, offsets, out=None):
     """Per-delay factors of the closed form, or None outside the window
     ``[max(0, tau), min(T_p, T_p + tau)]`` where the symbol and its delayed
     copy overlap (of middle t_avg and length T_diff; empty unless |tau| < T_p).
@@ -93,18 +93,14 @@ def _delay_terms(cfg: OfdmConfig, tau: float, nu_grid: np.ndarray, offsets, out=
     distinct ``f`` and gathered onto the cells, into ``out`` (a real
     (2L-1) x n_nu buffer) when given.
 
-    Returns ``(lag_phase, carrier_phase, kernel)`` with the lag phase
-    ``exp(j 2 pi l df tau)`` (length L); the grid's size picks the form.
-    On a grid of more than one Doppler, ``kernel`` is S and
-    ``carrier_phase`` the length 2L-1 vector, which :func:`_af_at_delay`
-    folds into the draws' lag products; the nu phase, of modulus one, is
-    left out.  On a one-Doppler grid both phases are folded into the one
-    complex kernel column K and ``carrier_phase`` is None: that grid serves
-    :func:`af_closed_form` and the zero-Doppler slice.  :func:`af_statistics`
-    reads K and the lag phase as they are; for :func:`_af_at_delay` both go
-    through :func:`_spectral` once per delay.  A delay thus costs L + 2L-1
-    complex exponentials (one more at one Doppler) and one sinc per distinct
-    frequency, plus the gather.
+    Returns ``(lag_phase, carrier_phase, S, t_avg)`` with the lag phase
+    ``exp(j 2 pi l df tau)`` (length L) and the carrier phase (length 2L-1).
+    On a grid of more than one Doppler, :func:`_af_at_delay` folds the
+    carrier phase into the draws' lag products and leaves the nu phase, of
+    modulus one, out; on one Doppler :func:`_spectral` folds both phases
+    into K.  :func:`af_statistics` reads S alone, since only ``|K|^2 = S^2``
+    enters it.  A delay thus costs L + 2L-1 complex exponentials and one
+    sinc per distinct frequency, plus the gather.
     """
     t_min = max(0.0, float(tau))
     t_max = min(cfg.symbol_duration, cfg.symbol_duration + float(tau))
@@ -116,25 +112,22 @@ def _delay_terms(cfg: OfdmConfig, tau: float, nu_grid: np.ndarray, offsets, out=
     l = np.arange(cfg.num_subcarriers)
     lag_phase = np.exp(2j * np.pi * l * cfg.subcarrier_spacing * tau)
     carrier_phase = np.exp(2j * np.pi * carrier * t_avg)
-    envelope = np.take(t_diff * np.sinc(u * t_diff), inv, out=out)
-    if nu_grid.size > 1:
-        return lag_phase, carrier_phase, envelope
-    kernel = np.multiply.outer(carrier_phase, np.exp(-2j * np.pi * nu_grid * t_avg))
-    np.multiply(kernel, envelope, out=kernel)
-    return lag_phase, None, kernel
+    return lag_phase, carrier_phase, np.take(t_diff * np.sinc(u * t_diff), inv, out=out), t_avg
 
 
-def _spectral(cfg: OfdmConfig, tau: float, terms):
-    """The one-Doppler terms ``(lag_phase, None, K)`` of :func:`_delay_terms`
-    at delay ``tau`` as :func:`_af_at_delay` takes them on that grid,
-    ``((shift, phase), None, H)``.  Neither part depends on the draws, so
-    both are built once per delay.
+def _spectral(cfg: OfdmConfig, tau: float, nu_grid: np.ndarray, terms):
+    """The terms ``(lag_phase, carrier_phase, S, t_avg)`` of
+    :func:`_delay_terms` at delay ``tau`` on the one-Doppler ``nu_grid``, as
+    :func:`_af_at_delay` takes them on that grid, ``((shift, phase), None,
+    H)``.  Neither part depends on the draws, so both are built once per
+    delay.
 
-    H is the spectral kernel: the length-2L inverse FFT of K (rows m = 1-L ..
-    L-1) in FFT order (row m at index m mod 2L, a zero at L).  That order is
-    K's zero-padded column shifted circularly by L-1, so H is ``ifft(K,
-    n=2L)`` times ``exp(-j 2 pi k (L-1) / 2L)`` with the phase placed
-    exactly, not evaluated.
+    H is the spectral kernel: the length-2L inverse FFT of the complex
+    kernel column K, the carrier phase times S times the nu phase ``exp(-j 2
+    pi nu t_avg)`` (rows m = 1-L .. L-1), in FFT order (row m at index m mod
+    2L, a zero at L).  That order is K's zero-padded column shifted
+    circularly by L-1, so H is ``ifft(K, n=2L)`` times ``exp(-j 2 pi k (L-1)
+    / 2L)`` with the phase placed exactly, not evaluated.
 
     The lag says where a draw's lag-phased spectrum ``G = fft(c
     conj(lag_phase), n=2L)`` comes from.  With ``x = 2L df tau``, ``G_k =
@@ -144,7 +137,9 @@ def _spectral(cfg: OfdmConfig, tau: float, terms):
     2L}`` and the lag is ``(n, None)``; otherwise it is ``(0, lag_phase)``
     and G is the FFT of the lag-phased draw.
     """
-    lag_phase, _, kernel = terms
+    lag_phase, carrier_phase, envelope, t_avg = terms
+    kernel = np.multiply.outer(carrier_phase, np.exp(-2j * np.pi * nu_grid * t_avg))
+    np.multiply(kernel, envelope, out=kernel)
     num = cfg.num_subcarriers
     rotated = np.zeros((2 * num, kernel.shape[1]), complex)
     rotated[:num] = kernel[num - 1 :]
@@ -174,16 +169,17 @@ def _af_at_delay(
     is the length-2L FFT S of ``symbols``, which does not depend on the
     delay.
 
-    The path follows the form :func:`_delay_terms` gave for the grid's size.
-    On one Doppler (``carrier_phase`` None) ``lag`` and ``kernel`` are the
-    ``(shift, phase)`` and the spectral kernel H of :func:`_spectral`, and by
+    The path follows the grid's size.  On one Doppler (``carrier_phase``
+    None) ``lag`` and ``kernel`` are the ``(shift, phase)`` and the spectral
+    kernel H of :func:`_spectral`, and by
     Parseval the AF is ``sum_k conj(G_k) S_k H_k`` with ``G_k = F_{(k +
     shift) mod 2L}``, F being S itself on the lattice (``phase`` None) and
     ``fft(symbols conj(phase), n=2L)`` otherwise: one circular shift, or one
     forward FFT, per draw, then one complex product, giving the AF itself
     (:func:`af_closed_form`).  G is taken into ``work`` (a 1-D complex
-    buffer of at least 2L draws elements) when given.  Otherwise ``lag`` is
-    the lag phase vector, the lag products are taken from one FFT
+    buffer of at least 2L draws elements) when given.  Otherwise ``lag``,
+    ``carrier_phase`` and ``kernel`` are the lag phase, the carrier phase and
+    S of :func:`_delay_terms`, the lag products are taken from one FFT
     convolution per draw, multiplied by the carrier phase, and the real
     envelope S finishes them in one real product, half the flops of a
     complex one, so the values are the AF times the unit-modulus phase
@@ -235,11 +231,11 @@ def af_closed_form(cfg: OfdmConfig, symbols, tau: float, nu: float):
         raise ValueError(f"expected {num} symbols, got shape {symbols.shape}")
     rows = symbols.reshape(-1, num)
     nu_grid = np.array([float(nu)])
-    terms = _delay_terms(cfg, tau, nu_grid, _doppler_offsets(cfg, nu_grid))
+    terms = _delay_terms(cfg, tau, _doppler_offsets(cfg, nu_grid))
     out = np.zeros(rows.shape[0], complex)
     if terms is not None:
         spectrum = np.fft.fft(rows, n=2 * num, axis=1)
-        out = _af_at_delay(rows, spectrum, *_spectral(cfg, tau, terms))[:, 0]
+        out = _af_at_delay(rows, spectrum, *_spectral(cfg, tau, nu_grid, terms))[:, 0]
     out = out.reshape(symbols.shape[:-1])
     return complex(out) if out.ndim == 0 else out
 
@@ -301,10 +297,9 @@ def mc_average_af(
         envelope = np.empty((2 * num - 1, nu_grid.size))
         work = np.empty(2 * num * AF_CHUNK, complex)
         for ti in rows:
-            terms = _delay_terms(cfg, tau_grid[ti], nu_grid, offsets, envelope)
+            terms = _delay_terms(cfg, tau_grid[ti], offsets, envelope)
             if terms is not None:
-                if nu_grid.size == 1:
-                    terms = _spectral(cfg, tau_grid[ti], terms)
+                terms = _spectral(cfg, tau_grid[ti], nu_grid, terms) if nu_grid.size == 1 else terms[:3]
                 for chunk, spectrum in zip(chunks, spectra):
                     af = _af_at_delay(chunk, spectrum, *terms, work)
                     total[ti] += np.abs(af).sum(axis=0)
@@ -326,7 +321,8 @@ def af_statistics(cfg: OfdmConfig, constellation: Constellation, tau_grid, nu: f
     """Closed-form AF statistics over random symbols at one Doppler ``nu``:
     rows self variance, cross variance and mean self magnitude over
     ``tau_grid``, all from the delay's Doppler kernel ``K_m`` (row m = l1 - l2)
-    of :func:`_delay_terms`, and zero outside ``|tau| < T_p``.
+    of :func:`_delay_terms`, and zero outside ``|tau| < T_p``.  Only its
+    magnitude enters, ``|K_m| = |S_m|``, so they read the real envelope S.
 
     * self variance ``L (E[A^4] - 1) |K_0|^2``, zero at constant modulus;
     * cross variance ``sum_{m != 0} (L - |m|) |K_m|^2``, with L - |m| index
@@ -342,12 +338,12 @@ def af_statistics(cfg: OfdmConfig, constellation: Constellation, tau_grid, nu: f
     excess = constellation.moment(4) - 1.0
     stats = np.zeros((3, len(tau_grid)))
     for i, tau in enumerate(tau_grid):
-        terms = _delay_terms(cfg, tau, nu_grid, offsets)
+        terms = _delay_terms(cfg, tau, offsets)
         if terms is not None:
-            lag_phase, _, kernel = terms
-            power = np.abs(kernel[:, 0]) ** 2
-            k0 = abs(kernel[num - 1, 0])
-            stats[:, i] = power[num - 1] * num * excess, pairs @ power, k0 * abs(lag_phase.sum())
+            lag_phase, _, envelope, _ = terms
+            power = envelope[:, 0] ** 2
+            s0 = abs(envelope[num - 1, 0])
+            stats[:, i] = power[num - 1] * num * excess, pairs @ power, s0 * abs(lag_phase.sum())
     return stats
 
 

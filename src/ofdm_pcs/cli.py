@@ -14,8 +14,11 @@ header.  Every output file starts with comment lines recording the tool
 version and the resolved parameters, so identical invocations produce
 byte-identical artifacts.  ``detect pd-sweep``, the one command that
 calibrates the CFAR threshold, adds after them each curve's calibrated
-alpha, the empirical false-alarm rate it reached and the calibration's cell
-count.  Seeds are explicit flags (default 0), never environment state.
+alpha, the empirical false-alarm rate it reached, the calibration's cell
+count and each curve's null hit count.  The experiments return arrays over
+their input grids; the runners alone name the CSV columns and lay out the
+rows from their own option grids.  Seeds are explicit flags (default 0),
+never environment state.
 Each option is declared once, in ``_COMMANDS``: its default gives the
 flag's type, and a config-file value must have that type too.  A config
 key must be some command's option.
@@ -273,7 +276,8 @@ def _inputs(command: str, opts: dict) -> dict:
     """``opts`` as the runner reads them, each parsed and checked once by its
     option's name before any work: ``modulation`` as its constellation,
     ``modulations`` as (name, constellation) pairs, each grid option whose
-    default is a string as its array, and each dB option within range."""
+    default is a string as its array, and each dB option, and the level of
+    ``sigma2``, within range."""
     defaults, inputs = _COMMANDS[command][2], {}
     for key, value in opts.items():
         if key == "modulation":
@@ -291,6 +295,8 @@ def _inputs(command: str, opts: dict) -> dict:
             value = parse_grid(value, key)
         if key in ("snr", "si_db"):
             check_db(value, key)
+        elif key == "sigma2":
+            check_db(10.0 * np.log10(value), "10 log10 sigma2")
         inputs[key] = value
     return inputs
 
@@ -357,16 +363,17 @@ def _run_af_variance(opts: dict):
 
 def _run_air_sweep_c0(opts: dict):
     cfg = AirConfig(opts["sigma2"], opts["mc"], opts["seed"])
-    rows = air_vs_c0(opts["modulation"], opts["c0"], cfg, threads=opts["threads"])
+    sols, est = air_vs_c0(opts["modulation"], opts["c0"], cfg, threads=opts["threads"])
     header = ["c0", "rate_bits", "std_error", "gap", "entropy_bits"]
-    return header, np.array([[r["c0"], r["rate"], r["std_error"], r["gap"], r["entropy_bits"]] for r in rows])
+    return header, np.column_stack(
+        [opts["c0"], est.rate, est.std_error, [s.gap for s in sols], [s.tie_break_entropy for s in sols]]
+    )
 
 
 def _run_air_sweep_snr(opts: dict):
-    constellations = opts["modulations"]
-    rows = air_vs_snr(constellations, opts["snr"], opts["mc"], opts["seed"], threads=opts["threads"])
-    header = ["snr_db"] + [f"rate_{name}" for name, _ in constellations]
-    return header, np.array([[r["snr_db"], *(r[name] for name, _ in constellations)] for r in rows])
+    names, constellations = zip(*opts["modulations"])
+    est = air_vs_snr(constellations, opts["snr"], opts["mc"], opts["seed"], threads=opts["threads"])
+    return ["snr_db"] + [f"rate_{name}" for name in names], np.column_stack([opts["snr"], est.rate.T])
 
 
 def _run_detect_pd_sweep(opts: dict):
@@ -388,16 +395,17 @@ def _run_detect_pd_sweep(opts: dict):
         calib_trials=opts["calib_trials"],
         seed=opts["seed"],
     )
-    rows = pd_experiment(scenario, threads=opts["threads"])
-    # Each curve's first row carries its calibration, in --c0 order.
-    curves = rows[:: len(opts["snr"])]
+    result = pd_experiment(scenario, threads=opts["threads"])
     results = {
-        "alpha": ",".join(_fmt(r["alpha"]) for r in curves),
-        "empirical_pfa": ",".join(_fmt(r["empirical_pfa"]) for r in curves),
+        "alpha": ",".join(map(_fmt, result.alpha)),
+        "empirical_pfa": ",".join(map(_fmt, result.empirical_pfa)),
         "calib_cells": opts["calib_trials"] * instrumented_range(cfg),
+        "null_hits": ",".join(map(_fmt, result.null_hits)),
     }
-    return ["c0", "snr_db", "pd", "trials"], np.array(
-        [[c0_list[r["curve"]], r["snr_db"], r["pd"], r["trials"]] for r in rows]
+    # One row per (c0, snr) pair, curve by curve.
+    snr, c0 = np.meshgrid(opts["snr"], c0_list)
+    return ["c0", "snr_db", "pd", "trials"], np.column_stack(
+        [c0.ravel(), snr.ravel(), result.pd.ravel(), np.full(c0.size, opts["trials"])]
     ), results
 
 

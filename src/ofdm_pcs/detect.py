@@ -29,6 +29,7 @@ same alone or in a sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import copy
 import math
@@ -426,7 +427,18 @@ class DetectionScenario:
         check_target_cell(self.cfg, self.cfar, self.target_cell_offset)
 
 
-def pd_experiment(scn: DetectionScenario, *, threads: int = 1) -> list[dict]:
+class PdResult(NamedTuple):
+    """Each curve's ``alpha``, the ``empirical_pfa`` its calibration reached
+    (None for a supplied alpha) and ``null_hits``, the trials whose target
+    cell trips with no echo; and ``pd`` per curve and SNR point."""
+
+    alpha: np.ndarray
+    empirical_pfa: np.ndarray | None
+    null_hits: np.ndarray
+    pd: np.ndarray
+
+
+def pd_experiment(scn: DetectionScenario, *, threads: int = 1) -> PdResult:
     """Detection probability at the target cell over the sensing-SNR grid,
     one curve per constellation of the scenario.
 
@@ -450,24 +462,23 @@ def pd_experiment(scn: DetectionScenario, *, threads: int = 1) -> list[dict]:
     ``|C1|^2`` and ``2 Re(C0 C1*)``, and window means are linear, so the
     target cell's value and reference means are taken once per chunk from
     the stacked parts and every SNR point is decided from those quadratics by
-    the SO-CFAR rule at that one cell.  Threads split the chunks and the
+    the SO-CFAR rule at that one cell, as is gain 0 (``P0`` alone, no echo)
+    for the null hits.  Threads split the chunks and the
     integer hit counts are summed, so the result does not depend on the
-    thread count.  Returns rows ``{"curve", "alpha", "empirical_pfa",
-    "snr_db", "pd", "trials"}`` curve by curve, ``curve`` indexing
-    ``scn.constellations``; ``empirical_pfa`` is the calibration's
-    (:class:`CalibrationResult`), None for a supplied alpha.
+    thread count.
     """
     cfg, grid, cfar = scn.cfg, scn.snr_grid_db, scn.cfar
     calib_seed, draw_seed = np.random.SeedSequence(scn.seed).spawn(2)
     if cfar.alpha is None:
         draws = _curve_draws(cfg, scn.constellations, np.random.default_rng(calib_seed), scn.calib_trials)
-        results = (
+        results = [
             calibrate_alpha(cfar, _noise_profiles(cfg, symbols, noise), scn.pfa_target)
             for symbols, noise in draws
-        )
-        calibrations = [(r.alpha, r.empirical_pfa) for r in results]
+        ]
+        alpha = np.array([r.alpha for r in results])
+        empirical_pfa = np.array([r.empirical_pfa for r in results])
     else:
-        calibrations = [(cfar.alpha, None)] * len(scn.constellations)
+        alpha, empirical_pfa = np.full(len(scn.constellations), cfar.alpha), None
 
     num = cfg.num_subcarriers
     n_samples = cfg.num_samples
@@ -478,12 +489,13 @@ def pd_experiment(scn: DetectionScenario, *, threads: int = 1) -> list[dict]:
     # Amplitudes scale so received power over the L-subcarrier waveform hits
     # the requested ratios against unit-variance noise.
     gain_si = math.sqrt(10.0 ** (scn.si_to_noise_db / 10.0) / num)
-    gain_target = np.sqrt(10.0 ** (grid / 10.0) / num)[:, None]
+    # Gain 0 comes first: it decides P0 alone, the null hits.
+    gain_target = np.sqrt(np.concatenate([[0.0], 10.0 ** (grid / 10.0)]) / num)[:, None]
     gain_sq = gain_target**2
 
     def profile_of(p: np.ndarray) -> np.ndarray:
         # |C0 + g C1|^2 = |C0|^2 + g^2 |C1|^2 + g 2Re(C0 C1*), for every g at once.
-        return p[0] + gain_sq * p[1] + gain_target * p[2]  # (snr, trial)
+        return p[0] + gain_sq * p[1] + gain_target * p[2]  # (1 + snr, trial)
 
     def curve_hits(symbols: np.ndarray, noise: np.ndarray, alpha: float) -> np.ndarray:
         count = len(noise)
@@ -501,16 +513,9 @@ def pd_experiment(scn: DetectionScenario, *, threads: int = 1) -> list[dict]:
         ])
         return np.count_nonzero(_so_statistic(parts, cfar, offset, profile_of) > alpha, axis=1)
 
-    def chunk_hits(rng: np.random.Generator, count: int) -> np.ndarray:  # (curve, snr)
+    def chunk_hits(rng: np.random.Generator, count: int) -> np.ndarray:  # (curve, 1 + snr)
         draws = _curve_draws(cfg, scn.constellations, rng, count)
-        return np.array([
-            curve_hits(symbols, noise, alpha) for (symbols, noise), (alpha, _) in zip(draws, calibrations)
-        ])
+        return np.array([curve_hits(symbols, noise, a) for (symbols, noise), a in zip(draws, alpha)])
 
     hits = sum(map_chunks(chunk_hits, draw_seed, scn.trials, PD_CHUNK, threads))
-    return [
-        {"curve": curve, "alpha": alpha, "empirical_pfa": pfa, "snr_db": float(snr),
-         "pd": int(h) / scn.trials, "trials": scn.trials}
-        for curve, ((alpha, pfa), row) in enumerate(zip(calibrations, hits))
-        for snr, h in zip(grid, row)
-    ]
+    return PdResult(alpha, empirical_pfa, hits[:, 0], hits[:, 1:] / scn.trials)

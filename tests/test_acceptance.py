@@ -175,13 +175,13 @@ def test_06_pcs_solutions():
 
 def test_07_rate_vs_target_tradeoff():
     base = make_qam(16)
-    rows = air_vs_c0(base, [1.0, 1.1, 1.2, 1.32], AirConfig(0.01, 200_000, 70))
-    rate_ring = rows[0]["rate"]
-    rate_uniform = rows[-1]["rate"]
+    _, est = air_vs_c0(base, [1.0, 1.1, 1.2, 1.32], AirConfig(0.01, 200_000, 70))
+    rate_ring = est.rate[0]
+    rate_uniform = est.rate[-1]
     increments_ok = all(
-        rows[i + 1]["rate"] - rows[i]["rate"]
-        > 2 * (rows[i]["std_error"] + rows[i + 1]["std_error"])
-        for i in range(len(rows) - 1)
+        est.rate[i + 1] - est.rate[i]
+        > 2 * (est.std_error[i] + est.std_error[i + 1])
+        for i in range(len(est.rate) - 1)
     )
     check(
         "rate vs shaping target",
@@ -265,8 +265,7 @@ def test_10_detection_experiment():
         constellations=[base.with_probs(solve_pcs(PcsProblem(base.amplitudes, c0)).probs) for c0 in c0s],
         snr_grid_db=snr_grid, pfa_target=pfa_target, trials=5000, calib_trials=1000, seed=102,
     )
-    rows = pd_experiment(scn)
-    curves = {c0: np.array([row["pd"] for row in rows if row["curve"] == i]) for i, c0 in enumerate(c0s)}
+    curves = dict(zip(c0s, pd_experiment(scn).pd))
 
     trials = 5000
     monotone_ok = True

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -171,55 +172,54 @@ def test_sigma2_from_snr():
 
 
 def test_air_vs_c0_rows():
-    rows = air_vs_c0(make_qam(16), [1.0, 1.32], AirConfig(0.01, 20_000, 0))
-    assert [r["c0"] for r in rows] == [1.0, 1.32]
-    assert rows[1]["rate"] > rows[0]["rate"]
-    assert rows[0]["entropy_bits"] == pytest.approx(3.0, abs=1e-9)
-    assert rows[1]["entropy_bits"] == pytest.approx(4.0, abs=1e-9)
-    for r in rows:
-        assert r["gap"] <= 1e-8
+    sols, est = air_vs_c0(make_qam(16), [1.0, 1.32], AirConfig(0.01, 20_000, 0))
+    assert est.rate.shape == est.std_error.shape == (2,)
+    assert est.rate[1] > est.rate[0]
+    assert sols[0].tie_break_entropy == pytest.approx(3.0, abs=1e-9)
+    assert sols[1].tie_break_entropy == pytest.approx(4.0, abs=1e-9)
+    for s in sols:
+        assert s.gap <= 1e-8
 
 
 def test_air_vs_c0_saturates_beyond_feasible_maximum():
     # Targets past the feasible fourth-moment maximum clamp to the same
     # distribution, so the rate stays constant up to Monte-Carlo error.
-    rows = air_vs_c0(make_qam(16), [1.64, 2.0, 3.0], AirConfig(0.01, 40_000, 6))
-    rates = [r["rate"] for r in rows]
-    ses = [r["std_error"] for r in rows]
+    sols, est = air_vs_c0(make_qam(16), [1.64, 2.0, 3.0], AirConfig(0.01, 40_000, 6))
+    rates, ses = est.rate, est.std_error
     for i in (1, 2):
         assert abs(rates[i] - rates[0]) <= 3 * (ses[i] + ses[0])
-        assert rows[i]["entropy_bits"] == pytest.approx(rows[0]["entropy_bits"], abs=1e-9)
+        assert sols[i].tie_break_entropy == pytest.approx(sols[0].tie_break_entropy, abs=1e-9)
 
 
 def test_air_vs_c0_thread_invariance():
     cfg = AirConfig(0.05, 10_000, 1)
-    serial = air_vs_c0(make_qam(16), [1.0, 1.2, 1.32], cfg, threads=1)
-    parallel = air_vs_c0(make_qam(16), [1.0, 1.2, 1.32], cfg, threads=3)
-    assert serial == parallel
-    named = [("qam16", make_qam(16)), ("psk16", make_psk(16))]
-    serial = air_vs_snr(named, [0.0, 10.0], 10_000, 1, threads=1)
-    parallel = air_vs_snr(named, [0.0, 10.0], 10_000, 1, threads=3)
-    assert serial == parallel
+    serial = air_vs_c0(make_qam(16), [1.0, 1.2, 1.32], cfg, threads=1)[1]
+    parallel = air_vs_c0(make_qam(16), [1.0, 1.2, 1.32], cfg, threads=3)[1]
+    assert np.array_equal(serial.rate, parallel.rate) and np.array_equal(serial.std_error, parallel.std_error)
+    constellations = [make_qam(16), make_psk(16)]
+    serial = air_vs_snr(constellations, [0.0, 10.0], 10_000, 1, threads=1)
+    parallel = air_vs_snr(constellations, [0.0, 10.0], 10_000, 1, threads=3)
+    assert np.array_equal(serial.rate, parallel.rate) and np.array_equal(serial.std_error, parallel.std_error)
 
 
 def test_air_sweeps_seed_layout():
     # Every cell of the SNR sweep and every row of the c0 sweep draws from the
     # sweep's own seed, exactly as a lone air_mc call at that noise variance.
-    named = [("qam16", make_qam(16)), ("psk16", make_psk(16)), ("psk8", make_psk(8))]
+    constellations = [make_qam(16), make_psk(16), make_psk(8)]
     snrs, mc, seed = [0.0, 8.0], 3_000, 5
-    rows = air_vs_snr(named, snrs, mc, seed, threads=2)
+    sweep = air_vs_snr(constellations, snrs, mc, seed, threads=2)
     for i, snr in enumerate(snrs):
-        for name, c in named:
-            assert rows[i][name] == air_mc(c, AirConfig(sigma2_from_snr_db(snr), mc, seed)).rate
-    # A column is the same alone as beside other columns.
-    alone = air_vs_snr(named[1:2], snrs, mc, seed)
-    assert [r["psk16"] for r in alone] == [r["psk16"] for r in rows]
+        for k, c in enumerate(constellations):
+            assert sweep.rate[k, i] == air_mc(c, AirConfig(sigma2_from_snr_db(snr), mc, seed)).rate
+    # A constellation's rates are the same alone as beside other constellations.
+    alone = air_vs_snr(constellations[1:2], snrs, mc, seed)
+    assert np.array_equal(alone.rate[0], sweep.rate[1])
     base, c0s = make_qam(16), [1.0, 1.2, 1.32]
-    rows = air_vs_c0(base, c0s, AirConfig(0.05, mc, seed), threads=2)
+    _, sweep = air_vs_c0(base, c0s, AirConfig(0.05, mc, seed), threads=2)
     for i, c0 in enumerate(c0s):
         shaped = base.with_probs(solve_pcs(PcsProblem(base.amplitudes, c0)).probs)
         est = air_mc(shaped, AirConfig(0.05, mc, seed))
-        assert (rows[i]["rate"], rows[i]["std_error"]) == (est.rate, est.std_error)
+        assert (sweep.rate[i], sweep.std_error[i]) == (est.rate, est.std_error)
 
 
 @pytest.mark.parametrize("constellation", [make_qam(16), _with_rare_points()], ids=["qam16", "rare-points"])
@@ -247,16 +247,11 @@ def test_air_mc_keeps_the_noise_at_any_snr(snr_db):
 
 
 def test_air_vs_snr_rows():
-    rows = air_vs_snr(
-        [("qam16", make_qam(16)), ("psk16", make_psk(16))],
-        [5.0, 15.0],
-        20_000,
-        2,
-    )
-    assert list(rows[0]) == ["snr_db", "qam16", "psk16"]
+    est = air_vs_snr([make_qam(16), make_psk(16)], [5.0, 15.0], 20_000, 2)
+    assert est.rate.shape == est.std_error.shape == (2, 2)
     # rate nondecreasing in SNR for both inputs
-    assert rows[1]["qam16"] > rows[0]["qam16"]
-    assert rows[1]["psk16"] > rows[0]["psk16"]
+    assert est.rate[0, 1] > est.rate[0, 0]
+    assert est.rate[1, 1] > est.rate[1, 0]
 
 
 def test_config_validation():
@@ -276,3 +271,15 @@ def test_config_validation():
 def test_config_rejects_bad_noise_variance_grid(noise_variance):
     with pytest.raises(ValueError, match="^noise_variance must be"):
         AirConfig(np.array(noise_variance), 100, 0)
+
+
+@pytest.mark.parametrize("sigma2", [1e-310, 1e-32, 1e308])
+def test_config_rejects_noise_variance_beyond_db_bound(sigma2):
+    # Past +-313.07 dB, 1/sigma^2 or the squared distances overflow and the
+    # estimate reads nan; the bound is the one the SNR sweep puts on its grid.
+    levels = (10.0 * np.log10([sigma2])).tolist()
+    message = f"10 log10 noise_variance entries must lie within +-313.071 dB, got {levels}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        AirConfig(np.array([0.1, sigma2]), 100, 0)
+    # The bound itself is accepted, from either side.
+    AirConfig(np.array([sigma2_from_snr_db(snr) for snr in (-313.07, 313.07)]), 100, 0)

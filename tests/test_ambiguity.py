@@ -179,8 +179,8 @@ _OFF_LATTICE = (
             np.array([-7.3, -2.19, 0.0, 2.19, 7.3]),
             11, 3, id="off-lattice-mirrored",
         ),
-        # Both sides of the Doppler-count split in _delay_terms: one Doppler
-        # keeps the complex kernel column, two take the real envelope.
+        # Both sides of the Doppler-count split in mc_average_af: one Doppler
+        # folds the phases into a complex kernel column, two take the real envelope.
         pytest.param(CFG16, _OFF_LATTICE[0], np.array([0.75]), 5, 2, id="one-doppler"),
         pytest.param(CFG16, _OFF_LATTICE[0], np.array([-2.19, 0.75]), 5, 2, id="two-doppler"),
     ],
@@ -239,9 +239,9 @@ def _on_lattice(cfg, taus):
     offsets = ambiguity._doppler_offsets(cfg, nus)
     flags = []
     for tau in taus:
-        terms = ambiguity._delay_terms(cfg, tau, nus, offsets)
+        terms = ambiguity._delay_terms(cfg, tau, offsets)
         if terms is not None:
-            (_, phase), _, _ = ambiguity._spectral(cfg, tau, terms)
+            (_, phase), _, _ = ambiguity._spectral(cfg, tau, nus, terms)
             flags.append(phase is None)
     return np.array(flags)
 
@@ -292,11 +292,11 @@ def test_delay_nudged_off_lattice_takes_the_fft():
     draws = make_qam(16).sample_symbols(3 * 64, 31).reshape(3, 64)
     for n in (-37, 0, 50):
         tau = n / 128 * cfg.symbol_duration
-        terms = ambiguity._delay_terms(cfg, tau, nus, offsets)
-        assert ambiguity._spectral(cfg, tau, terms)[0] == (n, None)
+        terms = ambiguity._delay_terms(cfg, tau, offsets)
+        assert ambiguity._spectral(cfg, tau, nus, terms)[0] == (n, None)
         nudged = tau + 1e-9 * cfg.symbol_duration
-        terms = ambiguity._delay_terms(cfg, nudged, nus, offsets)
-        shift, phase = ambiguity._spectral(cfg, nudged, terms)[0]
+        terms = ambiguity._delay_terms(cfg, nudged, offsets)
+        shift, phase = ambiguity._spectral(cfg, nudged, nus, terms)[0]
         assert shift == 0 and np.array_equal(phase, terms[0])
         for t in (tau, nudged):
             direct = af_double_sum(cfg, draws, t, 0.0)
@@ -331,7 +331,7 @@ def test_mc_average_mirror_computes_half_the_rows(monkeypatch):
     nus = np.array([-2.5, -0.75, 0.0, 0.75, 2.5])
     trials = AF_CHUNK + 6
     offsets = ambiguity._doppler_offsets(CFG16, nus)
-    kernels = [ambiguity._delay_terms(CFG16, tau, nus, offsets) for tau in taus]
+    kernels = [ambiguity._delay_terms(CFG16, tau, offsets) for tau in taus]
     seen = []
     original = ambiguity._af_at_delay
 

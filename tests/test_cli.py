@@ -275,7 +275,7 @@ def test_pd_sweep_records_each_curves_calibration(tmp_path):
     assert texts[0] == texts[1]
     # The calibration lines follow the option lines.
     comments = [line.split(" = ")[0] for line in texts[0].splitlines() if line.startswith("#")]
-    assert comments[-4:] == ["# window", "# alpha", "# empirical_pfa", "# calib_cells"]
+    assert comments[-5:] == ["# window", "# alpha", "# empirical_pfa", "# calib_cells", "# null_hits"]
     meta, _, _ = read_csv(tmp_path / "pd-t1.csv")
     base, cfg = make_qam(16), ofdm_pcs.OfdmConfig()
     calib_seed = np.random.SeedSequence(3).spawn(2)[0]
@@ -288,6 +288,8 @@ def test_pd_sweep_records_each_curves_calibration(tmp_path):
     assert meta["empirical_pfa"] == ",".join(_fmt(r.empirical_pfa) for r in results)
     assert meta["calib_cells"] == str(results[0].cells) == "12800"
     assert all(float(v) <= 0.01 for v in meta["empirical_pfa"].split(","))
+    # One null hit count per curve, the same at any thread count.
+    assert len(meta["null_hits"].split(",")) == 2 and meta["null_hits"].replace(",", "").isdigit()
     # pd-sweep is the one command that calibrates; detect calibrate is gone.
     with pytest.raises(SystemExit) as exc:
         main(["detect", "calibrate", "--out", str(tmp_path / "alpha.json")])
@@ -727,6 +729,26 @@ def test_sigma2_must_be_positive_before_any_solve(tmp_path, capsys, monkeypatch,
     message = f"sigma2 must be positive and finite, got {float(value)}"
     assert capsys.readouterr().err == f"error: air sweep-c0: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["1e-310", "1e308"])
+def test_sigma2_beyond_db_bound_fails_before_any_solve(tmp_path, capsys, monkeypatch, value):
+    # Past +-313.07 dB, 1/sigma2 or the squared distances overflow and the
+    # rows would read nan; the level is refused by the flag's name.
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(ofdm_pcs.cli, "air_vs_c0", no_work)
+    out = tmp_path / "x.csv"
+    assert main(["air", "sweep-c0", "--sigma2", value, "--out", str(out)]) == 1
+    levels = (10.0 * np.log10([float(value)])).tolist()
+    message = f"10 log10 sigma2 entries must lie within +-313.071 dB, got {levels}"
+    assert capsys.readouterr().err == f"error: air sweep-c0: {message}\n"
+    assert not out.exists()
+    # The same bound as the SNR sweep's, which still runs up to it.
+    monkeypatch.undo()
+    assert main(["air", "sweep-snr", "--snr", "313.07", "--mc", "10", "--out", str(out)]) == 0
+    assert main(["air", "sweep-c0", "--sigma2", "1e-31", "--c0", "1.0", "--mc", "10", "--out", str(out)]) == 0
 
 
 @pytest.mark.parametrize("threads", ["0", "-3"])

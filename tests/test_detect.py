@@ -623,8 +623,7 @@ def test_pd_matches_pfa_without_target_or_interference():
         cfg=CFG, constellations=(make_qam(16),), snr_grid_db=np.array([-300.0]),
         si_to_noise_db=-300.0, pfa_target=0.05, trials=2000, calib_trials=100, seed=6,
     )
-    rows = pd_experiment(scn)
-    pd = rows[0]["pd"]
+    pd = pd_experiment(scn).pd[0, 0]
     # binomial 3-sigma band at the target rate, plus slack for the wider
     # spread at the higher null rate, for calibrating on 100 trials and for
     # the model rate's own error
@@ -640,7 +639,7 @@ def test_pd_with_interference_only_stays_below_calibrated_pfa():
         cfg=CFG, constellations=(make_qam(16),), snr_grid_db=np.array([-300.0]),
         pfa_target=0.05, trials=2000, calib_trials=100, seed=6,
     )
-    assert pd_experiment(scn)[0]["pd"] < 0.05
+    assert pd_experiment(scn).pd[0, 0] < 0.05
 
 
 def test_pd_saturates_at_high_snr():
@@ -648,8 +647,7 @@ def test_pd_saturates_at_high_snr():
         cfg=CFG, constellations=(make_psk(16),), snr_grid_db=np.array([25.0]),
         pfa_target=1e-2, trials=500, calib_trials=200, seed=7,
     )
-    rows = pd_experiment(scn)
-    assert rows[0]["pd"] > 0.9
+    assert pd_experiment(scn).pd[0, 0] > 0.9
 
 
 def test_pd_deterministic_and_thread_invariant():
@@ -659,7 +657,7 @@ def test_pd_deterministic_and_thread_invariant():
     )
     a = pd_experiment(scn, threads=1)
     b = pd_experiment(scn, threads=2)
-    assert a == b
+    assert all(map(np.array_equal, a, b))
 
 
 def test_pd_uses_supplied_alpha_without_calibration():
@@ -668,22 +666,23 @@ def test_pd_uses_supplied_alpha_without_calibration():
         cfg=CFG, constellations=(make_qam(16),), snr_grid_db=np.array([20.0]),
         trials=200, cfar=cfar, seed=9,
     )
-    rows = pd_experiment(scn)
-    assert 0.0 <= rows[0]["pd"] <= 1.0
-    assert (rows[0]["alpha"], rows[0]["empirical_pfa"]) == (40.0, None)
+    result = pd_experiment(scn)
+    assert 0.0 <= result.pd[0, 0] <= 1.0
+    assert (result.alpha.tolist(), result.empirical_pfa) == ([40.0], None)
 
 
 def test_pd_fast_path_matches_brute_force():
     # Same draws as pd_experiment (per-chunk children of child seed 1, symbols
-    # before noise); every SNR point builds its received signal in full,
-    # correlates it lag by lag and runs SO-CFAR on the whole instrumented
-    # profile.
+    # before noise); gain 0 (the null hits) and every SNR point build their
+    # received signal in full, correlate it lag by lag and run SO-CFAR on the
+    # whole instrumented profile.
     cfg = OfdmConfig(num_subcarriers=16, subcarrier_spacing=1.0, oversampling=4)
     scn = DetectionScenario(
         cfg=cfg, constellations=(make_qam(16),), snr_grid_db=np.array([-5.0, 0.0, 5.0, 10.0]),
         target_cell_offset=12, trials=150, cfar=CfarConfig(window_cells=8, alpha=6.0), seed=13,
     )
-    fast = [round(row["pd"] * scn.trials) for row in pd_experiment(scn)]
+    result = pd_experiment(scn)
+    fast = [int(result.null_hits[0])] + [round(pd * scn.trials) for pd in result.pd[0]]
 
     n = cfg.num_samples
 
@@ -699,15 +698,15 @@ def test_pd_fast_path_matches_brute_force():
     delayed[:, 12:] = tx[:, : n - 12]
     gain_si = math.sqrt(10.0 ** (scn.si_to_noise_db / 10.0) / 16)
     brute = []
-    for snr in scn.snr_grid_db:
-        rx = gain_si * tx + math.sqrt(10.0 ** (snr / 10.0) / 16) * delayed + noise
+    for gain in [0.0] + [math.sqrt(10.0 ** (snr / 10.0) / 16) for snr in scn.snr_grid_db]:
+        rx = gain_si * tx + gain * delayed + noise
         hits = 0
         for r, t in zip(rx, tx):
             profile = np.abs(np.correlate(r, t, "full")[n - 1 :]) ** 2
             hits += bool(so_cfar(profile[: instrumented_range(scn.cfg)], scn.cfar)[12])
         brute.append(hits)
     assert fast == brute
-    assert any(0 < h < scn.trials for h in brute)
+    assert brute[0] > 0 and any(0 < h < scn.trials for h in brute[1:])
 
 
 def test_pd_point_does_not_depend_on_rest_of_grid():
@@ -717,7 +716,7 @@ def test_pd_point_does_not_depend_on_rest_of_grid():
             pfa_target=1e-2, trials=300, calib_trials=200, seed=8,
         )
 
-    assert pd_experiment(scenario([5.0, 12.0]))[1] == pd_experiment(scenario([12.0]))[0]
+    assert pd_experiment(scenario([5.0, 12.0])).pd[0, 1] == pd_experiment(scenario([12.0])).pd[0, 0]
 
 
 def _three_curves():
@@ -738,16 +737,16 @@ def test_each_curve_of_a_sweep_equals_its_run_alone(threads):
             pfa_target=1e-2, trials=2 * PD_CHUNK + 37, calib_trials=100, seed=11,
         )
 
-    rows = pd_experiment(scenario(curves), threads=threads)
-    assert [row["curve"] for row in rows] == [0] * 3 + [1] * 3 + [2] * 3
+    sweep = pd_experiment(scenario(curves), threads=threads)
+    assert sweep.pd.shape == (3, 3)
     for i, c in enumerate(curves):
         alone = pd_experiment(scenario((c,)), threads=threads)
-        assert [{**row, "curve": i} for row in alone] == [row for row in rows if row["curve"] == i]
-    assert len({row["alpha"] for row in rows}) == 3
+        assert all(np.array_equal(field, whole[i : i + 1]) for field, whole in zip(alone, sweep))
+    assert len(set(sweep.alpha)) == 3
 
 
 def test_each_curve_reports_the_calibration_of_its_child_zero_profiles():
-    # Every row carries its curve's calibration: calibrate_alpha on a
+    # Each curve reports its own calibration: calibrate_alpha on a
     # one-curve sampler's profiles from child 0 of the seed, bit for bit.
     curves = _three_curves()
     scn = DetectionScenario(
@@ -760,8 +759,9 @@ def test_each_curve_reports_the_calibration_of_its_child_zero_profiles():
         result = calibrate_alpha(
             scn.cfar, noise_profile_sampler(CFG, c)(np.random.default_rng(calib_seed), 100), 1e-2
         )
-        expected += [(result.alpha, result.empirical_pfa)] * 2
-    assert [(row["alpha"], row["empirical_pfa"]) for row in pd_experiment(scn)] == expected
+        expected.append((result.alpha, result.empirical_pfa))
+    found = pd_experiment(scn)
+    assert list(zip(found.alpha.tolist(), found.empirical_pfa.tolist())) == expected
     assert all(pfa <= 1e-2 for _, pfa in expected)
 
 

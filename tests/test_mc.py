@@ -92,6 +92,6 @@ def test_pd_thread_invariant_across_chunks():
         trials=2 * PD_CHUNK + 37, cfar=CfarConfig(alpha=20.0), seed=5,
     )
     serial = pd_experiment(scn, threads=1)
-    assert pd_experiment(scn, threads=2) == serial
-    assert pd_experiment(scn, threads=4) == serial
-    assert 0.0 < serial[0]["pd"] < serial[1]["pd"] <= 1.0
+    assert all(map(np.array_equal, pd_experiment(scn, threads=2), serial))
+    assert all(map(np.array_equal, pd_experiment(scn, threads=4), serial))
+    assert 0.0 < serial.pd[0, 0] < serial.pd[0, 1] <= 1.0
