@@ -5,18 +5,20 @@ correlation with ``sinc(x) = sin(pi x)/(pi x)`` (numpy's convention), built
 per delay as one Doppler kernel (:func:`_delay_terms`) whose sinc envelope is
 taken once per distinct kernel frequency ``m df - nu``.  Everything else
 reads that kernel.  It factors as K = carrier phase . S . nu phase, a real
-envelope S between two unit-modulus phases.  :func:`_af_at_delay` applies it
-to every draw's lag products.  On a grid of one Doppler :func:`_spectral`
-folds both phases into one complex kernel column and takes it to the
-spectral domain once per delay: the AF is then one complex product of
-the draw's lag-phased spectrum against that spectral kernel, and
-:func:`af_closed_form` is the one-point case.  A delay on the lattice
-``tau = n / (2L df)`` (every computed delay of the default slice) takes that
-spectrum as the draw's one length-2L spectrum shifted circularly by n, with
-no FFT; any other delay takes one forward FFT per draw.  On a grid of more
-than one Doppler the lag products come from one FFT convolution per draw,
-the carrier phase goes onto them, and they take one real product against S
-(half the flops of a complex one) and come out as the AF times a
+envelope S between two unit-modulus phases.
+
+One route takes every draw to its lag products ``B_m = sum_l c_{l+m}
+conj(c_l) exp(j 2 pi l df tau)`` (:func:`_af_at_delay`).  Each draw's one
+length-2L spectrum F is read at the delay's shift to give its lag-phased
+spectrum G, and ``P = conj(G) F`` is the spectrum of B.  A delay on the
+lattice ``tau = n / (2L df)`` (every computed delay of the default grids)
+reads F shifted circularly by n, with no FFT; any other delay takes one
+forward FFT of the lag-phased draw.  :func:`_delay_terms` decides which,
+once per delay, for every grid.  On one Doppler :func:`_spectral` folds both
+phases into one complex kernel column and takes it to the spectral domain,
+and the AF is ``P @ H`` (:func:`af_closed_form` is the one-point case).  On
+more than one, ``B = ifft(P)``, the carrier phase goes onto it, and one real
+product against S (half the flops of a complex one) gives the AF times a
 unit-modulus phase per Doppler column.
 :func:`mc_average_af` averages the magnitude over random symbol draws on a
 delay-Doppler grid, peak-normalized, computing only the tau >= 0 half of a
@@ -40,8 +42,8 @@ from .ofdm import OfdmConfig
 # partials in chunk order, so this fixes the order of the sums.
 AF_CHUNK = 64
 
-# A one-Doppler delay lies on the lattice tau = n / (2L df) when x = 2L df tau
-# is within this many ulps of 2L of the integer n.  The default grids miss by
+# A delay lies on the lattice tau = n / (2L df) when x = 2L df tau is within
+# this many ulps of 2L of the integer n.  The default grids miss by
 # at most one ulp; snapping moves each lag phase by at most pi |x - n|.
 LATTICE_ULPS = 4
 
@@ -93,14 +95,18 @@ def _delay_terms(cfg: OfdmConfig, tau: float, offsets, out=None):
     distinct ``f`` and gathered onto the cells, into ``out`` (a real
     (2L-1) x n_nu buffer) when given.
 
-    Returns ``(lag_phase, carrier_phase, S, t_avg)`` with the lag phase
-    ``exp(j 2 pi l df tau)`` (length L) and the carrier phase (length 2L-1).
-    On a grid of more than one Doppler, :func:`_af_at_delay` folds the
-    carrier phase into the draws' lag products and leaves the nu phase, of
-    modulus one, out; on one Doppler :func:`_spectral` folds both phases
-    into K.  :func:`af_statistics` reads S alone, since only ``|K|^2 = S^2``
-    enters it.  A delay thus costs L + 2L-1 complex exponentials and one
-    sinc per distinct frequency, plus the gather.
+    Returns ``(lag, carrier_phase, S, t_avg)`` with the carrier phase (length
+    2L-1).  The lag says where a draw's lag-phased spectrum ``G = fft(c
+    exp(-j 2 pi l df tau), n=2L)`` comes from.  With ``x = 2L df tau``, ``G_k
+    = sum_l c_l exp(-j 2 pi l (k + x) / 2L)`` is the draw's spectrum ``F =
+    fft(c, n=2L)`` read at ``k + x``.  On the lattice, x within
+    ``LATTICE_ULPS`` ulps of 2L (the largest |x| inside the window) of an
+    integer n, ``G_k = F_{(k + n) mod 2L}`` and the lag is ``(n, None)``;
+    otherwise it is ``(0, lag_phase)`` with the lag phase ``exp(j 2 pi l df
+    tau)`` (length L), and G is the FFT of the lag-phased draw.  This is the
+    one place the lattice rule lives, for every grid.  A delay thus costs at
+    most L + 2L-1 complex exponentials and one sinc per distinct frequency,
+    plus the gather.
     """
     t_min = max(0.0, float(tau))
     t_max = min(cfg.symbol_duration, cfg.symbol_duration + float(tau))
@@ -109,46 +115,33 @@ def _delay_terms(cfg: OfdmConfig, tau: float, offsets, out=None):
         return None
     t_avg = 0.5 * (t_max + t_min)
     carrier, u, inv = offsets
-    l = np.arange(cfg.num_subcarriers)
-    lag_phase = np.exp(2j * np.pi * l * cfg.subcarrier_spacing * tau)
-    carrier_phase = np.exp(2j * np.pi * carrier * t_avg)
-    return lag_phase, carrier_phase, np.take(t_diff * np.sinc(u * t_diff), inv, out=out), t_avg
-
-
-def _spectral(cfg: OfdmConfig, tau: float, nu_grid: np.ndarray, terms):
-    """The terms ``(lag_phase, carrier_phase, S, t_avg)`` of
-    :func:`_delay_terms` at delay ``tau`` on the one-Doppler ``nu_grid``, as
-    :func:`_af_at_delay` takes them on that grid, ``((shift, phase), None,
-    H)``.  Neither part depends on the draws, so both are built once per
-    delay.
-
-    H is the spectral kernel: the length-2L inverse FFT of the complex
-    kernel column K, the carrier phase times S times the nu phase ``exp(-j 2
-    pi nu t_avg)`` (rows m = 1-L .. L-1), in FFT order (row m at index m mod
-    2L, a zero at L).  That order is K's zero-padded column shifted
-    circularly by L-1, so H is ``ifft(K, n=2L)`` times ``exp(-j 2 pi k (L-1)
-    / 2L)`` with the phase placed exactly, not evaluated.
-
-    The lag says where a draw's lag-phased spectrum ``G = fft(c
-    conj(lag_phase), n=2L)`` comes from.  With ``x = 2L df tau``, ``G_k =
-    sum_l c_l exp(-j 2 pi l (k + x) / 2L)`` is the draw's spectrum ``S =
-    fft(c, n=2L)`` read at ``k + x``.  On the lattice, x within ``LATTICE_ULPS`` ulps of 2L (the
-    largest |x| inside the window) of an integer n, ``G_k = S_{(k + n) mod
-    2L}`` and the lag is ``(n, None)``; otherwise it is ``(0, lag_phase)``
-    and G is the FFT of the lag-phased draw.
-    """
-    lag_phase, carrier_phase, envelope, t_avg = terms
-    kernel = np.multiply.outer(carrier_phase, np.exp(-2j * np.pi * nu_grid * t_avg))
-    np.multiply(kernel, envelope, out=kernel)
     num = cfg.num_subcarriers
-    rotated = np.zeros((2 * num, kernel.shape[1]), complex)
-    rotated[:num] = kernel[num - 1 :]
-    rotated[num + 1 :] = kernel[: num - 1]
     x = 2 * num * cfg.subcarrier_spacing * float(tau)
     shift = round(x)
-    on_lattice = abs(x - shift) <= LATTICE_ULPS * np.spacing(2.0 * num)
-    lag = (shift, None) if on_lattice else (0, lag_phase)
-    return lag, None, np.fft.ifft(rotated, axis=0)
+    if abs(x - shift) <= LATTICE_ULPS * np.spacing(2.0 * num):
+        lag = (shift, None)
+    else:
+        lag = (0, np.exp(2j * np.pi * np.arange(num) * cfg.subcarrier_spacing * tau))
+    carrier_phase = np.exp(2j * np.pi * carrier * t_avg)
+    return lag, carrier_phase, np.take(t_diff * np.sinc(u * t_diff), inv, out=out), t_avg
+
+
+def _spectral(nu_grid: np.ndarray, terms):
+    """The spectral kernel H of one delay's terms ``(lag, carrier_phase, S,
+    t_avg)`` (:func:`_delay_terms`) on the one-Doppler ``nu_grid``: the
+    length-2L inverse FFT of the complex kernel column K, the carrier phase
+    times S times the nu phase ``exp(-j 2 pi nu t_avg)`` (rows m = 1-L ..
+    L-1), each row m placed at FFT index m mod 2L and a zero at L.  It does
+    not depend on the draws, so it is built once per delay, and a draw's
+    lag-product spectrum P (:func:`_af_at_delay`) gives the AF as ``P @ H``.
+    """
+    _, carrier_phase, envelope, t_avg = terms
+    kernel = np.multiply.outer(carrier_phase, np.exp(-2j * np.pi * nu_grid * t_avg))
+    np.multiply(kernel, envelope, out=kernel)
+    num = (carrier_phase.size + 1) // 2
+    rotated = np.zeros((2 * num, kernel.shape[1]), complex)
+    rotated[np.arange(1 - num, num)] = kernel
+    return np.fft.ifft(rotated, axis=0)
 
 
 def _af_at_delay(
@@ -162,64 +155,58 @@ def _af_at_delay(
     """AF values for a batch of symbol vectors at one delay, all Dopplers,
     as a draws x n_nu array.
 
-    Groups the closed-form double sum by subcarrier offset m = l1 - l2: the
-    lag products ``B_m = sum_l c_{l+m} conj(c_l) exp(j 2 pi l df tau)`` are
-    the circular correlation, at length 2L, of the symbols with their
-    lag-phased copy, and the delay's factors finish the job.  ``spectrum``
-    is the length-2L FFT S of ``symbols``, which does not depend on the
-    delay.
+    Groups the closed-form double sum by subcarrier offset m = l1 - l2 into
+    the lag products ``B_m = sum_l c_{l+m} conj(c_l) exp(j 2 pi l df tau)``,
+    and the delay's factors finish the job.  ``spectrum`` is each draw's
+    length-2L FFT F, which does not depend on the delay, and ``lag`` is the
+    delay's ``(shift, phase)`` of :func:`_delay_terms`: the lag-phased
+    spectrum is ``G_k = F'_{(k + shift) mod 2L}``, F' being F itself on the
+    lattice (``phase`` None) and ``fft(symbols conj(phase), n=2L)`` otherwise.
+    One circular shift, or one forward FFT, per draw gives the lag products'
+    spectrum ``P = conj(G) F``, whose inverse FFT holds ``B_m`` at index m mod
+    2L.  Both grid kinds form P this way, into ``work`` (a 1-D complex buffer
+    of at least 4L draws elements) when given.
 
-    The path follows the grid's size.  On one Doppler (``carrier_phase``
-    None) ``lag`` and ``kernel`` are the ``(shift, phase)`` and the spectral
-    kernel H of :func:`_spectral`, and by
-    Parseval the AF is ``sum_k conj(G_k) S_k H_k`` with ``G_k = F_{(k +
-    shift) mod 2L}``, F being S itself on the lattice (``phase`` None) and
-    ``fft(symbols conj(phase), n=2L)`` otherwise: one circular shift, or one
-    forward FFT, per draw, then one complex product, giving the AF itself
-    (:func:`af_closed_form`).  G is taken into ``work`` (a 1-D complex
-    buffer of at least 2L draws elements) when given.  Otherwise ``lag``,
-    ``carrier_phase`` and ``kernel`` are the lag phase, the carrier phase and
-    S of :func:`_delay_terms`, the lag products are taken from one FFT
-    convolution per draw, multiplied by the carrier phase, and the real
-    envelope S finishes them in one real product, half the flops of a
+    On one Doppler (``carrier_phase`` None) ``kernel`` is the spectral kernel
+    H of :func:`_spectral`, and by Parseval the AF is ``P @ H``, the AF
+    itself (:func:`af_closed_form`).  Otherwise ``carrier_phase`` and
+    ``kernel`` are the carrier phase and S of :func:`_delay_terms`: the lag
+    products ``B = ifft(P)`` are multiplied by the carrier phase, and the
+    real envelope S finishes them in one real product, half the flops of a
     complex one, so the values are the AF times the unit-modulus phase
     ``exp(j 2 pi nu t_avg)`` of each Doppler column: their magnitudes are
-    exact, which is all :func:`mc_average_af` reads.  That product reads the
-    lag products as a (2L-1) x draws block, written into ``work`` when
-    given.
+    exact, which is all :func:`mc_average_af` reads.
     """
     num = symbols.shape[1]
-    if carrier_phase is None:
-        shift, phase = lag
-        source = spectrum if phase is None else np.fft.fft(symbols * phase.conj(), n=2 * num, axis=1)
-        out = None if work is None else work[: source.size].reshape(source.shape)
-        spec = np.take(source, np.arange(shift, shift + 2 * num), axis=1, mode="wrap", out=out)
-        np.conjugate(spec, out=spec)
-        np.multiply(spec, spectrum, out=spec)
-        return spec @ kernel
-    # One (chunk, 2L) buffer, reused in place: the spectra held for every draw
+    shift, phase = lag
+    source = spectrum if phase is None else np.fft.fft(symbols * phase.conj(), n=2 * num, axis=1)
+    # One buffer per worker, reused in place: the spectra held for every draw
     # already raise the peak memory, so a call adds no further large
     # temporary when ``work`` is given.  A fresh block per call would have
     # the allocator return and re-map its pages on every call.
-    conv = np.fft.fft((symbols.conj() * lag)[:, ::-1], n=2 * num, axis=1)
-    np.multiply(spectrum, conv, out=conv)
-    np.fft.ifft(conv, axis=1, out=conv)
-    lags = conv[:, : 2 * num - 1]
-    # A C-contiguous block, so its float view holds each draw's real and
-    # imaginary parts as two adjacent columns for S to take.  Transposing by
-    # assignment and then multiplying in place keeps numpy from staging the
-    # mixed-layout product through its own per-call ufunc buffers.
     if work is None:
-        work = np.empty(lags.size, complex)
-    block = work[: lags.size].reshape(lags.shape[::-1])
-    block[...] = lags.T
+        work = np.empty(2 * source.size, complex)
+    spec = work[: source.size].reshape(source.shape)
+    np.take(source, np.arange(shift, shift + 2 * num), axis=1, mode="wrap", out=spec)
+    np.conjugate(spec, out=spec)
+    np.multiply(spec, spectrum, out=spec)
+    if carrier_phase is None:
+        return spec @ kernel
+    np.fft.ifft(spec, axis=1, out=spec)
+    # A C-contiguous (2L-1) x draws block, so its float view holds each
+    # draw's real and imaginary parts as two adjacent columns for S to take.
+    # Gathering the rows m = 1-L .. L-1 by assignment and then multiplying in
+    # place keeps numpy from staging the mixed-layout product through its own
+    # per-call ufunc buffers.
+    block = work[spec.size : 2 * spec.size - len(spec)].reshape(2 * num - 1, len(spec))
+    block[: num - 1], block[num - 1 :] = spec[:, num + 1 :].T, spec[:, :num].T
     np.multiply(block, carrier_phase[:, None], out=block)
     return (kernel.T @ block.view(float)).view(complex).T
 
 
 def af_closed_form(cfg: OfdmConfig, symbols, tau: float, nu: float):
     """Closed-form ambiguity function at one point: the one-Doppler case of
-    :func:`_af_at_delay`, the lag-phased spectrum of each row (a circular
+    :func:`_af_at_delay`, each row's lag-product spectrum (from a circular
     shift of its FFT on the delay lattice, an FFT of the lag-phased row off
     it) against the delay's spectral kernel (:func:`_spectral`), and zero
     outside the window.  ``symbols`` may carry leading batch dimensions, in
@@ -235,7 +222,7 @@ def af_closed_form(cfg: OfdmConfig, symbols, tau: float, nu: float):
     out = np.zeros(rows.shape[0], complex)
     if terms is not None:
         spectrum = np.fft.fft(rows, n=2 * num, axis=1)
-        out = _af_at_delay(rows, spectrum, *_spectral(cfg, tau, nu_grid, terms))[:, 0]
+        out = _af_at_delay(rows, spectrum, terms[0], None, _spectral(nu_grid, terms))[:, 0]
     out = out.reshape(symbols.shape[:-1])
     return complex(out) if out.ndim == 0 else out
 
@@ -259,14 +246,14 @@ def mc_average_af(
     rebuilding each row's kernel once per chunk.  The draws are split into
     chunks of ``AF_CHUNK``, whose FFT spectra are taken once, and the
     distinct kernel frequencies are found once (:func:`_doppler_offsets`).
-    Each delay row builds its kernel once, into one buffer per worker (on
-    one Doppler, and then its spectral kernel and lattice shift), applies it
-    to every chunk and adds the chunk partial sums in chunk order.  On one
-    Doppler a delay on the lattice ``tau = n / (2L df)``, as every computed
-    delay of the default slice is, costs each chunk a circular shift of its
-    spectra and no FFT.  Worker threads split the delay rows between them
-    and never change a row's arithmetic, so the result does not depend on
-    ``threads``.
+    Each delay row builds its kernel (into one buffer per worker), its
+    lattice shift and, on one Doppler, its spectral kernel once, applies them
+    to every chunk and adds the chunk partial sums in chunk order.  On any
+    Doppler grid a delay on the lattice ``tau = n / (2L df)``, as every
+    computed delay of the default grids is, costs each chunk a circular shift
+    of its spectra and no FFT, so the chunks' spectra are the only forward
+    FFTs.  Worker threads split the delay rows between them and never change
+    a row's arithmetic, so the result does not depend on ``threads``.
 
     Every draw has ``AF(tau, nu) = exp(-j 2 pi nu tau) conj(AF(-tau, -nu))``,
     so the mean |AF| is point-symmetric.  When both grids are exactly their
@@ -295,13 +282,15 @@ def mc_average_af(
 
     def fill(rows):
         envelope = np.empty((2 * num - 1, nu_grid.size))
-        work = np.empty(2 * num * AF_CHUNK, complex)
+        work = np.empty(4 * num * AF_CHUNK, complex)
         for ti in rows:
             terms = _delay_terms(cfg, tau_grid[ti], offsets, envelope)
             if terms is not None:
-                terms = _spectral(cfg, tau_grid[ti], nu_grid, terms) if nu_grid.size == 1 else terms[:3]
+                lag, carrier_phase, kernel, _ = terms
+                if nu_grid.size == 1:
+                    carrier_phase, kernel = None, _spectral(nu_grid, terms)
                 for chunk, spectrum in zip(chunks, spectra):
-                    af = _af_at_delay(chunk, spectrum, *terms, work)
+                    af = _af_at_delay(chunk, spectrum, lag, carrier_phase, kernel, work)
                     total[ti] += np.abs(af).sum(axis=0)
 
     symmetric = np.array_equal(tau_grid, -tau_grid[::-1]) and np.array_equal(nu_grid, -nu_grid[::-1])
@@ -336,14 +325,15 @@ def af_statistics(cfg: OfdmConfig, constellation: Constellation, tau_grid, nu: f
     pairs = num - np.abs(np.arange(1 - num, num))
     pairs[num - 1] = 0
     excess = constellation.moment(4) - 1.0
+    l = np.arange(num)
     stats = np.zeros((3, len(tau_grid)))
     for i, tau in enumerate(tau_grid):
         terms = _delay_terms(cfg, tau, offsets)
         if terms is not None:
-            lag_phase, _, envelope, _ = terms
-            power = envelope[:, 0] ** 2
-            s0 = abs(envelope[num - 1, 0])
-            stats[:, i] = power[num - 1] * num * excess, pairs @ power, s0 * abs(lag_phase.sum())
+            envelope = terms[2][:, 0]
+            power = envelope**2
+            dirichlet = abs(np.exp(2j * np.pi * l * cfg.subcarrier_spacing * tau).sum())
+            stats[:, i] = power[num - 1] * num * excess, pairs @ power, abs(envelope[num - 1]) * dirichlet
     return stats
 
 

@@ -119,8 +119,11 @@ def parse_grid(value, name: str = "grid") -> np.ndarray:
                 raise ValueError(f"{name} {text!r} must have finite bounds and step")
             if step == 0 or (stop - start) * step < 0:
                 raise ValueError(f"{name} {text!r} has inconsistent direction")
-            count = int(np.floor((stop - start) / step + 1e-9)) + 1
-            return start + step * np.arange(count)
+            points = np.floor((stop - start) / step + 1e-9) + 1
+            try:
+                return start + step * np.arange(int(points))
+            except (OverflowError, ValueError, MemoryError):
+                raise ValueError(f"{name} {text!r} has {points:.3g} points, too many to build") from None
         grid = np.array([number(p) for p in text.split(",") if p.strip() != ""])
     if grid.size == 0:
         raise ValueError(f"{name} is empty")
@@ -226,13 +229,14 @@ def _config_value(key: str, value, default):
     """A config-file value, which must have the type of the flag ``key``:
     an integer for an int default (a bool is not one), a number for a float
     or None default (an integer widens to float), a string for a str default
-    or, for a grid option, a list."""
+    or, for a grid option, a list of numbers (no bool or string among them)."""
     if isinstance(default, int):
         kind, ok = "an integer", type(value) is int
     elif isinstance(default, str):
         kind, ok = "a string", isinstance(value, str)
         if key in _GRID_KEYS:
-            kind, ok = "a string or a list", ok or isinstance(value, list)
+            numbers = isinstance(value, list) and all(type(v) in (int, float) for v in value)
+            kind, ok = "a string or a list of numbers", ok or numbers
     else:
         kind, ok = "a number", type(value) in (int, float)
         value = float(value) if ok else value

@@ -241,48 +241,53 @@ def _on_lattice(cfg, taus):
     for tau in taus:
         terms = ambiguity._delay_terms(cfg, tau, offsets)
         if terms is not None:
-            (_, phase), _, _ = ambiguity._spectral(cfg, tau, nus, terms)
+            _, phase = terms[0]
             flags.append(phase is None)
     return np.array(flags)
 
 
 _L32 = OfdmConfig(num_subcarriers=32, subcarrier_spacing=100e6 / 32)
+_LATTICE_CASES = [
+    # The whole default slice: all 255 delays inside the window lie on
+    # the lattice tau = n T_p / 128.
+    (_PROD, default_tau_grid(_PROD), 255, "default-slice"),
+    # Grids that are not their own mirror, so the negative lattice delays
+    # (n < 0) are computed too; the second adds one half a step off it.
+    (_PROD, np.array([-127, -64, -33, -1, 0, 5, 64, 126]) / 128 * _PROD.symbol_duration, 8,
+     "negative-shifts"),
+    (_PROD, np.array([-100.5, -3, 0, 2, 77]) / 128 * _PROD.symbol_duration, 4,
+     "negative-shifts-and-off-lattice"),
+    # At 32 subcarriers the default step is T_p / 128 against a lattice
+    # of T_p / 64: on- and off-lattice rows alternate.
+    (_L32, default_tau_grid(_L32), 127, "L32-alternating"),
+]
 
 
 @pytest.mark.parametrize(
-    ("cfg", "taus", "lattice_rows"),
-    [
-        # The whole default slice: all 255 delays inside the window lie on
-        # the lattice tau = n T_p / 128.
-        pytest.param(_PROD, default_tau_grid(_PROD), 255, id="default-slice"),
-        # Grids that are not their own mirror, so the negative lattice delays
-        # (n < 0) are computed too; the second adds one half a step off it.
-        pytest.param(
-            _PROD, np.array([-127, -64, -33, -1, 0, 5, 64, 126]) / 128 * _PROD.symbol_duration,
-            8, id="negative-shifts",
-        ),
-        pytest.param(
-            _PROD, np.array([-100.5, -3, 0, 2, 77]) / 128 * _PROD.symbol_duration,
-            4, id="negative-shifts-and-off-lattice",
-        ),
-        # At 32 subcarriers the default step is T_p / 128 against a lattice
-        # of T_p / 64: on- and off-lattice rows alternate.
-        pytest.param(_L32, default_tau_grid(_L32), 127, id="L32-alternating"),
+    ("cfg", "taus", "nus", "lattice_rows"),
+    # Each delay grid on the zero-Doppler slice, which takes the spectral
+    # kernel, and on two Dopplers, which take the lag products and the real
+    # envelope; the two-Doppler grid is not its own mirror, so every row of
+    # it is computed.
+    [pytest.param(cfg, taus, np.array([0.0]), rows, id=name) for cfg, taus, rows, name in _LATTICE_CASES]
+    + [
+        pytest.param(cfg, taus, np.array([0.0, 2.37]) * cfg.subcarrier_spacing, rows, id=name + "-two-doppler")
+        for cfg, taus, rows, name in _LATTICE_CASES
     ],
 )
-def test_lattice_shift_matches_double_sum(cfg, taus, lattice_rows):
+def test_lattice_shift_matches_double_sum(cfg, taus, nus, lattice_rows):
     flags = _on_lattice(cfg, taus)
     assert np.count_nonzero(flags) == lattice_rows
     num = cfg.num_subcarriers
     trials, seed = 2 * AF_CHUNK + 3, 29
     c = make_qam(16)
     draws = c.sample_symbols(trials * num, seed).reshape(trials, num)
-    direct = np.array([af_double_sum(cfg, draws, tau, 0.0) for tau in taus])
-    fast = np.array([af_closed_form(cfg, draws, tau, 0.0) for tau in taus])
+    direct = np.array([[af_double_sum(cfg, draws, tau, nu) for nu in nus] for tau in taus])
+    fast = np.array([[af_closed_form(cfg, draws, tau, nu) for nu in nus] for tau in taus])
     assert np.max(np.abs(fast - direct)) <= 1e-12 * np.abs(direct).max()
-    brute = np.abs(direct).mean(axis=1)
-    surface = mc_average_af(cfg, c, taus, np.array([0.0]), trials, seed, threads=2)
-    assert np.max(np.abs(surface[:, 0] - brute / brute.max())) <= 1e-12
+    brute = np.abs(direct).mean(axis=2)
+    surface = mc_average_af(cfg, c, taus, nus, trials, seed, threads=2)
+    assert np.max(np.abs(surface - brute / brute.max())) <= 1e-12
 
 
 def test_delay_nudged_off_lattice_takes_the_fft():
@@ -293,11 +298,12 @@ def test_delay_nudged_off_lattice_takes_the_fft():
     for n in (-37, 0, 50):
         tau = n / 128 * cfg.symbol_duration
         terms = ambiguity._delay_terms(cfg, tau, offsets)
-        assert ambiguity._spectral(cfg, tau, nus, terms)[0] == (n, None)
+        assert terms[0] == (n, None)
         nudged = tau + 1e-9 * cfg.symbol_duration
         terms = ambiguity._delay_terms(cfg, nudged, offsets)
-        shift, phase = ambiguity._spectral(cfg, nudged, nus, terms)[0]
-        assert shift == 0 and np.array_equal(phase, terms[0])
+        shift, phase = terms[0]
+        lag_phase = np.exp(2j * np.pi * np.arange(64) * cfg.subcarrier_spacing * nudged)
+        assert shift == 0 and np.array_equal(phase, lag_phase)
         for t in (tau, nudged):
             direct = af_double_sum(cfg, draws, t, 0.0)
             fast = af_closed_form(cfg, draws, t, 0.0)
@@ -324,6 +330,25 @@ def test_one_doppler_slice_calls_af_at_delay_once_per_computed_row_and_chunk(mon
         chunks = -(-trials // AF_CHUNK)
         assert len(calls) == 128 * chunks
         assert all(shape == (rows, 1) for rows, shape in calls)
+
+
+def test_default_lattice_surface_takes_no_fft_per_delay(monkeypatch):
+    # On the default lattice a draw's lag-phased spectrum is its one spectrum
+    # shifted circularly, on many Dopplers as on one: the only forward FFTs
+    # are the chunks' spectra, taken once before any delay.
+    calls = []
+    original = np.fft.fft
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", counting)
+    trials = 2 * AF_CHUNK + 5
+    taus, nus = default_tau_grid(_PROD), default_nu_grid(_PROD, 9)
+    surface = mc_average_af(_PROD, make_qam(16), taus, nus, trials, 3, threads=2)
+    assert surface.shape == (257, 9)
+    assert calls == [(AF_CHUNK, 64), (AF_CHUNK, 64), (5, 64)]
 
 
 def test_mc_average_mirror_computes_half_the_rows(monkeypatch):

@@ -513,6 +513,9 @@ def test_generated_flags_parse_to_table_defaults(tmp_path, command):
         ("air sweep-snr", {"modulations": ["qam16"]}, "modulations"),
         # A key no command takes, such as a misspelling, would run at the default.
         ("af slice", {"trails": 3}, "config trails"),
+        # A grid list holds numbers only: the header would record True or '7'.
+        ("pcs sweep", {"c0": [True, 1.2]}, "c0"),
+        ("air sweep-snr", {"snr": [False, "7"]}, "snr"),
     ],
 )
 def test_bad_config_value_names_key(tmp_path, capsys, command, config, key):
@@ -585,6 +588,10 @@ _SMALL_OFDM = ["--subcarriers", "8", "--bandwidth", "8"]
         (["af", "slice", "--delay", "1e-8", "--doppler", "5e6"], "doppler must be 0 with delay"),
         # A spacing of 1.6e-320 Hz has no finite symbol duration 1/df.
         (["af", "variance", "--bandwidth", "1e-318"], "bandwidth"),
+        # A range of more points than numpy can build, or than a float can count.
+        (["pcs", "sweep", "--c0", "1:1e-300:1.7"], "c0 '1:1e-300:1.7' has 7e+299 points"),
+        (["pcs", "sweep", "--c0", "1:1e-320:1.7"], "c0 '1:1e-320:1.7' has inf points"),
+        (["air", "sweep-snr", "--snr", "0:1e-300:1", "--mc", "10"], "snr '0:1e-300:1' has 1e+300 points"),
     ],
 )
 def test_af_empty_grid_names_parameter(tmp_path, capsys, args, name):
