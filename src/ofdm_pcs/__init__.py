@@ -4,7 +4,7 @@ __version__ = "0.1.0"
 
 from .air import AirConfig, AirEstimate, air_mc, air_vs_c0, air_vs_snr
 from .ambiguity import af_closed_form, af_statistics, mc_average_af
-from .constellation import Constellation, group_rings, make_psk, make_qam
+from .constellation import Constellation, make_psk, make_qam
 from .detect import (
     CfarConfig,
     DetectionScenario,
@@ -20,7 +20,6 @@ from .pcs import (
     SolverNotConvergedError,
     fourth_moment_range,
     solve_pcs,
-    sweep_c0,
 )
 
 __all__ = [
@@ -41,12 +40,10 @@ __all__ = [
     "air_vs_snr",
     "calibrate_alpha",
     "fourth_moment_range",
-    "group_rings",
     "make_psk",
     "make_qam",
     "mc_average_af",
     "pd_experiment",
     "so_cfar",
     "solve_pcs",
-    "sweep_c0",
 ]

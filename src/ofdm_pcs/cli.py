@@ -53,7 +53,7 @@ from .detect import (
     pd_experiment,
 )
 from .ofdm import OfdmConfig, check_db
-from .pcs import PcsProblem, solve_pcs, sweep_c0
+from .pcs import PcsProblem, solve_pcs
 
 # Options that must not influence output bytes (or are the output itself).
 _META_EXCLUDE = {"out", "threads"}
@@ -132,20 +132,20 @@ def parse_grid(value, name: str = "grid") -> np.ndarray:
     return grid
 
 
-def resolve_modulation(spec: str) -> tuple[str, Constellation]:
-    """psk<N>/qam<N> constructors, or a path to a shaped-constellation JSON."""
-    lowered = spec.lower()
+def resolve_modulation(spec: str, name: str = "modulation") -> tuple[str, Constellation]:
+    """psk<N>/qam<N> constructors, or a path to a shaped-constellation JSON,
+    given as option ``name``, which every error names with ``spec``."""
+    lowered, path = spec.lower(), Path(spec)
     match = re.fullmatch(r"(psk|qam)(\d+)", lowered)
-    if match:
-        order = int(match.group(2))
-        c = make_psk(order) if match.group(1) == "psk" else make_qam(order)
-        return lowered, c
-    path = Path(spec)
-    if path.suffix == ".json" or path.exists():
-        return path.stem, Constellation.from_json(path.read_text())
-    raise ValueError(
-        f"unknown modulation {spec!r}: expected psk<N>, qam<N>, or a JSON file path"
-    )
+    try:
+        if match:
+            order = int(match.group(2))
+            return lowered, make_psk(order) if match.group(1) == "psk" else make_qam(order)
+        if path.suffix == ".json" or path.exists():
+            return path.stem, Constellation.from_json(path.read_text())
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"{name} {spec!r}: {exc}") from None
+    raise ValueError(f"{name} {spec!r} is not psk<N>, qam<N> or a JSON file path")
 
 
 def _fmt(value) -> str:
@@ -272,6 +272,10 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
         if key in _INT_MIN and value < _INT_MIN[key]:
             raise ValueError(f"{key} must be >= {_INT_MIN[key]}, got {value}")
         resolved[key] = value
+    # Checked here so that a bad path fails before the run, not after it.
+    out = Path(args.out)
+    if out.is_dir() or not out.parent.is_dir():
+        raise ValueError(f"out {args.out!r} must name a file in an existing directory")
     resolved["out"] = args.out
     return resolved
 
@@ -285,12 +289,12 @@ def _inputs(command: str, opts: dict) -> dict:
     defaults, inputs = _COMMANDS[command][2], {}
     for key, value in opts.items():
         if key == "modulation":
-            value = resolve_modulation(value)[1]
+            value = resolve_modulation(value, key)[1]
         elif key == "modulations":
             specs = [s.strip() for s in value.split(",") if s.strip()]
             if not specs:
                 raise ValueError("modulations is empty")
-            value = [resolve_modulation(spec) for spec in specs]
+            value = [resolve_modulation(spec, key) for spec in specs]
             names = [name for name, _ in value]
             for name in names:
                 if names.count(name) > 1:
@@ -318,17 +322,15 @@ def _run_pcs_solve(opts: dict) -> dict:
         "achieved_m4": sol.achieved_m4,
         "gap": sol.gap,
         "feasible_range": list(sol.feasible_range),
-        "entropy_bits": sol.tie_break_entropy,
+        "entropy_bits": sol.entropy_bits,
     }
 
 
 def _run_pcs_sweep(opts: dict):
     base, grid = opts["modulation"], opts["c0"]
     header = ["c0", "achieved_m4", "gap", "entropy_bits"] + [f"p{q}" for q in range(base.order)]
-    return header, np.array([
-        [c0, s.achieved_m4, s.gap, s.tie_break_entropy, *s.probs]
-        for c0, s in zip(grid, sweep_c0(base.amplitudes, grid))
-    ])
+    sols = [solve_pcs(PcsProblem(base.amplitudes, float(c0))) for c0 in grid]
+    return header, np.array([[c0, s.achieved_m4, s.gap, s.entropy_bits, *s.probs] for c0, s in zip(grid, sols)])
 
 
 def _run_af_slice(opts: dict):
@@ -370,7 +372,7 @@ def _run_air_sweep_c0(opts: dict):
     sols, est = air_vs_c0(opts["modulation"], opts["c0"], cfg, threads=opts["threads"])
     header = ["c0", "rate_bits", "std_error", "gap", "entropy_bits"]
     return header, np.column_stack(
-        [opts["c0"], est.rate, est.std_error, [s.gap for s in sols], [s.tie_break_entropy for s in sols]]
+        [opts["c0"], est.rate, est.std_error, [s.gap for s in sols], [s.entropy_bits for s in sols]]
     )
 
 

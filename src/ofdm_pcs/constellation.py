@@ -19,8 +19,6 @@ POWER_TOL = 1e-9
 # Points whose squared amplitudes differ by less than this share a ring.
 RING_TOL = 1e-9
 
-_TWO_PI = 2.0 * math.pi
-
 
 class IndexSampler:
     """I.i.d. indices ``0..len(p)-1`` drawn with probabilities ``p``.
@@ -59,8 +57,7 @@ class Constellation:
     probabilities form a simplex within ``PROB_TOL`` and the average power
     ``sum(p * |x|^2)`` is one within ``POWER_TOL``.  Zero probabilities are
     allowed (shaped distributions may drop points entirely).  The point mean
-    is *not* constrained; callers that rely on a zero-mean constellation can
-    inspect :meth:`mean_point`.
+    is *not* constrained.
 
     Instances are immutable; all methods are pure functions.
     """
@@ -104,10 +101,6 @@ class Constellation:
         return np.abs(self.points)
 
     @property
-    def phases(self) -> np.ndarray:
-        return np.angle(self.points) % _TWO_PI
-
-    @property
     def energies(self) -> np.ndarray:
         """Squared amplitudes |x_q|^2."""
         return np.abs(self.points) ** 2
@@ -117,14 +110,6 @@ class Constellation:
         if k <= 0 or k % 2 != 0:
             raise ValueError(f"only even positive amplitude moments are defined, got k={k}")
         return float(self.probs @ self.amplitudes**k)
-
-    def entropy_bits(self) -> float:
-        """Shannon entropy of the probability vector in bits (0*log 0 = 0)."""
-        p = self.probs[self.probs > 0]
-        return float(-(p @ np.log2(p)))
-
-    def mean_point(self) -> complex:
-        return complex(self.probs @ self.points)
 
     def sample_symbols(self, n: int, seed) -> np.ndarray:
         """Draw ``n`` i.i.d. symbols from the point distribution.
@@ -148,9 +133,6 @@ class Constellation:
             "points": [{"re": float(z.real), "im": float(z.imag)} for z in self.points],
             "probs": [float(p) for p in self.probs],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Constellation":
@@ -202,16 +184,12 @@ def make_qam(order: int) -> Constellation:
     return Constellation(points, np.full(order, 1.0 / order))
 
 
-def group_rings(constellation: Constellation):
+def group_by_energy(energies):
     """Bucket point indices by squared amplitude.
 
     Returns a list of ``(energy, indices)`` pairs sorted by energy.  Points
     whose energies differ by at most ``RING_TOL`` land in the same ring.
     """
-    return group_by_energy(constellation.energies)
-
-
-def group_by_energy(energies):
     energies = np.asarray(energies, dtype=float)
     order = np.argsort(energies, kind="stable")
     rings = []

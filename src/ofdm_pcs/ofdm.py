@@ -55,10 +55,6 @@ class OfdmConfig:
     def num_samples(self) -> int:
         return int(self.oversampling) * int(self.num_subcarriers)
 
-    @property
-    def sample_period(self) -> float:
-        return self.symbol_duration / self.num_samples
-
 
 def symbol_signal_batch(cfg: OfdmConfig, symbols: np.ndarray) -> np.ndarray:
     """Samples ``s[i, n] = sum_l symbols[i, l] exp(j 2 pi l n / N)``, shape

@@ -60,7 +60,7 @@ class PcsSolution:
     achieved_m4: float
     gap: float
     feasible_range: tuple[float, float]
-    tie_break_entropy: float
+    entropy_bits: float
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -155,7 +155,8 @@ def solve_pcs(problem: PcsProblem, tie_break: str = "max-entropy") -> PcsSolutio
         achieved_m4=achieved,
         gap=abs(achieved - problem.c0),
         feasible_range=(m4_min, m4_max),
-        tie_break_entropy=float(-(pos @ np.log2(pos))) if pos.size else 0.0,
+        # 0 - x, not -x: a one-point support's sum is 0, and -0 would print as "-0".
+        entropy_bits=0.0 - float(pos @ np.log2(pos)),
         diagnostics={"newton_iterations": newton_iters},
     )
 
@@ -225,10 +226,3 @@ def _monotone_root(f, x):
         span *= 2
     raise SolverNotConvergedError(f"Newton iteration cap reached, residual {abs(value):.3e}")
 
-
-def sweep_c0(support, c0_grid) -> list[PcsSolution]:
-    """Independent :func:`solve_pcs` calls over a grid of targets."""
-    grid = np.asarray(c0_grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("c0_grid must be a non-empty 1-D list")
-    return [solve_pcs(PcsProblem(support, c0)) for c0 in grid]

@@ -19,7 +19,7 @@ from ofdm_pcs.ambiguity import (
     mc_average_af,
 )
 from ofdm_pcs.cli import main
-from ofdm_pcs.constellation import Constellation, group_rings, make_psk, make_qam
+from ofdm_pcs.constellation import Constellation, group_by_energy, make_psk, make_qam
 from ofdm_pcs.detect import (
     CfarConfig,
     DetectionScenario,
@@ -158,7 +158,7 @@ def test_06_pcs_solutions():
     qam64 = make_qam(64)
     sol64 = solve_pcs(PcsProblem(qam64.amplitudes, 1.0))
     off_bracket = 0.0
-    for energy, idx in group_rings(qam64):
+    for energy, idx in group_by_energy(qam64.energies):
         if not (abs(energy - 34 / 42) < 1e-9 or abs(energy - 50 / 42) < 1e-9):
             off_bracket += sol64.probs[idx].sum()
     ok_b = abs(sol64.gap - (1.0363 - 1.0)) <= 1e-4 and off_bracket <= 1e-9

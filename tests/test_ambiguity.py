@@ -54,7 +54,7 @@ def test_af_origin_psk_exact():
 
 def test_numeric_origin_equals_sample_sum():
     samples = symbol_signal_batch(CFG16, make_qam(16).sample_symbols(16, 3)[None])[0]
-    sample_sum = np.sum(np.abs(samples) ** 2) * CFG16.sample_period
+    sample_sum = np.sum(np.abs(samples) ** 2) * CFG16.symbol_duration / CFG16.num_samples
     assert af_quadrature(CFG16, samples, 0.0, 0.0) == pytest.approx(sample_sum, rel=1e-12)
 
 

@@ -73,7 +73,7 @@ def test_resolve_modulation(tmp_path):
     name, c = resolve_modulation("QAM64")
     assert name == "qam64" and c.order == 64
     path = tmp_path / "shaped.json"
-    path.write_text(c.to_json())
+    path.write_text(json.dumps(c.to_json_dict()))
     name, loaded = resolve_modulation(str(path))
     assert name == "shaped" and loaded.order == 64
     with pytest.raises(ValueError):
@@ -117,6 +117,26 @@ def test_pcs_sweep_csv(tmp_path):
     assert header[4:] == [f"p{q}" for q in range(16)]
     achieved = [float(r[1]) for r in rows]
     assert achieved == pytest.approx([1.0, 1.32, 1.64], abs=1e-8)
+
+
+@pytest.mark.parametrize(("c0", "end"), [("0", 0), ("100", 1)])
+def test_pcs_solve_beyond_the_range_lands_on_its_end(tmp_path, c0, end):
+    # The range ends are taken in closed form; a target beyond either end lands on it.
+    out = tmp_path / "s.json"
+    assert main(["pcs", "solve", "--modulation", "qam64", "--c0", c0, "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert abs(doc["achieved_m4"] - doc["feasible_range"][end]) <= 1e-12
+
+
+def test_one_point_support_entropy_reads_zero(tmp_path):
+    # The entropy sum of a one-point support is 0, which negated would print "-0".
+    one = tmp_path / "one.json"
+    one.write_text(json.dumps({"points": [{"re": 1.0, "im": 0.0}], "probs": [1.0]}))
+    sweep, solve = tmp_path / "sweep.csv", tmp_path / "solve.json"
+    assert main(["pcs", "sweep", "--modulation", str(one), "--c0", "1.7", "--out", str(sweep)]) == 0
+    assert main(["pcs", "solve", "--modulation", str(one), "--out", str(solve)]) == 0
+    assert read_csv(sweep)[2] == [["1.7", "1", "0.7", "0", "1"]]
+    assert repr(json.loads(solve.read_text())["entropy_bits"]) == "0.0"
 
 
 def test_af_slice_byte_identical_and_thread_invariant(tmp_path):
@@ -239,7 +259,7 @@ def test_air_sweep_snr_negative_grid(tmp_path):
 
 def test_air_sweep_snr_rejects_json_stem_naming_another_column(tmp_path, capsys):
     shaped = tmp_path / "qam16.json"
-    shaped.write_text(resolve_modulation("psk4")[1].to_json())
+    shaped.write_text(json.dumps(resolve_modulation("psk4")[1].to_json_dict()))
     out = tmp_path / "snr.csv"
     rc = main(["air", "sweep-snr", "--modulations", f"qam16,{shaped}", "--mc", "10",
                "--out", str(out)])
@@ -660,6 +680,41 @@ def test_every_option_can_change_the_artifact(tmp_path, command):
     assert dead == []
 
 
+# Beside each _LIVE_BASE run, the regimes where the workers' shares differ: the
+# default surface, and 64 delays, whose computed half splits evenly; at 32
+# subcarriers on- and off-lattice delays alternate; 600 trials are two pd
+# chunks, and at cell 120 the lag cut meets the instrumented range.
+_THREAD_REGIMES = {
+    "af surface": [["--trials", "4"], ["--trials", "4", "--tau-points", "64", "--nu-points", "33"],
+                   ["--subcarriers", "32", "--trials", "200"]],
+    "af slice": [["--trials", "64"], ["--subcarriers", "32", "--trials", "200"]],
+    "air sweep-c0": [["--mc", "20000"]],
+    "air sweep-snr": [["--mc", "20000"]],
+    "detect pd-sweep": [["--trials", "600"], ["--trials", "600", "--offset", "120"]],
+}
+# Generated from the table: a command that drops --threads drops its rows.
+_THREAD_CASES = [
+    pytest.param(command, argv, id=" ".join([command, *argv]))
+    for command in sorted(_COMMANDS) if "threads" in _COMMANDS[command][2]
+    for argv in [_LIVE_BASE[command], *_THREAD_REGIMES.get(command, [])]
+]
+
+
+def test_every_threads_command_has_a_thread_case():
+    threaded = {command for command, (_, _, defaults) in _COMMANDS.items() if "threads" in defaults}
+    assert threaded and {case.values[0] for case in _THREAD_CASES} == threaded
+
+
+@pytest.mark.parametrize(("command", "argv"), _THREAD_CASES)
+def test_threads_never_change_a_byte(tmp_path, command, argv):
+    data = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}.out"
+        assert main([*command.split(), *argv, "--threads", threads, "--out", str(out)]) == 0
+        data.append(out.read_bytes())
+    assert data[0] == data[1]
+
+
 @pytest.mark.parametrize(
     ("args", "config", "name"),
     [
@@ -682,19 +737,36 @@ def test_empty_grid_names_option(tmp_path, capsys, args, config, name):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("args", [
+_CONSTELLATION_ARGS = [
     ["constellation", "dump", "--modulation"],
     ["air", "sweep-snr", "--snr", "10", "--mc", "10", "--modulations"],
     ["af", "slice", "--trials", "2", *_SMALL_OFDM, "--modulation"],
-])
+]
+
+
+@pytest.mark.parametrize("args", _CONSTELLATION_ARGS)
 def test_non_finite_constellation_json_fails(tmp_path, capsys, args):
     # NaN passes every comparison; unchecked, it is written out as ``nan``.
-    doc = json.loads(make_qam(16).to_json())
+    doc = make_qam(16).to_json_dict()
     doc["points"][3]["re"] = float("nan")
     shaped = tmp_path / "nan.json"
     shaped.write_text(json.dumps(doc))
     assert main(args + [str(shaped), "--out", str(tmp_path / "x.csv")]) == 1
     assert "points must be finite, got (nan+" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("content", [None, "", '{"points": [{"re": 1}], "probs": [1]}', "directory"],
+                         ids=["missing", "empty", "malformed", "directory"])
+@pytest.mark.parametrize("args", _CONSTELLATION_ARGS)
+def test_bad_constellation_file_names_option_and_path(tmp_path, capsys, args, content):
+    path = tmp_path / "c.json"
+    if content == "directory":
+        path.mkdir()
+    elif content is not None:
+        path.write_text(content)
+    assert main(args + [str(path), "--out", str(tmp_path / "x.csv")]) == 1
+    assert f"{args[-1][2:]} {str(path)!r}: " in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -787,6 +859,18 @@ def test_unreadable_config_fails(tmp_path, capsys):
     rc = main(["--config", str(bad), "pcs", "solve", "--out", str(tmp_path / "s.json")])
     assert rc == 1
     assert "pcs solve" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_bad_out_path_fails_before_the_run(tmp_path, capsys, monkeypatch, command):
+    # A missing directory or a directory as --out fails by name, not after the run.
+    def no_work(opts):
+        raise AssertionError("work started")
+
+    monkeypatch.setitem(_COMMANDS, command, (no_work, *_COMMANDS[command][1:]))
+    for out in (tmp_path / "no" / "x.out", tmp_path):
+        assert main([*command.split(), "--out", str(out)]) == 1
+        assert f"out {str(out)!r}" in capsys.readouterr().err
 
 
 def test_unknown_flag_exits_nonzero(tmp_path):

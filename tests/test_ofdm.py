@@ -45,7 +45,7 @@ def test_direct_sum_equivalence():
     symbols = rng.normal(size=8) + 1j * rng.normal(size=8)
     samples = symbol_signal_batch(cfg, symbols[None])[0]
     n = np.arange(cfg.num_samples)
-    t = n * cfg.sample_period
+    t = n * cfg.symbol_duration / cfg.num_samples
     direct = sum(
         symbols[l] * np.exp(2j * np.pi * l * cfg.subcarrier_spacing * t) for l in range(8)
     )
@@ -56,7 +56,7 @@ def test_parseval():
     cfg = OfdmConfig(num_subcarriers=64, subcarrier_spacing=1.5625e6, oversampling=4)
     symbols = make_qam(16).sample_symbols(cfg.num_subcarriers, 5)
     samples = symbol_signal_batch(cfg, symbols[None])[0]
-    sample_energy = np.sum(np.abs(samples) ** 2) * cfg.sample_period
+    sample_energy = np.sum(np.abs(samples) ** 2) * cfg.symbol_duration / cfg.num_samples
     symbol_energy = cfg.symbol_duration * np.sum(np.abs(symbols) ** 2)
     assert sample_energy == pytest.approx(symbol_energy, rel=1e-9)
 
@@ -73,12 +73,12 @@ def test_linearity():
 def test_subcarrier_orthogonality():
     cfg = OfdmConfig(num_subcarriers=16, subcarrier_spacing=1.0, oversampling=1)
     n = np.arange(cfg.num_samples)
-    t = n * cfg.sample_period
+    t = n * cfg.symbol_duration / cfg.num_samples
     for l1 in range(4):
         for l2 in range(4):
             inner = np.sum(
                 np.exp(2j * np.pi * l1 * t) * np.conj(np.exp(2j * np.pi * l2 * t))
-            ) * cfg.sample_period
+            ) * cfg.symbol_duration / cfg.num_samples
             if l1 == l2:
                 assert inner == pytest.approx(cfg.symbol_duration, rel=1e-12)
             else:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ofdm_pcs import pcs
-from ofdm_pcs.constellation import group_by_energy, group_rings, make_psk, make_qam
+from ofdm_pcs.constellation import group_by_energy, make_psk, make_qam
 from ofdm_pcs.pcs import (
     FEAS_TOL,
     InfeasibleSupportError,
@@ -10,7 +10,6 @@ from ofdm_pcs.pcs import (
     SolverNotConvergedError,
     fourth_moment_range,
     solve_pcs,
-    sweep_c0,
 )
 
 
@@ -115,7 +114,7 @@ def test_qam16_interior_target_ring_masses():
     c = make_qam(16)
     sol = solve_pcs(PcsProblem(c.amplitudes, 1.1))
     a = (1.1 - 1.0) / 1.28
-    for energy, idx in group_rings(c):
+    for energy, idx in group_by_energy(c.energies):
         expected = (1 - 2 * a) / 8 if abs(energy - 1) < 1e-9 else a / 4
         assert sol.probs[idx] == pytest.approx(np.full(idx.size, expected), abs=1e-9)
 
@@ -124,7 +123,7 @@ def test_qam64_interior_target_is_gibbs():
     # Max-entropy over the face forces log(p) affine in (energy, energy^2).
     c = make_qam(64)
     sol = solve_pcs(PcsProblem(c.amplitudes, 1.4))
-    rings = group_rings(c)
+    rings = group_by_energy(c.energies)
     e = np.array([energy for energy, _ in rings])
     w = np.array([sol.probs[idx].sum() for _, idx in rings])
     n = np.array([idx.size for _, idx in rings])
@@ -189,7 +188,7 @@ def test_newton_cap_error_names_target_and_rings(monkeypatch):
     with pytest.raises(SolverNotConvergedError) as info:
         solve_pcs(PcsProblem(c.amplitudes, 1.3))
     message = str(info.value)
-    assert message.startswith(f"c0 1.3 (clipped target 1.3, {len(group_rings(c))} rings): ")
+    assert message.startswith(f"c0 1.3 (clipped target 1.3, {len(group_by_energy(c.energies))} rings): ")
     assert "Newton iteration cap reached" in message
 
 
@@ -204,20 +203,20 @@ def test_max_entropy_invariant_under_permutation():
 
 def test_sweep_matches_single_solves():
     c = make_qam(16)
-    sols = sweep_c0(c.amplitudes, [1.0, 1.32, 2.0])
+    sols = [solve_pcs(PcsProblem(c.amplitudes, c0)) for c0 in [1.0, 1.32, 2.0]]
     assert [s.achieved_m4 for s in sols] == pytest.approx([1.0, 1.32, 1.64], abs=1e-8)
     single = solve_pcs(PcsProblem(c.amplitudes, 1.32))
     assert sols[1].probs == pytest.approx(single.probs, abs=1e-12)
 
 
 def test_sweep_psk_constant():
-    for sol in sweep_c0(make_psk(16).amplitudes, [0.5, 1.0, 2.0]):
-        assert sol.achieved_m4 == pytest.approx(1.0, abs=1e-12)
+    for c0 in [0.5, 1.0, 2.0]:
+        assert solve_pcs(PcsProblem(make_psk(16).amplitudes, c0)).achieved_m4 == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sweep_monotone_achieved():
     grid = np.linspace(0.8, 2.0, 13)
-    sols = sweep_c0(make_qam(16).amplitudes, grid)
+    sols = [solve_pcs(PcsProblem(make_qam(16).amplitudes, c0)) for c0 in grid]
     achieved = [s.achieved_m4 for s in sols]
     assert np.all(np.diff(achieved) >= -1e-10)
 
@@ -229,8 +228,6 @@ def test_problem_validation():
         PcsProblem(np.array([1.0]), -0.5)
     with pytest.raises(ValueError):
         PcsProblem(np.array([-1.0, 1.0]), 1.0)
-    with pytest.raises(ValueError):
-        sweep_c0(make_qam(16).amplitudes, [])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
