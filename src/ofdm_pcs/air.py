@@ -2,7 +2,7 @@
 
 The output entropy H(Y) of the Gaussian-mixture channel output has no closed
 form, so it is estimated by Monte Carlo: draw symbols and noise, evaluate the
-exact mixture density at each observation via log-sum-exp, and average.  The
+exact mixture density at each observation, and average its log.  The
 conditional entropy is the analytic ``log2(pi e sigma^2)``, giving the rate
 per (sub-channel) symbol.  An L-subcarrier OFDM symbol carries L independent
 such channels, so its aggregate rate is L times these values.  ``sigma^2`` is
@@ -17,10 +17,11 @@ as common random numbers: every cell of a sweep draws from the sweep's own
 seed, so differences between its cells carry less Monte-Carlo noise than
 independent draws would give them.
 
-The log-sum-exp runs in real float64 arithmetic on one (points x block)
-buffer, so its max and sum reduce over the short leading axis, and every
-exponent is floored at -700 so ``np.exp`` never takes its slow subnormal or
-underflow path (see :func:`air_mc`).
+The Gaussian kernel of each point is the product of a real-axis and an
+imaginary-axis factor, so the mixture density takes one exponential per
+distinct real or imaginary part of the constellation, not one per point,
+and sums the points' terms as one small matrix product with their priors
+(see :func:`air_mc`).
 """
 
 from __future__ import annotations
@@ -38,11 +39,11 @@ from .pcs import PcsProblem, solve_pcs
 _LOG2E = math.log2(math.e)
 # Draws per Monte-Carlo chunk: bounds the chunk's drawn indices and noise.
 AIR_CHUNK = 50_000
-# Draws per log-sum-exp block: bounds the (points, block) buffer and keeps it
-# in cache.
-_LSE_BLOCK = 8192
-# Floor of the peak-shifted exponents: exp(-700) is still a normal double.
-_EXP_FLOOR = -700.0
+# Draws per mixture block: bounds the (parts, block) buffer and keeps it in
+# cache.
+_MIX_BLOCK = 8192
+# Floor of each axis's exponent; see air_mc for why it is exact.
+_EXP_FLOOR = -300.0
 
 
 @dataclass(frozen=True)
@@ -84,83 +85,96 @@ def air_mc(constellation: Constellation, cfg: AirConfig) -> AirEstimate:
 
     Per sent point x_i and noise n the integrand is
     ``-log2 sum_q p_q exp(-|x_q - x_i - n|^2 / sigma^2) / (pi sigma^2)`` minus
-    ``log2(pi e sigma^2)``; the mixture log-density is evaluated with a
-    max-shifted log-sum-exp so arbitrarily small noise variances stay finite.
-    Chunks of ``AIR_CHUNK`` observations draw their own indices and noise
-    from per-chunk child seeds of ``cfg.seed`` (see :func:`mc.map_chunks`)
-    and return ``(sum, sum of squares)`` partials per variance, added in
-    chunk order, so memory stays O(``AIR_CHUNK`` + ``_LSE_BLOCK`` x points)
-    and the estimate is an exact function of (seed, mc_trials, inputs).
+    ``log2(pi e sigma^2)``.  Chunks of ``AIR_CHUNK`` observations draw their
+    own indices and noise from per-chunk child seeds of ``cfg.seed`` (see
+    :func:`mc.map_chunks`) and return ``(sum, sum of squares)`` partials per
+    variance, added in chunk order, so memory stays O(``AIR_CHUNK`` +
+    ``_MIX_BLOCK`` x parts) and the estimate is an exact function of (seed,
+    mc_trials, inputs).
 
     Each chunk draws, in this order, the symbol indices (an
     :class:`IndexSampler`, bitwise ``rng.choice(points, count, p=p)``), the
-    real unit-noise parts and the imaginary unit-noise parts
+    real unit-noise parts u_re and the imaginary ones u_im
     (``rng.standard_normal(count)`` each), once for every variance.  The
-    chunk's draws then run in blocks of ``_LSE_BLOCK``, each variance in
+    chunk's draws then run in blocks of ``_MIX_BLOCK``, each variance in
     turn, and a block's partials add to the chunk's in block order.  Per
-    variance the noise is the unit noise times ``sqrt(sigma^2 / 2)``, and
-    row q of one (points, block) float64 buffer is ``(x_q,re - x_i,re -
-    n_re)^2 + (x_q,im - x_i,im - n_im)^2``, written in place.  Each squared
-    term is taken once per distinct real or imaginary part and shared by the
-    rows of the points that have it (qam16's 16 points have 4 of each).  The
-    channel output ``x_i + n`` is never formed, so the row of the sent point
-    is exactly ``|n|^2`` and no noise is rounded away at any SNR.  The rows
-    are then scaled to ``log p_q - ... / sigma^2``, and the max and the sum
-    over the points reduce over axis 0.  The peak-shifted exponents are
-    floored at -700 before ``np.exp``.  The floor is exact: the peak term is
-    exactly 1 and a floored term is at most ``exp(-700) < 1e-304``, far
-    below half an ulp of a sum >= 1, while an exponent whose result would be
-    subnormal or underflow costs ``np.exp`` tens of times a normal one and
-    raises under ``np.errstate(under="raise")``.
+    variance the noise is the unit noise times ``sqrt(sigma^2 / 2)``.
+
+    The kernel separates by axis, ``exp(-|x_q - x_i - n|^2 / sigma^2) =
+    E_re[a] E_im[b]`` for the point x_q = (v_a, w_b), so one (parts, block)
+    float64 buffer holds ``E_re[a] = exp(max(-(v_a - x_i,re - n_re)^2 /
+    sigma^2, F))`` for each distinct real part v_a and likewise ``E_im[b]``
+    for each distinct imaginary part w_b, every step written in place.  The
+    channel output ``x_i + n`` is never formed, so the sent point's
+    differences are exactly ``-n`` and no noise is rounded away at any SNR.
+    With ``P[a, b]`` the prior of the point (v_a, w_b), 0 where there is no
+    such point, the mixture sum is ``S = sum_a E_re[a] (P @ E_im)[a]`` and
+    the draw's sample is ``-log2 S - log2 e``.
+
+    No peak shift is needed: S holds the sent point's own term ``p_i
+    exp(-|u|^2 / 2)``, which stays a normal double, and every term is at most
+    its prior, so S is at most the priors' sum, 1.  The floor F =
+    ``_EXP_FLOOR`` = -300 is exact and keeps every step normal:
+
+    - a floored factor is at most ``exp(-300) < 1e-130`` and the other
+      factor and the prior at most 1, so all floored terms together (at most
+      256 on qam256) lie below ``2^-54 p_i exp(-|u|^2 / 2)``, under half an
+      ulp of S, for any sent prior p_i >= 1e-12 unless ``|u|^2 > 450``, a
+      chance of ``exp(-225)`` per draw (and the sent point's own factors
+      reach the floor only at ``u_re^2 / 2 > 300``);
+    - a factor is at least ``exp(-300)``, so ``factor * factor * prior`` is at
+      least ``exp(-600) * 1e-12 > 2e-273``, above the smallest normal double,
+      for every prior down to 1e-12 (down to about 1e-47 in fact): neither
+      the matrix product nor ``np.exp`` ever takes its slow subnormal or
+      underflow path, which costs tens of times a normal one and raises
+      under ``np.errstate(under="raise")``.
     """
     shape = np.shape(cfg.noise_variance)
     variances = np.asarray(cfg.noise_variance, dtype=float).ravel().tolist()
     mask = constellation.probs > 0
     points = constellation.points[mask]
     prior = constellation.probs[mask]
-    log_prior = np.log(prior)[:, None]
     sampler = IndexSampler(prior / prior.sum())
-    # The distinct real and imaginary parts, and each point's index among them.
+    # The distinct real and imaginary parts, and the prior of each pair of them.
     (re_values, re_of), (im_values, im_of) = (
         np.unique(part, return_inverse=True) for part in (points.real, points.imag)
     )
+    joint = np.zeros((re_values.size, im_values.size))
+    np.add.at(joint, (re_of, im_of), prior)
     splits = [re_values.size, re_values.size + im_values.size]
 
     def partials(rng: np.random.Generator, count: int) -> np.ndarray:
         idx = sampler.draw(rng, count)
         x = points.real[idx], points.imag[idx]
         unit = rng.standard_normal(count), rng.standard_normal(count)
-        # Equal blocks of at most _LSE_BLOCK draws; the last may be shorter.
-        width = -(-count // -(-count // _LSE_BLOCK))
+        # Equal blocks of at most _MIX_BLOCK draws; the last may be shorter.
+        width = -(-count // -(-count // _MIX_BLOCK))
         noise = np.empty(width)
-        # The squared terms of the distinct real parts, then of the imaginary
-        # parts, then a row per point: one allocation for every block and variance.
-        buf = np.empty((splits[-1] + points.size, width))
+        # The factors of the distinct real parts, then of the imaginary parts,
+        # then the prior times the imaginary factors: one allocation for every
+        # block and variance.
+        buf = np.empty((splits[-1] + re_values.size, width))
         sums = np.zeros((len(variances), 2))
         for lo in range(0, count, width):
             cols = slice(lo, lo + width)
             n = noise[: min(width, count - lo)]
-            sq_re, sq_im, ll = np.split(buf[:, : n.size], splits)
+            f_re, f_im, mix = np.split(buf[:, : n.size], splits)
             for k, sigma2 in enumerate(variances):
                 scale = math.sqrt(sigma2 / 2.0)
-                for sq, values, x_part, unit_part in zip((sq_re, sq_im), (re_values, im_values), x, unit):
+                for f, values, x_part, unit_part in zip((f_re, f_im), (re_values, im_values), x, unit):
                     np.multiply(unit_part[cols], scale, out=n)
                     # v - x_i is exactly 0 where x_i has the part v, whatever sigma^2.
-                    np.subtract(values[:, None], x_part[cols], out=sq)
-                    sq -= n
-                    np.square(sq, out=sq)
-                for row, a, b in zip(ll, re_of, im_of):
-                    np.add(sq_re[a], sq_im[b], out=row)
-                ll *= -1.0 / sigma2
-                ll += log_prior
-                peak = ll.max(axis=0)
-                ll -= peak
-                np.maximum(ll, _EXP_FLOOR, out=ll)
-                np.exp(ll, out=ll)
-                lse = peak + np.log(ll.sum(axis=0))
+                    np.subtract(values[:, None], x_part[cols], out=f)
+                    f -= n
+                    np.square(f, out=f)
+                    f *= -1.0 / sigma2
+                    np.maximum(f, _EXP_FLOOR, out=f)
+                    np.exp(f, out=f)
+                np.matmul(joint, f_im, out=mix)
+                mix *= f_re
                 # rate sample: -log2 p(y) - log2(pi e sigma^2) with the pi sigma^2
                 # normalizations cancelling down to a single log2(e).
-                r = -lse * _LOG2E - _LOG2E
+                r = -np.log2(mix.sum(axis=0)) - _LOG2E
                 sums[k] += r.sum(), (r * r).sum()
         return sums
 

@@ -152,14 +152,23 @@ def make_psk(order: int) -> Constellation:
     """Uniform phase-shift-keying constellation with ``order`` points.
 
     Points are unit modulus at phases 2*pi*q/order, in angle-ascending order,
-    each with probability 1/order.
+    each with probability 1/order.  Each phase is folded into [0, pi/2] and
+    both parts are taken as sines of the folded angle with their quadrant's
+    signs, so the points are exactly mirror-symmetric: point q and point
+    order - q share their real part and negate their imaginary part, for an
+    even order point q and point order/2 - q negate their real part, and the
+    parts on the axes are exactly 0.
     """
     if int(order) != order or order < 2:
         raise ValueError(f"PSK order must be an integer >= 2, got {order}")
     order = int(order)
-    q = np.arange(order)
-    points = np.exp(2j * np.pi * q / order)
-    return Constellation(points, np.full(order, 1.0 / order))
+    # Phases in units of pi / (2 order): a quarter turn is `order` units.
+    t = 4 * np.arange(order)
+    half = np.minimum(t, 4 * order - t)  # |phase| in [0, pi]
+    ref = np.minimum(half, 2 * order - half)  # folded into [0, pi/2]
+    re = np.copysign(np.sin(np.pi * (order - ref) / (2 * order)), order - half)
+    im = np.copysign(np.sin(np.pi * ref / (2 * order)), 2 * order - t)
+    return Constellation(re + 1j * im, np.full(order, 1.0 / order))
 
 
 def make_qam(order: int) -> Constellation:

@@ -72,6 +72,13 @@ def _with_rare_points():
     return base.with_probs(probs)
 
 
+def _ring8():
+    # qam16's middle ring: the nearest real and imaginary parts to an
+    # observation may form no point of it, as (1, 1) / sqrt(10) is not one.
+    base = make_qam(16)
+    return base.with_probs(np.where(np.isclose(base.energies, 1.0), 1 / 8, 0.0))
+
+
 @pytest.mark.parametrize("snr_db", [-10.0, 0.0, 30.0, 60.0])
 @pytest.mark.parametrize(
     "constellation, trials",
@@ -80,9 +87,10 @@ def _with_rare_points():
         (make_psk(16), 3_000),
         (make_qam(256), 2_000),
         (_with_rare_points(), 3_000),
+        (_ring8(), 3_000),
         (make_qam(16), 2 * AIR_CHUNK + 123),
     ],
-    ids=["qam16", "psk16", "qam256", "qam16-rare-points", "qam16-chunked"],
+    ids=["qam16", "psk16", "qam256", "qam16-rare-points", "ring8", "qam16-chunked"],
 )
 def test_air_mc_matches_same_draw_oracle(constellation, trials, snr_db):
     cfg = AirConfig(sigma2_from_snr_db(snr_db), trials, 17)
@@ -94,11 +102,25 @@ def test_air_mc_matches_same_draw_oracle(constellation, trials, snr_db):
 
 @pytest.mark.parametrize(
     "constellation, snr_db",
-    [(make_qam(16), 30.0), (make_qam(16), 60.0), (make_qam(256), 40.0)],
-    ids=["qam16-30dB", "qam16-60dB", "qam256-40dB"],
+    [
+        (make_qam(16), 30.0),
+        (make_qam(16), 60.0),
+        (make_qam(256), 40.0),
+        (_with_rare_points(), 30.0),
+        (_with_rare_points(), 60.0),
+        (_with_rare_points(), 313.0),
+        (make_psk(16), 30.0),
+        (make_psk(16), 60.0),
+        (make_psk(16), 313.0),
+    ],
+    ids=[
+        "qam16-30dB", "qam16-60dB", "qam256-40dB", "rare-points-30dB", "rare-points-60dB",
+        "rare-points-313dB", "psk16-30dB", "psk16-60dB", "psk16-313dB",
+    ],
 )
 def test_air_mc_raises_no_floating_point_error(constellation, snr_db):
-    # exp of a far point's exponent would underflow without the floor
+    # exp of a far part's exponent would underflow without the floor, and a
+    # rare point's prior times two floored factors must stay a normal double
     with np.errstate(all="raise"):
         est = air_mc(constellation, AirConfig(sigma2_from_snr_db(snr_db), 5_000, 4))
     assert np.isfinite(est.rate) and np.isfinite(est.std_error)
@@ -146,9 +168,7 @@ def test_high_snr_saturates_entropy():
 
 
 def test_shaped_ring_rate():
-    base = make_qam(16)
-    probs = np.where(np.isclose(base.energies, 1.0), 1 / 8, 0.0)
-    est = air_mc(base.with_probs(probs), AirConfig(0.01, 100_000, 8))
+    est = air_mc(_ring8(), AirConfig(0.01, 100_000, 8))
     assert est.rate == pytest.approx(3.0, abs=0.05)
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -44,6 +45,40 @@ def test_qpsk_power_and_entropy():
 def test_psk_phases_ascending():
     c = make_psk(8)
     assert np.all(np.diff(np.angle(c.points) % (2 * np.pi)) > 0)
+
+
+def exact_unit_point(q: int, order: int) -> complex:
+    """Independent oracle: exp(2 pi j q / order) from its Taylor series in
+    40-digit decimal arithmetic, rounded once to complex128."""
+    pi = Decimal("3.14159265358979323846264338327950288419716939937510")
+    with localcontext() as ctx:
+        ctx.prec = 40
+        x = 2 * pi * q / order
+        parts, term = [Decimal(0), Decimal(0)], Decimal(1)
+        for n in range(120):
+            # (jx)^n / n! adds to the real part for even n, the imaginary for odd
+            parts[n % 2] += term if n % 4 < 2 else -term
+            term = term * x / (n + 1)
+        return complex(float(parts[0]), float(parts[1]))
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 8, 12, 16, 32])
+def test_psk_points_are_mirror_symmetric(order):
+    points = make_psk(order).points
+    for q in range(order):
+        mirror = points[-q % order]
+        assert points[q].real == mirror.real and points[q].imag == -mirror.imag
+        if order % 2 == 0:
+            assert points[q].real == -points[(order // 2 - q) % order].real
+        assert abs(points[q] - exact_unit_point(q, order)) <= 8 * 2.0**-53
+    # sin 0 and sin pi are exactly 0, as are the real parts at +-pi/2
+    assert points[0].imag == 0.0
+    if order % 2 == 0:
+        assert points[order // 2].imag == 0.0
+    if order % 4 == 0:
+        assert points[order // 4].real == 0.0 == points[3 * order // 4].real
+        # one part per folded phase and sign: 9 per axis on psk16
+        assert np.unique(points.real).size == np.unique(points.imag).size == order // 2 + 1
 
 
 @pytest.mark.parametrize("order", [0, 1, -4])
