@@ -10,12 +10,15 @@ the total variance of the circularly-symmetric complex noise, half per real
 dimension.
 
 One :func:`air_mc` call takes a float noise variance or a 1-D grid of them,
-and evaluates every variance on one set of draws: the symbol indices and the
-unit noise are drawn once per chunk and scaled per variance, so a grid entry
-equals the call at that variance alone, bit for bit.  The sweeps use this
-as common random numbers: every cell of a sweep draws from the sweep's own
-seed, so differences between its cells carry less Monte-Carlo noise than
-independent draws would give them.
+and one constellation or a sequence of them (rows), and evaluates every row
+and variance on one set of draws: the symbol keys and the unit noise are
+drawn once per chunk, each row maps the keys to its own symbols, and the
+noise is scaled per variance, so a row and a grid entry each equal the call
+on that constellation at that variance alone, bit for bit.  The sweeps use
+this as common random numbers: every cell of a sweep draws from the sweep's
+own seed, so differences between its cells carry less Monte-Carlo noise than
+independent draws would give them, and a whole sweep is one call that draws
+each chunk once.
 
 The Gaussian kernel of each point is the product of a real-axis and an
 imaginary-axis factor, so the mixture density takes one exponential per
@@ -27,12 +30,13 @@ and sums the points' terms as one small matrix product with their priors
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constellation import Constellation, IndexSampler
-from .mc import map_chunks, map_ordered
+from .mc import map_chunks
 from .ofdm import check_db
 from .pcs import PcsProblem, solve_pcs
 
@@ -73,32 +77,45 @@ class AirConfig:
 @dataclass
 class AirEstimate:
     """Rate and its standard error in bits, floats for a float noise variance
-    and arrays of the grid's shape for a grid."""
+    and arrays of the grid's shape for a grid, with a leading row axis for a
+    sequence of constellations."""
 
     rate: float | np.ndarray
     std_error: float | np.ndarray
 
 
-def air_mc(constellation: Constellation, cfg: AirConfig) -> AirEstimate:
+def air_mc(
+    constellation: Constellation | Sequence[Constellation], cfg: AirConfig, *, threads: int = 1
+) -> AirEstimate:
     """Monte-Carlo mutual information estimate in bits per symbol, at each
-    noise variance of ``cfg``.
+    noise variance of ``cfg``, for one constellation or for each of a
+    sequence of them (the rows).
+
+    A lone constellation gives the shapes of the noise variance (floats for a
+    float, arrays of the grid's shape for a grid); a sequence adds a leading
+    row axis to ``rate`` and ``std_error``.
 
     Per sent point x_i and noise n the integrand is
     ``-log2 sum_q p_q exp(-|x_q - x_i - n|^2 / sigma^2) / (pi sigma^2)`` minus
     ``log2(pi e sigma^2)``.  Chunks of ``AIR_CHUNK`` observations draw their
-    own indices and noise from per-chunk child seeds of ``cfg.seed`` (see
-    :func:`mc.map_chunks`) and return ``(sum, sum of squares)`` partials per
-    variance, added in chunk order, so memory stays O(``AIR_CHUNK`` +
-    ``_MIX_BLOCK`` x parts) and the estimate is an exact function of (seed,
-    mc_trials, inputs).
+    own keys and noise from per-chunk child seeds of ``cfg.seed`` and run on
+    up to ``threads`` workers (see :func:`mc.map_chunks`); each returns
+    ``(sum, sum of squares)`` partials per row and variance, added in chunk
+    order, so memory stays O(``threads`` x (``AIR_CHUNK`` + ``_MIX_BLOCK`` x
+    parts)) and the estimate is an exact function of (seed, mc_trials,
+    inputs), whatever ``threads`` is.
 
-    Each chunk draws, in this order, the symbol indices (an
-    :class:`IndexSampler`, bitwise ``rng.choice(points, count, p=p)``), the
-    real unit-noise parts u_re and the imaginary ones u_im
-    (``rng.standard_normal(count)`` each), once for every variance.  The
-    chunk's draws then run in blocks of ``_MIX_BLOCK``, each variance in
-    turn, and a block's partials add to the chunk's in block order.  Per
-    variance the noise is the unit noise times ``sqrt(sigma^2 / 2)``.
+    Each chunk draws, in this order, one ``rng.random(count)`` key per
+    observation, the real unit-noise parts u_re and the imaginary ones u_im
+    (``rng.standard_normal(count)`` each), once for every row and variance.
+    Each row then maps the keys to its symbol indices with its own
+    :class:`IndexSampler` (bitwise ``rng.choice(points, count, p=p)`` on the
+    row's points of nonzero prior), and runs the chunk's draws in blocks of
+    ``_MIX_BLOCK``, each variance in turn, a block's partials adding to the
+    row's in block order.  So a row sees the draws and the arithmetic it
+    sees alone, and equals its lone call bit for bit, as a grid entry equals
+    the call at that variance alone.  Per variance the noise is the unit
+    noise times ``sqrt(sigma^2 / 2)``.
 
     The kernel separates by axis, ``exp(-|x_q - x_i - n|^2 / sigma^2) =
     E_re[a] E_im[b]`` for the point x_q = (v_a, w_b), so one (parts, block)
@@ -129,8 +146,33 @@ def air_mc(constellation: Constellation, cfg: AirConfig) -> AirEstimate:
       underflow path, which costs tens of times a normal one and raises
       under ``np.errstate(under="raise")``.
     """
-    shape = np.shape(cfg.noise_variance)
+    lone = isinstance(constellation, Constellation)
+    rows = [constellation] if lone else list(constellation)
+    if not rows:
+        raise ValueError("constellations is empty: need at least one constellation")
     variances = np.asarray(cfg.noise_variance, dtype=float).ravel().tolist()
+    row_partials = [_row_partials(c, variances) for c in rows]
+
+    def partials(rng: np.random.Generator, count: int) -> np.ndarray:  # (row, variance, 2)
+        keys = rng.random(count)
+        unit = rng.standard_normal(count), rng.standard_normal(count)
+        return np.array([row(keys, unit) for row in row_partials])
+
+    totals = sum(map_chunks(partials, cfg.seed, cfg.mc_trials, AIR_CHUNK, threads))
+    mean = totals[..., 0] / cfg.mc_trials
+    var = np.maximum(totals[..., 1] / cfg.mc_trials - mean * mean, 0.0)
+    std_error = np.sqrt(var / cfg.mc_trials)
+    # Drop the row axis of a lone constellation and the variance axis of a float.
+    at = (0 if lone else slice(None), slice(None) if np.ndim(cfg.noise_variance) else 0)
+    rate, std_error = mean[at], std_error[at]
+    if np.ndim(rate) == 0:
+        return AirEstimate(rate=float(rate), std_error=float(std_error))
+    return AirEstimate(rate=rate, std_error=std_error)
+
+
+def _row_partials(constellation: Constellation, variances: list[float]):
+    """``fn(keys, unit)``: one row's (variance, 2) partials of :func:`air_mc`
+    on a chunk's keys and unit noise."""
     mask = constellation.probs > 0
     points = constellation.points[mask]
     prior = constellation.probs[mask]
@@ -143,10 +185,10 @@ def air_mc(constellation: Constellation, cfg: AirConfig) -> AirEstimate:
     np.add.at(joint, (re_of, im_of), prior)
     splits = [re_values.size, re_values.size + im_values.size]
 
-    def partials(rng: np.random.Generator, count: int) -> np.ndarray:
-        idx = sampler.draw(rng, count)
+    def partials(keys: np.ndarray, unit: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        count = keys.size
+        idx = sampler.index(keys)
         x = points.real[idx], points.imag[idx]
-        unit = rng.standard_normal(count), rng.standard_normal(count)
         # Equal blocks of at most _MIX_BLOCK draws; the last may be shorter.
         width = -(-count // -(-count // _MIX_BLOCK))
         noise = np.empty(width)
@@ -178,15 +220,7 @@ def air_mc(constellation: Constellation, cfg: AirConfig) -> AirEstimate:
                 sums[k] += r.sum(), (r * r).sum()
         return sums
 
-    totals = np.zeros((len(variances), 2))
-    for sums in map_chunks(partials, cfg.seed, cfg.mc_trials, AIR_CHUNK, 1):
-        totals += sums
-    mean = totals[:, 0] / cfg.mc_trials
-    var = np.maximum(totals[:, 1] / cfg.mc_trials - mean * mean, 0.0)
-    std_error = np.sqrt(var / cfg.mc_trials)
-    if not shape:
-        return AirEstimate(rate=float(mean[0]), std_error=float(std_error[0]))
-    return AirEstimate(rate=mean, std_error=std_error)
+    return partials
 
 
 def sigma2_from_snr_db(snr_db: float) -> float:
@@ -204,20 +238,21 @@ def air_vs_c0(
     """Shape the base constellation for each target, then estimate its rate.
 
     Returns each c0's :func:`solve_pcs` solution and one :class:`AirEstimate`
-    over ``c0_grid``.  The targets are shaped first, serially; entry i is
-    ``air_mc(shaped_i, cfg)``, every entry drawing from ``cfg.seed``, and the
-    entries run on up to ``threads`` workers.
+    over ``c0_grid``.  The targets are shaped first, serially, then one
+    :func:`air_mc` call over the shaped rows estimates every rate, so entry
+    i equals ``air_mc(shaped_i, cfg)``: every row draws from ``cfg.seed``
+    and shares each chunk's draws, and the chunks run on up to ``threads``
+    workers.
     """
     grid = np.asarray(c0_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("c0_grid must be a non-empty 1-D list")
     sols = [solve_pcs(PcsProblem(base.amplitudes, c0)) for c0 in grid]
-    ests = map_ordered(lambda sol: air_mc(base.with_probs(sol.probs), cfg), sols, threads)
-    return sols, AirEstimate(np.array([e.rate for e in ests]), np.array([e.std_error for e in ests]))
+    return sols, air_mc([base.with_probs(sol.probs) for sol in sols], cfg, threads=threads)
 
 
 def air_vs_snr(
-    constellations: list[Constellation],
+    constellations: Sequence[Constellation],
     snr_grid_db,
     mc_trials: int,
     seed,
@@ -226,17 +261,14 @@ def air_vs_snr(
 ) -> AirEstimate:
     """Rates over an SNR grid as one (constellation, snr) :class:`AirEstimate`.
 
-    Each constellation is one :func:`air_mc` call over the whole grid's
+    One :func:`air_mc` call over the constellations and the whole grid's
     noise variances at ``seed``, so entry (c, snr) equals
     ``air_mc(c, AirConfig(sigma2_from_snr_db(snr), mc_trials, seed))`` and a
-    constellation's row does not depend on the others; the calls run on up
+    constellation's row does not depend on the others; the chunks run on up
     to ``threads`` workers.
     """
     grid = np.asarray(snr_grid_db, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("snr_grid_db must be a non-empty 1-D list")
-    if not constellations:
-        raise ValueError("constellations is empty: need at least one constellation")
     cfg = AirConfig(np.array([sigma2_from_snr_db(snr) for snr in grid]), mc_trials, seed)
-    ests = map_ordered(lambda c: air_mc(c, cfg), constellations, threads)
-    return AirEstimate(np.array([e.rate for e in ests]), np.array([e.std_error for e in ests]))
+    return air_mc(constellations, cfg, threads=threads)

@@ -26,10 +26,12 @@ class IndexSampler:
     ``draw(rng, n)`` equals ``rng.choice(len(p), size=n, p=p)`` bit for bit
     and leaves ``rng`` where that call would: it takes numpy's own
     ``cdf = p.cumsum(); cdf /= cdf[-1]`` and one ``rng.random(n)`` key per
-    index, and an index is the count of cdf entries <= its key.  That count
-    is found by halving steps over the cdf padded with ``inf`` to a power of
-    two, so every key takes the same log2 steps, each one gather and compare
-    over all keys at once, with no per-key branch.
+    index, and ``index(keys)`` maps the keys to indices, so callers that
+    share one set of keys across several distributions draw them once.  An
+    index is the count of cdf entries <= its key.  That count is found by
+    halving steps over the cdf padded with ``inf`` to a power of two, so
+    every key takes the same log2 steps, each one gather and compare over
+    all keys at once, with no per-key branch.
     """
 
     def __init__(self, p):
@@ -39,8 +41,11 @@ class IndexSampler:
         self._cdf = np.concatenate([cdf, np.full(size - cdf.size, np.inf)])
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        keys = rng.random(n)
-        idx = np.zeros(n, dtype=np.int64)
+        return self.index(rng.random(n))
+
+    def index(self, keys: np.ndarray) -> np.ndarray:
+        """``cdf.searchsorted(keys, side="right")`` for keys in [0, 1)."""
+        idx = np.zeros(keys.shape, dtype=np.int64)
         step = self._cdf.size // 2
         while step:
             # The last cdf entry is exactly 1 > key, so idx never passes len(p) - 1.

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+import ofdm_pcs.air
 from ofdm_pcs.air import (
     AIR_CHUNK,
     AirConfig,
@@ -254,6 +255,56 @@ def test_air_mc_grid_equals_scalar_calls(constellation):
         est = air_mc(constellation, AirConfig(sigma2, trials, 12))
         assert type(est.rate) is float and type(est.std_error) is float
         assert (grid.rate[k], grid.std_error[k]) == (est.rate, est.std_error)
+
+
+def _qam16_corners_dropped():
+    # qam16 shaped at c0 = 1.0: the ring of unit energy, every corner and
+    # inner point at prior exactly 0.
+    base = make_qam(16)
+    return base.with_probs(solve_pcs(PcsProblem(base.amplitudes, 1.0)).probs)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_air_mc_row_equals_its_lone_call(threads):
+    # Every row of one call shares each chunk's keys and unit noise; three
+    # chunks, the last one short, and each row must read as it does alone.
+    rows = [make_qam(16), make_psk(16), _with_rare_points(), _qam16_corners_dropped()]
+    assert (rows[3].probs == 0).any()
+    variances = np.array([sigma2_from_snr_db(snr) for snr in (-10.0, 8.0, 60.0, 313.0)])
+    cfg = AirConfig(variances, 2 * AIR_CHUNK + 123, 13)
+    alone = [air_mc(c, cfg) for c in rows]
+    for order in (rows, rows[::-1]):
+        est = air_mc(order, cfg, threads=threads)
+        assert est.rate.shape == est.std_error.shape == (len(rows), variances.size)
+        want = alone if order is rows else alone[::-1]
+        for k, lone in enumerate(want):
+            assert est.rate[k].tobytes() == lone.rate.tobytes()
+            assert est.std_error[k].tobytes() == lone.std_error.tobytes()
+
+
+def test_air_vs_c0_draws_once_per_chunk(monkeypatch):
+    # Three targets over two full chunks and one of a single draw: each chunk
+    # draws once for every row, so the chunk function runs three times.
+    calls = []
+
+    def counted(fn, *args):
+        def chunk(rng, count):
+            calls.append(count)
+            return fn(rng, count)
+
+        return map_chunks(chunk, *args)
+
+    monkeypatch.setattr(ofdm_pcs.air, "map_chunks", counted)
+    _, est = air_vs_c0(make_qam(16), [1.0, 1.2, 1.32], AirConfig(0.05, 2 * AIR_CHUNK + 1, 3))
+    assert est.rate.shape == (3,)
+    assert calls == [AIR_CHUNK, AIR_CHUNK, 1]
+
+
+def test_air_mc_rejects_no_constellations():
+    with pytest.raises(ValueError, match="^constellations is empty"):
+        air_mc([], AirConfig(0.1, 100, 0))
+    with pytest.raises(ValueError, match="^constellations is empty"):
+        air_vs_snr([], [0.0], 100, 0)
 
 
 @pytest.mark.parametrize("snr_db", [310.0, 313.0])

@@ -683,13 +683,14 @@ def test_every_option_can_change_the_artifact(tmp_path, command):
 # Beside each _LIVE_BASE run, the regimes where the workers' shares differ: the
 # default surface, and 64 delays, whose computed half splits evenly; at 32
 # subcarriers on- and off-lattice delays alternate; 600 trials are two pd
-# chunks, and at cell 120 the lag cut meets the instrumented range.
+# chunks, and at cell 120 the lag cut meets the instrumented range; 100001
+# draws are three AIR chunks, the last of one draw.
 _THREAD_REGIMES = {
     "af surface": [["--trials", "4"], ["--trials", "4", "--tau-points", "64", "--nu-points", "33"],
                    ["--subcarriers", "32", "--trials", "200"]],
     "af slice": [["--trials", "64"], ["--subcarriers", "32", "--trials", "200"]],
-    "air sweep-c0": [["--mc", "20000"]],
-    "air sweep-snr": [["--mc", "20000"]],
+    "air sweep-c0": [["--mc", "20000"], ["--mc", "100001", "--c0", "1.0,1.2,1.32"]],
+    "air sweep-snr": [["--mc", "20000"], ["--mc", "100001", "--snr", "0,10,20"]],
     "detect pd-sweep": [["--trials", "600"], ["--trials", "600", "--offset", "120"]],
 }
 # Generated from the table: a command that drops --threads drops its rows.

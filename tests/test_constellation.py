@@ -191,6 +191,28 @@ def test_index_sampler_keys_on_cdf_entries():
     assert not np.isin(got, [0, 3]).any()
 
 
+@pytest.mark.parametrize(
+    "p",
+    [[1.0], [0.0, 0.25, 0.25, 0.0, 0.5], [0.5, 0.0, 0.0, 0.5, 0.0], [0.1] * 10, [1e-12, 0.3, 0.0, 0.7 - 1e-12]],
+    ids=["one", "zeros-inside", "zeros-at-end", "uniform10", "rare"],
+)
+def test_index_sampler_index_matches_searchsorted(p):
+    # Oracle: numpy's cdf, searched from the right; keys on every cdf entry,
+    # just below each, 0.0, the largest double below 1 and random keys.
+    p = np.array(p)
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    edges = cdf[cdf < 1.0]
+    keys = np.concatenate([
+        edges, np.nextafter(edges, 0.0), [0.0, np.nextafter(1.0, 0.0)],
+        np.random.default_rng(3).random(500),
+    ])
+    got = IndexSampler(p).index(keys)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, np.searchsorted(cdf, keys, side="right"))
+    assert (p[got] > 0).all()
+
+
 def test_bpsk_sample_mean_near_zero():
     draws = make_psk(2).sample_symbols(100_000, 7)
     # CLT: |mean| below three standard errors of a unit-variance symbol.
