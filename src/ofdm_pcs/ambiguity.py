@@ -2,21 +2,24 @@
 
 One closed form, the self + cross sinc decomposition of the delay-Doppler
 correlation with ``sinc(x) = sin(pi x)/(pi x)`` (numpy's convention), built
-per delay as one Doppler kernel (:func:`_delay_terms`) whose sinc envelope is
-taken once per distinct kernel frequency ``m df - nu``.  Everything else
-reads that kernel.  It factors as K = carrier phase . S . nu phase, a real
-envelope S between two unit-modulus phases.
+per delay as one Doppler kernel (:func:`_delay_terms`, which takes an array
+of delays and returns every factor with a leading row axis) whose sinc
+envelope is taken once per distinct kernel frequency ``m df - nu``.
+Everything else reads that kernel.  It factors as K = carrier phase . S . nu
+phase, a real envelope S between two unit-modulus phases.
 
 One route takes every draw to its lag products ``B_m = sum_l c_{l+m}
 conj(c_l) exp(j 2 pi l df tau)`` (:func:`_af_at_delay`).  Each draw's one
-length-2L spectrum F is read at the delay's shift to give its lag-phased
-spectrum G, and ``P = conj(G) F`` is the spectrum of B.  A delay on the
-lattice ``tau = n / (2L df)`` (every computed delay of the default grids)
-reads F shifted circularly by n, with no FFT; any other delay takes one
-forward FFT of the lag-phased draw.  :func:`_delay_terms` decides which,
-once per delay, for every grid.  On one Doppler :func:`_spectral` folds both
-phases into one complex kernel column and takes it to the spectral domain,
-and the AF is ``P @ H`` (:func:`af_closed_form` is the one-point case).  On
+length-2L spectrum F, and its conjugate taken once beside it, are read at
+the delay's shift to give its lag-phased spectrum G, and ``P = conj(G) F``
+is the spectrum of B.  A delay on the lattice ``tau = n / (2L df)`` (every
+computed delay of the default grids) reads conj(F) shifted circularly by n,
+with no FFT; any other delay takes one forward FFT of the lag-phased draw.
+:func:`_delay_terms` decides which, once per delay, for every grid.  On one
+Doppler :func:`_spectral` folds both phases into one complex kernel column
+and takes it to the spectral domain, a block of delays in one batched
+inverse FFT, and the AF is ``P @ H`` (:func:`af_closed_form` is the
+one-point case).  On
 more than one, ``B = ifft(P)``, the carrier phase goes onto it, and one real
 product against S (half the flops of a complex one) gives the AF times a
 unit-modulus phase per Doppler column.
@@ -32,6 +35,9 @@ by quadrature.
 
 from __future__ import annotations
 
+import math
+from typing import NamedTuple
+
 import numpy as np
 
 from .constellation import Constellation
@@ -46,6 +52,13 @@ AF_CHUNK = 64
 # this many ulps of 2L of the integer n.  The default grids miss by
 # at most one ulp; snapping moves each lag phase by at most pi |x - n|.
 LATTICE_ULPS = 4
+
+# Delay rows whose one-Doppler kernels are built in one vectorized pass.  It
+# bounds each worker's kernel buffers, and numpy's staging buffers for the
+# pass's broadcast products, to tens of KB at 64 subcarriers; on a 2-vCPU
+# host 16 rows ran about 3 % faster but raised the slice's peak RSS by about
+# 0.25 MB.
+KERNEL_ROWS = 8
 
 
 def _centred_grid(name: str, width: float, points: int) -> np.ndarray:
@@ -82,71 +95,118 @@ def _doppler_offsets(cfg: OfdmConfig, nu_grid: np.ndarray):
     return carrier, u, inv.reshape(carrier.size, nu_grid.size)
 
 
-def _delay_terms(cfg: OfdmConfig, tau: float, offsets, out=None):
-    """Per-delay factors of the closed form, or None outside the window
-    ``[max(0, tau), min(T_p, T_p + tau)]`` where the symbol and its delayed
-    copy overlap (of middle t_avg and length T_diff; empty unless |tau| < T_p).
+class _DelayTerms(NamedTuple):
+    """Per-delay factors of the closed form (:func:`_delay_terms`): ``inside``
+    flags each given delay, and every other field has one row per delay
+    inside the window, in order."""
+
+    inside: np.ndarray
+    shift: np.ndarray
+    on_lattice: np.ndarray
+    lag_phase: np.ndarray
+    carrier_phase: np.ndarray
+    envelope: np.ndarray
+    t_avg: np.ndarray
+
+    def lag(self, k: int):
+        """Row k's ``(shift, phase)`` for :func:`_af_at_delay`: ``(n, None)``
+        on the lattice, ``(0, lag_phase)`` off it."""
+        return (int(self.shift[k]), None) if self.on_lattice[k] else (0, self.lag_phase[k])
+
+
+def _delay_terms(cfg: OfdmConfig, taus, offsets, work=None) -> _DelayTerms:
+    """Per-delay factors of the closed form for a 1-D array of delays, each
+    with a leading row axis over the delays inside the window ``[max(0,
+    tau), min(T_p, T_p + tau)]`` where the symbol and its delayed copy
+    overlap (of middle t_avg and length T_diff; empty unless |tau| < T_p).
+    ``inside`` flags those delays among ``taus``.
 
     The (2L-1) x n_nu Doppler kernel ``T_diff sinc(f T_diff) exp(j 2 pi f
     t_avg)``, with ``f = m df - nu`` from ``offsets = _doppler_offsets(cfg,
     nu_grid)``, factors as ``K = exp(j 2 pi m df t_avg) S exp(-j 2 pi nu
-    t_avg)``: a carrier phase per row, the real envelope ``S = T_diff
-    sinc(f T_diff)`` and a nu phase per column.  S is evaluated once per
-    distinct ``f`` and gathered onto the cells, into ``out`` (a real
-    (2L-1) x n_nu buffer) when given.
+    t_avg)``: a carrier phase per row m (``carrier_phase``, length 2L-1),
+    the real envelope ``S = T_diff sinc(f T_diff)`` (``envelope``) and a nu
+    phase per column.  S is evaluated once per distinct ``f`` with
+    :func:`numpy.sinc`'s own arithmetic and gathered onto the cells.  Given
+    ``work``, a 1-D float buffer of at least ``rows x (2 U + (2L-1) n_nu)``
+    elements (U distinct frequencies), the sinc and S are written into it, so
+    a caller that passes one buffer per worker allocates no large temporary
+    per call; the envelope is then a view of ``work``.
 
-    Returns ``(lag, carrier_phase, S, t_avg)`` with the carrier phase (length
-    2L-1).  The lag says where a draw's lag-phased spectrum ``G = fft(c
-    exp(-j 2 pi l df tau), n=2L)`` comes from.  With ``x = 2L df tau``, ``G_k
-    = sum_l c_l exp(-j 2 pi l (k + x) / 2L)`` is the draw's spectrum ``F =
-    fft(c, n=2L)`` read at ``k + x``.  On the lattice, x within
-    ``LATTICE_ULPS`` ulps of 2L (the largest |x| inside the window) of an
-    integer n, ``G_k = F_{(k + n) mod 2L}`` and the lag is ``(n, None)``;
-    otherwise it is ``(0, lag_phase)`` with the lag phase ``exp(j 2 pi l df
-    tau)`` (length L), and G is the FFT of the lag-phased draw.  This is the
-    one place the lattice rule lives, for every grid.  A delay thus costs at
-    most L + 2L-1 complex exponentials and one sinc per distinct frequency,
-    plus the gather.
+    The lag says where a draw's lag-phased spectrum ``G = fft(c exp(-j 2 pi l
+    df tau), n=2L)`` comes from.  With ``x = 2L df tau``, ``G_k = sum_l c_l
+    exp(-j 2 pi l (k + x) / 2L)`` is the draw's spectrum ``F = fft(c,
+    n=2L)`` read at ``k + x``.  On the lattice, x within ``LATTICE_ULPS``
+    ulps of 2L (the largest |x| inside the window) of an integer n, ``G_k =
+    F_{(k + n) mod 2L}``: ``on_lattice`` is set and ``shift`` holds n (the
+    nearest integer to x on every row).  Otherwise ``lag_phase`` holds
+    ``exp(j 2 pi l df tau)`` (length L; zero on the lattice rows), and G is
+    the FFT of the lag-phased draw.  This is the one place the lattice rule
+    lives, for every grid.  A delay thus costs at most L + 2L-1 complex
+    exponentials and one sinc per distinct frequency, plus the gather.
     """
-    t_min = max(0.0, float(tau))
-    t_max = min(cfg.symbol_duration, cfg.symbol_duration + float(tau))
+    taus = np.asarray(taus, dtype=float)
+    t_min = np.maximum(0.0, taus)
+    t_max = np.minimum(cfg.symbol_duration, cfg.symbol_duration + taus)
     t_diff = t_max - t_min
-    if not t_diff > 0.0:
-        return None
+    inside = t_diff > 0.0
     t_avg = 0.5 * (t_max + t_min)
+    taus, t_diff, t_avg = taus[inside], t_diff[inside], t_avg[inside]
     carrier, u, inv = offsets
-    num = cfg.num_subcarriers
-    x = 2 * num * cfg.subcarrier_spacing * float(tau)
-    shift = round(x)
-    if abs(x - shift) <= LATTICE_ULPS * np.spacing(2.0 * num):
-        lag = (shift, None)
-    else:
-        lag = (0, np.exp(2j * np.pi * np.arange(num) * cfg.subcarrier_spacing * tau))
-    carrier_phase = np.exp(2j * np.pi * carrier * t_avg)
-    return lag, carrier_phase, np.take(t_diff * np.sinc(u * t_diff), inv, out=out), t_avg
+    num, df, rows = cfg.num_subcarriers, cfg.subcarrier_spacing, taus.size
+    x = 2 * num * df * taus
+    shift = np.rint(x)
+    on_lattice = np.abs(x - shift) <= LATTICE_ULPS * math.ulp(2.0 * num)
+    lag_phase = np.zeros((rows, num), complex)
+    if not on_lattice.all():
+        lag_phase[~on_lattice] = np.exp(2j * np.pi * np.arange(num) * df * taus[~on_lattice, None])
+    carrier_phase = 2j * np.pi * carrier * t_avg[:, None]
+    np.exp(carrier_phase, out=carrier_phase)
+    if work is None:
+        work = np.empty(rows * (2 * u.size + inv.size))
+    arg, sinc = work[: 2 * rows * u.size].reshape(2, rows, u.size)
+    envelope = work[2 * rows * u.size : rows * (2 * u.size + inv.size)].reshape(rows, *inv.shape)
+    np.multiply(u, t_diff[:, None], out=arg)
+    np.multiply(np.pi, arg, out=arg)
+    arg[arg == 0.0] = np.finfo(float).eps
+    np.sin(arg, out=sinc)
+    np.divide(sinc, arg, out=sinc)
+    np.multiply(t_diff[:, None], sinc, out=sinc)
+    # Every index is in range; mode "raise" would stage the gather through a
+    # fresh copy of ``envelope``.
+    np.take(sinc, inv, axis=1, out=envelope, mode="clip")
+    return _DelayTerms(inside, shift, on_lattice, lag_phase, carrier_phase, envelope, t_avg)
 
 
-def _spectral(nu_grid: np.ndarray, terms):
-    """The spectral kernel H of one delay's terms ``(lag, carrier_phase, S,
-    t_avg)`` (:func:`_delay_terms`) on the one-Doppler ``nu_grid``: the
-    length-2L inverse FFT of the complex kernel column K, the carrier phase
-    times S times the nu phase ``exp(-j 2 pi nu t_avg)`` (rows m = 1-L ..
-    L-1), each row m placed at FFT index m mod 2L and a zero at L.  It does
-    not depend on the draws, so it is built once per delay, and a draw's
-    lag-product spectrum P (:func:`_af_at_delay`) gives the AF as ``P @ H``.
+def _spectral(nu_grid: np.ndarray, terms: _DelayTerms, work=None) -> np.ndarray:
+    """The spectral kernels H of a block of delays' terms (:func:`_delay_terms`)
+    on the one-Doppler ``nu_grid``, one per row: the length-2L inverse FFT of
+    the complex kernel column K, the carrier phase times S times the nu phase
+    ``exp(-j 2 pi nu t_avg)`` (rows m = 1-L .. L-1), each row m placed at FFT
+    index m mod 2L and a zero at L.  They do not depend on the draws, so each
+    is built once per delay, every row of a block in one batched inverse FFT,
+    into ``work`` (a 1-D complex buffer of at least ``rows x 2L x n_nu``
+    elements) when given; a draw's lag-product spectrum P
+    (:func:`_af_at_delay`) gives the AF as ``P @ H``.
     """
-    _, carrier_phase, envelope, t_avg = terms
-    kernel = np.multiply.outer(carrier_phase, np.exp(-2j * np.pi * nu_grid * t_avg))
-    np.multiply(kernel, envelope, out=kernel)
-    num = (carrier_phase.size + 1) // 2
-    rotated = np.zeros((2 * num, kernel.shape[1]), complex)
-    rotated[np.arange(1 - num, num)] = kernel
-    return np.fft.ifft(rotated, axis=0)
+    carrier_phase, envelope, t_avg = terms.carrier_phase, terms.envelope, terms.t_avg
+    num = (carrier_phase.shape[1] + 1) // 2
+    shape = (t_avg.size, 2 * num, nu_grid.size)
+    if work is None:
+        work = np.empty(np.prod(shape), complex)
+    kernel = work[: np.prod(shape)].reshape(shape)
+    nu_phase = np.exp(-2j * np.pi * nu_grid * t_avg[:, None])[:, None, :]
+    # Rows m = 0 .. L-1 go to FFT indices 0 .. L-1, rows m = 1-L .. -1 to L+1 .. 2L-1.
+    for rotated, m in ((kernel[:, :num], slice(num - 1, None)), (kernel[:, num + 1 :], slice(num - 1))):
+        np.multiply(carrier_phase[:, m, None], nu_phase, out=rotated)
+        np.multiply(rotated, envelope[:, m], out=rotated)
+    kernel[:, num] = 0.0
+    return np.fft.ifft(kernel, axis=1, out=kernel)
 
 
 def _af_at_delay(
     symbols: np.ndarray,
-    spectrum: np.ndarray,
+    spectrum: tuple[np.ndarray, np.ndarray],
     lag,
     carrier_phase: np.ndarray | None,
     kernel: np.ndarray,
@@ -157,39 +217,41 @@ def _af_at_delay(
 
     Groups the closed-form double sum by subcarrier offset m = l1 - l2 into
     the lag products ``B_m = sum_l c_{l+m} conj(c_l) exp(j 2 pi l df tau)``,
-    and the delay's factors finish the job.  ``spectrum`` is each draw's
-    length-2L FFT F, which does not depend on the delay, and ``lag`` is the
-    delay's ``(shift, phase)`` of :func:`_delay_terms`: the lag-phased
-    spectrum is ``G_k = F'_{(k + shift) mod 2L}``, F' being F itself on the
-    lattice (``phase`` None) and ``fft(symbols conj(phase), n=2L)`` otherwise.
-    One circular shift, or one forward FFT, per draw gives the lag products'
-    spectrum ``P = conj(G) F``, whose inverse FFT holds ``B_m`` at index m mod
-    2L.  Both grid kinds form P this way, into ``work`` (a 1-D complex buffer
-    of at least 4L draws elements) when given.
+    and the delay's factors finish the job.  ``spectrum`` is the pair ``(F,
+    conj(F))`` of each draw's length-2L FFT, which does not depend on the
+    delay, and ``lag`` is the delay's ``(shift, phase)`` (:meth:`_DelayTerms.lag`).
+    On the lattice (``phase`` None) the lag-phased spectrum is ``G_k =
+    F_{(k + shift) mod 2L}``, so conj(G) is read from conj(F) by one circular
+    shift; otherwise G is ``fft(symbols conj(phase), n=2L)``, conjugated here.
+    Either way ``P = conj(G) F`` is the lag products' spectrum, whose inverse
+    FFT holds ``B_m`` at index m mod 2L.  Both grid kinds form P this way,
+    into ``work`` (a 1-D complex buffer of at least 4L draws elements) when
+    given.
 
-    On one Doppler (``carrier_phase`` None) ``kernel`` is the spectral kernel
-    H of :func:`_spectral`, and by Parseval the AF is ``P @ H``, the AF
-    itself (:func:`af_closed_form`).  Otherwise ``carrier_phase`` and
-    ``kernel`` are the carrier phase and S of :func:`_delay_terms`: the lag
-    products ``B = ifft(P)`` are multiplied by the carrier phase, and the
-    real envelope S finishes them in one real product, half the flops of a
-    complex one, so the values are the AF times the unit-modulus phase
+    On one Doppler (``carrier_phase`` None) ``kernel`` is the delay's
+    spectral kernel H of :func:`_spectral`, and by Parseval the AF is ``P @
+    H``, the AF itself (:func:`af_closed_form`).  Otherwise ``carrier_phase``
+    and ``kernel`` are the delay's carrier phase and S (:func:`_delay_terms`):
+    the lag products ``B = ifft(P)`` are multiplied by the carrier phase, and
+    the real envelope S finishes them in one real product, half the flops of
+    a complex one, so the values are the AF times the unit-modulus phase
     ``exp(j 2 pi nu t_avg)`` of each Doppler column: their magnitudes are
     exact, which is all :func:`mc_average_af` reads.
     """
     num = symbols.shape[1]
     shift, phase = lag
-    source = spectrum if phase is None else np.fft.fft(symbols * phase.conj(), n=2 * num, axis=1)
     # One buffer per worker, reused in place: the spectra held for every draw
     # already raise the peak memory, so a call adds no further large
     # temporary when ``work`` is given.  A fresh block per call would have
     # the allocator return and re-map its pages on every call.
     if work is None:
-        work = np.empty(2 * source.size, complex)
-    spec = work[: source.size].reshape(source.shape)
-    np.take(source, np.arange(shift, shift + 2 * num), axis=1, mode="wrap", out=spec)
-    np.conjugate(spec, out=spec)
-    np.multiply(spec, spectrum, out=spec)
+        work = np.empty(4 * symbols.size, complex)
+    spec = work[: 2 * symbols.size].reshape(len(symbols), 2 * num)
+    if phase is None:
+        np.take(spectrum[1], np.arange(shift, shift + 2 * num), axis=1, mode="wrap", out=spec)
+    else:
+        np.conjugate(np.fft.fft(symbols * phase.conj(), n=2 * num, axis=1), out=spec)
+    np.multiply(spec, spectrum[0], out=spec)
     if carrier_phase is None:
         return spec @ kernel
     np.fft.ifft(spec, axis=1, out=spec)
@@ -218,11 +280,12 @@ def af_closed_form(cfg: OfdmConfig, symbols, tau: float, nu: float):
         raise ValueError(f"expected {num} symbols, got shape {symbols.shape}")
     rows = symbols.reshape(-1, num)
     nu_grid = np.array([float(nu)])
-    terms = _delay_terms(cfg, tau, _doppler_offsets(cfg, nu_grid))
+    terms = _delay_terms(cfg, [tau], _doppler_offsets(cfg, nu_grid))
     out = np.zeros(rows.shape[0], complex)
-    if terms is not None:
+    if terms.inside[0]:
         spectrum = np.fft.fft(rows, n=2 * num, axis=1)
-        out = _af_at_delay(rows, spectrum, terms[0], None, _spectral(nu_grid, terms))[:, 0]
+        kernel = _spectral(nu_grid, terms)[0]
+        out = _af_at_delay(rows, (spectrum, spectrum.conj()), terms.lag(0), None, kernel)[:, 0]
     out = out.reshape(symbols.shape[:-1])
     return complex(out) if out.ndim == 0 else out
 
@@ -244,11 +307,13 @@ def mc_average_af(
     seeded generator, so memory is O(trials): every delay row reuses its
     Doppler kernel across all draws, and drawing per chunk would mean
     rebuilding each row's kernel once per chunk.  The draws are split into
-    chunks of ``AF_CHUNK``, whose FFT spectra are taken once, and the
-    distinct kernel frequencies are found once (:func:`_doppler_offsets`).
-    Each delay row builds its kernel (into one buffer per worker), its
-    lattice shift and, on one Doppler, its spectral kernel once, applies them
-    to every chunk and adds the chunk partial sums in chunk order.  On any
+    chunks of ``AF_CHUNK``, whose FFT spectra and their conjugates are taken
+    once, and the distinct kernel frequencies are found once
+    (:func:`_doppler_offsets`).  Each delay row's kernel, lattice shift and,
+    on one Doppler, spectral kernel are built once, into buffers of one
+    worker: on one Doppler for a block of up to ``KERNEL_ROWS`` rows in one
+    vectorized pass, on more one row at a time.  Each row applies them to
+    every chunk and adds the chunk partial sums in chunk order.  On any
     Doppler grid a delay on the lattice ``tau = n / (2L df)``, as every
     computed delay of the default grids is, costs each chunk a circular shift
     of its spectra and no FFT, so the chunks' spectra are the only forward
@@ -277,21 +342,27 @@ def mc_average_af(
     symbols = constellation.sample_symbols(trials * num, seed).reshape(trials, num)
     chunks = [symbols[s : s + AF_CHUNK] for s in range(0, trials, AF_CHUNK)]
     spectra = [np.fft.fft(chunk, n=2 * num, axis=1) for chunk in chunks]
+    spectra = [(spectrum, spectrum.conj()) for spectrum in spectra]
     total = np.zeros((tau_grid.size, nu_grid.size))
     offsets = _doppler_offsets(cfg, nu_grid)
+    one_doppler = nu_grid.size == 1
+    # On many Dopplers a row's envelope alone is (2L-1) x n_nu, so the
+    # kernels are built one row at a time.
+    block = KERNEL_ROWS if one_doppler else 1
 
     def fill(rows):
-        envelope = np.empty((2 * num - 1, nu_grid.size))
+        terms_work = np.empty(block * (2 * offsets[1].size + offsets[2].size))
+        kernel_work = np.empty(block * 2 * num, complex) if one_doppler else None
         work = np.empty(4 * num * AF_CHUNK, complex)
-        for ti in rows:
-            terms = _delay_terms(cfg, tau_grid[ti], offsets, envelope)
-            if terms is not None:
-                lag, carrier_phase, kernel, _ = terms
-                if nu_grid.size == 1:
-                    carrier_phase, kernel = None, _spectral(nu_grid, terms)
+        for start in range(0, rows.size, block):
+            ti = rows[start : start + block]
+            terms = _delay_terms(cfg, tau_grid[ti], offsets, terms_work)
+            kernels = _spectral(nu_grid, terms, kernel_work) if one_doppler else terms.envelope
+            for k, row in enumerate(ti[terms.inside]):
+                lag, carrier_phase = terms.lag(k), None if one_doppler else terms.carrier_phase[k]
                 for chunk, spectrum in zip(chunks, spectra):
-                    af = _af_at_delay(chunk, spectrum, lag, carrier_phase, kernel, work)
-                    total[ti] += np.abs(af).sum(axis=0)
+                    af = _af_at_delay(chunk, spectrum, lag, carrier_phase, kernels[k], work)
+                    total[row] += np.abs(af).sum(axis=0)
 
     symmetric = np.array_equal(tau_grid, -tau_grid[::-1]) and np.array_equal(nu_grid, -nu_grid[::-1])
     half = tau_grid.size // 2 if symmetric else 0
@@ -321,19 +392,19 @@ def af_statistics(cfg: OfdmConfig, constellation: Constellation, tau_grid, nu: f
     """
     num = cfg.num_subcarriers
     nu_grid = np.array([float(nu)])
-    offsets = _doppler_offsets(cfg, nu_grid)
     pairs = num - np.abs(np.arange(1 - num, num))
     pairs[num - 1] = 0
     excess = constellation.moment(4) - 1.0
+    taus = np.asarray(tau_grid, dtype=float)
+    terms = _delay_terms(cfg, taus, _doppler_offsets(cfg, nu_grid))
     l = np.arange(num)
-    stats = np.zeros((3, len(tau_grid)))
-    for i, tau in enumerate(tau_grid):
-        terms = _delay_terms(cfg, tau, offsets)
-        if terms is not None:
-            envelope = terms[2][:, 0]
-            power = envelope**2
-            dirichlet = abs(np.exp(2j * np.pi * l * cfg.subcarrier_spacing * tau).sum())
-            stats[:, i] = power[num - 1] * num * excess, pairs @ power, abs(envelope[num - 1]) * dirichlet
+    stats = np.zeros((3, taus.size))
+    # Row by row: numpy's batched product and array abs round differently
+    # in the last bit from the per-row dot and the scalar abs.
+    for envelope, i in zip(terms.envelope[:, :, 0], np.flatnonzero(terms.inside)):
+        power = envelope**2
+        dirichlet = abs(np.exp(2j * np.pi * l * cfg.subcarrier_spacing * taus[i]).sum())
+        stats[:, i] = power[num - 1] * num * excess, pairs @ power, abs(envelope[num - 1]) * dirichlet
     return stats
 
 

@@ -27,6 +27,7 @@ key must be some command's option.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -200,9 +201,11 @@ def _add_common(parser: argparse.ArgumentParser, leaf: bool = False):
     parser.add_argument("--config", default=default, help="JSON file with option defaults")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """One leaf parser per ``_COMMANDS`` entry and one flag per default, typed
-    like its default (float where it is None); unset flags stay None."""
+    like its default (float where it is None); unset flags stay None.  Built
+    once per process: parsing reads the parser and never changes it."""
     parser = argparse.ArgumentParser(
         prog="ofdm-pcs",
         description="Constellation shaping, ambiguity statistics, rate and detection experiments for OFDM sensing-and-communication waveforms",

@@ -237,13 +237,7 @@ def _on_lattice(cfg, taus):
     """Which delays inside the window take the circular-shift path."""
     nus = np.array([0.0])
     offsets = ambiguity._doppler_offsets(cfg, nus)
-    flags = []
-    for tau in taus:
-        terms = ambiguity._delay_terms(cfg, tau, offsets)
-        if terms is not None:
-            _, phase = terms[0]
-            flags.append(phase is None)
-    return np.array(flags)
+    return ambiguity._delay_terms(cfg, taus, offsets).on_lattice
 
 
 _L32 = OfdmConfig(num_subcarriers=32, subcarrier_spacing=100e6 / 32)
@@ -290,6 +284,56 @@ def test_lattice_shift_matches_double_sum(cfg, taus, nus, lattice_rows):
     assert np.max(np.abs(surface - brute / brute.max())) <= 1e-12
 
 
+def _row_kernel_oracle(cfg, tau, nu_grid):
+    """One delay's terms by per-row arithmetic, sinc on every cell with no
+    gather: the lag ``(shift, phase)``, the carrier phase, the envelope S and
+    the spectral kernel H; None outside the window."""
+    t_min = max(0.0, float(tau))
+    t_max = min(cfg.symbol_duration, cfg.symbol_duration + float(tau))
+    t_diff = t_max - t_min
+    if not t_diff > 0.0:
+        return None
+    t_avg = 0.5 * (t_max + t_min)
+    num, df = cfg.num_subcarriers, cfg.subcarrier_spacing
+    x = 2 * num * df * float(tau)
+    lag = (round(x), None)
+    if abs(x - lag[0]) > ambiguity.LATTICE_ULPS * np.spacing(2.0 * num):
+        lag = (0, np.exp(2j * np.pi * np.arange(num) * df * tau))
+    carrier = np.arange(-(num - 1), num) * df
+    carrier_phase = np.exp(2j * np.pi * carrier * t_avg)
+    envelope = t_diff * np.sinc((carrier[:, None] - nu_grid[None, :]) * t_diff)
+    kernel = np.multiply.outer(carrier_phase, np.exp(-2j * np.pi * nu_grid * t_avg)) * envelope
+    rotated = np.zeros((2 * num, nu_grid.size), complex)
+    rotated[np.arange(1 - num, num)] = kernel
+    return lag, carrier_phase, envelope, np.fft.ifft(rotated, axis=0)
+
+
+@pytest.mark.parametrize("doppler", [0.0, 0.75], ids=["zero-doppler", "0.75df"])
+@pytest.mark.parametrize(
+    ("cfg", "taus"),
+    [pytest.param(cfg, taus, id=name) for cfg, taus, _, name in _LATTICE_CASES]
+    + [pytest.param(CFG16, _OFF_LATTICE[0], id="off-lattice")],
+)
+def test_kernel_pass_matches_per_row_arithmetic(cfg, taus, doppler):
+    # The whole grid's terms and spectral kernels in one pass, bit for bit
+    # the per-row values; buffers start as NaN, so every value read is written.
+    nus = np.array([doppler * cfg.subcarrier_spacing])
+    offsets = ambiguity._doppler_offsets(cfg, nus)
+    rows, num = taus.size, cfg.num_subcarriers
+    work = np.full(rows * (2 * offsets[1].size + offsets[2].size), np.nan)
+    terms = ambiguity._delay_terms(cfg, taus, offsets, work)
+    kernels = ambiguity._spectral(nus, terms, np.full(rows * 2 * num, np.nan, complex))
+    oracle = [_row_kernel_oracle(cfg, tau, nus) for tau in taus]
+    assert terms.inside.tolist() == [row is not None for row in oracle]
+    for k, (lag, carrier_phase, envelope, kernel) in enumerate(row for row in oracle if row is not None):
+        shift, phase = terms.lag(k)
+        assert shift == lag[0]
+        assert phase is lag[1] is None or np.array_equal(phase, lag[1])
+        assert np.array_equal(terms.carrier_phase[k], carrier_phase)
+        assert np.array_equal(terms.envelope[k], envelope)
+        assert np.array_equal(kernels[k], kernel)
+
+
 def test_delay_nudged_off_lattice_takes_the_fft():
     cfg = _PROD
     nus = np.array([0.0])
@@ -297,11 +341,10 @@ def test_delay_nudged_off_lattice_takes_the_fft():
     draws = make_qam(16).sample_symbols(3 * 64, 31).reshape(3, 64)
     for n in (-37, 0, 50):
         tau = n / 128 * cfg.symbol_duration
-        terms = ambiguity._delay_terms(cfg, tau, offsets)
-        assert terms[0] == (n, None)
         nudged = tau + 1e-9 * cfg.symbol_duration
-        terms = ambiguity._delay_terms(cfg, nudged, offsets)
-        shift, phase = terms[0]
+        terms = ambiguity._delay_terms(cfg, np.array([tau, nudged]), offsets)
+        assert terms.lag(0) == (n, None)
+        shift, phase = terms.lag(1)
         lag_phase = np.exp(2j * np.pi * np.arange(64) * cfg.subcarrier_spacing * nudged)
         assert shift == 0 and np.array_equal(phase, lag_phase)
         for t in (tau, nudged):
@@ -356,16 +399,14 @@ def test_mc_average_mirror_computes_half_the_rows(monkeypatch):
     nus = np.array([-2.5, -0.75, 0.0, 0.75, 2.5])
     trials = AF_CHUNK + 6
     offsets = ambiguity._doppler_offsets(CFG16, nus)
-    kernels = [ambiguity._delay_terms(CFG16, tau, offsets) for tau in taus]
+    terms = ambiguity._delay_terms(CFG16, taus, offsets)
     seen = []
     original = ambiguity._af_at_delay
 
     def counting(symbols, spectrum, lag_phase, carrier_phase, kernel, work=None):
         seen.extend(
-            i for i, terms in enumerate(kernels)
-            if terms is not None
-            and np.array_equal(terms[1], carrier_phase)
-            and np.array_equal(terms[2], kernel)
+            i for i, phase, envelope in zip(np.flatnonzero(terms.inside), terms.carrier_phase, terms.envelope)
+            if np.array_equal(phase, carrier_phase) and np.array_equal(envelope, kernel)
         )
         return original(symbols, spectrum, lag_phase, carrier_phase, kernel, work)
 

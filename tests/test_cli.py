@@ -556,6 +556,23 @@ def test_af_slice_delay_parses_as_float():
     assert delay == 1e-7 and type(delay) is float
 
 
+def test_parser_carries_no_state_between_calls(tmp_path, capsys):
+    # main builds its parser once per process: a failing argv after a good one
+    # still fails by name, and a good one after a failing one still runs, with
+    # no flag of an earlier call left behind.
+    assert build_parser() is build_parser()
+    outs = [tmp_path / f"{i}.csv" for i in range(3)]
+    assert main(["af", "variance", "--points", "5", "--out", str(outs[0])]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["af", "variance", "--points", "x", "--out", str(tmp_path / "bad.csv")])
+    assert exc.value.code == 2 and "--points" in capsys.readouterr().err
+    assert main(["af", "variance", "--out", str(outs[1])]) == 0
+    assert main(["af", "variance", "--points", "5", "--out", str(outs[2])]) == 0
+    assert "# points = 257\n" in outs[1].read_text()
+    assert outs[2].read_bytes() == outs[0].read_bytes()
+    assert "# points = 5\n" in outs[0].read_text()
+
+
 def test_error_exit_names_stage(tmp_path, capsys):
     rc = main(["af", "slice", "--modulation", "nosuch", "--out", str(tmp_path / "x.csv")])
     assert rc == 1
@@ -688,7 +705,10 @@ def test_every_option_can_change_the_artifact(tmp_path, command):
 _THREAD_REGIMES = {
     "af surface": [["--trials", "4"], ["--trials", "4", "--tau-points", "64", "--nu-points", "33"],
                    ["--subcarriers", "32", "--trials", "200"]],
-    "af slice": [["--trials", "64"], ["--subcarriers", "32", "--trials", "200"]],
+    # At 100 points every delay inside the window is off the lattice, and
+    # 130 trials end the three chunks with a short one.
+    "af slice": [["--trials", "64"], ["--subcarriers", "32", "--trials", "200"],
+                 ["--points", "100", "--trials", "130"]],
     "air sweep-c0": [["--mc", "20000"], ["--mc", "100001", "--c0", "1.0,1.2,1.32"]],
     "air sweep-snr": [["--mc", "20000"], ["--mc", "100001", "--snr", "0,10,20"]],
     "detect pd-sweep": [["--trials", "600"], ["--trials", "600", "--offset", "120"]],
