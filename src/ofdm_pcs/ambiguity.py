@@ -10,18 +10,22 @@ phase, a real envelope S between two unit-modulus phases.
 
 One route takes every draw to its lag products ``B_m = sum_l c_{l+m}
 conj(c_l) exp(j 2 pi l df tau)`` (:func:`_af_at_delay`).  Each draw's one
-length-2L spectrum F, and its conjugate taken once beside it, are read at
-the delay's shift to give its lag-phased spectrum G, and ``P = conj(G) F``
-is the spectrum of B.  A delay on the lattice ``tau = n / (2L df)`` (every
-computed delay of the default grids) reads conj(F) shifted circularly by n,
-with no FFT; any other delay takes one forward FFT of the lag-phased draw.
-:func:`_delay_terms` decides which, once per delay, for every grid.  On one
-Doppler :func:`_spectral` folds both phases into one complex kernel column
-and takes it to the spectral domain, a block of delays in one batched
-inverse FFT, and the AF is ``P @ H`` (:func:`af_closed_form` is the
-one-point case).  On
-more than one, ``B = ifft(P)``, the carrier phase goes onto it, and one real
-product against S (half the flops of a complex one) gives the AF times a
+length-2L spectrum F is read at the delay's shift to give its lag-phased
+spectrum G, and ``P = conj(G) F`` is the spectrum of B.  A delay on the
+lattice ``tau = n / (2L df)`` (every computed delay of the default grids)
+reads conj(F) shifted circularly by n as the window at n of the doubled
+conjugate ``[conj F, conj F]``, in place, with no FFT and no copy; any other
+delay takes one forward FFT of the lag-phased draw.  :func:`_delay_terms`
+decides which, once per delay, for every grid.  On one Doppler
+:func:`_spectral` folds both phases into one complex kernel column and takes
+it to the spectral domain, a block of delays in one batched inverse FFT, and
+the AF is ``P @ H`` (:func:`af_closed_form` is the one-point case): each
+worker of :func:`mc_average_af` builds every row's H first and then runs
+chunk by chunk, a block of rows at consecutive shifts reading its windows as
+one zero-copy slice, so one multiply forms the block's P and one stacked
+product its AF.  On more than one Doppler the rows go one at a time, a block
+of one: ``B = ifft(P)``, the carrier phase goes onto it, and one real product
+against S (half the flops of a complex one) gives the AF times a
 unit-modulus phase per Doppler column.
 :func:`mc_average_af` averages the magnitude over random symbol draws on a
 delay-Doppler grid, peak-normalized, computing only the tau >= 0 half of a
@@ -39,6 +43,7 @@ import math
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .constellation import Constellation
 from .mc import map_ordered
@@ -54,11 +59,19 @@ AF_CHUNK = 64
 LATTICE_ULPS = 4
 
 # Delay rows whose one-Doppler kernels are built in one vectorized pass.  It
-# bounds each worker's kernel buffers, and numpy's staging buffers for the
-# pass's broadcast products, to tens of KB at 64 subcarriers; on a 2-vCPU
-# host 16 rows ran about 3 % faster but raised the slice's peak RSS by about
-# 0.25 MB.
+# bounds each pass's terms buffer, and numpy's staging buffers for the
+# pass's broadcast products, to tens of KB at 64 subcarriers; the spectral
+# kernels themselves are kept for every row of a worker (2 KB a row at 64
+# subcarriers).  On a 2-vCPU host 16 rows ran about 3 % faster but raised the
+# slice's peak RSS by about 0.25 MB.
 KERNEL_ROWS = 8
+
+# Delay rows whose one-Doppler lag-product spectra are formed in one
+# multiply and finished in one stacked product, per chunk.  Each worker's
+# product buffer holds this many rows x AF_CHUNK x 2L values (512 KB at 64
+# subcarriers); on a 2-vCPU host, at two threads, 8 rows ran no faster than
+# 4 with twice the buffer, and 2 rows ran about 10 % slower.
+PRODUCT_ROWS = 4
 
 
 def _centred_grid(name: str, width: float, points: int) -> np.ndarray:
@@ -204,73 +217,99 @@ def _spectral(nu_grid: np.ndarray, terms: _DelayTerms, work=None) -> np.ndarray:
     return np.fft.ifft(kernel, axis=1, out=kernel)
 
 
+def _block_lags(lags, width: int):
+    """A block of rows' lags (:meth:`_DelayTerms.lag`) as :func:`_af_at_delay`
+    reads them: one slice of conjugate-spectrum windows when every row lies on
+    the lattice at consecutive shifts mod ``width`` = 2L, else the rows' own
+    lags.  A block that wraps past shift 2L - 1 keeps its rows' lags."""
+    starts = [shift % width for shift, phase in lags if phase is None]
+    if len(starts) == len(lags) and starts == list(range(starts[0], starts[0] + len(starts))):
+        return slice(starts[0], starts[0] + len(starts))
+    return lags
+
+
 def _af_at_delay(
     symbols: np.ndarray,
     spectrum: tuple[np.ndarray, np.ndarray],
-    lag,
+    lags,
     carrier_phase: np.ndarray | None,
     kernel: np.ndarray,
     work: np.ndarray | None = None,
 ):
-    """AF values for a batch of symbol vectors at one delay, all Dopplers,
-    as a draws x n_nu array.
+    """AF values for a chunk of symbol vectors at a block of delays, all
+    Dopplers, as a rows x draws x n_nu array.
 
     Groups the closed-form double sum by subcarrier offset m = l1 - l2 into
     the lag products ``B_m = sum_l c_{l+m} conj(c_l) exp(j 2 pi l df tau)``,
-    and the delay's factors finish the job.  ``spectrum`` is the pair ``(F,
-    conj(F))`` of each draw's length-2L FFT, which does not depend on the
-    delay, and ``lag`` is the delay's ``(shift, phase)`` (:meth:`_DelayTerms.lag`).
-    On the lattice (``phase`` None) the lag-phased spectrum is ``G_k =
-    F_{(k + shift) mod 2L}``, so conj(G) is read from conj(F) by one circular
-    shift; otherwise G is ``fft(symbols conj(phase), n=2L)``, conjugated here.
-    Either way ``P = conj(G) F`` is the lag products' spectrum, whose inverse
-    FFT holds ``B_m`` at index m mod 2L.  Both grid kinds form P this way,
-    into ``work`` (a 1-D complex buffer of at least 4L draws elements) when
-    given.
+    and each delay's factors finish the job.  ``spectrum`` is the pair ``(F,
+    windows)``: each draw's length-2L FFT F, which does not depend on the
+    delay, and the length-2L sliding windows over the draws' doubled
+    conjugate spectra ``[conj F, conj F]`` (of at least as many draws), window
+    n being conj(F) shifted circularly by n.  ``lags`` is the block's
+    :func:`_block_lags`.  On the lattice the lag-phased spectrum is ``G_k =
+    F_{(k + shift) mod 2L}``, so conj(G) is window ``shift mod 2L``, read in
+    place, and a slice of windows gives every row of the block in one
+    multiply; off it G is ``fft(symbols conj(phase), n=2L)``, conjugated
+    here.  Either way ``P = conj(G) F`` is the lag products' spectrum, whose
+    inverse FFT holds ``B_m`` at index m mod 2L, formed for every row of the
+    block into ``work`` (a 1-D complex buffer of at least ``max(rows, 2) x
+    draws x 2L`` elements) when given.
 
-    On one Doppler (``carrier_phase`` None) ``kernel`` is the delay's
-    spectral kernel H of :func:`_spectral`, and by Parseval the AF is ``P @
-    H``, the AF itself (:func:`af_closed_form`).  Otherwise ``carrier_phase``
-    and ``kernel`` are the delay's carrier phase and S (:func:`_delay_terms`):
-    the lag products ``B = ifft(P)`` are multiplied by the carrier phase, and
-    the real envelope S finishes them in one real product, half the flops of
-    a complex one, so the values are the AF times the unit-modulus phase
-    ``exp(j 2 pi nu t_avg)`` of each Doppler column: their magnitudes are
-    exact, which is all :func:`mc_average_af` reads.
+    On one Doppler (``carrier_phase`` None) ``kernel`` stacks the rows'
+    spectral kernels H of :func:`_spectral`, and by Parseval the AF is ``P @
+    H``, one stacked product for the block (:func:`af_closed_form` is the
+    one-point case).  On more than one the block is one row, and
+    ``carrier_phase`` and ``kernel`` are its carrier phase and S
+    (:func:`_delay_terms`): the lag products ``B = ifft(P)`` are multiplied by
+    the carrier phase, and the real envelope S finishes them in one real
+    product, half the flops of a complex one, so the values are the AF times
+    the unit-modulus phase ``exp(j 2 pi nu t_avg)`` of each Doppler column:
+    their magnitudes are exact, which is all :func:`mc_average_af` reads.
     """
-    num = symbols.shape[1]
-    shift, phase = lag
-    # One buffer per worker, reused in place: the spectra held for every draw
-    # already raise the peak memory, so a call adds no further large
-    # temporary when ``work`` is given.  A fresh block per call would have
-    # the allocator return and re-map its pages on every call.
+    spectrum, windows = spectrum
+    draws, width = spectrum.shape
+    rows = lags.stop - lags.start if isinstance(lags, slice) else len(lags)
+    # One buffer per worker, reused in place: a fresh block per call would
+    # have the allocator return and re-map its pages on every call.
     if work is None:
-        work = np.empty(4 * symbols.size, complex)
-    spec = work[: 2 * symbols.size].reshape(len(symbols), 2 * num)
-    if phase is None:
-        np.take(spectrum[1], np.arange(shift, shift + 2 * num), axis=1, mode="wrap", out=spec)
+        work = np.empty(max(rows, 2) * spectrum.size, complex)
+    prod = work[: rows * spectrum.size].reshape(rows, draws, width)
+    if isinstance(lags, slice):
+        np.multiply(windows[:draws, lags].transpose(1, 0, 2), spectrum, out=prod)
     else:
-        np.conjugate(np.fft.fft(symbols * phase.conj(), n=2 * num, axis=1), out=spec)
-    np.multiply(spec, spectrum[0], out=spec)
+        for row, (shift, phase) in zip(prod, lags):
+            if phase is None:
+                np.multiply(windows[:draws, shift % width], spectrum, out=row)
+            else:
+                np.conjugate(np.fft.fft(symbols * phase.conj(), n=width, axis=1), out=row)
+                np.multiply(row, spectrum, out=row)
     if carrier_phase is None:
-        return spec @ kernel
+        return prod @ kernel
+    spec, num = prod[0], width // 2
     np.fft.ifft(spec, axis=1, out=spec)
     # A C-contiguous (2L-1) x draws block, so its float view holds each
     # draw's real and imaginary parts as two adjacent columns for S to take.
     # Gathering the rows m = 1-L .. L-1 by assignment and then multiplying in
     # place keeps numpy from staging the mixed-layout product through its own
     # per-call ufunc buffers.
-    block = work[spec.size : 2 * spec.size - len(spec)].reshape(2 * num - 1, len(spec))
+    block = work[spec.size : 2 * spec.size - draws].reshape(width - 1, draws)
     block[: num - 1], block[num - 1 :] = spec[:, num + 1 :].T, spec[:, :num].T
     np.multiply(block, carrier_phase[:, None], out=block)
-    return (kernel.T @ block.view(float)).view(complex).T
+    return (kernel.T @ block.view(float)).view(complex).T[None]
+
+
+def _conj_windows(spectrum: np.ndarray) -> np.ndarray:
+    """The length-2L sliding windows over each draw's doubled conjugate
+    spectrum ``[conj F, conj F]``, window n being conj(F) shifted circularly
+    by n (:func:`_af_at_delay`)."""
+    return sliding_window_view(np.tile(spectrum.conj(), 2), spectrum.shape[1], axis=1)
 
 
 def af_closed_form(cfg: OfdmConfig, symbols, tau: float, nu: float):
     """Closed-form ambiguity function at one point: the one-Doppler case of
-    :func:`_af_at_delay`, each row's lag-product spectrum (from a circular
-    shift of its FFT on the delay lattice, an FFT of the lag-phased row off
-    it) against the delay's spectral kernel (:func:`_spectral`), and zero
+    :func:`_af_at_delay`, each row's lag-product spectrum (from a window of its
+    doubled conjugate FFT on the delay lattice, an FFT of the lag-phased row
+    off it) against the delay's spectral kernel (:func:`_spectral`), and zero
     outside the window.  ``symbols`` may carry leading batch dimensions, in
     which case a matching array of values is returned; one symbol vector
     gives a complex."""
@@ -284,8 +323,9 @@ def af_closed_form(cfg: OfdmConfig, symbols, tau: float, nu: float):
     out = np.zeros(rows.shape[0], complex)
     if terms.inside[0]:
         spectrum = np.fft.fft(rows, n=2 * num, axis=1)
-        kernel = _spectral(nu_grid, terms)[0]
-        out = _af_at_delay(rows, (spectrum, spectrum.conj()), terms.lag(0), None, kernel)[:, 0]
+        lags = _block_lags([terms.lag(0)], 2 * num)
+        af = _af_at_delay(rows, (spectrum, _conj_windows(spectrum)), lags, None, _spectral(nu_grid, terms))
+        out = af[0, :, 0]
     out = out.reshape(symbols.shape[:-1])
     return complex(out) if out.ndim == 0 else out
 
@@ -304,20 +344,29 @@ def mc_average_af(
     array; some delay must lie in ``|tau| < T_p``, outside which the AF is 0.
 
     Unlike the pd and AIR loops, all symbols are drawn up front from the
-    seeded generator, so memory is O(trials): every delay row reuses its
-    Doppler kernel across all draws, and drawing per chunk would mean
-    rebuilding each row's kernel once per chunk.  The draws are split into
-    chunks of ``AF_CHUNK``, whose FFT spectra and their conjugates are taken
-    once, and the distinct kernel frequencies are found once
-    (:func:`_doppler_offsets`).  Each delay row's kernel, lattice shift and,
-    on one Doppler, spectral kernel are built once, into buffers of one
-    worker: on one Doppler for a block of up to ``KERNEL_ROWS`` rows in one
-    vectorized pass, on more one row at a time.  Each row applies them to
-    every chunk and adds the chunk partial sums in chunk order.  On any
-    Doppler grid a delay on the lattice ``tau = n / (2L df)``, as every
-    computed delay of the default grids is, costs each chunk a circular shift
-    of its spectra and no FFT, so the chunks' spectra are the only forward
-    FFTs.  Worker threads split the delay rows between them and never change
+    seeded generator, so memory is O(trials): on more than one Doppler every
+    delay row reuses its kernel across all draws, and drawing per chunk would
+    mean rebuilding it once per chunk.  On one Doppler only the draws
+    themselves grow with ``trials``.  The draws are split into chunks of ``AF_CHUNK``,
+    and the distinct kernel frequencies are found once
+    (:func:`_doppler_offsets`).  Each row adds its chunk partial sums in
+    chunk order.  On any Doppler grid a delay on the lattice ``tau = n / (2L
+    df)``, as every computed delay of the default grids is, reads its chunks'
+    conjugate spectra as windows of their doubled copies
+    (:func:`_af_at_delay`) and takes no FFT, so the chunks' spectra are the
+    only forward FFTs.
+
+    On one Doppler each worker builds the spectral kernels of all its rows
+    first, in vectorized passes of up to ``KERNEL_ROWS`` rows, so they take
+    memory bounded by the grid, not by ``trials``.  It then runs chunk by
+    chunk: it writes the chunk's spectrum and its doubled conjugate once into
+    its own ``AF_CHUNK`` x 2L and ``AF_CHUNK`` x 4L buffers, and each block of
+    up to ``PRODUCT_ROWS`` rows forms its products in one multiply and its
+    AF in one stacked product.  On more Dopplers a row's envelope alone is
+    (2L-1) x n_nu, so the rows go one at a time, each building its kernel
+    once and running it over every chunk as a block of one row; each chunk's
+    spectrum and doubled conjugate are then taken once and held for all
+    rows.  Worker threads split the delay rows between them and never change
     a row's arithmetic, so the result does not depend on ``threads``.
 
     Every draw has ``AF(tau, nu) = exp(-j 2 pi nu tau) conj(AF(-tau, -nu))``,
@@ -338,32 +387,61 @@ def mc_average_af(
         raise ValueError("nu_grid is empty: need at least one Doppler point")
     if not np.any(np.abs(tau_grid) < cfg.symbol_duration):
         raise ValueError("tau_grid has no delay inside |tau| < T_p, where the AF is nonzero")
-    num = cfg.num_subcarriers
-    symbols = constellation.sample_symbols(trials * num, seed).reshape(trials, num)
+    width = 2 * cfg.num_subcarriers
+    symbols = constellation.sample_symbols(trials * cfg.num_subcarriers, seed).reshape(trials, -1)
     chunks = [symbols[s : s + AF_CHUNK] for s in range(0, trials, AF_CHUNK)]
-    spectra = [np.fft.fft(chunk, n=2 * num, axis=1) for chunk in chunks]
-    spectra = [(spectrum, spectrum.conj()) for spectrum in spectra]
     total = np.zeros((tau_grid.size, nu_grid.size))
     offsets = _doppler_offsets(cfg, nu_grid)
-    one_doppler = nu_grid.size == 1
-    # On many Dopplers a row's envelope alone is (2L-1) x n_nu, so the
-    # kernels are built one row at a time.
-    block = KERNEL_ROWS if one_doppler else 1
+    terms_size = 2 * offsets[1].size + offsets[2].size
 
-    def fill(rows):
-        terms_work = np.empty(block * (2 * offsets[1].size + offsets[2].size))
-        kernel_work = np.empty(block * 2 * num, complex) if one_doppler else None
-        work = np.empty(4 * num * AF_CHUNK, complex)
-        for start in range(0, rows.size, block):
-            ti = rows[start : start + block]
+    def fill_chunk_major(rows):
+        # Kernels first: every row's spectral kernel and lag, bounded by the grid.
+        terms_work = np.empty(KERNEL_ROWS * terms_size)
+        kernels = np.empty((rows.size, width, 1), complex)
+        inside, lags = [], []
+        for start in range(0, rows.size, KERNEL_ROWS):
+            ti = rows[start : start + KERNEL_ROWS]
             terms = _delay_terms(cfg, tau_grid[ti], offsets, terms_work)
-            kernels = _spectral(nu_grid, terms, kernel_work) if one_doppler else terms.envelope
-            for k, row in enumerate(ti[terms.inside]):
-                lag, carrier_phase = terms.lag(k), None if one_doppler else terms.carrier_phase[k]
-                for chunk, spectrum in zip(chunks, spectra):
-                    af = _af_at_delay(chunk, spectrum, lag, carrier_phase, kernels[k], work)
-                    total[row] += np.abs(af).sum(axis=0)
+            _spectral(nu_grid, terms, kernels[len(lags) :].reshape(-1))
+            inside.extend(ti[terms.inside])
+            lags.extend(terms.lag(k) for k in range(terms.t_avg.size))
+        inside, kernels = np.array(inside, dtype=int), kernels[: len(lags)]
+        cuts = [slice(s, s + PRODUCT_ROWS) for s in range(0, len(lags), PRODUCT_ROWS)]
+        blocks = [(inside[cut], _block_lags(lags[cut], width), kernels[cut]) for cut in cuts]
+        # Then chunk by chunk: the chunk's spectrum and doubled conjugate are
+        # written once into this worker's buffers, whose windows are viewed once.
+        spectrum_work = np.empty((AF_CHUNK, width), complex)
+        doubled = np.empty((AF_CHUNK, 2 * width), complex)
+        windows = sliding_window_view(doubled, width, axis=1)
+        work = np.empty(PRODUCT_ROWS * AF_CHUNK * width, complex)
+        for chunk in chunks:
+            draws = len(chunk)
+            spectrum = np.fft.fft(chunk, n=width, axis=1, out=spectrum_work[:draws])
+            np.conjugate(spectrum, out=doubled[:draws, :width])
+            doubled[:draws, width:] = doubled[:draws, :width]
+            for ti, lag, kernel in blocks:
+                af = _af_at_delay(chunk, (spectrum, windows), lag, None, kernel, work)
+                total[ti] += np.abs(af).sum(axis=1)
 
+    def fill_row_major(rows):
+        terms_work = np.empty(terms_size)
+        work = np.empty(2 * AF_CHUNK * width, complex)
+        for row in rows:
+            terms = _delay_terms(cfg, tau_grid[row : row + 1], offsets, terms_work)
+            if terms.inside[0]:
+                lag = _block_lags([terms.lag(0)], width)
+                for chunk, spectrum in zip(chunks, held):
+                    af = _af_at_delay(chunk, spectrum, lag, terms.carrier_phase[0], terms.envelope[0], work)
+                    total[row] += np.abs(af[0]).sum(axis=0)
+
+    if nu_grid.size == 1:
+        fill = fill_chunk_major
+    else:
+        # Every row reads each chunk's spectrum and doubled conjugate, so
+        # they are taken once and held for all chunks.
+        spectra = [np.fft.fft(chunk, n=width, axis=1) for chunk in chunks]
+        held = [(spectrum, _conj_windows(spectrum)) for spectrum in spectra]
+        fill = fill_row_major
     symmetric = np.array_equal(tau_grid, -tau_grid[::-1]) and np.array_equal(nu_grid, -nu_grid[::-1])
     half = tau_grid.size // 2 if symmetric else 0
     # One contiguous block of rows per worker; a row is written by one thread only.

@@ -183,6 +183,20 @@ _OFF_LATTICE = (
         # folds the phases into a complex kernel column, two take the real envelope.
         pytest.param(CFG16, _OFF_LATTICE[0], np.array([0.75]), 5, 2, id="one-doppler"),
         pytest.param(CFG16, _OFF_LATTICE[0], np.array([-2.19, 0.75]), 5, 2, id="two-doppler"),
+        # One Doppler off zero on the default lattice: the grid is not its own
+        # mirror, so every row inside the window is computed, negative shifts
+        # included, read at shift mod 2L.  Every eighth lattice point leaves no
+        # two rows of a block at consecutive shifts; the whole default grid
+        # puts whole blocks at negative shifts and one block across the wrap
+        # from shift -1 to 0.
+        pytest.param(
+            _PROD, default_tau_grid(_PROD, 33), np.array([0.75 * _PROD.subcarrier_spacing]),
+            3, 2, id="one-doppler-unmirrored-lattice",
+        ),
+        pytest.param(
+            _PROD, default_tau_grid(_PROD), np.array([0.75 * _PROD.subcarrier_spacing]),
+            3, 2, id="one-doppler-unmirrored-default-grid",
+        ),
     ],
 )
 def test_mc_average_matches_brute_force_oracle(cfg, taus, nus, last_chunk, threads):
@@ -353,10 +367,11 @@ def test_delay_nudged_off_lattice_takes_the_fft():
             assert np.max(np.abs(fast - direct)) <= 1e-12 * np.abs(direct).max()
 
 
-def test_one_doppler_slice_calls_af_at_delay_once_per_computed_row_and_chunk(monkeypatch):
-    # Profilers count the per-delay stage by its calls: on the default
-    # one-Doppler slice the 128 computed delays (0 <= tau < T_p) each call it
-    # once per chunk of draws, on- and off-lattice alike.
+def test_one_doppler_slice_calls_af_at_delay_once_per_row_block_and_chunk(monkeypatch):
+    # Profilers count the per-delay stage by its calls and cells: on the
+    # default one-Doppler slice the 128 computed delays (0 <= tau < T_p) go in
+    # blocks of up to PRODUCT_ROWS rows, each calling it once per chunk of
+    # draws, and the cells summed over the calls stay 128 per draw.
     calls = []
     original = ambiguity._af_at_delay
 
@@ -367,12 +382,16 @@ def test_one_doppler_slice_calls_af_at_delay_once_per_computed_row_and_chunk(mon
 
     monkeypatch.setattr(ambiguity, "_af_at_delay", counting)
     taus = default_tau_grid(_PROD)
+    rows = ambiguity.PRODUCT_ROWS
+    # Two workers: rows 128..192, all inside, and 193..256, the last at tau = T_p outside.
+    blocks = -(-65 // rows) + -(-63 // rows)
     for trials in (AF_CHUNK, 2 * AF_CHUNK + 5):
         calls.clear()
         mc_average_af(_PROD, make_qam(16), taus, np.array([0.0]), trials, 3, threads=2)
         chunks = -(-trials // AF_CHUNK)
-        assert len(calls) == 128 * chunks
-        assert all(shape == (rows, 1) for rows, shape in calls)
+        assert len(calls) == blocks * chunks
+        assert all(1 <= shape[0] <= rows and shape[1:] == (draws, 1) for draws, shape in calls)
+        assert sum(np.prod(shape) for _, shape in calls) == 128 * trials
 
 
 def test_default_lattice_surface_takes_no_fft_per_delay(monkeypatch):
@@ -403,12 +422,12 @@ def test_mc_average_mirror_computes_half_the_rows(monkeypatch):
     seen = []
     original = ambiguity._af_at_delay
 
-    def counting(symbols, spectrum, lag_phase, carrier_phase, kernel, work=None):
+    def counting(symbols, spectrum, lags, carrier_phase, kernel, work=None):
         seen.extend(
             i for i, phase, envelope in zip(np.flatnonzero(terms.inside), terms.carrier_phase, terms.envelope)
             if np.array_equal(phase, carrier_phase) and np.array_equal(envelope, kernel)
         )
-        return original(symbols, spectrum, lag_phase, carrier_phase, kernel, work)
+        return original(symbols, spectrum, lags, carrier_phase, kernel, work)
 
     monkeypatch.setattr(ambiguity, "_af_at_delay", counting)
     mirrored = mc_average_af(CFG16, make_qam(16), taus, nus, trials, 19, threads=2)

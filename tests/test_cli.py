@@ -706,9 +706,11 @@ _THREAD_REGIMES = {
     "af surface": [["--trials", "4"], ["--trials", "4", "--tau-points", "64", "--nu-points", "33"],
                    ["--subcarriers", "32", "--trials", "200"]],
     # At 100 points every delay inside the window is off the lattice, and
-    # 130 trials end the three chunks with a short one.
+    # 130 trials end the three chunks with a short one.  At 3 MHz Doppler
+    # the grid is not its own mirror, so every row is computed, at negative
+    # lattice shifts too.
     "af slice": [["--trials", "64"], ["--subcarriers", "32", "--trials", "200"],
-                 ["--points", "100", "--trials", "130"]],
+                 ["--points", "100", "--trials", "130"], ["--doppler", "3e6", "--trials", "130"]],
     "air sweep-c0": [["--mc", "20000"], ["--mc", "100001", "--c0", "1.0,1.2,1.32"]],
     "air sweep-snr": [["--mc", "20000"], ["--mc", "100001", "--snr", "0,10,20"]],
     "detect pd-sweep": [["--trials", "600"], ["--trials", "600", "--offset", "120"]],
