@@ -18,28 +18,30 @@ conjugate ``[conj F, conj F]``, in place, with no FFT and no copy; any other
 delay takes one forward FFT of the lag-phased draw.  :func:`_delay_terms`
 decides which, once per delay, for every grid.  On one Doppler
 :func:`_spectral` folds both phases into one complex kernel column and takes
-it to the spectral domain, a block of delays in one batched inverse FFT, and
-the AF is ``P @ H`` (:func:`af_closed_form` is the one-point case): each
-worker of :func:`mc_average_af` builds every row's H first and then runs
-chunk by chunk, a block of rows at consecutive shifts reading its windows as
-one zero-copy slice, so one multiply forms the block's P and one stacked
-product its AF.  On more than one Doppler the rows go one at a time, a block
-of one: ``B = ifft(P)``, the carrier phase goes onto it, and one real product
-against S (half the flops of a complex one) gives the AF times a
-unit-modulus phase per Doppler column.
-:func:`mc_average_af` averages the magnitude over random symbol draws on a
-delay-Doppler grid, peak-normalized, computing only the tau >= 0 half of a
-grid that is exactly its own (-tau, -nu) mirror (as :func:`default_tau_grid`
-and :func:`default_nu_grid` are) and copying the other half, since the mean
-|AF| is point-symmetric; :func:`af_statistics` takes the self and cross
-variances and the mean self magnitude from S in closed form.  The
-sinc arguments carry no extra 2*pi factor anywhere; the tests pin that down
-by quadrature.
+it to the spectral domain, a group of delays in one batched inverse FFT, and
+the AF is ``P @ H`` (:func:`af_closed_form` is the one-point case): a block
+of rows at consecutive shifts reads its windows as one zero-copy slice, so
+one multiply forms the block's P and one stacked product its AF.  On more
+than one Doppler the rows go one at a time, a block of one: ``B = ifft(P)``,
+the carrier phase goes onto it, and one real product against S (half the
+flops of a complex one) gives the AF times a unit-modulus phase per Doppler
+column.  :func:`mc_average_af` runs both forms through one loop: it draws
+the symbols in pieces of one random stream, takes each chunk's spectrum and
+doubled conjugate once per piece for every worker, and each worker runs the
+blocks of its rows, built in groups of bounded size, over every chunk.  It
+averages the magnitude over random symbol draws on a delay-Doppler grid,
+peak-normalized, computing only the tau >= 0 half of a grid that is exactly
+its own (-tau, -nu) mirror (as :func:`default_tau_grid` and
+:func:`default_nu_grid` are) and copying the other half, since the mean |AF|
+is point-symmetric; :func:`af_statistics` takes the self and cross variances
+and the mean self magnitude from S in closed form.  The sinc arguments carry
+no extra 2*pi factor anywhere; the tests pin that down by quadrature.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -58,13 +60,19 @@ AF_CHUNK = 64
 # at most one ulp; snapping moves each lag phase by at most pi |x - n|.
 LATTICE_ULPS = 4
 
-# Delay rows whose one-Doppler kernels are built in one vectorized pass.  It
-# bounds each pass's terms buffer, and numpy's staging buffers for the
-# pass's broadcast products, to tens of KB at 64 subcarriers; the spectral
-# kernels themselves are kept for every row of a worker (2 KB a row at 64
-# subcarriers).  On a 2-vCPU host 16 rows ran about 3 % faster but raised the
-# slice's peak RSS by about 0.25 MB.
-KERNEL_ROWS = 8
+# Draws per piece of the Monte-Carlo AF, a multiple of AF_CHUNK.  Each piece
+# is drawn from the one stream, and its chunks' spectra taken, only after the
+# previous piece is done, so memory stays bounded whatever the trial count;
+# the chunks, and so every sum, do not depend on it.
+AF_DRAWS = 256
+
+# Bytes of per-delay terms (:func:`_delay_terms`) a worker of the Monte-Carlo
+# AF builds in one vectorized pass.  A row's terms take 3 KB at 64
+# subcarriers on one Doppler, so the slice's rows go 20 to a pass, and 270 KB
+# on the default 257 Dopplers, so each row of the surface goes alone.  On a
+# 2-vCPU host a 1 MB budget, a worker's whole default slice or three surface
+# rows a pass, ran no measurably faster and raised the peak RSS by 1.5 to 2.5 MB.
+KERNEL_BYTES = 1 << 16
 
 # Delay rows whose one-Doppler lag-product spectra are formed in one
 # multiply and finished in one stacked product, per chunk.  Each worker's
@@ -298,11 +306,13 @@ def _af_at_delay(
     return (kernel.T @ block.view(float)).view(complex).T[None]
 
 
-def _conj_windows(spectrum: np.ndarray) -> np.ndarray:
-    """The length-2L sliding windows over each draw's doubled conjugate
-    spectrum ``[conj F, conj F]``, window n being conj(F) shifted circularly
-    by n (:func:`_af_at_delay`)."""
-    return sliding_window_view(np.tile(spectrum.conj(), 2), spectrum.shape[1], axis=1)
+def _spectrum_windows(symbols: np.ndarray):
+    """The pair ``(F, windows)`` that :func:`_af_at_delay` reads for a block of
+    draws: each draw's length-2L spectrum F, and the length-2L sliding windows
+    over its doubled conjugate ``[conj F, conj F]``, window n being conj(F)
+    shifted circularly by n."""
+    spectrum = np.fft.fft(symbols, n=2 * symbols.shape[1], axis=1)
+    return spectrum, sliding_window_view(np.tile(spectrum.conj(), 2), spectrum.shape[1], axis=1)
 
 
 def af_closed_form(cfg: OfdmConfig, symbols, tau: float, nu: float):
@@ -322,9 +332,8 @@ def af_closed_form(cfg: OfdmConfig, symbols, tau: float, nu: float):
     terms = _delay_terms(cfg, [tau], _doppler_offsets(cfg, nu_grid))
     out = np.zeros(rows.shape[0], complex)
     if terms.inside[0]:
-        spectrum = np.fft.fft(rows, n=2 * num, axis=1)
         lags = _block_lags([terms.lag(0)], 2 * num)
-        af = _af_at_delay(rows, (spectrum, _conj_windows(spectrum)), lags, None, _spectral(nu_grid, terms))
+        af = _af_at_delay(rows, _spectrum_windows(rows), lags, None, _spectral(nu_grid, terms))
         out = af[0, :, 0]
     out = out.reshape(symbols.shape[:-1])
     return complex(out) if out.ndim == 0 else out
@@ -343,31 +352,30 @@ def mc_average_af(
     """Average |AF| over random symbol draws as a peak-normalized (tau, nu)
     array; some delay must lie in ``|tau| < T_p``, outside which the AF is 0.
 
-    Unlike the pd and AIR loops, all symbols are drawn up front from the
-    seeded generator, so memory is O(trials): on more than one Doppler every
-    delay row reuses its kernel across all draws, and drawing per chunk would
-    mean rebuilding it once per chunk.  On one Doppler only the draws
-    themselves grow with ``trials``.  The draws are split into chunks of ``AF_CHUNK``,
-    and the distinct kernel frequencies are found once
-    (:func:`_doppler_offsets`).  Each row adds its chunk partial sums in
-    chunk order.  On any Doppler grid a delay on the lattice ``tau = n / (2L
-    df)``, as every computed delay of the default grids is, reads its chunks'
-    conjugate spectra as windows of their doubled copies
-    (:func:`_af_at_delay`) and takes no FFT, so the chunks' spectra are the
-    only forward FFTs.
+    One loop serves every Doppler grid, and its memory does not grow with
+    ``trials``.  The symbols are drawn from ``np.random.default_rng(seed)``
+    in pieces of up to ``AF_DRAWS`` trials, one after another; the symbol
+    draw takes one ``Generator.random`` key per symbol, and those split
+    exactly, so the pieces hold the draws of one call for all trials bit for
+    bit.  Each piece is split into chunks of ``AF_CHUNK`` draws, and each
+    chunk's spectrum F and the windows of its doubled conjugate
+    (:func:`_spectrum_windows`) are taken once and read by every worker; a
+    piece is released before the next is drawn.  The distinct kernel
+    frequencies are found once (:func:`_doppler_offsets`).  A delay on the
+    lattice ``tau = n / (2L df)``, as every computed delay of the default
+    grids is, reads its conjugate spectra as windows and takes no FFT, so
+    the chunks' spectra are the only forward FFTs.
 
-    On one Doppler each worker builds the spectral kernels of all its rows
-    first, in vectorized passes of up to ``KERNEL_ROWS`` rows, so they take
-    memory bounded by the grid, not by ``trials``.  It then runs chunk by
-    chunk: it writes the chunk's spectrum and its doubled conjugate once into
-    its own ``AF_CHUNK`` x 2L and ``AF_CHUNK`` x 4L buffers, and each block of
-    up to ``PRODUCT_ROWS`` rows forms its products in one multiply and its
-    AF in one stacked product.  On more Dopplers a row's envelope alone is
-    (2L-1) x n_nu, so the rows go one at a time, each building its kernel
-    once and running it over every chunk as a block of one row; each chunk's
-    spectrum and doubled conjugate are then taken once and held for all
-    rows.  Worker threads split the delay rows between them and never change
-    a row's arithmetic, so the result does not depend on ``threads``.
+    Worker threads split the computed delay rows into contiguous shares.
+    Each worker walks its share in groups whose terms (:func:`_delay_terms`)
+    fit ``KERNEL_BYTES``, builds each group's blocks once and runs every
+    chunk of the piece through them (:func:`_af_at_delay`).  On one Doppler a
+    block is up to ``PRODUCT_ROWS`` rows against their spectral kernels H
+    (:func:`_spectral`), 2L values a row, which the worker keeps for every
+    later piece.  On more a block is one row against its carrier phase and
+    envelope S, (2L-1) x n_nu values, rebuilt for each piece.  Each row adds
+    its chunk partial sums in chunk order and is written by one worker only,
+    so the result depends on neither ``threads`` nor ``AF_DRAWS``.
 
     Every draw has ``AF(tau, nu) = exp(-j 2 pi nu tau) conj(AF(-tau, -nu))``,
     so the mean |AF| is point-symmetric.  When both grids are exactly their
@@ -388,65 +396,66 @@ def mc_average_af(
     if not np.any(np.abs(tau_grid) < cfg.symbol_duration):
         raise ValueError("tau_grid has no delay inside |tau| < T_p, where the AF is nonzero")
     width = 2 * cfg.num_subcarriers
-    symbols = constellation.sample_symbols(trials * cfg.num_subcarriers, seed).reshape(trials, -1)
-    chunks = [symbols[s : s + AF_CHUNK] for s in range(0, trials, AF_CHUNK)]
     total = np.zeros((tau_grid.size, nu_grid.size))
     offsets = _doppler_offsets(cfg, nu_grid)
     terms_size = 2 * offsets[1].size + offsets[2].size
-
-    def fill_chunk_major(rows):
-        # Kernels first: every row's spectral kernel and lag, bounded by the grid.
-        terms_work = np.empty(KERNEL_ROWS * terms_size)
-        kernels = np.empty((rows.size, width, 1), complex)
-        inside, lags = [], []
-        for start in range(0, rows.size, KERNEL_ROWS):
-            ti = rows[start : start + KERNEL_ROWS]
-            terms = _delay_terms(cfg, tau_grid[ti], offsets, terms_work)
-            _spectral(nu_grid, terms, kernels[len(lags) :].reshape(-1))
-            inside.extend(ti[terms.inside])
-            lags.extend(terms.lag(k) for k in range(terms.t_avg.size))
-        inside, kernels = np.array(inside, dtype=int), kernels[: len(lags)]
-        cuts = [slice(s, s + PRODUCT_ROWS) for s in range(0, len(lags), PRODUCT_ROWS)]
-        blocks = [(inside[cut], _block_lags(lags[cut], width), kernels[cut]) for cut in cuts]
-        # Then chunk by chunk: the chunk's spectrum and doubled conjugate are
-        # written once into this worker's buffers, whose windows are viewed once.
-        spectrum_work = np.empty((AF_CHUNK, width), complex)
-        doubled = np.empty((AF_CHUNK, 2 * width), complex)
-        windows = sliding_window_view(doubled, width, axis=1)
-        work = np.empty(PRODUCT_ROWS * AF_CHUNK * width, complex)
-        for chunk in chunks:
-            draws = len(chunk)
-            spectrum = np.fft.fft(chunk, n=width, axis=1, out=spectrum_work[:draws])
-            np.conjugate(spectrum, out=doubled[:draws, :width])
-            doubled[:draws, width:] = doubled[:draws, :width]
-            for ti, lag, kernel in blocks:
-                af = _af_at_delay(chunk, (spectrum, windows), lag, None, kernel, work)
-                total[ti] += np.abs(af).sum(axis=1)
-
-    def fill_row_major(rows):
-        terms_work = np.empty(terms_size)
-        work = np.empty(2 * AF_CHUNK * width, complex)
-        for row in rows:
-            terms = _delay_terms(cfg, tau_grid[row : row + 1], offsets, terms_work)
-            if terms.inside[0]:
-                lag = _block_lags([terms.lag(0)], width)
-                for chunk, spectrum in zip(chunks, held):
-                    af = _af_at_delay(chunk, spectrum, lag, terms.carrier_phase[0], terms.envelope[0], work)
-                    total[row] += np.abs(af[0]).sum(axis=0)
-
-    if nu_grid.size == 1:
-        fill = fill_chunk_major
-    else:
-        # Every row reads each chunk's spectrum and doubled conjugate, so
-        # they are taken once and held for all chunks.
-        spectra = [np.fft.fft(chunk, n=width, axis=1) for chunk in chunks]
-        held = [(spectrum, _conj_windows(spectrum)) for spectrum in spectra]
-        fill = fill_row_major
+    # Rows per block of _af_at_delay: a stacked product of spectral kernels
+    # on one Doppler, one row against its carrier phase and S on more.
+    block = PRODUCT_ROWS if nu_grid.size == 1 else 1
+    group = max(1, KERNEL_BYTES // (8 * terms_size * block)) * block
+    rng = np.random.default_rng(seed)
     symmetric = np.array_equal(tau_grid, -tau_grid[::-1]) and np.array_equal(nu_grid, -nu_grid[::-1])
     half = tau_grid.size // 2 if symmetric else 0
     # One contiguous block of rows per worker; a row is written by one thread only.
     computed = np.arange(half, tau_grid.size)
-    map_ordered(fill, np.array_split(computed, min(max(threads, 1), computed.size)), threads)
+    shares = np.array_split(computed, min(max(threads, 1), computed.size))
+
+    def draw(count):
+        # Each piece's keys continue the one stream, exactly as one draw of all trials.
+        symbols = constellation.sample_symbols(count * cfg.num_subcarriers, rng).reshape(count, -1)
+        chunks = [symbols[s : s + AF_CHUNK] for s in range(0, count, AF_CHUNK)]
+        return [(chunk, _spectrum_windows(chunk)) for chunk in chunks]
+
+    def build(rows, terms_work):
+        # One group's rows inside the window, and its blocks, each (slice of
+        # those rows, lags, carrier phase, kernel).
+        terms = _delay_terms(cfg, tau_grid[rows], offsets, terms_work)
+        inside = rows[terms.inside]
+        lags = [terms.lag(k) for k in range(inside.size)]
+        cuts = [slice(s, s + block) for s in range(0, inside.size, block)]
+        if block > 1:
+            spectral = _spectral(nu_grid, terms)
+            kernels = [(None, spectral[cut]) for cut in cuts]
+        else:
+            kernels = zip(terms.carrier_phase, terms.envelope)
+        return inside, [(cut, _block_lags(lags[cut], width), *k) for cut, k in zip(cuts, kernels)]
+
+    kept = [None] * len(shares)
+    # Each worker's product buffer, and its terms buffer, which one group's
+    # blocks use up before the next group is built.
+    buffers = [
+        (np.empty(max(block, 2) * AF_CHUNK * width, complex), np.empty(group * terms_size)) for _ in shares
+    ]
+
+    def fill(k, piece):
+        rows, (work, terms_work) = shares[k], buffers[k]
+        groups = kept[k] or (build(rows[s : s + group], terms_work) for s in range(0, rows.size, group))
+        if block > 1:
+            # Spectral kernels take 2L values a row, so a worker keeps them for every piece.
+            kept[k] = groups = list(groups)
+        for inside, blocks in groups:
+            # The group's running sums, gathered once a piece: each adds the
+            # chunk partials in chunk order, as it would in place.
+            sums = total[inside]
+            for chunk, spectrum in piece:
+                for cut, lag, phase, kernel in blocks:
+                    af = _af_at_delay(chunk, spectrum, lag, phase, kernel, work)
+                    sums[cut] += np.abs(af).sum(axis=1)
+            total[inside] = sums
+
+    for start in range(0, trials, AF_DRAWS):
+        # The piece is released when the map returns, before the next is drawn.
+        map_ordered(partial(fill, piece=draw(min(AF_DRAWS, trials - start))), range(len(shares)), threads)
     total[:half] = total[::-1][:half, ::-1]
     total /= trials
     peak = total.max()

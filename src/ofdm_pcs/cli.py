@@ -471,6 +471,10 @@ def main(argv=None) -> int:
         if isinstance(artifact, dict):
             write_json(opts["out"], command, opts, artifact)
         else:
+            header, table = artifact[0], np.asarray(artifact[1], dtype=float)
+            finite = np.isfinite(table).all(axis=0)
+            if not finite.all():
+                raise ValueError(f"column {header[np.argmin(finite)]!r} has a non-finite cell; no file written")
             write_csv(opts["out"], command, opts, *artifact)
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {command}: {exc}", file=sys.stderr)

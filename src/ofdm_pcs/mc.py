@@ -1,9 +1,12 @@
 """The Monte-Carlo engine: an ordered thread map and chunk-seeded draws.
 
-The Monte-Carlo averages of the package (pd, AIR and the AF surface) run
-their workers through these two functions, so thread invariance holds by
-construction: a worker only decides where a chunk runs, never what it draws
-or in which order its result is combined.
+The pd and AIR averages run their chunks through :func:`map_chunks`, each
+chunk drawing from its own child seed.  The AF average runs its workers
+through :func:`map_ordered` alone: it draws its symbols in pieces, in
+sequence from one generator, and its workers split the delay rows.  Either
+way thread invariance holds by construction: a worker only decides where a
+chunk or a row runs, never what it draws or in which order its result is
+combined.
 """
 
 from __future__ import annotations

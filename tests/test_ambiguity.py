@@ -449,6 +449,23 @@ def test_mc_average_thread_invariance_beyond_row_count(taus):
 
 
 @pytest.mark.parametrize(
+    "nus", [np.array([0.0]), np.array([-1.5, 0.0, 2.25])], ids=["one-doppler", "three-dopplers"]
+)
+def test_mc_average_draw_pieces_never_change_a_bit(monkeypatch, nus):
+    # Three pieces of AF_DRAWS, the last ending in a short chunk: drawing the
+    # one stream a chunk at a time, or all at once, gives the same bits, and
+    # so does building the kernels a block of rows at a time.
+    taus = default_tau_grid(CFG16, 17)
+    trials = 2 * ambiguity.AF_DRAWS + AF_CHUNK + 9
+    pieces = mc_average_af(CFG16, make_qam(16), taus, nus, trials, 23, threads=2)
+    default = ambiguity.KERNEL_BYTES
+    for draws, budget in ((AF_CHUNK, default), (trials + 1, default), (AF_CHUNK, 1)):
+        monkeypatch.setattr(ambiguity, "AF_DRAWS", draws)
+        monkeypatch.setattr(ambiguity, "KERNEL_BYTES", budget)
+        assert np.array_equal(mc_average_af(CFG16, make_qam(16), taus, nus, trials, 23, threads=2), pieces)
+
+
+@pytest.mark.parametrize(
     ("taus", "nus", "name"),
     [
         (np.array([]), np.array([0.0]), "tau_grid"),

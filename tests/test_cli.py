@@ -703,14 +703,18 @@ def test_every_option_can_change_the_artifact(tmp_path, command):
 # chunks, and at cell 120 the lag cut meets the instrumented range; 100001
 # draws are three AIR chunks, the last of one draw.
 _THREAD_REGIMES = {
+    # The 16-subcarrier rows draw 600 trials, three pieces of AF_DRAWS, the
+    # last ending in a short chunk.
     "af surface": [["--trials", "4"], ["--trials", "4", "--tau-points", "64", "--nu-points", "33"],
-                   ["--subcarriers", "32", "--trials", "200"]],
+                   ["--subcarriers", "32", "--trials", "200"],
+                   ["--subcarriers", "16", "--tau-points", "33", "--nu-points", "9", "--trials", "600"]],
     # At 100 points every delay inside the window is off the lattice, and
     # 130 trials end the three chunks with a short one.  At 3 MHz Doppler
     # the grid is not its own mirror, so every row is computed, at negative
     # lattice shifts too.
     "af slice": [["--trials", "64"], ["--subcarriers", "32", "--trials", "200"],
-                 ["--points", "100", "--trials", "130"], ["--doppler", "3e6", "--trials", "130"]],
+                 ["--points", "100", "--trials", "130"], ["--doppler", "3e6", "--trials", "130"],
+                 ["--subcarriers", "16", "--points", "65", "--trials", "600"]],
     "air sweep-c0": [["--mc", "20000"], ["--mc", "100001", "--c0", "1.0,1.2,1.32"]],
     "air sweep-snr": [["--mc", "20000"], ["--mc", "100001", "--snr", "0,10,20"]],
     "detect pd-sweep": [["--trials", "600"], ["--trials", "600", "--offset", "120"]],
@@ -816,6 +820,26 @@ def test_db_out_of_range_names_option(tmp_path, capsys, monkeypatch, args, name,
         warnings.simplefilter("error")
         assert main(args + ["--out", str(out)]) == 1
     message = f"{name} entries must lie within +-313.071 dB, got [{value!r}]"
+    assert capsys.readouterr().err == f"error: {args[0]} {args[1]}: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    ("args", "column"),
+    [
+        (["af", "slice", "--doppler", "1e308", "--trials", "4"], "magnitude_db"),
+        (["af", "surface", "--bandwidth", "1e308", "--trials", "4", "--tau-points", "9", "--nu-points", "5"],
+         "-5e+307"),
+        (["af", "variance", "--bandwidth", "1e-290"], "sigma2_self"),
+    ],
+)
+def test_non_finite_table_is_refused(tmp_path, capsys, args, column):
+    # Scales whose arithmetic overflows give NaN or inf cells; the table is
+    # refused by its first such column, and nothing is written.
+    out = tmp_path / "x.csv"
+    assert main(args + ["--out", str(out)]) == 1
+    message = f"column {column!r} has a non-finite cell; no file written"
     assert capsys.readouterr().err == f"error: {args[0]} {args[1]}: {message}\n"
     assert not out.exists()
 

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from ofdm_pcs.air import AIR_CHUNK, AirConfig, air_mc
+from ofdm_pcs.ambiguity import AF_DRAWS, default_nu_grid, default_tau_grid, mc_average_af
 from ofdm_pcs.constellation import make_qam
 from ofdm_pcs.detect import PD_CHUNK, CfarConfig, DetectionScenario, pd_experiment
 from ofdm_pcs.mc import map_chunks, map_ordered
 from ofdm_pcs.ofdm import OfdmConfig
 
 CFG = OfdmConfig(num_subcarriers=64, subcarrier_spacing=1.5625e6, oversampling=4)
+CFG16 = OfdmConfig(num_subcarriers=16, subcarrier_spacing=1.0, oversampling=8)
 
 
 def draw(rng, count):
@@ -79,11 +81,19 @@ def test_memory_stays_bounded_in_trial_count():
     def air(draws):
         return lambda: air_mc(make_qam(16), AirConfig(0.1, draws, 5))
 
-    for run in (pd, air):
-        unit = PD_CHUNK if run is pd else AIR_CHUNK
+    def af(nus):
+        taus = default_tau_grid(CFG16, 17)
+        return lambda trials: lambda: mc_average_af(CFG16, make_qam(16), taus, nus, trials, 5)
+
+    runs = {
+        "pd": (pd, PD_CHUNK), "air": (air, AIR_CHUNK),
+        "af one Doppler": (af(np.array([0.0])), AF_DRAWS),
+        "af 5 Dopplers": (af(default_nu_grid(CFG16, 5)), AF_DRAWS),
+    }
+    for name, (run, unit) in runs.items():
         run(unit)()  # warm-up outside the trace
         one, eight = _traced_peak(run(unit)), _traced_peak(run(8 * unit))
-        assert eight <= 1.15 * one, (run.__name__, one, eight)
+        assert eight <= 1.15 * one, (name, one, eight)
 
 
 def test_pd_thread_invariant_across_chunks():
