@@ -158,7 +158,7 @@ def air_mc(
         unit = rng.standard_normal(count), rng.standard_normal(count)
         return np.array([row(keys, unit) for row in row_partials])
 
-    totals = sum(map_chunks(partials, cfg.seed, cfg.mc_trials, AIR_CHUNK, threads))
+    totals = map_chunks(partials, cfg.seed, cfg.mc_trials, AIR_CHUNK, threads)
     mean = totals[..., 0] / cfg.mc_trials
     var = np.maximum(totals[..., 1] / cfg.mc_trials - mean * mean, 0.0)
     std_error = np.sqrt(var / cfg.mc_trials)

@@ -25,12 +25,12 @@ one multiply forms the block's P and one stacked product its AF.  On more
 than one Doppler the rows go one at a time, a block of one: ``B = ifft(P)``,
 the carrier phase goes onto it, and one real product against S (half the
 flops of a complex one) gives the AF times a unit-modulus phase per Doppler
-column.  :func:`mc_average_af` runs both forms through one loop: it draws
-the symbols in pieces of one random stream, takes each chunk's spectrum and
-doubled conjugate once per piece for every worker, and each worker runs the
-blocks of its rows, built in groups of bounded size, over every chunk.  It
-averages the magnitude over random symbol draws on a delay-Doppler grid,
-peak-normalized, computing only the tau >= 0 half of a grid that is exactly
+column.  :func:`mc_average_af` runs both forms through one loop on the
+shared Monte-Carlo engine (:func:`mc.map_chunks`): each piece of draws comes
+from its own child seed, takes its chunks' spectra and doubled conjugates
+once, and runs the blocks of every computed row, built in groups of bounded
+size, over each chunk.  It averages the magnitude over random symbol draws
+on a delay-Doppler grid, peak-normalized, computing only the tau >= 0 half of a grid that is exactly
 its own (-tau, -nu) mirror (as :func:`default_tau_grid` and
 :func:`default_nu_grid` are) and copying the other half, since the mean |AF|
 is point-symmetric; :func:`af_statistics` takes the self and cross variances
@@ -41,18 +41,17 @@ no extra 2*pi factor anywhere; the tests pin that down by quadrature.
 from __future__ import annotations
 
 import math
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .constellation import Constellation
-from .mc import map_ordered
+from .mc import map_chunks
 from .ofdm import OfdmConfig
 
-# Draws per chunk of the Monte-Carlo AF: each delay row sums its chunk
-# partials in chunk order, so this fixes the order of the sums.
+# Draws per chunk of the Monte-Carlo AF: within a piece each delay row sums
+# its chunk partials in chunk order, so this fixes the order of the sums.
 AF_CHUNK = 64
 
 # A delay lies on the lattice tau = n / (2L df) when x = 2L df tau is within
@@ -60,22 +59,23 @@ AF_CHUNK = 64
 # at most one ulp; snapping moves each lag phase by at most pi |x - n|.
 LATTICE_ULPS = 4
 
-# Draws per piece of the Monte-Carlo AF, a multiple of AF_CHUNK.  Each piece
-# is drawn from the one stream, and its chunks' spectra taken, only after the
-# previous piece is done, so memory stays bounded whatever the trial count;
-# the chunks, and so every sum, do not depend on it.
+# Draws per piece of the Monte-Carlo AF, a multiple of AF_CHUNK, and the unit
+# that threads share.  Piece k draws from child k of the seed, so this defines
+# the AF's random stream, as PD_CHUNK and AIR_CHUNK define theirs; only as
+# many pieces as there are threads are drawn at once, so memory stays bounded
+# whatever the trial count.
 AF_DRAWS = 256
 
-# Bytes of per-delay terms (:func:`_delay_terms`) a worker of the Monte-Carlo
-# AF builds in one vectorized pass.  A row's terms take 3 KB at 64
+# Bytes of per-delay terms (:func:`_delay_terms`) the Monte-Carlo AF builds
+# in one vectorized pass.  A row's terms take 3 KB at 64
 # subcarriers on one Doppler, so the slice's rows go 20 to a pass, and 270 KB
 # on the default 257 Dopplers, so each row of the surface goes alone.  On a
-# 2-vCPU host a 1 MB budget, a worker's whole default slice or three surface
+# 2-vCPU host a 1 MB budget, half the default slice or three surface
 # rows a pass, ran no measurably faster and raised the peak RSS by 1.5 to 2.5 MB.
 KERNEL_BYTES = 1 << 16
 
 # Delay rows whose one-Doppler lag-product spectra are formed in one
-# multiply and finished in one stacked product, per chunk.  Each worker's
+# multiply and finished in one stacked product, per chunk.  Each piece's
 # product buffer holds this many rows x AF_CHUNK x 2L values (512 KB at 64
 # subcarriers); on a 2-vCPU host, at two threads, 8 rows ran no faster than
 # 4 with twice the buffer, and 2 rows ran about 10 % slower.
@@ -151,8 +151,8 @@ def _delay_terms(cfg: OfdmConfig, taus, offsets, work=None) -> _DelayTerms:
     :func:`numpy.sinc`'s own arithmetic and gathered onto the cells.  Given
     ``work``, a 1-D float buffer of at least ``rows x (2 U + (2L-1) n_nu)``
     elements (U distinct frequencies), the sinc and S are written into it, so
-    a caller that passes one buffer per worker allocates no large temporary
-    per call; the envelope is then a view of ``work``.
+    a caller that passes one buffer per piece of draws allocates no large
+    temporary per call; the envelope is then a view of ``work``.
 
     The lag says where a draw's lag-phased spectrum ``G = fft(c exp(-j 2 pi l
     df tau), n=2L)`` comes from.  With ``x = 2L df tau``, ``G_k = sum_l c_l
@@ -199,23 +199,19 @@ def _delay_terms(cfg: OfdmConfig, taus, offsets, work=None) -> _DelayTerms:
     return _DelayTerms(inside, shift, on_lattice, lag_phase, carrier_phase, envelope, t_avg)
 
 
-def _spectral(nu_grid: np.ndarray, terms: _DelayTerms, work=None) -> np.ndarray:
+def _spectral(nu_grid: np.ndarray, terms: _DelayTerms) -> np.ndarray:
     """The spectral kernels H of a block of delays' terms (:func:`_delay_terms`)
     on the one-Doppler ``nu_grid``, one per row: the length-2L inverse FFT of
     the complex kernel column K, the carrier phase times S times the nu phase
     ``exp(-j 2 pi nu t_avg)`` (rows m = 1-L .. L-1), each row m placed at FFT
     index m mod 2L and a zero at L.  They do not depend on the draws, so each
-    is built once per delay, every row of a block in one batched inverse FFT,
-    into ``work`` (a 1-D complex buffer of at least ``rows x 2L x n_nu``
-    elements) when given; a draw's lag-product spectrum P
-    (:func:`_af_at_delay`) gives the AF as ``P @ H``.
+    is built once per delay, every row of a block in one batched inverse
+    FFT; a draw's lag-product spectrum P (:func:`_af_at_delay`) gives the AF
+    as ``P @ H``.
     """
     carrier_phase, envelope, t_avg = terms.carrier_phase, terms.envelope, terms.t_avg
     num = (carrier_phase.shape[1] + 1) // 2
-    shape = (t_avg.size, 2 * num, nu_grid.size)
-    if work is None:
-        work = np.empty(np.prod(shape), complex)
-    kernel = work[: np.prod(shape)].reshape(shape)
+    kernel = np.empty((t_avg.size, 2 * num, nu_grid.size), complex)
     nu_phase = np.exp(-2j * np.pi * nu_grid * t_avg[:, None])[:, None, :]
     # Rows m = 0 .. L-1 go to FFT indices 0 .. L-1, rows m = 1-L .. -1 to L+1 .. 2L-1.
     for rotated, m in ((kernel[:, :num], slice(num - 1, None)), (kernel[:, num + 1 :], slice(num - 1))):
@@ -277,8 +273,8 @@ def _af_at_delay(
     spectrum, windows = spectrum
     draws, width = spectrum.shape
     rows = lags.stop - lags.start if isinstance(lags, slice) else len(lags)
-    # One buffer per worker, reused in place: a fresh block per call would
-    # have the allocator return and re-map its pages on every call.
+    # One buffer per piece of draws, reused in place: a fresh block per call
+    # would have the allocator return and re-map its pages on every call.
     if work is None:
         work = np.empty(max(rows, 2) * spectrum.size, complex)
     prod = work[: rows * spectrum.size].reshape(rows, draws, width)
@@ -353,29 +349,28 @@ def mc_average_af(
     array; some delay must lie in ``|tau| < T_p``, outside which the AF is 0.
 
     One loop serves every Doppler grid, and its memory does not grow with
-    ``trials``.  The symbols are drawn from ``np.random.default_rng(seed)``
-    in pieces of up to ``AF_DRAWS`` trials, one after another; the symbol
-    draw takes one ``Generator.random`` key per symbol, and those split
-    exactly, so the pieces hold the draws of one call for all trials bit for
-    bit.  Each piece is split into chunks of ``AF_CHUNK`` draws, and each
-    chunk's spectrum F and the windows of its doubled conjugate
-    (:func:`_spectrum_windows`) are taken once and read by every worker; a
-    piece is released before the next is drawn.  The distinct kernel
-    frequencies are found once (:func:`_doppler_offsets`).  A delay on the
-    lattice ``tau = n / (2L df)``, as every computed delay of the default
-    grids is, reads its conjugate spectra as windows and takes no FFT, so
-    the chunks' spectra are the only forward FFTs.
+    ``trials``.  The trials run through :func:`mc.map_chunks` in pieces of
+    ``AF_DRAWS``, on up to ``threads`` workers: piece k draws its symbols
+    from child k of ``SeedSequence(seed)``, splits them into chunks of
+    ``AF_CHUNK`` draws, takes each chunk's spectrum F and the windows of its
+    doubled conjugate (:func:`_spectrum_windows`) once, and returns its
+    per-cell sums of |AF|, which are added in piece order.  So ``AF_DRAWS``
+    defines the stream and the order of the sums, and ``threads`` changes
+    neither.  The distinct kernel frequencies are found once
+    (:func:`_doppler_offsets`).  A delay on the lattice ``tau = n / (2L
+    df)``, as every computed delay of the default grids is, reads its
+    conjugate spectra as windows and takes no FFT, so the chunks' spectra
+    are the only forward FFTs.
 
-    Worker threads split the computed delay rows into contiguous shares.
-    Each worker walks its share in groups whose terms (:func:`_delay_terms`)
-    fit ``KERNEL_BYTES``, builds each group's blocks once and runs every
-    chunk of the piece through them (:func:`_af_at_delay`).  On one Doppler a
-    block is up to ``PRODUCT_ROWS`` rows against their spectral kernels H
-    (:func:`_spectral`), 2L values a row, which the worker keeps for every
-    later piece.  On more a block is one row against its carrier phase and
-    envelope S, (2L-1) x n_nu values, rebuilt for each piece.  Each row adds
-    its chunk partial sums in chunk order and is written by one worker only,
-    so the result depends on neither ``threads`` nor ``AF_DRAWS``.
+    A piece walks the computed delay rows in groups whose terms
+    (:func:`_delay_terms`) fit ``KERNEL_BYTES`` and runs every chunk through
+    each group's blocks (:func:`_af_at_delay`), each row adding its chunk
+    partials in chunk order.  On one Doppler a block is up to
+    ``PRODUCT_ROWS`` rows against their spectral kernels H
+    (:func:`_spectral`), 2L values a row, built once before the pieces run
+    and shared by all of them.  On more a block is one row against its
+    carrier phase and envelope S, (2L-1) x n_nu values, which each piece
+    builds for itself.
 
     Every draw has ``AF(tau, nu) = exp(-j 2 pi nu tau) conj(AF(-tau, -nu))``,
     so the mean |AF| is point-symmetric.  When both grids are exactly their
@@ -396,66 +391,54 @@ def mc_average_af(
     if not np.any(np.abs(tau_grid) < cfg.symbol_duration):
         raise ValueError("tau_grid has no delay inside |tau| < T_p, where the AF is nonzero")
     width = 2 * cfg.num_subcarriers
-    total = np.zeros((tau_grid.size, nu_grid.size))
     offsets = _doppler_offsets(cfg, nu_grid)
     terms_size = 2 * offsets[1].size + offsets[2].size
     # Rows per block of _af_at_delay: a stacked product of spectral kernels
     # on one Doppler, one row against its carrier phase and S on more.
     block = PRODUCT_ROWS if nu_grid.size == 1 else 1
     group = max(1, KERNEL_BYTES // (8 * terms_size * block)) * block
-    rng = np.random.default_rng(seed)
     symmetric = np.array_equal(tau_grid, -tau_grid[::-1]) and np.array_equal(nu_grid, -nu_grid[::-1])
     half = tau_grid.size // 2 if symmetric else 0
-    # One contiguous block of rows per worker; a row is written by one thread only.
     computed = np.arange(half, tau_grid.size)
-    shares = np.array_split(computed, min(max(threads, 1), computed.size))
+    groups = [computed[s : s + group] for s in range(0, computed.size, group)]
 
-    def draw(count):
-        # Each piece's keys continue the one stream, exactly as one draw of all trials.
-        symbols = constellation.sample_symbols(count * cfg.num_subcarriers, rng).reshape(count, -1)
-        chunks = [symbols[s : s + AF_CHUNK] for s in range(0, count, AF_CHUNK)]
-        return [(chunk, _spectrum_windows(chunk)) for chunk in chunks]
-
-    def build(rows, terms_work):
-        # One group's rows inside the window, and its blocks, each (slice of
-        # those rows, lags, carrier phase, kernel).
+    def build(rows, terms_work=None):
+        # One group's blocks, each (its rows of a piece's sums, lags, carrier
+        # phase, kernel).  The group's rows inside the window are contiguous,
+        # the first of them being row ``first`` of the sums.
         terms = _delay_terms(cfg, tau_grid[rows], offsets, terms_work)
-        inside = rows[terms.inside]
-        lags = [terms.lag(k) for k in range(inside.size)]
-        cuts = [slice(s, s + block) for s in range(0, inside.size, block)]
+        first = rows[np.argmax(terms.inside)] - half
+        lags = [terms.lag(k) for k in range(terms.t_avg.size)]
+        cuts = [slice(s, min(s + block, len(lags))) for s in range(0, len(lags), block)]
         if block > 1:
             spectral = _spectral(nu_grid, terms)
             kernels = [(None, spectral[cut]) for cut in cuts]
         else:
             kernels = zip(terms.carrier_phase, terms.envelope)
-        return inside, [(cut, _block_lags(lags[cut], width), *k) for cut, k in zip(cuts, kernels)]
+        return [
+            (slice(first + cut.start, first + cut.stop), _block_lags(lags[cut], width), *k)
+            for cut, k in zip(cuts, kernels)
+        ]
 
-    kept = [None] * len(shares)
-    # Each worker's product buffer, and its terms buffer, which one group's
-    # blocks use up before the next group is built.
-    buffers = [
-        (np.empty(max(block, 2) * AF_CHUNK * width, complex), np.empty(group * terms_size)) for _ in shares
-    ]
+    # The spectral kernels H take 2L values a row, so they are built once for
+    # every piece; the envelopes S are rebuilt by each piece, group by group.
+    kept = [build(rows) for rows in groups] if block > 1 else None
 
-    def fill(k, piece):
-        rows, (work, terms_work) = shares[k], buffers[k]
-        groups = kept[k] or (build(rows[s : s + group], terms_work) for s in range(0, rows.size, group))
-        if block > 1:
-            # Spectral kernels take 2L values a row, so a worker keeps them for every piece.
-            kept[k] = groups = list(groups)
-        for inside, blocks in groups:
-            # The group's running sums, gathered once a piece: each adds the
-            # chunk partials in chunk order, as it would in place.
-            sums = total[inside]
-            for chunk, spectrum in piece:
-                for cut, lag, phase, kernel in blocks:
-                    af = _af_at_delay(chunk, spectrum, lag, phase, kernel, work)
-                    sums[cut] += np.abs(af).sum(axis=1)
-            total[inside] = sums
+    def piece(rng, count):
+        # The piece's product buffer, and its terms buffer, which one group's
+        # blocks use up before the next group is built.
+        work, terms_work = np.empty(max(block, 2) * AF_CHUNK * width, complex), np.empty(group * terms_size)
+        symbols = constellation.sample_symbols(count * cfg.num_subcarriers, rng).reshape(count, -1)
+        chunks = [(c, _spectrum_windows(c)) for c in np.split(symbols, range(AF_CHUNK, count, AF_CHUNK))]
+        sums = np.zeros((computed.size, nu_grid.size))
+        for blocks in kept or (build(rows, terms_work) for rows in groups):
+            for chunk, spectrum in chunks:
+                for rows, lags, phase, kernel in blocks:
+                    sums[rows] += np.abs(_af_at_delay(chunk, spectrum, lags, phase, kernel, work)).sum(axis=1)
+        return sums
 
-    for start in range(0, trials, AF_DRAWS):
-        # The piece is released when the map returns, before the next is drawn.
-        map_ordered(partial(fill, piece=draw(min(AF_DRAWS, trials - start))), range(len(shares)), threads)
+    total = np.zeros((tau_grid.size, nu_grid.size))
+    total[half:] = map_chunks(piece, seed, trials, AF_DRAWS, threads)
     total[:half] = total[::-1][:half, ::-1]
     total /= trials
     peak = total.max()

@@ -336,14 +336,23 @@ def _run_pcs_sweep(opts: dict):
     return header, np.array([[c0, s.achieved_m4, s.gap, s.entropy_bits, *s.probs] for c0, s in zip(grid, sols)])
 
 
+def _grid(make, cfg: OfdmConfig, opts: dict, key: str) -> np.ndarray:
+    """``make(cfg, opts[key])``, a default delay or Doppler grid sized by
+    option ``key``, whose error names both the grid and the flag."""
+    try:
+        return make(cfg, opts[key])
+    except ValueError as exc:
+        raise ValueError(f"--{key.replace('_', '-')}: {exc}") from None
+
+
 def _run_af_slice(opts: dict):
     cfg, delay, doppler = _ofdm_config(opts), opts["delay"], opts["doppler"]
     if delay is None:
-        axis, tau_grid, nu_grid = "tau", default_tau_grid(cfg, opts["points"]), np.array([doppler])
+        axis, tau_grid, nu_grid = "tau", _grid(default_tau_grid, cfg, opts, "points"), np.array([doppler])
     elif doppler != 0:
         raise ValueError(f"doppler must be 0 with delay, whose slice spans the Doppler grid, got {doppler}")
     else:
-        axis, tau_grid, nu_grid = "nu", np.array([delay]), default_nu_grid(cfg, opts["points"])
+        axis, tau_grid, nu_grid = "nu", np.array([delay]), _grid(default_nu_grid, cfg, opts, "points")
     surface = mc_average_af(
         cfg, opts["modulation"], tau_grid, nu_grid, opts["trials"], opts["seed"], threads=opts["threads"]
     )
@@ -354,8 +363,8 @@ def _run_af_slice(opts: dict):
 
 def _run_af_surface(opts: dict):
     cfg = _ofdm_config(opts)
-    tau_grid = default_tau_grid(cfg, opts["tau_points"])
-    nu_grid = default_nu_grid(cfg, opts["nu_points"])
+    tau_grid = _grid(default_tau_grid, cfg, opts, "tau_points")
+    nu_grid = _grid(default_nu_grid, cfg, opts, "nu_points")
     surface = mc_average_af(
         cfg, opts["modulation"], tau_grid, nu_grid, opts["trials"], opts["seed"], threads=opts["threads"]
     )
@@ -364,7 +373,7 @@ def _run_af_surface(opts: dict):
 
 def _run_af_variance(opts: dict):
     cfg = _ofdm_config(opts)
-    tau_grid = default_tau_grid(cfg, opts["points"])
+    tau_grid = _grid(default_tau_grid, cfg, opts, "points")
     stats = af_statistics(cfg, opts["modulation"], tau_grid, opts["doppler"])
     header = ["tau", "sigma2_self", "sigma2_cross", "mean_self_abs"]
     return header, np.column_stack([tau_grid, *stats])

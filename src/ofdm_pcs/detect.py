@@ -517,5 +517,5 @@ def pd_experiment(scn: DetectionScenario, *, threads: int = 1) -> PdResult:
         draws = _curve_draws(cfg, scn.constellations, rng, count)
         return np.array([curve_hits(symbols, noise, a) for (symbols, noise), a in zip(draws, alpha)])
 
-    hits = sum(map_chunks(chunk_hits, draw_seed, scn.trials, PD_CHUNK, threads))
+    hits = map_chunks(chunk_hits, draw_seed, scn.trials, PD_CHUNK, threads)
     return PdResult(alpha, empirical_pfa, hits[:, 0], hits[:, 1:] / scn.trials)

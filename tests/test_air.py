@@ -55,11 +55,11 @@ def same_draw_oracle(constellation, cfg):
         y = points[idx] + noise * math.sqrt(sigma2 / 2.0)
         ll = np.log(prior)[None, :] - np.abs(y[:, None] - points[None, :]) ** 2 / sigma2
         r = -np.logaddexp.reduce(ll, axis=1) / np.log(2.0) - 1.0 / np.log(2.0)
-        return r.sum(), (r * r).sum()
+        return np.array([r.sum(), (r * r).sum()])
 
-    parts = map_chunks(partials, cfg.seed, cfg.mc_trials, AIR_CHUNK, 1)
-    mean = sum(s for s, _ in parts) / cfg.mc_trials
-    var = max(sum(sq for _, sq in parts) / cfg.mc_trials - mean * mean, 0.0)
+    total, squares = map_chunks(partials, cfg.seed, cfg.mc_trials, AIR_CHUNK, 1)
+    mean = total / cfg.mc_trials
+    var = max(squares / cfg.mc_trials - mean * mean, 0.0)
     return mean, math.sqrt(var / cfg.mc_trials)
 
 

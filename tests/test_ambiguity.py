@@ -19,6 +19,14 @@ from af_oracles import af_double_sum, af_quadrature, af_self_part, overlap_windo
 CFG16 = OfdmConfig(num_subcarriers=16, subcarrier_spacing=1.0, oversampling=8)
 
 
+def engine_draws(constellation, trials, num, seed):
+    """The symbols ``mc_average_af`` averages over in a run of at most
+    ``AF_DRAWS`` trials: one piece, drawn from child 0 of the seed."""
+    assert trials <= ambiguity.AF_DRAWS
+    child = np.random.SeedSequence(seed).spawn(1)[0]
+    return constellation.sample_symbols(trials * num, child).reshape(trials, num)
+
+
 def cross_variance_oracle(cfg, tau, nu):
     """Direct double-loop summation of the cross-variance formula."""
     t_min, t_max = overlap_window(cfg, tau)
@@ -115,7 +123,7 @@ def test_mc_single_trial_psk_matches_closed_form():
     taus = np.linspace(-0.8, 0.8, 9)
     nus = np.array([0.0])
     surface = mc_average_af(cfg, make_psk(16), taus, nus, trials=1, seed=21)
-    draw = make_psk(16).sample_symbols(16, 21)
+    draw = engine_draws(make_psk(16), 1, 16, 21)[0]
     direct = np.array([abs(af_closed_form(cfg, draw, t, 0.0)) for t in taus])
     assert surface[:, 0] == pytest.approx(direct / direct.max(), abs=1e-12)
 
@@ -203,7 +211,7 @@ def test_mc_average_matches_brute_force_oracle(cfg, taus, nus, last_chunk, threa
     num = cfg.num_subcarriers
     trials, seed = 2 * AF_CHUNK + last_chunk, 13
     c = make_qam(16)
-    draws = c.sample_symbols(trials * num, seed).reshape(trials, num)
+    draws = engine_draws(c, trials, num, seed)
     direct = np.array([[af_double_sum(cfg, draws, tau, nu) for nu in nus] for tau in taus])
     fast = np.array([[af_closed_form(cfg, draws, tau, nu) for nu in nus] for tau in taus])
     assert np.max(np.abs(fast - direct)) <= 1e-12 * np.abs(direct).max()
@@ -289,7 +297,7 @@ def test_lattice_shift_matches_double_sum(cfg, taus, nus, lattice_rows):
     num = cfg.num_subcarriers
     trials, seed = 2 * AF_CHUNK + 3, 29
     c = make_qam(16)
-    draws = c.sample_symbols(trials * num, seed).reshape(trials, num)
+    draws = engine_draws(c, trials, num, seed)
     direct = np.array([[af_double_sum(cfg, draws, tau, nu) for nu in nus] for tau in taus])
     fast = np.array([[af_closed_form(cfg, draws, tau, nu) for nu in nus] for tau in taus])
     assert np.max(np.abs(fast - direct)) <= 1e-12 * np.abs(direct).max()
@@ -333,10 +341,9 @@ def test_kernel_pass_matches_per_row_arithmetic(cfg, taus, doppler):
     # the per-row values; buffers start as NaN, so every value read is written.
     nus = np.array([doppler * cfg.subcarrier_spacing])
     offsets = ambiguity._doppler_offsets(cfg, nus)
-    rows, num = taus.size, cfg.num_subcarriers
-    work = np.full(rows * (2 * offsets[1].size + offsets[2].size), np.nan)
+    work = np.full(taus.size * (2 * offsets[1].size + offsets[2].size), np.nan)
     terms = ambiguity._delay_terms(cfg, taus, offsets, work)
-    kernels = ambiguity._spectral(nus, terms, np.full(rows * 2 * num, np.nan, complex))
+    kernels = ambiguity._spectral(nus, terms)
     oracle = [_row_kernel_oracle(cfg, tau, nus) for tau in taus]
     assert terms.inside.tolist() == [row is not None for row in oracle]
     for k, (lag, carrier_phase, envelope, kernel) in enumerate(row for row in oracle if row is not None):
@@ -383,11 +390,12 @@ def test_one_doppler_slice_calls_af_at_delay_once_per_row_block_and_chunk(monkey
     monkeypatch.setattr(ambiguity, "_af_at_delay", counting)
     taus = default_tau_grid(_PROD)
     rows = ambiguity.PRODUCT_ROWS
-    # Two workers: rows 128..192, all inside, and 193..256, the last at tau = T_p outside.
-    blocks = -(-65 // rows) + -(-63 // rows)
-    for trials in (AF_CHUNK, 2 * AF_CHUNK + 5):
+    # Threads split pieces of draws, not rows, so the blocks are the same
+    # at any thread count.
+    blocks = -(-128 // rows)
+    for trials, threads in ((AF_CHUNK, 1), (2 * AF_CHUNK + 5, 2), (ambiguity.AF_DRAWS + 5, 2)):
         calls.clear()
-        mc_average_af(_PROD, make_qam(16), taus, np.array([0.0]), trials, 3, threads=2)
+        mc_average_af(_PROD, make_qam(16), taus, np.array([0.0]), trials, 3, threads=threads)
         chunks = -(-trials // AF_CHUNK)
         assert len(calls) == blocks * chunks
         assert all(1 <= shape[0] <= rows and shape[1:] == (draws, 1) for draws, shape in calls)
@@ -452,17 +460,27 @@ def test_mc_average_thread_invariance_beyond_row_count(taus):
     "nus", [np.array([0.0]), np.array([-1.5, 0.0, 2.25])], ids=["one-doppler", "three-dopplers"]
 )
 def test_mc_average_draw_pieces_never_change_a_bit(monkeypatch, nus):
-    # Three pieces of AF_DRAWS, the last ending in a short chunk: drawing the
-    # one stream a chunk at a time, or all at once, gives the same bits, and
-    # so does building the kernels a block of rows at a time.
+    # Three pieces of AF_DRAWS, the last ending in a short chunk: building
+    # the kernels one row at a time gives the same bits as in groups.  The
+    # piece size defines the stream, so it is not varied here.
     taus = default_tau_grid(CFG16, 17)
     trials = 2 * ambiguity.AF_DRAWS + AF_CHUNK + 9
     pieces = mc_average_af(CFG16, make_qam(16), taus, nus, trials, 23, threads=2)
-    default = ambiguity.KERNEL_BYTES
-    for draws, budget in ((AF_CHUNK, default), (trials + 1, default), (AF_CHUNK, 1)):
-        monkeypatch.setattr(ambiguity, "AF_DRAWS", draws)
-        monkeypatch.setattr(ambiguity, "KERNEL_BYTES", budget)
-        assert np.array_equal(mc_average_af(CFG16, make_qam(16), taus, nus, trials, 23, threads=2), pieces)
+    monkeypatch.setattr(ambiguity, "KERNEL_BYTES", 1)
+    assert np.array_equal(mc_average_af(CFG16, make_qam(16), taus, nus, trials, 23, threads=2), pieces)
+
+
+@pytest.mark.parametrize(
+    "nus", [np.array([0.0]), np.array([-1.5, 0.0, 2.25])], ids=["one-doppler", "three-dopplers"]
+)
+def test_mc_average_thread_invariance_across_pieces(nus):
+    # Three pieces of AF_DRAWS, the last ending in a short chunk, on one, two
+    # and more threads than pieces: threads split the pieces, and the piece
+    # sums are added in piece order.
+    taus = default_tau_grid(CFG16, 17)
+    trials = 2 * ambiguity.AF_DRAWS + AF_CHUNK + 9
+    runs = [mc_average_af(CFG16, make_qam(16), taus, nus, trials, 23, threads=t) for t in (1, 2, 8)]
+    assert all(np.array_equal(run, runs[0]) for run in runs[1:])
 
 
 @pytest.mark.parametrize(

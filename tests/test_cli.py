@@ -638,6 +638,26 @@ def test_af_empty_grid_names_parameter(tmp_path, capsys, args, name):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize(
+    ("args", "message"),
+    [
+        (["af", "slice", "--points", "0"], "--points: tau_grid needs at least one point, got 0"),
+        (["af", "surface", "--tau-points", "-1"], "--tau-points: tau_grid needs at least one point, got -1"),
+        (["af", "surface", "--nu-points", "0"], "--nu-points: nu_grid needs at least one point, got 0"),
+        (["af", "variance", "--points", "0"], "--points: tau_grid needs at least one point, got 0"),
+        # A delay slice spans the Doppler grid, which --points sizes too.
+        (["af", "slice", "--delay", "1e-7", "--points", "0"],
+         "--points: nu_grid needs at least one point, got 0"),
+    ],
+)
+def test_af_grid_size_error_names_flag(tmp_path, capsys, args, message):
+    # The grid is built before any draw, so the default trial count costs nothing.
+    rc = main(args + ["--out", str(tmp_path / "x.csv")])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_af_slice_delay_spans_the_doppler_grid(tmp_path):
     # With or without an explicit zero Doppler, a delay slice is the mean |AF|
     # over the default Doppler grid at that delay.
@@ -697,8 +717,8 @@ def test_every_option_can_change_the_artifact(tmp_path, command):
     assert dead == []
 
 
-# Beside each _LIVE_BASE run, the regimes where the workers' shares differ: the
-# default surface, and 64 delays, whose computed half splits evenly; at 32
+# Beside each _LIVE_BASE run, the regimes where the units of work differ: the
+# default surface, and 64 delays, whose computed half is even; at 32
 # subcarriers on- and off-lattice delays alternate; 600 trials are two pd
 # chunks, and at cell 120 the lag cut meets the instrumented range; 100001
 # draws are three AIR chunks, the last of one draw.

@@ -688,7 +688,7 @@ def test_pd_fast_path_matches_brute_force():
 
     def draw(rng, count):
         symbols = scn.constellations[0].sample_symbols(count * 16, rng).reshape(count, 16)
-        return symbols, _complex_noise(rng, (count, n), 1.0)
+        return [(symbols, _complex_noise(rng, (count, n), 1.0))]
 
     parts = map_chunks(draw, np.random.SeedSequence(13).spawn(2)[1], scn.trials, PD_CHUNK, 1)
     symbols = np.concatenate([p[0] for p in parts])

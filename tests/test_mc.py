@@ -7,7 +7,7 @@ from ofdm_pcs.air import AIR_CHUNK, AirConfig, air_mc
 from ofdm_pcs.ambiguity import AF_DRAWS, default_nu_grid, default_tau_grid, mc_average_af
 from ofdm_pcs.constellation import make_qam
 from ofdm_pcs.detect import PD_CHUNK, CfarConfig, DetectionScenario, pd_experiment
-from ofdm_pcs.mc import map_chunks, map_ordered
+from ofdm_pcs.mc import map_chunks
 from ofdm_pcs.ofdm import OfdmConfig
 
 CFG = OfdmConfig(num_subcarriers=64, subcarrier_spacing=1.5625e6, oversampling=4)
@@ -15,24 +15,30 @@ CFG16 = OfdmConfig(num_subcarriers=16, subcarrier_spacing=1.0, oversampling=8)
 
 
 def draw(rng, count):
-    return rng.standard_normal(count)
+    # One-element lists, which the engine's ``+`` joins in chunk order.
+    return [rng.standard_normal(count)]
 
 
-def test_map_ordered_keeps_item_order():
-    items = list(range(23))
-    assert map_ordered(lambda x: x * x, items, 4) == [x * x for x in items]
-    assert map_ordered(lambda x: x, [], 3) == []
+def test_map_chunks_keeps_chunk_order():
+    # 23 chunks of one draw on 4 threads, each returning its child's index:
+    # the one-element lists join in chunk order.
+    def index(rng, count):
+        return [rng.bit_generator.seed_seq.spawn_key[-1]]
+
+    assert map_chunks(index, 0, 23, 1, 4) == list(range(23))
+    # Arrays add elementwise: 4 chunks over 10 draws.
+    assert np.array_equal(map_chunks(lambda rng, count: np.array([count, 1]), 0, 10, 3, 4), [10, 4])
 
 
 @pytest.mark.parametrize("threads", [0, -3])
-def test_map_ordered_rejects_thread_count_below_one(threads):
+def test_map_chunks_rejects_thread_count_below_one(threads):
     with pytest.raises(ValueError, match="threads"):
-        map_ordered(lambda x: x, [1, 2], threads)
+        map_chunks(draw, 0, 2, 1, threads)
 
 
 @pytest.mark.parametrize(("total", "chunk"), [(10, 3), (9, 3), (2, 5), (1, 1)])
 def test_chunk_counts_sum_to_total(total, chunk):
-    counts = map_chunks(lambda rng, count: count, 4, total, chunk, 1)
+    counts = map_chunks(lambda rng, count: [count], 4, total, chunk, 1)
     assert sum(counts) == total
     assert all(c == chunk for c in counts[:-1]) and 1 <= counts[-1] <= chunk
 
@@ -81,14 +87,16 @@ def test_memory_stays_bounded_in_trial_count():
     def air(draws):
         return lambda: air_mc(make_qam(16), AirConfig(0.1, draws, 5))
 
-    def af(nus):
-        taus = default_tau_grid(CFG16, 17)
+    def af(taus, nus):
         return lambda trials: lambda: mc_average_af(CFG16, make_qam(16), taus, nus, trials, 5)
 
     runs = {
         "pd": (pd, PD_CHUNK), "air": (air, AIR_CHUNK),
-        "af one Doppler": (af(np.array([0.0])), AF_DRAWS),
-        "af 5 Dopplers": (af(default_nu_grid(CFG16, 5)), AF_DRAWS),
+        "af one Doppler": (af(default_tau_grid(CFG16, 17), np.array([0.0])), AF_DRAWS),
+        "af 5 Dopplers": (af(default_tau_grid(CFG16, 17), default_nu_grid(CFG16, 5)), AF_DRAWS),
+        # Each piece returns sums the size of the grid's computed half, so
+        # holding every piece's result until the end would show here.
+        "af 129 x 129": (af(default_tau_grid(CFG16, 129), default_nu_grid(CFG16, 129)), AF_DRAWS),
     }
     for name, (run, unit) in runs.items():
         run(unit)()  # warm-up outside the trace
