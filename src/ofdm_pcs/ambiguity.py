@@ -378,7 +378,9 @@ def mc_average_af(
     grids are), only the rows from the middle up (``tau >= 0``) are computed
     and the rest are copied as ``total[i, j] = total[-1 - i, -1 - j]`` before
     the division by ``trials`` and the peak normalization.  On any other
-    grid every row is computed.
+    grid every row is computed.  The delays may come in any order: the draws
+    do not depend on the grid, so a permuted grid permutes the rows, bit for
+    bit.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -404,21 +406,20 @@ def mc_average_af(
 
     def build(rows, terms_work=None):
         # One group's blocks, each (its rows of a piece's sums, lags, carrier
-        # phase, kernel).  The group's rows inside the window are contiguous,
-        # the first of them being row ``first`` of the sums.
+        # phase, kernel).  The rows increase, so a block's rows of the sums
+        # are a slice where they span no more rows than they number, as on a
+        # sorted grid, and an index array otherwise.
         terms = _delay_terms(cfg, tau_grid[rows], offsets, terms_work)
-        first = rows[np.argmax(terms.inside)] - half
-        lags = [terms.lag(k) for k in range(terms.t_avg.size)]
-        cuts = [slice(s, min(s + block, len(lags))) for s in range(0, len(lags), block)]
+        inside = rows[terms.inside] - half
+        lags = [terms.lag(k) for k in range(inside.size)]
+        cuts = [slice(s, min(s + block, inside.size)) for s in range(0, inside.size, block)]
         if block > 1:
             spectral = _spectral(nu_grid, terms)
             kernels = [(None, spectral[cut]) for cut in cuts]
         else:
             kernels = zip(terms.carrier_phase, terms.envelope)
-        return [
-            (slice(first + cut.start, first + cut.stop), _block_lags(lags[cut], width), *k)
-            for cut, k in zip(cuts, kernels)
-        ]
+        targets = [slice(t[0], t[-1] + 1) if t[-1] - t[0] < t.size else t for t in (inside[c] for c in cuts)]
+        return [(t, _block_lags(lags[cut], width), *k) for t, cut, k in zip(targets, cuts, kernels)]
 
     # The spectral kernels H take 2L values a row, so they are built once for
     # every piece; the envelopes S are rebuilt by each piece, group by group.

@@ -484,6 +484,27 @@ def test_mc_average_thread_invariance_across_pieces(nus):
 
 
 @pytest.mark.parametrize(
+    "nus", [np.array([0.0]), np.array([-1.5, 0.0, 2.25])], ids=["one-doppler", "three-dopplers"]
+)
+@pytest.mark.parametrize(
+    "taus",
+    [
+        np.array([0.0, 0.5, 1.5]),
+        # Not its own mirror, so every row is computed on both orders.
+        np.append(default_tau_grid(CFG16, 17), 1.5),
+    ],
+    ids=["gap", "default-grid-and-outside"],
+)
+def test_mc_average_permuted_grid_permutes_rows(taus, nus):
+    # Even rows, then odd ones, put delays outside the window between inside
+    # ones: the draws do not depend on the grid and each row is summed on its
+    # own, so the rows come out permuted, bit for bit.
+    order = np.r_[0 : taus.size : 2, 1 : taus.size : 2]
+    sorted_run = mc_average_af(CFG16, make_qam(16), taus, nus, AF_CHUNK + 9, 31)
+    assert np.array_equal(mc_average_af(CFG16, make_qam(16), taus[order], nus, AF_CHUNK + 9, 31), sorted_run[order])
+
+
+@pytest.mark.parametrize(
     ("taus", "nus", "name"),
     [
         (np.array([]), np.array([0.0]), "tau_grid"),
