@@ -129,11 +129,6 @@ class _DelayTerms(NamedTuple):
     envelope: np.ndarray
     t_avg: np.ndarray
 
-    def lag(self, k: int):
-        """Row k's ``(shift, phase)`` for :func:`_af_at_delay`: ``(n, None)``
-        on the lattice, ``(0, lag_phase)`` off it."""
-        return (int(self.shift[k]), None) if self.on_lattice[k] else (0, self.lag_phase[k])
-
 
 def _delay_terms(cfg: OfdmConfig, taus, offsets, work=None) -> _DelayTerms:
     """Per-delay factors of the closed form for a 1-D array of delays, each
@@ -204,32 +199,33 @@ def _spectral(nu_grid: np.ndarray, terms: _DelayTerms) -> np.ndarray:
     on the one-Doppler ``nu_grid``, one per row: the length-2L inverse FFT of
     the complex kernel column K, the carrier phase times S times the nu phase
     ``exp(-j 2 pi nu t_avg)`` (rows m = 1-L .. L-1), each row m placed at FFT
-    index m mod 2L and a zero at L.  They do not depend on the draws, so each
-    is built once per delay, every row of a block in one batched inverse
-    FFT; a draw's lag-product spectrum P (:func:`_af_at_delay`) gives the AF
-    as ``P @ H``.
+    index m mod 2L, where index L stays zero.  They do not depend on the
+    draws, so each is built once per delay, every row of a block in one
+    batched inverse FFT; a draw's lag-product spectrum P (:func:`_af_at_delay`)
+    gives the AF as ``P @ H``.
     """
-    carrier_phase, envelope, t_avg = terms.carrier_phase, terms.envelope, terms.t_avg
+    carrier_phase, t_avg = terms.carrier_phase, terms.t_avg
     num = (carrier_phase.shape[1] + 1) // 2
-    kernel = np.empty((t_avg.size, 2 * num, nu_grid.size), complex)
+    kernel = np.zeros((t_avg.size, 2 * num, nu_grid.size), complex)
     nu_phase = np.exp(-2j * np.pi * nu_grid * t_avg[:, None])[:, None, :]
-    # Rows m = 0 .. L-1 go to FFT indices 0 .. L-1, rows m = 1-L .. -1 to L+1 .. 2L-1.
-    for rotated, m in ((kernel[:, :num], slice(num - 1, None)), (kernel[:, num + 1 :], slice(num - 1))):
-        np.multiply(carrier_phase[:, m, None], nu_phase, out=rotated)
-        np.multiply(rotated, envelope[:, m], out=rotated)
-    kernel[:, num] = 0.0
+    kernel[:, np.arange(1 - num, num) % (2 * num)] = carrier_phase[:, :, None] * nu_phase * terms.envelope
     return np.fft.ifft(kernel, axis=1, out=kernel)
 
 
-def _block_lags(lags, width: int):
-    """A block of rows' lags (:meth:`_DelayTerms.lag`) as :func:`_af_at_delay`
-    reads them: one slice of conjugate-spectrum windows when every row lies on
-    the lattice at consecutive shifts mod ``width`` = 2L, else the rows' own
-    lags.  A block that wraps past shift 2L - 1 keeps its rows' lags."""
-    starts = [shift % width for shift, phase in lags if phase is None]
-    if len(starts) == len(lags) and starts == list(range(starts[0], starts[0] + len(starts))):
-        return slice(starts[0], starts[0] + len(starts))
-    return lags
+def _block_lags(terms: _DelayTerms, rows: slice, width: int):
+    """The lags of the block ``rows`` of ``terms`` (:func:`_delay_terms`) as
+    :func:`_af_at_delay` reads them: one slice of conjugate-spectrum windows
+    when every row lies on the lattice at consecutive shifts mod ``width`` =
+    2L, else each row's ``(shift, None)`` on the lattice and ``(0,
+    lag_phase)`` off it.  A block that wraps past shift 2L - 1 takes its rows
+    one by one.  Only lattice shifts are read as integers: off the lattice a
+    shift may be NaN at scales that overflow."""
+    shift, on_lattice = terms.shift[rows], terms.on_lattice[rows]
+    if on_lattice.all():
+        starts = shift.astype(int) % width
+        if np.array_equal(starts, starts[0] + np.arange(starts.size)):
+            return slice(int(starts[0]), int(starts[0]) + starts.size)
+    return [(int(n), None) if on else (0, phase) for n, on, phase in zip(shift, on_lattice, terms.lag_phase[rows])]
 
 
 def _af_at_delay(
@@ -328,9 +324,8 @@ def af_closed_form(cfg: OfdmConfig, symbols, tau: float, nu: float):
     terms = _delay_terms(cfg, [tau], _doppler_offsets(cfg, nu_grid))
     out = np.zeros(rows.shape[0], complex)
     if terms.inside[0]:
-        lags = _block_lags([terms.lag(0)], 2 * num)
-        af = _af_at_delay(rows, _spectrum_windows(rows), lags, None, _spectral(nu_grid, terms))
-        out = af[0, :, 0]
+        lags = _block_lags(terms, slice(0, 1), 2 * num)
+        out = _af_at_delay(rows, _spectrum_windows(rows), lags, None, _spectral(nu_grid, terms))[0, :, 0]
     out = out.reshape(symbols.shape[:-1])
     return complex(out) if out.ndim == 0 else out
 
@@ -411,7 +406,6 @@ def mc_average_af(
         # sorted grid, and an index array otherwise.
         terms = _delay_terms(cfg, tau_grid[rows], offsets, terms_work)
         inside = rows[terms.inside] - half
-        lags = [terms.lag(k) for k in range(inside.size)]
         cuts = [slice(s, min(s + block, inside.size)) for s in range(0, inside.size, block)]
         if block > 1:
             spectral = _spectral(nu_grid, terms)
@@ -419,7 +413,7 @@ def mc_average_af(
         else:
             kernels = zip(terms.carrier_phase, terms.envelope)
         targets = [slice(t[0], t[-1] + 1) if t[-1] - t[0] < t.size else t for t in (inside[c] for c in cuts)]
-        return [(t, _block_lags(lags[cut], width), *k) for t, cut, k in zip(targets, cuts, kernels)]
+        return [(t, _block_lags(terms, cut, width), *k) for t, cut, k in zip(targets, cuts, kernels)]
 
     # The spectral kernels H take 2L values a row, so they are built once for
     # every piece; the envelopes S are rebuilt by each piece, group by group.

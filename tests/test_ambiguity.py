@@ -346,10 +346,14 @@ def test_kernel_pass_matches_per_row_arithmetic(cfg, taus, doppler):
     kernels = ambiguity._spectral(nus, terms)
     oracle = [_row_kernel_oracle(cfg, tau, nus) for tau in taus]
     assert terms.inside.tolist() == [row is not None for row in oracle]
+    width = 2 * cfg.num_subcarriers
     for k, (lag, carrier_phase, envelope, kernel) in enumerate(row for row in oracle if row is not None):
-        shift, phase = terms.lag(k)
-        assert shift == lag[0]
-        assert phase is lag[1] is None or np.array_equal(phase, lag[1])
+        # A lattice row reads the window at its shift mod 2L, a one-row slice.
+        lags = ambiguity._block_lags(terms, slice(k, k + 1), width)
+        if lag[1] is None:
+            assert lags == slice(lag[0] % width, lag[0] % width + 1)
+        else:
+            assert lags[0][0] == lag[0] and np.array_equal(lags[0][1], lag[1])
         assert np.array_equal(terms.carrier_phase[k], carrier_phase)
         assert np.array_equal(terms.envelope[k], envelope)
         assert np.array_equal(kernels[k], kernel)
@@ -364,14 +368,41 @@ def test_delay_nudged_off_lattice_takes_the_fft():
         tau = n / 128 * cfg.symbol_duration
         nudged = tau + 1e-9 * cfg.symbol_duration
         terms = ambiguity._delay_terms(cfg, np.array([tau, nudged]), offsets)
-        assert terms.lag(0) == (n, None)
-        shift, phase = terms.lag(1)
+        assert ambiguity._block_lags(terms, slice(0, 1), 128) == slice(n % 128, n % 128 + 1)
+        [(shift, phase)] = ambiguity._block_lags(terms, slice(1, 2), 128)
         lag_phase = np.exp(2j * np.pi * np.arange(64) * cfg.subcarrier_spacing * nudged)
         assert shift == 0 and np.array_equal(phase, lag_phase)
         for t in (tau, nudged):
             direct = af_double_sum(cfg, draws, t, 0.0)
             fast = af_closed_form(cfg, draws, t, 0.0)
             assert np.max(np.abs(fast - direct)) <= 1e-12 * np.abs(direct).max()
+
+
+@pytest.mark.filterwarnings("error")
+def test_block_lags_reads_each_kind_of_row():
+    # L = 4, so the windows wrap at 2L = 8.  Rows 0-2 are a lattice run at
+    # consecutive shifts, rows 3-4 a lattice run across shift 7 -> 8 (windows
+    # 7 and 0), row 5 off the lattice, and row 6 off it with the NaN shift
+    # that overflowing scales give, which must never be read as an integer.
+    on = np.array([True] * 5 + [False] * 2)
+    shift = np.array([3.0, 4.0, 5.0, 7.0, 8.0, 2.0, np.nan])
+    lag_phase = np.zeros((7, 4), complex)
+    lag_phase[5:] = np.exp(2j * np.pi * np.arange(4) * np.array([[0.3], [0.7]]))
+    terms = ambiguity._DelayTerms(np.ones(7, bool), shift, on, lag_phase, None, None, None)
+
+    def lags(rows):
+        return ambiguity._block_lags(terms, rows, 8)
+
+    assert lags(slice(0, 3)) == slice(3, 6)
+    assert lags(slice(4, 5)) == slice(0, 1)
+    assert lags(slice(3, 5)) == [(7, None), (8, None)]
+    for k in (5, 6):
+        [(n, phase)] = lags(slice(k, k + 1))
+        assert n == 0 and phase is not None and np.array_equal(phase, lag_phase[k])
+    every = lags(slice(0, 7))
+    assert [n for n, _ in every] == [3, 4, 5, 7, 8, 0, 0]
+    assert all(type(n) is int for n, _ in every)
+    assert [phase is None for _, phase in every] == on.tolist()
 
 
 def test_one_doppler_slice_calls_af_at_delay_once_per_row_block_and_chunk(monkeypatch):

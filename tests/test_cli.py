@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -648,10 +649,24 @@ def test_af_empty_grid_names_parameter(tmp_path, capsys, args, name):
         # A delay slice spans the Doppler grid, which --points sizes too.
         (["af", "slice", "--delay", "1e-7", "--points", "0"],
          "--points: nu_grid needs at least one point, got 0"),
+        # 2^30 cycles over T_p = 0.64 us: 1.68e15 Hz at the defaults.
+        (["af", "slice", "--doppler", "1e200", "--trials", "64"], "--doppler must lie within +-1.67772e+15 Hz"),
+        (["af", "slice", "--doppler=-1.7e15"], "--doppler must lie within +-1.67772e+15 Hz"),
+        (["af", "variance", "--doppler", "1e308"], "--doppler must lie within +-1.67772e+15 Hz"),
+        # 2 pi bandwidth overflows past 2.86e307 Hz, (L^2 / bandwidth)^2 below
+        # 3.1e-151 Hz at 64 subcarriers.
+        (["af", "slice", "--bandwidth", "1e308"], "--bandwidth must keep"),
+        (["af", "surface", "--bandwidth", "5e307"], "--bandwidth must keep"),
+        (["af", "variance", "--bandwidth", "1e308"], "--bandwidth must keep"),
+        (["af", "variance", "--bandwidth", "1e-160"], "--bandwidth must keep"),
+        (["af", "slice", "--bandwidth", "1e-320"], "--bandwidth must keep"),
+        (["af", "slice", "--delay", "1e308"], "--delay must lie inside |delay| < T_p = 6.4e-07 s"),
+        (["af", "slice", "--delay=-6.4e-7"], "--delay must lie inside |delay| < T_p = 6.4e-07 s"),
     ],
 )
 def test_af_grid_size_error_names_flag(tmp_path, capsys, args, message):
-    # The grid is built before any draw, so the default trial count costs nothing.
+    # The grid and the AF's scale bounds are checked before any draw, so the
+    # default trial count costs nothing.
     rc = main(args + ["--out", str(tmp_path / "x.csv")])
     assert rc == 1
     assert message in capsys.readouterr().err
@@ -715,6 +730,54 @@ def test_every_option_can_change_the_artifact(tmp_path, command):
         if key != "threads" and data(["--" + key.replace("_", "-"), _LIVE_VALUE[key]]) == base
     ]
     assert dead == []
+
+
+# Bad values of each option's type: not finite, zero, negative, past any
+# scale, subnormal, empty, or not a grid.
+_BAD_VALUES = {
+    float: ["nan", "inf", "-inf", "0", "-1", "1e308", "1e-320", "1e200"],
+    int: ["0", "-1"],
+    str: ["", "nan", ",", "1:0:2", "inf"],
+}
+# Generated from the table: every option of every command but --threads.
+_BAD_CASES = [
+    pytest.param(command, key, value, id=f"{command} {key}={value}")
+    for command, (_, _, defaults) in sorted(_COMMANDS.items())
+    for key, default in defaults.items() if key != "threads"
+    for value in _BAD_VALUES[float if default is None else type(default)]
+]
+
+
+def test_every_option_has_bad_value_cases():
+    options = {(command, key) for command, (_, _, defaults) in _COMMANDS.items() for key in defaults}
+    assert {tuple(case.values[:2]) for case in _BAD_CASES} == {(c, k) for c, k in options if k != "threads"}
+
+
+@pytest.mark.parametrize(("command", "key", "value"), _BAD_CASES)
+def test_bad_value_fails_by_its_flag_or_writes_finite_cells(tmp_path, capsys, command, key, value):
+    # A bad value either fails and names its option, writing nothing, or
+    # gives an artifact whose every data cell is finite.
+    flag, out = "--" + key.replace("_", "-"), tmp_path / "x.out"
+    try:
+        rc = main([*command.split(), *_LIVE_BASE[command], f"{flag}={value}", "--out", str(out)])
+    except SystemExit as exc:
+        assert exc.code == 2 and flag in capsys.readouterr().err
+        return
+    if rc == 1:
+        err = capsys.readouterr().err.removeprefix(f"error: {command}: ")
+        # Named by its flag, by its key opening the message, or by its key
+        # before its value ("at pfa 1e-05") or entries ("10 log10 sigma2
+        # entries"); the backstop's column message names no option.
+        assert flag in err or re.match(rf"{key}\b", err) or re.search(rf"\b{key} (entries|[-\d.'])", err), err
+        assert not out.exists()
+        return
+    assert rc == 0
+    text = out.read_text()
+    if text.startswith("{"):
+        json.loads(text, parse_constant=pytest.fail)
+    else:
+        rows = [line.split(",") for line in text.splitlines() if not line.startswith("#")][1:]
+        assert np.isfinite(np.array(rows, dtype=float)).all()
 
 
 # Beside each _LIVE_BASE run, the regimes where the units of work differ: the
@@ -844,24 +907,41 @@ def test_db_out_of_range_names_option(tmp_path, capsys, monkeypatch, args, name,
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_table_is_refused(tmp_path, capsys, monkeypatch):
+    # The scale bounds keep overflow out of every AF table; a runner that
+    # still hands back a NaN or inf cell has its table refused by the first
+    # such column, and nothing is written.
+    def overflowed(opts):
+        return ["tau", "sigma2_self", "sigma2_cross"], np.array([[0.0, 1.0, np.inf], [1.0, np.nan, 2.0]])
+
+    monkeypatch.setitem(_COMMANDS, "af variance", (overflowed, *_COMMANDS["af variance"][1:]))
+    out = tmp_path / "x.csv"
+    assert main(["af", "variance", "--out", str(out)]) == 1
+    message = "column 'sigma2_self' has a non-finite cell; no file written"
+    assert capsys.readouterr().err == f"error: af variance: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
-    ("args", "column"),
+    "args",
     [
-        (["af", "slice", "--doppler", "1e308", "--trials", "4"], "magnitude_db"),
-        (["af", "surface", "--bandwidth", "1e308", "--trials", "4", "--tau-points", "9", "--nu-points", "5"],
-         "-5e+307"),
-        (["af", "variance", "--bandwidth", "1e-290"], "sigma2_self"),
+        ["af", "slice", "--doppler", "1.6e15", "--trials", "4"],
+        ["af", "slice", "--doppler=-1.3e8", "--trials", "4", *_SMALL_OFDM],
+        ["af", "variance", "--doppler", "1.6e15"],
+        ["af", "slice", "--bandwidth", "2.8e307", "--trials", "4"],
+        ["af", "surface", "--bandwidth", "2.8e307", "--trials", "4", "--tau-points", "9", "--nu-points", "5"],
+        ["af", "variance", "--bandwidth", "2.8e307"],
+        ["af", "variance", "--bandwidth", "3.1e-151"],
+        ["af", "slice", "--delay", "6.39e-7", "--points", "9", "--trials", "4"],
     ],
 )
-def test_non_finite_table_is_refused(tmp_path, capsys, args, column):
-    # Scales whose arithmetic overflows give NaN or inf cells; the table is
-    # refused by its first such column, and nothing is written.
+def test_af_scale_inside_its_bound_writes_finite_cells(tmp_path, args):
+    # Just inside each bound of _af_config the arithmetic still holds: every
+    # cell is finite, so the bounds sit where overflow begins.
     out = tmp_path / "x.csv"
-    assert main(args + ["--out", str(out)]) == 1
-    message = f"column {column!r} has a non-finite cell; no file written"
-    assert capsys.readouterr().err == f"error: {args[0]} {args[1]}: {message}\n"
-    assert not out.exists()
+    assert main(args + ["--out", str(out)]) == 0
+    _, _, rows = read_csv(out)
+    assert np.isfinite(np.array(rows, dtype=float)).all()
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
