@@ -220,11 +220,11 @@ def _block_lags(terms: _DelayTerms, rows: slice, width: int):
     lag_phase)`` off it.  A block that wraps past shift 2L - 1 takes its rows
     one by one.  Only lattice shifts are read as integers: off the lattice a
     shift may be NaN at scales that overflow."""
-    shift, on_lattice = terms.shift[rows], terms.on_lattice[rows]
-    if on_lattice.all():
-        starts = shift.astype(int) % width
-        if np.array_equal(starts, starts[0] + np.arange(starts.size)):
-            return slice(int(starts[0]), int(starts[0]) + starts.size)
+    shift, on_lattice = terms.shift[rows].tolist(), terms.on_lattice[rows].tolist()
+    if all(on_lattice):
+        starts = [int(n) % width for n in shift]
+        if starts == list(range(starts[0], starts[0] + len(starts))):
+            return slice(starts[0], starts[0] + len(starts))
     return [(int(n), None) if on else (0, phase) for n, on, phase in zip(shift, on_lattice, terms.lag_phase[rows])]
 
 
