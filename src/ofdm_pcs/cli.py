@@ -185,36 +185,32 @@ def write_json(path: str, command: str, resolved: dict, payload: dict) -> None:
 
 def _ofdm_config(opts: dict) -> OfdmConfig:
     """Spacing ``bandwidth / subcarriers`` for the AF commands, oversampling for
-    ``detect pd-sweep``; the field a command lacks stays at its default."""
+    ``detect pd-sweep``; the field a command lacks stays at its default.
+
+    The AF commands' scales are checked first, each by its flag, before any
+    draw.  ``--bandwidth`` must keep every phase 2 pi f t finite, so 2 pi
+    bandwidth (which bounds the lattice coordinate 2 bandwidth tau too), and
+    the variances' scale (L T_p)^2 = (L^2 / bandwidth)^2.  ``--doppler`` must
+    stay within 2^30 cycles over T_p, where every sinc argument pi (m df -
+    nu) T_diff is rounded by less than 1e-6 rad, and keep 2 pi doppler
+    finite.  ``--delay`` must lie inside |delay| < T_p, where the AF is
+    nonzero."""
     fields = {"num_subcarriers": opts["subcarriers"]}
     if "bandwidth" in opts:
-        fields["subcarrier_spacing"] = opts["bandwidth"] / opts["subcarriers"]
+        bandwidth, reach = opts["bandwidth"], opts["subcarriers"] ** 2 / opts["bandwidth"]  # L T_p
+        if not np.isfinite([2 * np.pi * bandwidth, reach * reach]).all():
+            raise ValueError(
+                f"--bandwidth must keep 2 pi bandwidth and (subcarriers^2 / bandwidth)^2 finite, got {bandwidth}"
+            )
+        fields["subcarrier_spacing"] = bandwidth / opts["subcarriers"]
     if "oversampling" in opts:
         fields["oversampling"] = opts["oversampling"]
-    return OfdmConfig(**fields)
-
-
-def _af_config(opts: dict) -> OfdmConfig:
-    """The AF commands' config, once their scales are checked, each by its
-    flag, before any draw.  ``--bandwidth`` must keep every phase 2 pi f t
-    finite, so 2 pi bandwidth (which bounds the lattice coordinate 2
-    bandwidth tau too), and the variances' scale (L T_p)^2 = (L^2 /
-    bandwidth)^2.  ``--doppler`` must stay within 2^30 cycles over T_p,
-    where every sinc argument pi (m df - nu) T_diff is rounded by less than
-    1e-6 rad, and keep 2 pi doppler finite.  ``--delay`` must lie inside
-    |delay| < T_p, where the AF is nonzero."""
-    num, bandwidth = opts["subcarriers"], opts["bandwidth"]
-    reach = num * num / bandwidth  # L T_p
-    if not (np.isfinite(2 * np.pi * bandwidth) and np.isfinite(reach * reach)):
-        raise ValueError(
-            f"--bandwidth must keep 2 pi bandwidth and (subcarriers^2 / bandwidth)^2 finite, got {bandwidth}"
-        )
-    cfg = _ofdm_config(opts)
+    cfg = OfdmConfig(**fields)
     span, doppler, delay = cfg.symbol_duration, opts.get("doppler", 0.0), opts.get("delay")
     limit = min(2.0**30 / span, np.finfo(float).max / (2 * np.pi))
     if not abs(doppler) <= limit:
         raise ValueError(f"--doppler must lie within +-{limit:.6g} Hz, 2^30 cycles over T_p, got {doppler}")
-    if delay is not None and not abs(delay) < span:
+    if not abs(delay or 0.0) < span:
         raise ValueError(f"--delay must lie inside |delay| < T_p = {span:.6g} s, got {delay}")
     return cfg
 
@@ -371,7 +367,7 @@ def _grid(make, cfg: OfdmConfig, opts: dict, key: str) -> np.ndarray:
 
 
 def _run_af_slice(opts: dict):
-    cfg, delay, doppler = _af_config(opts), opts["delay"], opts["doppler"]
+    cfg, delay, doppler = _ofdm_config(opts), opts["delay"], opts["doppler"]
     if delay is None:
         axis, tau_grid, nu_grid = "tau", _grid(default_tau_grid, cfg, opts, "points"), np.array([doppler])
     elif doppler != 0:
@@ -387,7 +383,7 @@ def _run_af_slice(opts: dict):
 
 
 def _run_af_surface(opts: dict):
-    cfg = _af_config(opts)
+    cfg = _ofdm_config(opts)
     tau_grid = _grid(default_tau_grid, cfg, opts, "tau_points")
     nu_grid = _grid(default_nu_grid, cfg, opts, "nu_points")
     surface = mc_average_af(
@@ -397,7 +393,7 @@ def _run_af_surface(opts: dict):
 
 
 def _run_af_variance(opts: dict):
-    cfg = _af_config(opts)
+    cfg = _ofdm_config(opts)
     tau_grid = _grid(default_tau_grid, cfg, opts, "points")
     stats = af_statistics(cfg, opts["modulation"], tau_grid, opts["doppler"])
     header = ["tau", "sigma2_self", "sigma2_cross", "mean_self_abs"]

@@ -936,7 +936,7 @@ def test_non_finite_table_is_refused(tmp_path, capsys, monkeypatch):
     ],
 )
 def test_af_scale_inside_its_bound_writes_finite_cells(tmp_path, args):
-    # Just inside each bound of _af_config the arithmetic still holds: every
+    # Just inside each bound of _ofdm_config the arithmetic still holds: every
     # cell is finite, so the bounds sit where overflow begins.
     out = tmp_path / "x.csv"
     assert main(args + ["--out", str(out)]) == 0
