@@ -907,18 +907,27 @@ def test_db_out_of_range_names_option(tmp_path, capsys, monkeypatch, args, name,
     assert not out.exists()
 
 
-def test_non_finite_table_is_refused(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize(
+    ("args", "column"),
+    [
+        (["af", "slice"], "magnitude_db"),
+        (["af", "surface"], "-5e+307"),
+        (["af", "variance"], "sigma2_self"),
+    ],
+)
+def test_non_finite_table_is_refused(tmp_path, capsys, monkeypatch, args, column):
     # The scale bounds keep overflow out of every AF table; a runner that
     # still hands back a NaN or inf cell has its table refused by the first
     # such column, and nothing is written.
     def overflowed(opts):
-        return ["tau", "sigma2_self", "sigma2_cross"], np.array([[0.0, 1.0, np.inf], [1.0, np.nan, 2.0]])
+        return ["tau", column, "next"], np.array([[0.0, 1.0, np.inf], [1.0, np.nan, 2.0]])
 
-    monkeypatch.setitem(_COMMANDS, "af variance", (overflowed, *_COMMANDS["af variance"][1:]))
+    command = " ".join(args)
+    monkeypatch.setitem(_COMMANDS, command, (overflowed, *_COMMANDS[command][1:]))
     out = tmp_path / "x.csv"
-    assert main(["af", "variance", "--out", str(out)]) == 1
-    message = "column 'sigma2_self' has a non-finite cell; no file written"
-    assert capsys.readouterr().err == f"error: af variance: {message}\n"
+    assert main(args + ["--out", str(out)]) == 1
+    message = f"column {column!r} has a non-finite cell; no file written"
+    assert capsys.readouterr().err == f"error: {command}: {message}\n"
     assert not out.exists()
 
 
