@@ -12,6 +12,7 @@ roots, so it is unique, reproducible and found for every target.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -67,8 +68,38 @@ class PcsSolution:
 def fourth_moment_range(support) -> tuple[float, float]:
     """Extremes of ``sum p A^4`` over the power-constrained simplex, in closed
     form (:func:`solve_lp`), for amplitudes that :class:`PcsProblem` accepts."""
-    _, _, (_, lo), (_, hi) = _range_lps(PcsProblem(support, 0.0).support ** 2)
+    _, (_, lo), (_, hi) = _range_lps(PcsProblem(support, 0.0).support ** 2)
     return (lo, hi)
+
+
+class _Rings(NamedTuple):
+    """A support's energy rings, as :func:`group_by_energy` groups them, with
+    the constants the Newton fit reads; every array is read-only."""
+
+    energy: np.ndarray  # each ring's mean energy, ascending
+    count: np.ndarray  # points per ring, as floats
+    of_point: np.ndarray  # each point's ring index
+    log_count: np.ndarray
+    feats: np.ndarray  # rows energy and energy^2
+
+
+@functools.lru_cache(maxsize=8)
+def _rings_of(key: bytes) -> _Rings:
+    """The rings of the point energies whose float64 bytes are ``key``.
+    Callers solve many targets on one support, so each support is grouped
+    once per process; the bytes tell apart supports that differ in any bit
+    or in point order."""
+    energies = np.frombuffer(key)
+    groups = group_by_energy(energies)
+    energy = np.array([e for e, _ in groups])
+    count = np.array([idx.size for _, idx in groups], dtype=float)
+    of_point = np.empty(energies.size, dtype=np.intp)
+    for r, (_, idx) in enumerate(groups):
+        of_point[idx] = r
+    rings = _Rings(energy, count, of_point, np.log(count), np.vstack([energy, energy**2]))
+    for array in rings:
+        array.setflags(write=False)
+    return rings
 
 
 class RangeEnd(NamedTuple):
@@ -102,21 +133,19 @@ def solve_lp(ring_e: np.ndarray, maximize: bool) -> RangeEnd:
 def _range_lps(energies: np.ndarray):
     """Energy rings and both ends of the fourth-moment range over their masses.
 
-    Returns ``(rings, ring_e, lo, hi)``: the :func:`group_by_energy` rings,
-    their energies, and for the minimum and the maximum of ``sum p E^2`` the
-    (ring mass vector, extreme m4 value).  Grouping equal-energy points loses
-    nothing: the objective and constraints depend on points only through
-    their energies.
+    Returns ``(rings, lo, hi)``: the support's :class:`_Rings`, and for the
+    minimum and the maximum of ``sum p E^2`` the (ring mass vector, extreme
+    m4 value).  Grouping equal-energy points loses nothing: the objective and
+    constraints depend on points only through their energies.
     """
     if energies.min() > 1 + FEAS_TOL or energies.max() < 1 - FEAS_TOL:
         raise InfeasibleSupportError(
             "unit average power is unreachable: point energies span "
             f"[{energies.min():.6g}, {energies.max():.6g}], which does not cover 1"
         )
-    rings = group_by_energy(energies)
-    ring_e = np.array([e for e, _ in rings])
-    ends = [solve_lp(ring_e, maximize).masses for maximize in (False, True)]
-    return rings, ring_e, *((w, float(ring_e**2 @ w)) for w in ends)
+    rings = _rings_of(energies.tobytes())
+    ends = [solve_lp(rings.energy, maximize).masses for maximize in (False, True)]
+    return rings, *((w, float(rings.energy**2 @ w)) for w in ends)
 
 
 def solve_pcs(problem: PcsProblem, tie_break: str = "max-entropy") -> PcsSolution:
@@ -129,24 +158,18 @@ def solve_pcs(problem: PcsProblem, tie_break: str = "max-entropy") -> PcsSolutio
     """
     if tie_break != "max-entropy":
         raise ValueError(f"unknown tie_break {tie_break!r}")
-    amps = problem.support
-    energies = amps**2
+    energies = problem.support**2
     quads = energies**2
-    rings, ring_e, (w_min, m4_min), (w_max, m4_max) = _range_lps(energies)
-    ring_n = np.array([len(idx) for _, idx in rings], dtype=float)
+    rings, (w_min, m4_min), (w_max, m4_max) = _range_lps(energies)
 
     m4_target = float(np.clip(problem.c0, m4_min, m4_max))
     try:
-        ring_w, newton_iters = _max_entropy_ring_masses(
-            ring_e, ring_n, m4_target, m4_min, m4_max, w_min, w_max
-        )
+        ring_w, newton_iters = _max_entropy_ring_masses(rings, m4_target, m4_min, m4_max, w_min, w_max)
     except SolverNotConvergedError as exc:
         raise SolverNotConvergedError(
-            f"c0 {problem.c0!r} (clipped target {m4_target!r}, {ring_e.size} rings): {exc}"
+            f"c0 {problem.c0!r} (clipped target {m4_target!r}, {rings.energy.size} rings): {exc}"
         ) from exc
-    probs = np.zeros(amps.size)
-    for (energy, idx), w in zip(rings, ring_w):
-        probs[idx] = w / idx.size
+    probs = (ring_w / rings.count)[rings.of_point]
 
     achieved = float(probs @ quads)
     pos = probs[probs > 0]
@@ -161,7 +184,7 @@ def solve_pcs(problem: PcsProblem, tie_break: str = "max-entropy") -> PcsSolutio
     )
 
 
-def _max_entropy_ring_masses(ring_e, ring_n, m4_target, m4_min, m4_max, w_min, w_max):
+def _max_entropy_ring_masses(rings, m4_target, m4_min, m4_max, w_min, w_max):
     """Entropy-maximizing ring masses subject to the two moment equalities.
 
     Boundary targets have a unique mass vector (the :func:`solve_lp` end: the
@@ -176,8 +199,7 @@ def _max_entropy_ring_masses(ring_e, ring_n, m4_target, m4_min, m4_max, w_min, w
         return w_min, 0
     if m4_target >= m4_max - BOUNDARY_TOL:
         return w_max, 0
-    feats = np.vstack([ring_e, ring_e**2])
-    log_n = np.log(ring_n)
+    ring_e, feats = rings.energy, rings.feats
     # The last inner root (l1, l2), dl1/dl2 there, its masses and step count.
     fit = {"lam": (0.0, 0.0), "tangent": 0.0, "steps": 0}
 
@@ -190,7 +212,7 @@ def _max_entropy_ring_masses(ring_e, ring_n, m4_target, m4_min, m4_max, w_min, w
 
     def m4_gap(lam2):
         lam1, prev = fit["lam"]
-        base = log_n + lam2 * feats[1]
+        base = rings.log_count + lam2 * feats[1]
         lam1, steps = _monotone_root(lambda x: mean_gap(x, base), lam1 + fit["tangent"] * (lam2 - prev))
         mom = feats @ fit["w"]
         centered = feats - mom[:, None]

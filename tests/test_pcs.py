@@ -95,10 +95,11 @@ def test_range_end_masses_match_two_ring_oracle(amps):
 
 
 def test_infeasible_support():
-    with pytest.raises(InfeasibleSupportError):
-        fourth_moment_range(np.array([0.5, 0.6]))
-    with pytest.raises(InfeasibleSupportError):
-        solve_pcs(PcsProblem(np.array([1.5, 2.0]), 1.0))
+    for _ in range(3):  # on every call, not only the first on a support
+        with pytest.raises(InfeasibleSupportError):
+            fourth_moment_range(np.array([0.5, 0.6]))
+        with pytest.raises(InfeasibleSupportError):
+            solve_pcs(PcsProblem(np.array([1.5, 2.0]), 1.0))
 
 
 def test_qam16_native_target_recovers_uniform():
@@ -236,3 +237,56 @@ def test_non_finite_amplitudes_rejected(bad):
     for call in (lambda a: PcsProblem(a, 1.0), fourth_moment_range):
         with pytest.raises(ValueError, match="amplitudes must be finite"):
             call(np.array([bad, 1.0, 1.2]))
+
+
+def _fresh_rings(energies):
+    """The ring structure of ``energies``, grouped from scratch."""
+    groups = group_by_energy(energies)
+    of_point = np.empty(energies.size, dtype=int)
+    for r, (_, idx) in enumerate(groups):
+        of_point[idx] = r
+    return [e for e, _ in groups], [idx.size for _, idx in groups], of_point.tolist()
+
+
+@pytest.mark.parametrize("order, c0", [(16, 1.2), (64, 1.4), (256, 1.3), (256, 0.5)])
+def test_cold_and_warm_solves_agree_bit_for_bit(order, c0):
+    amps = make_qam(order).amplitudes
+    pcs._rings_of.cache_clear()
+    cold = solve_pcs(PcsProblem(amps, c0))
+    assert pcs._rings_of.cache_info().misses == 1
+    warm = solve_pcs(PcsProblem(amps, c0))
+    assert pcs._rings_of.cache_info().hits == 1
+    assert warm.probs.tobytes() == cold.probs.tobytes()
+    assert warm.diagnostics["newton_iterations"] == cold.diagnostics["newton_iterations"]
+    assert (warm.achieved_m4, warm.entropy_bits) == (cold.achieved_m4, cold.entropy_bits)
+
+
+def test_memo_arrays_are_read_only_and_never_returned():
+    amps = make_qam(64).amplitudes
+    rings = pcs._rings_of((amps**2).tobytes())
+    assert all(not array.flags.writeable for array in rings)
+    for c0 in (0.5, 1.4, 3.0):  # the lower end, an interior target, the upper end
+        first, second = (solve_pcs(PcsProblem(amps, c0)).probs for _ in range(2))
+        assert first.flags.writeable and not np.shares_memory(first, second)
+        assert not any(np.shares_memory(first, array) for array in rings)
+        first[:] = -1.0
+        assert solve_pcs(PcsProblem(amps, c0)).probs.tobytes() == second.tobytes()
+
+
+def test_supports_one_ulp_apart_or_reordered_get_their_own_rings():
+    amps = make_qam(64).amplitudes
+    nudged = amps.copy()
+    nudged[5] = np.nextafter(nudged[5], np.inf)
+    perm = np.random.default_rng(39).permutation(amps.size)
+    supports = [amps, nudged, amps[perm]]
+    keys = [(a**2).tobytes() for a in supports]
+    assert len(set(keys)) == 3
+    for a, key in zip(supports, keys):
+        rings = pcs._rings_of(key)
+        energy, count, of_point = _fresh_rings(a**2)
+        assert rings.energy.tolist() == energy and rings.count.tolist() == count
+        assert rings.of_point.tolist() == of_point
+    base, moved = (solve_pcs(PcsProblem(a, 1.4)).probs for a in (amps, amps[perm]))
+    assert pcs._rings_of(keys[2]).of_point.tolist() == pcs._rings_of(keys[0]).of_point[perm].tolist()
+    assert moved == pytest.approx(base[perm], rel=1e-12)
+
