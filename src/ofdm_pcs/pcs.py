@@ -25,6 +25,9 @@ FEAS_TOL = 1e-9
 # interior Gibbs parameterization diverges exactly at the boundary.
 BOUNDARY_TOL = 1e-9
 NEWTON_TOL = 1e-12
+# A ring this close to 1 is at unit energy: the distance is rounding in the
+# squared amplitudes (qam256's unit ring computes to 1 - 2.2e-16).
+UNIT_ULPS = 4 * np.finfo(float).eps
 
 
 class InfeasibleSupportError(ValueError):
@@ -113,9 +116,10 @@ def solve_lp(ring_e: np.ndarray, maximize: bool) -> RangeEnd:
 
     ``E^2`` is strictly convex in ``E``, so the minimum is its chord between the
     rings next to 1 on either side (one ring, if it sits at 1), and the maximum
-    its chord between the innermost and the outermost ring.  A ring with no
-    partner across 1 is within ``FEAS_TOL`` of 1 (:func:`_range_lps` checks
-    that) and counts as being at 1, alone.
+    its chord between the innermost and the outermost ring.  A ring within
+    ``UNIT_ULPS`` of 1 counts as being at 1, alone, and so does a ring with no
+    partner across 1, which is within ``FEAS_TOL`` of 1 (:func:`_range_lps`
+    checks that).
     """
     if maximize:
         i, j = 0, ring_e.size - 1
@@ -123,8 +127,8 @@ def solve_lp(ring_e: np.ndarray, maximize: bool) -> RangeEnd:
         i = max(int(np.searchsorted(ring_e, 1.0, "right")) - 1, 0)
         j = min(int(np.searchsorted(ring_e, 1.0)), ring_e.size - 1)
     lo, hi, masses = ring_e[i], ring_e[j], np.zeros(ring_e.size)
-    if lo >= 1.0 or hi <= 1.0:
-        masses[i if lo >= 1.0 else j] = 1.0
+    if lo >= 1.0 - UNIT_ULPS or hi <= 1.0 + UNIT_ULPS:
+        masses[i if lo >= 1.0 - UNIT_ULPS else j] = 1.0
     else:
         masses[i], masses[j] = (hi - 1.0) / (hi - lo), (1.0 - lo) / (hi - lo)
     return RangeEnd(masses)

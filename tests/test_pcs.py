@@ -94,6 +94,14 @@ def test_range_end_masses_match_two_ring_oracle(amps):
             assert probs[idx] == pytest.approx(np.full(idx.size, mass / idx.size), abs=1e-15)
 
 
+@pytest.mark.parametrize("c0", [0.0, 0.9, 1.0])
+def test_qam256_at_unit_target_is_its_unit_ring(c0):
+    # The unit ring's energy computes to 1 - 2.2e-16; it is still the ring at 1.
+    sol = solve_pcs(PcsProblem(make_qam(256).amplitudes, c0))
+    assert sol.probs[sol.probs > 0].tolist() == [1 / 16] * 16
+    assert sol.entropy_bits == 4.0
+
+
 def test_infeasible_support():
     for _ in range(3):  # on every call, not only the first on a support
         with pytest.raises(InfeasibleSupportError):
