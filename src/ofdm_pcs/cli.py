@@ -393,7 +393,14 @@ def _run_af_surface(opts: dict):
 
 
 def _run_af_variance(opts: dict):
-    cfg = _ofdm_config(opts)
+    cfg, num, excess = _ofdm_config(opts), opts["subcarriers"], opts["modulation"].moment(4) - 1.0
+    # The self variance L (E[A^4] - 1) T_p^2 outgrows the (L T_p)^2 that
+    # _ofdm_config bounds when E[A^4] - 1 > L.
+    if (num**2 / opts["bandwidth"]) ** 2 > np.finfo(float).max / max(1.0, excess / num):
+        raise ValueError(
+            f"--bandwidth must keep (subcarriers^2 / bandwidth)^2 (E[A^4] - 1) / subcarriers finite, "
+            f"got {opts['bandwidth']} with E[A^4] = {excess + 1.0:.6g}"
+        )
     tau_grid = _grid(default_tau_grid, cfg, opts, "points")
     stats = af_statistics(cfg, opts["modulation"], tau_grid, opts["doppler"])
     header = ["tau", "sigma2_self", "sigma2_cross", "mean_self_abs"]

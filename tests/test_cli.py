@@ -953,6 +953,23 @@ def test_af_scale_inside_its_bound_writes_finite_cells(tmp_path, args):
     assert np.isfinite(np.array(rows, dtype=float)).all()
 
 
+@pytest.mark.parametrize(("bandwidth", "rc"), [("3.1e-151", 1), ("1.08e-150", 1), ("1.09e-150", 0)])
+def test_heavy_tailed_variance_is_bounded_by_bandwidth(tmp_path, capsys, bandwidth, rc):
+    # Two rings at probabilities 0.999 and 0.001, E[A^4] = 810.19: the self
+    # variance L (E[A^4] - 1) T_p^2 overflows first, inside the (L T_p)^2 bound.
+    heavy = tmp_path / "heavy.json"
+    heavy.write_text(json.dumps(Constellation([0.1**0.5, 900.1**0.5], [0.999, 0.001]).to_json_dict()))
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["af", "variance", "--modulation", str(heavy), "--bandwidth", bandwidth, "--out", str(out)]) == rc
+    if rc:
+        assert "--bandwidth must keep" in capsys.readouterr().err and not out.exists()
+    else:
+        _, _, rows = read_csv(out)
+        assert np.isfinite(np.array(rows, dtype=float)).all()
+
+
 @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
 def test_sigma2_must_be_positive_before_any_solve(tmp_path, capsys, monkeypatch, value):
     def no_work(*args, **kwargs):
