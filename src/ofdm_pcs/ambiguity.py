@@ -6,7 +6,8 @@ per delay as one Doppler kernel (:func:`_delay_terms`, which takes an array
 of delays and returns every factor with a leading row axis) whose sinc
 envelope is taken once per distinct kernel frequency ``m df - nu``.
 Everything else reads that kernel.  It factors as K = carrier phase . S . nu
-phase, a real envelope S between two unit-modulus phases.
+phase, a real envelope S between two unit-modulus phases, written in units
+of T_p, so every AF artifact is scale-free.
 
 One route takes every draw to its lag products ``B_m = sum_l c_{l+m}
 conj(c_l) exp(j 2 pi l df tau)`` (:func:`_af_at_delay`).  Each draw's one
@@ -109,7 +110,16 @@ def _doppler_offsets(cfg: OfdmConfig, nu_grid: np.ndarray):
     ``nu`` are integers in Hz, so ``f`` holds far fewer distinct values than
     cells (761 of 32,639 at 64 subcarriers and 257 Dopplers); off such a
     lattice every cell may be its own value.
+
+    Every Doppler must lie within 2^30 cycles over T_p, where each sinc
+    argument pi (m df - nu) T_diff is rounded by less than 1e-6 rad, and keep
+    2 pi nu finite.  Every AF entry point takes its offsets here, so each
+    refuses such a Doppler before any work.
     """
+    limit = min(2.0**30 / cfg.symbol_duration, np.finfo(float).max / (2 * np.pi))
+    outside = nu_grid[~(np.abs(nu_grid) <= limit)]
+    if outside.size:
+        raise ValueError(f"doppler must lie within +-{limit:.6g} Hz, 2^30 cycles over T_p, got {outside[0]}")
     num = cfg.num_subcarriers
     carrier = np.arange(-(num - 1), num) * cfg.subcarrier_spacing
     u, inv = np.unique(carrier[:, None] - nu_grid[None, :], return_inverse=True)
@@ -137,13 +147,17 @@ def _delay_terms(cfg: OfdmConfig, taus, offsets, work=None) -> _DelayTerms:
     overlap (of middle t_avg and length T_diff; empty unless |tau| < T_p).
     ``inside`` flags those delays among ``taus``.
 
-    The (2L-1) x n_nu Doppler kernel ``T_diff sinc(f T_diff) exp(j 2 pi f
-    t_avg)``, with ``f = m df - nu`` from ``offsets = _doppler_offsets(cfg,
-    nu_grid)``, factors as ``K = exp(j 2 pi m df t_avg) S exp(-j 2 pi nu
-    t_avg)``: a carrier phase per row m (``carrier_phase``, length 2L-1),
-    the real envelope ``S = T_diff sinc(f T_diff)`` (``envelope``) and a nu
-    phase per column.  S is evaluated once per distinct ``f`` with
-    :func:`numpy.sinc`'s own arithmetic and gathered onto the cells.  Given
+    The (2L-1) x n_nu Doppler kernel ``(T_diff / T_p) sinc(f T_diff) exp(j 2
+    pi f t_avg)``, with ``f = m df - nu`` from ``offsets =
+    _doppler_offsets(cfg, nu_grid)``, factors as ``K = exp(j 2 pi m df t_avg)
+    S exp(-j 2 pi nu t_avg)``: a carrier phase per row m (``carrier_phase``,
+    length 2L-1), the real envelope ``S = (T_diff / T_p) sinc(f T_diff)``
+    (``envelope``) and a nu phase per column.  S is the kernel's only
+    absolute scale, and it is written in units of T_p, so |S| <= 1 and
+    everything built from it is scale-free: the same at every bandwidth
+    :class:`OfdmConfig` accepts, with delays and Dopplers scaled alike.  S
+    is evaluated once per distinct ``f`` with :func:`numpy.sinc`'s own
+    arithmetic and gathered onto the cells.  Given
     ``work``, a 1-D float buffer of at least ``rows x (2 U + (2L-1) n_nu)``
     elements (U distinct frequencies), the sinc and S are written into it, so
     a caller that passes one buffer per piece of draws allocates no large
@@ -187,7 +201,7 @@ def _delay_terms(cfg: OfdmConfig, taus, offsets, work=None) -> _DelayTerms:
     arg[arg == 0.0] = np.finfo(float).eps
     np.sin(arg, out=sinc)
     np.divide(sinc, arg, out=sinc)
-    np.multiply(t_diff[:, None], sinc, out=sinc)
+    np.multiply((t_diff / cfg.symbol_duration)[:, None], sinc, out=sinc)
     # Every index is in range; mode "raise" would stage the gather through a
     # fresh copy of ``envelope``.
     np.take(sinc, inv, axis=1, out=envelope, mode="clip")
@@ -218,8 +232,7 @@ def _block_lags(terms: _DelayTerms, rows: slice, width: int):
     when every row lies on the lattice at consecutive shifts mod ``width`` =
     2L, else each row's ``(shift, None)`` on the lattice and ``(0,
     lag_phase)`` off it.  A block that wraps past shift 2L - 1 takes its rows
-    one by one.  Only lattice shifts are read as integers: off the lattice a
-    shift may be NaN at scales that overflow."""
+    one by one."""
     shift, on_lattice = terms.shift[rows].tolist(), terms.on_lattice[rows].tolist()
     if all(on_lattice):
         starts = [int(n) % width for n in shift]
@@ -312,9 +325,10 @@ def af_closed_form(cfg: OfdmConfig, symbols, tau: float, nu: float):
     :func:`_af_at_delay`, each row's lag-product spectrum (from a window of its
     doubled conjugate FFT on the delay lattice, an FFT of the lag-phased row
     off it) against the delay's spectral kernel (:func:`_spectral`), and zero
-    outside the window.  ``symbols`` may carry leading batch dimensions, in
-    which case a matching array of values is returned; one symbol vector
-    gives a complex."""
+    outside the window, times T_p to take the kernel's T_p units back to
+    seconds.  ``symbols`` may carry leading batch dimensions, in which case a
+    matching array of values is returned; one symbol vector gives a
+    complex."""
     symbols = np.asarray(symbols, dtype=np.complex128)
     num = cfg.num_subcarriers
     if symbols.shape[-1] != num:
@@ -326,7 +340,7 @@ def af_closed_form(cfg: OfdmConfig, symbols, tau: float, nu: float):
     if terms.inside[0]:
         lags = _block_lags(terms, slice(0, 1), 2 * num)
         out = _af_at_delay(rows, _spectrum_windows(rows), lags, None, _spectral(nu_grid, terms))[0, :, 0]
-    out = out.reshape(symbols.shape[:-1])
+    out = out.reshape(symbols.shape[:-1]) * cfg.symbol_duration
     return complex(out) if out.ndim == 0 else out
 
 
@@ -447,7 +461,11 @@ def af_statistics(cfg: OfdmConfig, constellation: Constellation, tau_grid, nu: f
     rows self variance, cross variance and mean self magnitude over
     ``tau_grid``, all from the delay's Doppler kernel ``K_m`` (row m = l1 - l2)
     of :func:`_delay_terms`, and zero outside ``|tau| < T_p``.  Only its
-    magnitude enters, ``|K_m| = |S_m|``, so they read the real envelope S.
+    magnitude enters, ``|K_m| = |S_m|``, so they read the real envelope S,
+    which is in units of T_p: the variances come in units of T_p^2 and the
+    mean self magnitude in units of T_p, the same at every bandwidth (qam16
+    at tau = 0: self variance L (E[A^4] - 1) = 20.48 and mean self magnitude
+    L = 64 at 64 subcarriers).
 
     * self variance ``L (E[A^4] - 1) |K_0|^2``, zero at constant modulus;
     * cross variance ``sum_{m != 0} (L - |m|) |K_m|^2``, with L - |m| index
@@ -456,20 +474,14 @@ def af_statistics(cfg: OfdmConfig, constellation: Constellation, tau_grid, nu: f
       envelope (E[A^2] = 1).  The cross part has zero mean.
     """
     num = cfg.num_subcarriers
-    nu_grid = np.array([float(nu)])
     pairs = num - np.abs(np.arange(1 - num, num))
     pairs[num - 1] = 0
-    excess = constellation.moment(4) - 1.0
     taus = np.asarray(tau_grid, dtype=float)
-    terms = _delay_terms(cfg, taus, _doppler_offsets(cfg, nu_grid))
-    l = np.arange(num)
-    stats = np.zeros((3, taus.size))
-    # Row by row: numpy's batched product and array abs round differently
-    # in the last bit from the per-row dot and the scalar abs.
-    for envelope, i in zip(terms.envelope[:, :, 0], np.flatnonzero(terms.inside)):
-        power = envelope**2
-        dirichlet = abs(np.exp(2j * np.pi * l * cfg.subcarrier_spacing * taus[i]).sum())
-        stats[:, i] = power[num - 1] * num * excess, pairs @ power, abs(envelope[num - 1]) * dirichlet
+    terms = _delay_terms(cfg, taus, _doppler_offsets(cfg, np.array([float(nu)])))
+    envelope, centre = terms.envelope[:, :, 0], terms.envelope[:, num - 1, 0]
+    dirichlet = np.abs(np.exp(2j * np.pi * np.arange(num) * cfg.subcarrier_spacing * taus[terms.inside, None]).sum(1))
+    stats, excess = np.zeros((3, taus.size)), constellation.moment(4) - 1.0
+    stats[:, terms.inside] = centre**2 * num * excess, envelope**2 @ pairs, np.abs(centre) * dirichlet
     return stats
 
 

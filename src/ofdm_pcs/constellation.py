@@ -59,8 +59,9 @@ class Constellation:
     """Ordered complex points plus a probability vector on the simplex.
 
     Invariants checked at construction: points and probabilities are finite,
-    probabilities form a simplex within ``PROB_TOL`` and the average power
-    ``sum(p * |x|^2)`` is one within ``POWER_TOL``.  Zero probabilities are
+    probabilities form a simplex within ``PROB_TOL``, the average power
+    ``sum(p * |x|^2)`` is one within ``POWER_TOL`` and the fourth moment
+    ``sum(p * |x|^4)`` is finite.  Zero probabilities are
     allowed (shaped distributions may drop points entirely).  The point mean
     is *not* constrained.
 
@@ -88,9 +89,14 @@ class Constellation:
             raise ValueError("probabilities must lie in [0, 1]")
         if abs(probs.sum() - 1.0) > PROB_TOL:
             raise ValueError(f"probabilities sum to {probs.sum()!r}, expected 1")
-        power = float(probs @ np.abs(points) ** 2)
-        if abs(power - 1.0) > POWER_TOL:
+        # A finite point may still overflow |x|^2 or |x|^4; the moment it
+        # breaks is refused below, without a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            power, m4 = (float(probs @ np.abs(points) ** k) for k in (2, 4))
+        if not abs(power - 1.0) <= POWER_TOL:
             raise ValueError(f"average power is {power!r}, expected 1 (unit power)")
+        if not np.isfinite(m4):
+            raise ValueError(f"fourth moment E[A^4] is {m4!r}, expected finite")
         np.clip(probs, 0.0, 1.0, out=probs)
         points.setflags(write=False)
         probs.setflags(write=False)

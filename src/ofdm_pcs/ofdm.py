@@ -23,7 +23,10 @@ class OfdmConfig:
 
     Defaults correspond to 64 subcarriers in 100 MHz of bandwidth.  The
     symbol duration is derived as ``1/df`` so the rect-window orthogonality
-    relation ``T_p * df = 1`` holds exactly.
+    relation ``T_p * df = 1`` holds exactly.  Twice the symbol duration (the
+    widest delay span the ambiguity function forms) and ``2 pi bandwidth``
+    (its fastest phase rate) must be finite; inside that range every
+    ambiguity artifact is scale-free.
     """
 
     num_subcarriers: int = 64
@@ -35,10 +38,10 @@ class OfdmConfig:
             raise ValueError(f"num_subcarriers must be a positive integer, got {self.num_subcarriers}")
         if not (self.subcarrier_spacing > 0):
             raise ValueError(f"subcarrier_spacing must be positive, got {self.subcarrier_spacing}")
-        if not (0 < 1.0 / float(self.subcarrier_spacing) < np.inf):
+        if not np.isfinite([2.0 / float(self.subcarrier_spacing), 2 * np.pi * self.bandwidth]).all():
             raise ValueError(
-                f"subcarrier_spacing {self.subcarrier_spacing} (bandwidth {self.bandwidth}) must give a "
-                f"finite, non-zero symbol duration 1/subcarrier_spacing"
+                f"bandwidth {self.bandwidth} (subcarrier_spacing {self.subcarrier_spacing}) must keep "
+                f"2 T_p = 2 / subcarrier_spacing and 2 pi bandwidth finite"
             )
         if int(self.oversampling) != self.oversampling or self.oversampling < 1:
             raise ValueError(f"oversampling must be a positive integer, got {self.oversampling}")

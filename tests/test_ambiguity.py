@@ -308,8 +308,8 @@ def test_lattice_shift_matches_double_sum(cfg, taus, nus, lattice_rows):
 
 def _row_kernel_oracle(cfg, tau, nu_grid):
     """One delay's terms by per-row arithmetic, sinc on every cell with no
-    gather: the lag ``(shift, phase)``, the carrier phase, the envelope S and
-    the spectral kernel H; None outside the window."""
+    gather: the lag ``(shift, phase)``, the carrier phase, the envelope S (in
+    units of T_p) and the spectral kernel H; None outside the window."""
     t_min = max(0.0, float(tau))
     t_max = min(cfg.symbol_duration, cfg.symbol_duration + float(tau))
     t_diff = t_max - t_min
@@ -323,7 +323,7 @@ def _row_kernel_oracle(cfg, tau, nu_grid):
         lag = (0, np.exp(2j * np.pi * np.arange(num) * df * tau))
     carrier = np.arange(-(num - 1), num) * df
     carrier_phase = np.exp(2j * np.pi * carrier * t_avg)
-    envelope = t_diff * np.sinc((carrier[:, None] - nu_grid[None, :]) * t_diff)
+    envelope = (t_diff / cfg.symbol_duration) * np.sinc((carrier[:, None] - nu_grid[None, :]) * t_diff)
     kernel = np.multiply.outer(carrier_phase, np.exp(-2j * np.pi * nu_grid * t_avg)) * envelope
     rotated = np.zeros((2 * num, nu_grid.size), complex)
     rotated[np.arange(1 - num, num)] = kernel
@@ -547,6 +547,35 @@ def test_mc_average_permuted_grid_permutes_rows(taus, nus):
 def test_mc_average_rejects_bad_input(taus, nus, name):
     with pytest.raises(ValueError, match=name):
         mc_average_af(CFG16, make_qam(16), taus, nus, 10, 0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda nu: mc_average_af(CFG16, make_qam(16), [0.0], [0.0, nu], 2, 0),
+        lambda nu: af_closed_form(CFG16, np.ones(16), 0.1, nu),
+        lambda nu: af_statistics(CFG16, make_qam(16), [0.0, 0.1], nu),
+    ],
+    ids=["mc_average_af", "af_closed_form", "af_statistics"],
+)
+@pytest.mark.parametrize("nu", [-(2.0**30) - 1, 3e9, 1e308, np.inf, np.nan])
+def test_doppler_past_its_range_names_doppler(call, nu):
+    # Past 2^30 cycles over T_p the sinc arguments have lost their digits,
+    # and past 2 pi nu's overflow they are NaN; every entry point refuses.
+    with pytest.raises(ValueError, match=r"^doppler must lie within \+-1\.07374e\+09 Hz"):
+        call(nu)
+
+
+def test_af_statistics_are_scale_free():
+    # In units of T_p^2 and T_p the statistics read the same at 1.5625 MHz
+    # spacing as at 1 Hz, at delays and Dopplers scaled by the spacing.
+    taus = np.linspace(-1.0, 1.0, 33)
+    unit = OfdmConfig(64, 1.0)
+    for nu in (0.0, 0.75, -2.5):
+        want = af_statistics(unit, make_qam(16), taus, nu)
+        got = af_statistics(_PROD, make_qam(16), taus / 1.5625e6, nu * 1.5625e6)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want).max(axis=1, keepdims=True))
+    assert af_statistics(_PROD, make_qam(16), [0.0], 0.0)[:, 0] == pytest.approx([64 * 0.32, 0.0, 64.0], abs=1e-12)
 
 
 def test_variance_self_psk_zero():

@@ -650,23 +650,24 @@ def test_af_empty_grid_names_parameter(tmp_path, capsys, args, name):
         (["af", "slice", "--delay", "1e-7", "--points", "0"],
          "--points: nu_grid needs at least one point, got 0"),
         # 2^30 cycles over T_p = 0.64 us: 1.68e15 Hz at the defaults.
-        (["af", "slice", "--doppler", "1e200", "--trials", "64"], "--doppler must lie within +-1.67772e+15 Hz"),
-        (["af", "slice", "--doppler=-1.7e15"], "--doppler must lie within +-1.67772e+15 Hz"),
-        (["af", "variance", "--doppler", "1e308"], "--doppler must lie within +-1.67772e+15 Hz"),
-        # 2 pi bandwidth overflows past 2.86e307 Hz, (L^2 / bandwidth)^2 below
-        # 3.1e-151 Hz at 64 subcarriers.
-        (["af", "slice", "--bandwidth", "1e308"], "--bandwidth must keep"),
-        (["af", "surface", "--bandwidth", "5e307"], "--bandwidth must keep"),
-        (["af", "variance", "--bandwidth", "1e308"], "--bandwidth must keep"),
-        (["af", "variance", "--bandwidth", "1e-160"], "--bandwidth must keep"),
-        (["af", "slice", "--bandwidth", "1e-320"], "--bandwidth must keep"),
+        (["af", "slice", "--doppler", "1e200", "--trials", "64"], "doppler must lie within +-1.67772e+15 Hz"),
+        (["af", "slice", "--doppler=-1.7e15"], "doppler must lie within +-1.67772e+15 Hz"),
+        (["af", "variance", "--doppler", "1e308"], "doppler must lie within +-1.67772e+15 Hz"),
+        # 2 pi bandwidth overflows past 2.86e307 Hz, 2 T_p below 7.1e-307 Hz
+        # at 64 subcarriers; 1e-320 Hz rounds to a subnormal spacing.
+        (["af", "slice", "--bandwidth", "1e308"], "bandwidth 1e+308 (subcarrier_spacing"),
+        (["af", "surface", "--bandwidth", "5e307"], "bandwidth 5e+307 (subcarrier_spacing"),
+        (["af", "variance", "--bandwidth", "1e308"], "bandwidth 1e+308 (subcarrier_spacing"),
+        (["af", "variance", "--bandwidth", "7e-307"], "bandwidth 7e-307 (subcarrier_spacing"),
+        (["af", "slice", "--bandwidth", "1e-320"], "bandwidth 1.012e-320 (subcarrier_spacing"),
         (["af", "slice", "--delay", "1e308"], "--delay must lie inside |delay| < T_p = 6.4e-07 s"),
         (["af", "slice", "--delay=-6.4e-7"], "--delay must lie inside |delay| < T_p = 6.4e-07 s"),
     ],
 )
 def test_af_grid_size_error_names_flag(tmp_path, capsys, args, message):
-    # The grid and the AF's scale bounds are checked before any draw, so the
-    # default trial count costs nothing.
+    # The grid and the AF's scale rules (OfdmConfig's bandwidth, the AF's
+    # Doppler) are checked before any draw, so the default trial count
+    # costs nothing.
     rc = main(args + ["--out", str(tmp_path / "x.csv")])
     assert rc == 1
     assert message in capsys.readouterr().err
@@ -916,9 +917,9 @@ def test_db_out_of_range_names_option(tmp_path, capsys, monkeypatch, args, name,
     ],
 )
 def test_non_finite_table_is_refused(tmp_path, capsys, monkeypatch, args, column):
-    # The scale bounds keep overflow out of every AF table; a runner that
-    # still hands back a NaN or inf cell has its table refused by the first
-    # such column, and nothing is written.
+    # The AF's scale-free kernel keeps overflow out of every AF table; a
+    # runner that still hands back a NaN or inf cell has its table refused
+    # by the first such column, and nothing is written.
     def overflowed(opts):
         return ["tau", column, "next"], np.array([[0.0, 1.0, np.inf], [1.0, np.nan, 2.0]])
 
@@ -931,6 +932,38 @@ def test_non_finite_table_is_refused(tmp_path, capsys, monkeypatch, args, column
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["pcs solve", "constellation dump"])
+def test_non_finite_json_payload_is_refused(tmp_path, capsys, monkeypatch, command):
+    # JSON has no NaN or inf; a payload holding one fails its encoding, so
+    # nothing is written.
+    def overflowed(opts):
+        return {"probs": [1.0, 0.0], "gap": float("nan"), "feasible_range": [1.0, float("inf")]}
+
+    monkeypatch.setitem(_COMMANDS, command, (overflowed, *_COMMANDS[command][1:]))
+    out = tmp_path / "x.json"
+    assert main([*command.split(), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {command}: Out of range float values")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", _CONSTELLATION_ARGS[:1] + [
+    ["pcs", "solve", "--c0", "2", "--modulation"],
+    ["af", "variance", "--modulation"],
+])
+def test_overflowing_fourth_moment_names_option_and_path(tmp_path, capsys, args):
+    # Unit power holds, but 1e80^4 overflows: E[A^4] would read inf, and pcs
+    # solve would write Infinity into its JSON.
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"points": [{"re": 0.0, "im": 0.0}, {"re": 1e80, "im": 0.0}], "probs": [1.0, 1e-160]}))
+    out = tmp_path / "x.out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(args + [str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"modulation {str(path)!r}: fourth moment E[A^4] is inf, expected finite" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -940,34 +973,70 @@ def test_non_finite_table_is_refused(tmp_path, capsys, monkeypatch, args, column
         ["af", "slice", "--bandwidth", "2.8e307", "--trials", "4"],
         ["af", "surface", "--bandwidth", "2.8e307", "--trials", "4", "--tau-points", "9", "--nu-points", "5"],
         ["af", "variance", "--bandwidth", "2.8e307"],
-        ["af", "variance", "--bandwidth", "3.1e-151"],
+        ["af", "variance", "--bandwidth", "7.2e-307"],
         ["af", "slice", "--delay", "6.39e-7", "--points", "9", "--trials", "4"],
+        ["af", "slice", "--bandwidth", "7.2e-307", "--trials", "4"],
     ],
 )
 def test_af_scale_inside_its_bound_writes_finite_cells(tmp_path, args):
-    # Just inside each bound of _ofdm_config the arithmetic still holds: every
-    # cell is finite, so the bounds sit where overflow begins.
+    # Just inside each scale rule the arithmetic still holds: every cell is
+    # finite.
     out = tmp_path / "x.csv"
     assert main(args + ["--out", str(out)]) == 0
     _, _, rows = read_csv(out)
     assert np.isfinite(np.array(rows, dtype=float)).all()
 
 
-@pytest.mark.parametrize(("bandwidth", "rc"), [("3.1e-151", 1), ("1.08e-150", 1), ("1.09e-150", 0)])
-def test_heavy_tailed_variance_is_bounded_by_bandwidth(tmp_path, capsys, bandwidth, rc):
-    # Two rings at probabilities 0.999 and 0.001, E[A^4] = 810.19: the self
-    # variance L (E[A^4] - 1) T_p^2 overflows first, inside the (L T_p)^2 bound.
-    heavy = tmp_path / "heavy.json"
-    heavy.write_text(json.dumps(Constellation([0.1**0.5, 900.1**0.5], [0.999, 0.001]).to_json_dict()))
+@pytest.mark.parametrize("bandwidth", ["7.2e-307", "3.1e-151", "1.08e-150", "1.09e-150", "2.8e307"])
+def test_heavy_tailed_variance_is_finite_at_any_bandwidth(tmp_path, bandwidth):
+    # Two rings at probabilities 0.999 and 0.001, E[A^4] = 810.19: in units
+    # of T_p^2 the self variance at tau = 0 is L (E[A^4] - 1) at every
+    # bandwidth, where in s^2 it overflowed below 1.09e-150 Hz.
+    heavy = Constellation([0.1**0.5, 900.1**0.5], [0.999, 0.001])
+    path = tmp_path / "heavy.json"
+    path.write_text(json.dumps(heavy.to_json_dict()))
     out = tmp_path / "x.csv"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(["af", "variance", "--modulation", str(heavy), "--bandwidth", bandwidth, "--out", str(out)]) == rc
-    if rc:
-        assert "--bandwidth must keep" in capsys.readouterr().err and not out.exists()
-    else:
-        _, _, rows = read_csv(out)
-        assert np.isfinite(np.array(rows, dtype=float)).all()
+        assert main(["af", "variance", "--modulation", str(path), "--bandwidth", bandwidth, "--out", str(out)]) == 0
+    _, header, rows = read_csv(out)
+    table = np.array(rows, dtype=float)
+    assert np.isfinite(table).all()
+    centre = table[table[:, 0] == 0.0][0, header.index("sigma2_self")]
+    assert centre == pytest.approx(64 * (heavy.moment(4) - 1.0), rel=1e-11)
+
+
+def _af_columns(tmp_path, argv, bandwidth):
+    """An AF command's CSV at ``--bandwidth`` (16 subcarriers): its axis
+    column and, for af surface, its Doppler header, in units of T_p (delay)
+    or 1/T_p (Doppler), and its data columns."""
+    out = tmp_path / "x.csv"
+    assert main([*argv, "--bandwidth", bandwidth, "--out", str(out)]) == 0
+    _, header, rows = read_csv(out)
+    table, span = np.array(rows, dtype=float), 16 / float(bandwidth)
+    nus = [float(nu) * span for nu in header[1:]] if argv[1] == "surface" else []
+    return np.array([*table[:, 0] * (span if header[0] == "nu" else 1 / span), *nus]), table[:, 1:]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["af", "slice", "--trials", "8", "--points", "33", "--subcarriers", "16"],
+        ["af", "slice", "--trials", "8", "--points", "17", "--subcarriers", "16", "--delay", "0"],
+        ["af", "surface", "--trials", "4", "--tau-points", "17", "--nu-points", "9", "--subcarriers", "16"],
+        ["af", "variance", "--points", "33", "--subcarriers", "16", "--doppler", "0"],
+    ],
+    ids=["slice", "slice-delay", "surface", "variance"],
+)
+def test_af_artifacts_are_scale_free(tmp_path, argv):
+    # The kernel is in units of T_p, so every AF artifact is the same at any
+    # bandwidth: its data to 1e-12 of each column's largest magnitude, its
+    # axes once scaled by T_p.
+    axis, data = _af_columns(tmp_path, argv, "1e8")
+    for bandwidth in ("1e-300", "1e300"):
+        got_axis, got = _af_columns(tmp_path, argv, bandwidth)
+        np.testing.assert_allclose(got_axis, axis, rtol=1e-12, atol=0)
+        assert np.all(np.abs(got - data) <= 1e-12 * np.abs(data).max(axis=0))
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])

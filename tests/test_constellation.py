@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -249,6 +250,20 @@ def test_constructor_rejects_non_finite(points, probs, message):
     # NaN fails every comparison, so the simplex and power checks pass it.
     with pytest.raises(ValueError) as info:
         Constellation(np.array(points, dtype=complex), np.array(probs))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(("points", "probs", "message"), [
+    ([0, 1e80], [1.0, 1e-160], "fourth moment E[A^4] is inf, expected finite"),
+    ([1, 1e200], [1.0, 0.0], "average power is nan, expected 1 (unit power)"),
+], ids=["m4-overflows", "unused-point-overflows"])
+def test_constructor_rejects_overflowing_moments(points, probs, message):
+    # Each point is finite, but |x|^4 (or |x|^2) overflows: unit power can
+    # hold while E[A^4] is inf, and 0 * inf makes the power NaN.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            Constellation(np.array(points, dtype=complex), np.array(probs))
     assert str(info.value) == message
 
 

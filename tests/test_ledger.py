@@ -5,11 +5,13 @@ Header and ``#`` lines (a JSON artifact's ``meta`` and layout) must match
 exactly.  Each data column (a JSON artifact's numbers under one key) must
 match to 1e-10 of its largest stored magnitude, so that a BLAS or FFT build's
 last-digit rounding passes while a moved stream or a flipped decision fails.
-A change that moves an artifact on purpose rewrites the ledger with
+A change that moves an artifact on purpose rewrites its entries with
 
-    PYTHONPATH=src python3 tests/test_ledger.py
+    PYTHONPATH=src python3 tests/test_ledger.py [ENTRY ...]
 
-and says in its change log which artifacts moved and by how much.  The
+(every entry when none is named), which prints for each entry it rewrites
+"unchanged" or how many cells moved, by how much at most and how many past
+the tolerance, and says in its change log what the tool printed.  The
 ledger is never rewritten to hide a defect.
 """
 
@@ -66,13 +68,15 @@ def parse(text: str, suffix: str) -> tuple[list[str], dict[str, np.ndarray]]:
     return [json.dumps(doc["meta"]), json.dumps(shape)], {k: np.array(v, dtype=float) for k, v in numbers.items()}
 
 
-def moved_cells(got: dict[str, np.ndarray], want: dict[str, np.ndarray]) -> list[tuple[str, int, float]]:
+def moved_cells(
+    got: dict[str, np.ndarray], want: dict[str, np.ndarray], rtol: float = RTOL
+) -> list[tuple[str, int, float]]:
     """(column, row, |delta|) of every cell off its stored value by more than
-    ``RTOL`` times its column's largest stored magnitude."""
+    ``rtol`` times its column's largest stored magnitude."""
     moved = []
     for name, stored in want.items():
         delta = np.abs(got[name] - stored)
-        for row in np.flatnonzero(~(delta <= RTOL * np.abs(stored).max(initial=0.0))):
+        for row in np.flatnonzero(~(delta <= rtol * np.abs(stored).max(initial=0.0))):
             moved.append((name, int(row), float(delta[row])))
     return moved
 
@@ -82,6 +86,25 @@ def write(name: str, directory: Path) -> Path:
     if cli.main([*ARGVS[name], "--out", str(out)]) != 0:
         raise RuntimeError(f"ofdm-pcs {' '.join(ARGVS[name])} failed")
     return out
+
+
+def rewrite(name: str) -> str:
+    """Rewrite the ledger entry ``name`` and say how it moved."""
+    path, suffix = LEDGER / name, Path(name).suffix
+    before = path.read_text() if path.exists() else None
+    after = write(name, LEDGER).read_text()
+    if before is None or before == after:
+        return "new" if before is None else "unchanged"
+    (want_exact, want), (got_exact, got) = parse(before, suffix), parse(after, suffix)
+    if got_exact != want_exact or {k: v.shape for k, v in got.items()} != {k: v.shape for k, v in want.items()}:
+        return "header, # lines or layout changed"
+    moved, cells = moved_cells(got, want, 0.0), sum(v.size for v in want.values())
+    if not moved:
+        return "text changed, no cell moved"
+    return (
+        f"{len(moved)} of {cells} cells moved, largest |delta| {max(d for *_, d in moved):.3g}, "
+        f"{len(moved_cells(got, want))} past {RTOL:g} of their column's largest magnitude"
+    )
 
 
 def test_ledger_covers_every_command():
@@ -105,5 +128,5 @@ def test_artifact_matches_its_ledger_entry(tmp_path, name):
 
 if __name__ == "__main__":
     LEDGER.mkdir(exist_ok=True)
-    for entry in ARGVS:
-        print(write(entry, LEDGER), file=sys.stderr)
+    for entry in sys.argv[1:] or ARGVS:
+        print(f"{entry}: {rewrite(entry)}")

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,10 @@ def test_config_validation():
     for spacing in (np.inf, 1e-320):
         with pytest.raises(ValueError, match="subcarrier_spacing"):
             OfdmConfig(subcarrier_spacing=spacing)
+    # Twice the symbol duration and 2 pi bandwidth must be finite too.
+    for num, spacing in ((64, 1e-308), (1, 1e308)):
+        with pytest.raises(ValueError, match="^" + re.escape(f"bandwidth {num * spacing} (subcarrier_spacing {spacing})")):
+            OfdmConfig(num_subcarriers=num, subcarrier_spacing=spacing)
     with pytest.raises(ValueError):
         OfdmConfig(oversampling=0)
 
